@@ -26,9 +26,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .laurent import EvaluationPoint, LaurentPoly, ONE, ZERO, seeded_points
-from .freegroup import FreeWord
+from .freegroup import FreeWord, reduced_words
 
 
 class BraidError(ValueError):
@@ -227,31 +228,17 @@ def bracket_equal(
     k = g.target - g.source
     if k <= 1:
         return braid_equal(g.word, f.word, certainty, seed)
-    for psi in _braid_words_up_to(k, coset_bound):
+    for letters in reduced_words(k - 1, coset_bound):
+        psi = BraidWord(k, letters)
         candidate = f.word.compose(psi.monoidal(BraidWord.identity(g.source)))
         if braid_equal(g.word, candidate, certainty, seed):
             return True
     return False
 
 
-def _braid_words_up_to(strands: int, length: int):
-    frontier = [BraidWord.identity(strands)]
-    yield frontier[0]
-    letters = [l for i in range(1, strands) for l in (i, -i)]
-    for _ in range(length):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                ext = BraidWord(strands, w.letters + (letter,))
-                if len(ext.letters) == len(w.letters) + 1:
-                    nxt.append(ext)
-                    yield ext
-        frontier = nxt
-
-
 def enumerate_words(strands: int, max_len: int) -> list[BraidWord]:
     """All freely reduced braid words of length at most max_len."""
-    return list(_braid_words_up_to(strands, max_len))
+    return [BraidWord(strands, w) for w in reduced_words(strands - 1, max_len)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,41 +293,38 @@ def burau_symbolic(word: BraidWord) -> list[dict]:
     return state
 
 
-def _lk_index(n: int):
+def lk_index(n: int):
+    """The Lawrence-Krammer basis v_{j,k}, 1 <= j < k <= n, in lexicographic
+    order, and the position of each pair (j, k) in it."""
     pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
     return pairs, {p: i for i, p in enumerate(pairs)}
 
 
-def _lk_generator_columns(n: int, i: int, t: Fraction, q: Fraction):
-    """Columns of the Lawrence-Krammer matrix of s_i on n strands at (t, q).
+def lk_generator_columns(n: int, i: int, t, q, one) -> list[dict]:
+    """Columns {row: entry} of the Lawrence-Krammer matrix of s_i on n
+    strands, over any commutative ring containing t, q and one.
 
-    Basis v_{j,k}, 1 <= j < k <= n, ordered lexicographically.
+    This is the one copy of the table: the oracle evaluates it at rational
+    points and repfun.lk_functor builds it over the Laurent ring.  Constant
+    entries are the ring's own `one`, never a bare int (int / int is a
+    float in the Fraction inverse).
     """
-    pairs, idx = _lk_index(n)
+    pairs, idx = lk_index(n)
     cols = []
     for (j, k) in pairs:
-        col: dict[int, Fraction] = {}
-
-        def put(jj, kk, val):
-            col[idx[(jj, kk)]] = col.get(idx[(jj, kk)], Fraction(0)) + val
-
         if i == j and i == k - 1:
-            put(i, i + 1, -q * t * t)
+            col = {(i, i + 1): -q * t * t}
         elif i == j - 1:
-            put(i, k, t)
-            put(i, i + 1, t * t - t)
-            put(i + 1, k, 1 - t)
-        elif i == j:  # here j != k-1
-            put(i + 1, k, Fraction(1))
-        elif i == k - 1:  # here j != k-1's partner
-            put(j, i, t)
-            put(j, i + 1, 1 - t)
-            put(i, i + 1, -(t * t - t) * q)
+            col = {(i, k): t, (i, i + 1): t * t - t, (i + 1, k): one - t}
+        elif i == j:  # here k > i + 1
+            col = {(i + 1, k): one}
+        elif i == k - 1:  # here j < i
+            col = {(j, i): t, (j, i + 1): one - t, (i, i + 1): -(t * t - t) * q}
         elif i == k:
-            put(j, i + 1, Fraction(1))
+            col = {(j, i + 1): one}
         else:
-            put(j, k, Fraction(1))
-        cols.append(col)
+            col = {(j, k): one}
+        cols.append({idx[p]: v for p, v in col.items()})
     return cols
 
 
@@ -372,20 +356,11 @@ def _frac_matrix_inverse(cols: list[dict], dim: int) -> list[dict]:
     return out
 
 
-_lk_letter_cache: dict = {}
-
-
+@lru_cache(maxsize=256)
 def _lk_letter_columns(n: int, letter: int, point: EvaluationPoint):
-    key = (n, letter, point.t_value, point.q_value)
-    if key not in _lk_letter_cache:
-        dim = n * (n - 1) // 2
-        if letter > 0:
-            cols = _lk_generator_columns(n, letter, point.t_value, point.q_value)
-        else:
-            pos = _lk_generator_columns(n, -letter, point.t_value, point.q_value)
-            cols = _frac_matrix_inverse(pos, dim)
-        _lk_letter_cache[key] = cols
-    return _lk_letter_cache[key]
+    t, q = point.t_value, point.q_value
+    cols = lk_generator_columns(n, abs(letter), t, q, Fraction(1))
+    return cols if letter > 0 else _frac_matrix_inverse(cols, n * (n - 1) // 2)
 
 
 def lk_numeric(word: BraidWord, point: EvaluationPoint) -> list[dict]:

@@ -3,7 +3,8 @@
 Every run is fully determined by its arguments plus the seed (--seed flag,
 LMKIT_SEED environment variable, default 0); output is deterministic JSON
 (sorted keys) or plain text.  Exit codes: 0 = pass, 1 = a check failed
-(the witness is in the output), 2 = usage or configuration error.
+(the witness is in the output), 2 = usage or configuration error, 3 =
+internal fault (traceback on stderr).
 
 Functors are named by a small prefix grammar, nestable via ';':
 
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .laurent import LaurentError, LaurentPoly, PolyMatrix, ONE, parse_poly
 from .braidcat import BraidError, local_system
@@ -83,6 +85,20 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
+def _two_args(head: str, body: str) -> list[str]:
+    parts = _split_top(body, ";")
+    if len(parts) != 2:
+        raise UsageError(f"{head} takes exactly two ';'-separated arguments")
+    return parts
+
+
+def _int_arg(head: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{head} expects an integer, got {text.strip()!r}") from None
+
+
 def parse_functor(spec: str) -> BraidFunctor:
     spec = spec.strip()
     if "(" not in spec:
@@ -94,18 +110,16 @@ def parse_functor(spec: str) -> BraidFunctor:
     head = head.strip().lower()
 
     if head in ("sum", "tensor"):
-        args = [parse_functor(p) for p in _split_top(body, ";")]
-        if len(args) != 2:
-            raise UsageError(f"{head} takes exactly two functor arguments")
+        args = [parse_functor(p) for p in _two_args(head, body)]
         return (direct_sum if head == "sum" else tensor)(*args)
     if head == "tau":
-        k_text, f_text = _split_top(body, ";")
-        return translate(parse_functor(f_text), int(k_text))
+        k_text, f_text = _two_args(head, body)
+        return translate(parse_functor(f_text), _int_arg(head, k_text))
     if head == "twist":
-        y_text, f_text = _split_top(body, ";")
+        y_text, f_text = _two_args(head, body)
         return scalar_twist(parse_functor(f_text), parse_poly(y_text))
     if head == "lm":
-        params_text, f_text = _split_top(body, ";")
+        params_text, f_text = _two_args(head, body)
         params = [p.strip() for p in params_text.split(",")]
         if len(params) < 2:
             raise UsageError("lm(action,system[,pre[,post]]; functor)")
@@ -123,9 +137,9 @@ def parse_functor(spec: str) -> BraidFunctor:
             kwargs["param"] = parse_poly(body)
         return builtin(head, **kwargs)
     if head == "atomic":
-        return builtin("atomic", k=int(body))
+        return builtin("atomic", k=_int_arg(head, body))
     if head == "e":
-        return builtin("e", l=int(body))
+        return builtin("e", l=_int_arg(head, body))
     if head in ("constant", "x", "lk", "t1", "zero"):
         return builtin(head)
     raise UsageError(f"unknown functor {spec!r}")
@@ -337,7 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    default_seed = int(os.environ.get("LMKIT_SEED", "0"))
+    # A string default goes through type=int at parse time, so a bad
+    # LMKIT_SEED is reported as a usage error.
+    default_seed = os.environ.get("LMKIT_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, functor=False, base=False, cfg=False):
@@ -408,10 +424,12 @@ def main(argv=None) -> int:
         CoherenceError,
         repfun.FunctorError,
         polyfun.SplitCertificationError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,6 +10,12 @@ coordinates of a word in that basis using the right-sided product rule
 which is the convention under which  w - 1 = sum_i (gi - 1)·d_i(w)  holds
 with coefficients on the right.  (The classical left-sided convention
 differs; everything downstream depends on this choice.)
+
+Braid generators act through local pairs (W, V) on adjacent generators:
+the Artin action and the seven classified kinds (Wada 1992).  A negative
+letter acts through the inverse pair, read from a stored table (kind 1 has
+a closed form at every parameter), not searched for at run time; see
+_WADA_TABLE for where the entries came from and how they are certified.
 """
 
 from __future__ import annotations
@@ -451,6 +457,45 @@ def _w2(text: str) -> FreeWord:
     return parse_word(text, 2)
 
 
+# Kinds 2-7 of the classified local pairs: the pair (W, V), then the images
+# of (g1, g2) under its inverse automorphism.  The inverses are the output
+# of invert_map's bounded search, stored so that no process repeats it.
+# ActionFamily.verify_relations certifies every inverse it uses (pair ∘
+# inverse = identity on generators) and the tests compose both ways.  One
+# side suffices: a free group of finite rank is Hopfian, so a surjective
+# endomorphism is an automorphism and a one-sided inverse is two-sided.
+# Kind 1 carries a parameter and is built in _wada_pairs.
+_WADA_TABLE = {
+    kind: (WadaPair(_w2(w), _w2(v)), WadaPair(_w2(w_inv), _w2(v_inv)))
+    for kind, (w, v, w_inv, v_inv) in {
+        2: ("g1", "g2", "g1", "g2"),
+        3: ("g2", "g1^-1", "g2^-1", "g1"),
+        # Kind 4 is the half-twist type g1 -> g2, g2 -> g2 g1^-1 g2; the
+        # conjugated variant (g2, g2^-1 g1^-1 g2) sometimes seen in print
+        # fails the braid relation and is rejected by the instantiation check.
+        4: ("g2", "g2*g1^-1*g2", "g1*g2^-1*g1", "g1"),
+        5: ("g2^-1", "g1^-1", "g2^-1", "g1^-1"),
+        6: ("g2^-1", "g2*g1*g2", "g1*g2*g1", "g1^-1"),
+        7: ("g1*g2^-1*g1^-1", "g1*g2^2", "g1^2*g2", "g2^-1*g1^-1*g2"),
+    }.items()
+}
+
+
+def _wada_pairs(kind: int, m: int) -> tuple[WadaPair, WadaPair]:
+    """The kind-k local pair and the pair of its inverse automorphism."""
+    if kind == 1:
+        g1 = FreeWord.generator(2, 1)
+        g2 = FreeWord.generator(2, 2)
+        # Closed-form inverse, valid at every m.
+        return (
+            WadaPair(g2, (g2 ** (-m)) * g1 * (g2 ** m)),
+            WadaPair((g1 ** m) * g2 * (g1 ** (-m)), g1),
+        )
+    if kind not in _WADA_TABLE:
+        raise FreeGroupError(f"unknown local action kind {kind}")
+    return _WADA_TABLE[kind]
+
+
 def wada_pair(kind: int, m: int = 1) -> WadaPair:
     """The seven classified local braid-action pairs.
 
@@ -458,28 +503,10 @@ def wada_pair(kind: int, m: int = 1) -> WadaPair:
     that kind 1 with m = 1 is exactly the Artin action (the classification
     lists the pair only up to duality, which flips that sign).
     """
-    if kind == 1:
-        g1 = FreeWord.generator(2, 1)
-        g2 = FreeWord.generator(2, 2)
-        return WadaPair(g2, (g2 ** (-m)) * g1 * (g2 ** m))
-    table = {
-        2: ("g1", "g2"),
-        3: ("g2", "g1^-1"),
-        # Kind 4 is the half-twist type g1 -> g2, g2 -> g2 g1^-1 g2; the
-        # conjugated variant (g2, g2^-1 g1^-1 g2) sometimes seen in print
-        # fails the braid relation and is rejected by the instantiation check.
-        4: ("g2", "g2*g1^-1*g2"),
-        5: ("g2^-1", "g1^-1"),
-        6: ("g2^-1", "g2*g1*g2"),
-        7: ("g1*g2^-1*g1^-1", "g1*g2^2"),
-    }
-    if kind not in table:
-        raise FreeGroupError(f"unknown local action kind {kind}")
-    w, v = table[kind]
-    return WadaPair(_w2(w), _w2(v))
+    return _wada_pairs(kind, m)[0]
 
 
-def wada_dual(pair: WadaPair, kind: str, search_bound: int = 8) -> WadaPair:
+def wada_dual(pair: WadaPair, kind: str) -> WadaPair:
     """The swap-, backward-, or inverse-dual of a local action pair."""
     g1 = FreeWord.generator(2, 1)
     g2 = FreeWord.generator(2, 2)
@@ -490,25 +517,28 @@ def wada_dual(pair: WadaPair, kind: str, search_bound: int = 8) -> WadaPair:
         flip = FreeGroupMap(2, 2, [g1.inverse(), g2.inverse()])
         return WadaPair(flip(pair.w).inverse(), flip(pair.v).inverse())
     if kind == "inverse":
-        inv = invert_map(pair.as_map(), search_bound)
+        inv = invert_map(pair.as_map())
         if inv is None:
             raise FreeGroupError("inverse certificate not found")
         return WadaPair(inv.images[0], inv.images[1])
     raise FreeGroupError(f"unknown duality {kind!r}")
 
 
-def _words_up_to(rank: int, length: int):
-    frontier = [FreeWord.identity(rank)]
-    yield frontier[0]
-    letters = [FreeWord.generator(rank, i, e) for i in range(1, rank + 1) for e in (1, -1)]
-    for _ in range(length):
+def reduced_words(rank: int, max_len: int):
+    """Every freely reduced word of length <= max_len in the letters
+    ±1..±rank, as a tuple of signed letters, breadth first: by length, and
+    within a length in the letter order 1, -1, 2, -2, ..."""
+    letters = [l for i in range(1, rank + 1) for l in (i, -i)]
+    frontier = [()]
+    yield ()
+    for _ in range(max_len):
         nxt = []
-        for w in frontier:
+        for word in frontier:
             for letter in letters:
-                prod = w * letter
-                if prod.length() == w.length() + 1:
-                    nxt.append(prod)
-                    yield prod
+                if not word or word[-1] != -letter:
+                    ext = word + (letter,)
+                    nxt.append(ext)
+                    yield ext
         frontier = nxt
 
 
@@ -523,7 +553,8 @@ def invert_map(phi: FreeGroupMap, search_bound: int = 8) -> FreeGroupMap | None:
     if phi.target_rank != n:
         return None
     candidates: list[list[FreeWord]] = [[] for _ in range(n)]
-    for w in _words_up_to(n, search_bound):
+    for letters in reduced_words(n, search_bound):
+        w = FreeWord(n, tuple((abs(l), 1 if l > 0 else -1) for l in letters))
         img = phi.apply_word(w)
         if img.length() == 1 and img.syllables[0][1] in (1, -1):
             gen, exp = img.syllables[0]
@@ -554,9 +585,6 @@ def _cartesian_shortest(candidates):
     yield from rec(0, [])
 
 
-_pair_inverse_cache: dict = {}
-
-
 def artin_generator_map(n: int, gen: int) -> FreeGroupMap:
     """The classical action of a signed braid generator on F_n.
 
@@ -578,14 +606,5 @@ def wada_generator_map(n: int, gen: int, kind: int, m: int = 1) -> FreeGroupMap:
     i = abs(gen)
     if not 1 <= i <= n - 1:
         raise FreeGroupError(f"generator s{gen} outside braid group on {n} strands")
-    pair = wada_pair(kind, m)
-    if gen > 0:
-        return _pair_map(n, i, pair.w, pair.v)
-    key = (kind, m)
-    if key not in _pair_inverse_cache:
-        inv = invert_map(pair.as_map())
-        if inv is None:
-            raise FreeGroupError(f"kind {kind} local action has no inverse within bound")
-        _pair_inverse_cache[key] = inv
-    inv = _pair_inverse_cache[key]
-    return _pair_map(n, i, inv.images[0], inv.images[1])
+    pair = _wada_pairs(kind, m)[gen < 0]
+    return _pair_map(n, i, pair.w, pair.v)

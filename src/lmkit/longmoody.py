@@ -20,6 +20,7 @@ from F's, so kernels and cokernels of the image functor stay computable.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, PolyMatrix, ONE
@@ -119,12 +120,9 @@ def wada_family(kind: int, m: int = 1) -> ActionFamily:
 def action_family(name: str) -> ActionFamily:
     if name == "artin":
         return artin_family()
-    if name.startswith("wada"):
-        rest = name[4:]
-        if ":" in rest:
-            kind, m = rest.split(":")
-            return wada_family(int(kind), int(m))
-        return wada_family(int(rest))
+    match = re.fullmatch(r"wada(\d+)(?::(-?\d+))?", name)
+    if match:
+        return wada_family(int(match[1]), int(match[2] or 1))
     raise CoherenceError(f"unknown action family {name!r}")
 
 
@@ -203,52 +201,27 @@ def long_moody(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
         return PolyMatrix(n * d, n * d, entries)
 
     def stab(n, n2):
+        # Block j of the source goes to block k + j of the target.
         k = n2 - n
-        d_src, d_tgt = f.dim(n + 1), f.dim(n2 + 1)
         q_mat = base.word_matrix(_router_word(n2 + 1, k, n)).matmul(f.stab(n + 1, n2 + 1))
-        entries = {}
-        for j in range(n):
-            for (br, bc), val in q_mat.entries.items():
-                entries[((k + j) * d_tgt + br, j * d_src + bc)] = val
-        return PolyMatrix(n2 * d_tgt, n * d_src, entries)
+        lead = PolyMatrix.zeros(k * f.dim(n2 + 1), 0)
+        return lead.direct_sum(PolyMatrix.identity(n).kron(q_mat))
 
     def split(n, n2):
         k = n2 - n
         base_split = f.split(n + 1, n2 + 1)
         if base_split is None:
             return None
-        d_src, d_tgt = f.dim(n + 1), f.dim(n2 + 1)
         router = _router_word(n2 + 1, k, n)
         q_mat = base.word_matrix(router)
         q_inv = base.word_matrix(router.inverse())
-        retr_block = base_split.retraction.matmul(q_inv)
-        comp_block = q_mat.matmul(base_split.complement)
-        copr_block = base_split.coprojection.matmul(q_inv)
-        c_width = comp_block.cols
-
-        retr = {}
-        for j in range(n):
-            for (br, bc), val in retr_block.entries.items():
-                retr[(j * d_src + br, (k + j) * d_tgt + bc)] = val
-        comp = {}
-        copr = {}
-        # First k blocks of the target are entirely complementary.
-        for b in range(k):
-            for r in range(d_tgt):
-                comp[(b * d_tgt + r, b * d_tgt + r)] = ONE
-                copr[(b * d_tgt + r, b * d_tgt + r)] = ONE
-        offset = k * d_tgt
-        for j in range(n):
-            for (br, bc), val in comp_block.entries.items():
-                comp[((k + j) * d_tgt + br, offset + j * c_width + bc)] = val
-            for (br, bc), val in copr_block.entries.items():
-                copr[(offset + j * c_width + br, (k + j) * d_tgt + bc)] = val
-        total_rows = n2 * d_tgt
-        comp_cols = k * d_tgt + n * c_width
+        blocks = PolyMatrix.identity(n).kron
+        # The first k blocks of the target are entirely complementary.
+        lead = k * f.dim(n2 + 1)
         return SplitData(
-            PolyMatrix(n * d_src, total_rows, retr),
-            PolyMatrix(total_rows, comp_cols, comp),
-            PolyMatrix(comp_cols, total_rows, copr),
+            PolyMatrix.zeros(0, lead).direct_sum(blocks(base_split.retraction.matmul(q_inv))),
+            PolyMatrix.identity(lead).direct_sum(blocks(q_mat.matmul(base_split.complement))),
+            PolyMatrix.identity(lead).direct_sum(blocks(base_split.coprojection.matmul(q_inv))),
         )
 
     label = f"lm({cfg.label()};{f.name})"
@@ -466,21 +439,14 @@ def check_coherence(
 
 def _word_maps(action: ActionFamily, n: int, word_len: int):
     """All (word, action map) pairs for words of length <= word_len on n
-    strands, built incrementally so each extension costs one composition."""
-    out = [(BraidWord.identity(n), FreeGroupMap.identity(n))]
-    letters = [l for i in range(1, n) for l in (i, -i)]
-    frontier = out[:]
-    for _ in range(word_len):
-        nxt = []
-        for word, amap in frontier:
-            for letter in letters:
-                ext = BraidWord(n, word.letters + (letter,))
-                if len(ext.letters) != len(word.letters) + 1:
-                    continue
-                pair = (ext, amap.compose(action.generator_map(n, letter)))
-                nxt.append(pair)
-                out.append(pair)
-        frontier = nxt
+    strands, memoized on prefixes so each word costs one composition."""
+    maps = {(): FreeGroupMap.identity(n)}
+    out = []
+    for word in enumerate_words(n, word_len):
+        w = word.letters
+        if w:
+            maps[w] = maps[w[:-1]].compose(action.generator_map(n, w[-1]))
+        out.append((word, maps[w]))
     return out
 
 
@@ -585,11 +551,7 @@ def splitting_maps(cfg: LongMoodyConfig, f: BraidFunctor, n: int):
     rows = (n + 1) * d2
     new_block = PolyMatrix(rows, d2, {(r, r): ONE for r in range(d2)})
     q_mat = base.word_matrix(_router_word(n + 2, 1, n))
-    entries = {}
-    for j in range(n):
-        for (br, bc), val in q_mat.entries.items():
-            entries[((1 + j) * d2 + br, j * d2 + bc)] = val
-    old_blocks = PolyMatrix(rows, n * d2, entries)
+    old_blocks = PolyMatrix.zeros(d2, 0).direct_sum(PolyMatrix.identity(n).kron(q_mat))
     return new_block, old_blocks
 
 
@@ -597,26 +559,14 @@ def splitting_concat_inverse(cfg: LongMoodyConfig, f: BraidFunctor, n: int) -> P
     """Exact inverse of [new_block | old_blocks], assembled blockwise from
     F of the inverse router word."""
     base = scalar_twist(f, cfg.pre_twist) if cfg.pre_twist is not None else f
-    d2 = f.dim(n + 2)
-    rows = (n + 1) * d2
     q_inv = base.word_matrix(_router_word(n + 2, 1, n).inverse())
-    entries = {(r, r): ONE for r in range(d2)}
-    for j in range(n):
-        for (br, bc), val in q_inv.entries.items():
-            entries[(d2 + j * d2 + br, (1 + j) * d2 + bc)] = val
-    return PolyMatrix(rows, rows, entries)
+    return PolyMatrix.identity(f.dim(n + 2)).direct_sum(PolyMatrix.identity(n).kron(q_inv))
 
 
 def lm_of_inclusion(cfg: LongMoodyConfig, f: BraidFunctor, n: int) -> PolyMatrix:
     """The construction applied to the canonical inclusion of f: block
     diagonal copies of f.stab(n+1, n+2)."""
-    d_src, d_tgt = f.dim(n + 1), f.dim(n + 2)
-    s = f.stab(n + 1, n + 2)
-    entries = {}
-    for j in range(n):
-        for (br, bc), val in s.entries.items():
-            entries[(j * d_tgt + br, j * d_src + bc)] = val
-    return PolyMatrix(n * d_tgt, n * d_src, entries)
+    return PolyMatrix.identity(n).kron(f.stab(n + 1, n + 2))
 
 
 def check_inclusion_lemma(cfg: LongMoodyConfig, f: BraidFunctor, big_n: int):

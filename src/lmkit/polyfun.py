@@ -412,15 +412,10 @@ def verify_difference_splitting(
     def identification(n: int) -> PolyMatrix:
         res_v = lm_cache.at(n)
         p_inv = splitting_concat_inverse(cfg, f, n)
-        d2 = f.dim(n + 2)
-        res_f = f_cache.at(n + 1)
-        p_block = res_f.coprojection
-        rows = d2 + n * p_block.rows
-        entries = {(r, r): ONE for r in range(d2)}
-        for j in range(n):
-            for (br, bc), val in p_block.entries.items():
-                entries[(d2 + j * p_block.rows + br, d2 + j * p_block.cols + bc)] = val
-        projector = PolyMatrix(rows, (n + 1) * d2, entries)
+        p_block = f_cache.at(n + 1).coprojection
+        projector = PolyMatrix.identity(f.dim(n + 2)).direct_sum(
+            PolyMatrix.identity(n).kron(p_block)
+        )
         return projector.matmul(p_inv).matmul(res_v.complement)
 
     psi_components = {n: identification(n) for n in range(big_n + 1)}

@@ -33,6 +33,8 @@ from .braidcat import (
     LocalSystem,
     braiding,
     enumerate_words,
+    lk_generator_columns,
+    lk_index,
 )
 
 
@@ -332,58 +334,24 @@ def reduced_burau_functor(
     )
 
 
-def _lk_pairs(n: int):
-    return [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
-
-
 def lk_functor(eval_range: int = 14) -> BraidFunctor:
     """The two-variable family on the rank-one summands v_{j,k}, j < k,
-    ordered lexicographically; generator action given columnwise."""
-    t, q = VAR_T, VAR_Q
-    t2_minus_t = t * t - t
-    one_minus_t = ONE - t
+    ordered lexicographically; generator action given columnwise by the
+    table in braidcat."""
 
     def dim(n):
         return n * (n - 1) // 2
 
     def gen(n, i):
-        pairs = _lk_pairs(n)
-        idx = {p: c for c, p in enumerate(pairs)}
-        entries = {}
-
-        def put(col, jj, kk, val):
-            key = (idx[(jj, kk)], col)
-            cur = entries.get(key, ZERO) + val
-            if cur.terms:
-                entries[key] = cur
-            else:
-                entries.pop(key, None)
-
-        for col, (j, k) in enumerate(pairs):
-            if i == j and i == k - 1:
-                put(col, i, i + 1, -q * t * t)
-            elif i == j - 1:
-                put(col, i, k, t)
-                put(col, i, i + 1, t2_minus_t)
-                put(col, i + 1, k, one_minus_t)
-            elif i == j:
-                put(col, i + 1, k, ONE)
-            elif i == k - 1:
-                put(col, j, i, t)
-                put(col, j, i + 1, one_minus_t)
-                put(col, i, i + 1, -t2_minus_t * q)
-            elif i == k:
-                put(col, j, i + 1, ONE)
-            else:
-                put(col, j, k, ONE)
+        cols = lk_generator_columns(n, i, VAR_T, VAR_Q, ONE)
+        entries = {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
         return PolyMatrix(dim(n), dim(n), entries)
 
     def stab(n, n2):
         d = n2 - n
-        pairs_small = _lk_pairs(n)
-        idx2 = {p: r for r, p in enumerate(_lk_pairs(n2))}
+        idx2 = lk_index(n2)[1]
         entries = {
-            (idx2[(j + d, k + d)], c): ONE for c, (j, k) in enumerate(pairs_small)
+            (idx2[(j + d, k + d)], c): ONE for c, (j, k) in enumerate(lk_index(n)[0])
         }
         return PolyMatrix(dim(n2), dim(n), entries)
 

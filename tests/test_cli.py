@@ -151,3 +151,23 @@ class TestFunctorGrammar:
 
     def test_usage_exit_code(self):
         assert main(["degree", "--functor", "sum(burau)", "--N", "3"]) == 2
+
+    def test_bad_arguments_are_usage_errors(self, capsys):
+        for spec in ["atomic(x)", "e(1.5)", "tau(x; burau)", "tau(1; burau; tym)",
+                     "twist(t)", "lm(artin,pure-braid)"]:
+            assert main(["emit", "--functor", spec, "--n", "2"]) == 2, spec
+        assert main(["check", "coherence", "--action", "wada1:x"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_seed_environment_is_usage_error(self, monkeypatch):
+        monkeypatch.setenv("LMKIT_SEED", "x")
+        assert main(["emit", "--functor", "burau", "--n", "2"]) == 2
+
+    def test_internal_fault_is_not_usage_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("lmkit.cli.check_functor", broken)
+        assert main(["check", "functor", "--functor", "burau", "--N", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "internal bug" in err

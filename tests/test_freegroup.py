@@ -18,6 +18,7 @@ from lmkit.freegroup import (
     include_right,
     invert_map,
     parse_word,
+    reduced_words,
     wada_dual,
     wada_generator_map,
     wada_pair,
@@ -225,6 +226,26 @@ class TestWada:
         # g1 -> g1^2 is injective but not invertible; the search must fail.
         phi = FreeGroupMap(1, 1, [w("g1^2", 1)])
         assert invert_map(phi, search_bound=5) is None
+
+    def test_stored_inverses_certified_without_search(self, monkeypatch):
+        # Every stored inverse pair composes to the identity both ways on
+        # the rank-2 map; the table is read, never searched for.
+        def no_search(*args, **kwargs):
+            raise AssertionError("inverse search must not run")
+
+        monkeypatch.setattr("lmkit.freegroup.invert_map", no_search)
+        cases = [(kind, 1) for kind in range(1, 8)] + [(1, m) for m in range(-5, 6)]
+        for kind, m in cases:
+            pos = wada_generator_map(2, 1, kind, m)
+            neg = wada_generator_map(2, -1, kind, m)
+            assert pos.compose(neg).is_identity(), (kind, m)
+            assert neg.compose(pos).is_identity(), (kind, m)
+
+    def test_reduced_words_order(self):
+        assert list(reduced_words(1, 2)) == [(), (1,), (-1,), (1, 1), (-1, -1)]
+        words = list(reduced_words(2, 3))
+        assert len(words) == 1 + 4 + 12 + 36
+        assert words[1:5] == [(1,), (-1,), (2,), (-2,)]
 
 
 class TestCompatibility:

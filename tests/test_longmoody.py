@@ -24,6 +24,7 @@ from lmkit.longmoody import (
     ActionFamily,
     CoherenceError,
     LongMoodyConfig,
+    action_family,
     artin_family,
     check_coherence,
     check_coherent_reliable,
@@ -315,3 +316,15 @@ class TestActionFamilies:
         direct = family.word_map(3, word)
         composed = family.generator_map(3, 1).compose(family.generator_map(3, 2))
         assert direct == composed
+
+    def test_kind_one_large_parameter(self):
+        # The inverse of the kind-1 pair sends g1 to g1^m g2 g1^-m, of
+        # length 2|m| + 1; construction verifies the relations with it.
+        for m in (-5, -4, 4, 5, 6):
+            assert action_family(f"wada1:{m}").name == f"wada1(m={m})"
+
+    def test_action_family_names(self):
+        assert action_family("wada3").name == "wada3"
+        for bad in ("wada", "wadax", "wada1:x", "wada1:2:3", "burau"):
+            with pytest.raises(CoherenceError):
+                action_family(bad)
