@@ -147,6 +147,12 @@ def braiding(n: int, m: int) -> BraidWord:
     return BraidWord(n + m, tuple(letters))
 
 
+def router(k: int, n: int, n2: int) -> BraidWord:
+    """The word of id_k ♮ [n2-n, id] on k + n2 strands: the inverse braiding
+    routing k fixed strands past the n2-n added ones, then id_n."""
+    return braiding(k, n2 - n).inverse().monoidal(BraidWord.identity(n))
+
+
 # ---------------------------------------------------------------------------
 # Bracket category morphisms
 # ---------------------------------------------------------------------------
@@ -203,9 +209,11 @@ def bracket_monoidal(g: BracketMorphism, f: BracketMorphism) -> BracketMorphism:
     m, mp = g.source, g.target
     n, np_ = f.source, f.target
     side = g.word.monoidal(f.word)
-    b_inv = braiding(m, np_ - n).inverse()
-    router = b_inv.shift(mp - m, mp + np_ - n).monoidal(BraidWord.identity(n))
-    return BracketMorphism(m + n, mp + np_, side.compose(router))
+    routed = router(m, n, np_).shift(mp - m, mp + np_)
+    return BracketMorphism(m + n, mp + np_, side.compose(routed))
+
+
+_COSET_BOUND = 4
 
 
 def bracket_equal(
@@ -213,14 +221,13 @@ def bracket_equal(
     f: BracketMorphism,
     certainty: int = 3,
     seed: int = 0,
-    coset_bound: int = 4,
 ) -> bool:
     """Equality of bracket-category morphisms.
 
     Representatives are equal when they differ by precomposition with a
     braid of the first target-source strands.  With a trivial coset group
     the answer is exact (word equality); otherwise coset representatives up
-    to the given length are searched, so a negative answer is only
+    to length _COSET_BOUND are searched, so a negative answer is only
     "not found within bound".
     """
     if (g.source, g.target) != (f.source, f.target):
@@ -228,7 +235,7 @@ def bracket_equal(
     k = g.target - g.source
     if k <= 1:
         return braid_equal(g.word, f.word, certainty, seed)
-    for letters in reduced_words(k - 1, coset_bound):
+    for letters in reduced_words(k - 1, _COSET_BOUND):
         psi = BraidWord(k, letters)
         candidate = f.word.compose(psi.monoidal(BraidWord.identity(g.source)))
         if braid_equal(g.word, candidate, certainty, seed):

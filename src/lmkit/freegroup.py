@@ -82,18 +82,12 @@ class FreeWord:
         base = self if k > 0 else self.inverse()
         return FreeWord(base.rank, base.syllables * abs(k))
 
-    def exponent_sum(self) -> int:
-        return sum(e for _, e in self.syllables)
-
     def length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
 
     def shifted(self, k: int, new_rank: int) -> "FreeWord":
         """Image under gi -> g(i+k) into the free group of rank new_rank."""
         return FreeWord(new_rank, tuple((g + k, e) for g, e in self.syllables))
-
-    def with_rank(self, new_rank: int) -> "FreeWord":
-        return FreeWord(new_rank, self.syllables)
 
     def __str__(self):
         if not self.syllables:

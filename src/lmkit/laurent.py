@@ -140,9 +140,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {(0, 0): Fraction(1)}
-
     def is_unit(self) -> bool:
         """Units of Q[t^{±1}, q^{±1}] are the nonzero single-term polynomials."""
         return len(self.terms) == 1

@@ -6,15 +6,16 @@ The construction consumes an action family a_n: B_n -> Aut(F_n) and a
 local system F_n -> B_{n+1}; coherent pairs produce a functor whose value
 at level n is the augmentation ideal of the rank-n group ring tensored
 with the input functor at level n+1.  In the free basis (g_i - 1) that
-module is n blocks of F(n+1), and the matrix of a braid letter has block
-(r, c) equal to
+module is n blocks of the translate τ₁F(n) = F(n+1), and the matrix of a
+braid letter has block (r, c) equal to
 
-    (F ∘ localsystem)(fox_r(action(letter)(g_c))) * F(shifted letter),
+    (F ∘ localsystem)(fox_r(action(letter)(g_c))) * τ₁F(letter),
 
 the Fox-coordinate expansion of the action on basis differences.  The
-stabilization from n to n' shifts block j to block j + (n'-n) and composes
-with F of the inverse-braiding router; its splitting data is propagated
-from F's, so kernels and cokernels of the image functor stay computable.
+stabilization from n to n' is τ₁F's own stabilization on each of the n
+blocks, which land after n'-n wholly new blocks; τ₁F carries the
+inverse-braiding router, and its splitting data is placed the same way,
+so kernels and cokernels of the image functor stay computable.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .braidcat import (
     BraidWord,
     LocalSystem,
     braid_equal_witness,
-    braiding,
     enumerate_words,
     pure_braid_system,
+    router,
     trivial_system,
 )
 from .repfun import (
@@ -164,17 +165,19 @@ def standard_config(pre: LaurentPoly | None = None, post: LaurentPoly | None = N
 # ---------------------------------------------------------------------------
 
 
-def _router_word(total: int, k: int, n: int) -> BraidWord:
-    """(inverse braiding of 1 past k) ♮ id_n, on `total` = 1 + k + n strands."""
-    word = braiding(1, k).inverse().monoidal(BraidWord.identity(n))
-    if word.strands != total:
-        raise CoherenceError("router strand bookkeeping is off")
-    return word
+def _pretwisted(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
+    return scalar_twist(f, cfg.pre_twist) if cfg.pre_twist is not None else f
 
 
 def long_moody(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
-    """Apply the construction once; requires f defined one level higher."""
-    base = scalar_twist(f, cfg.pre_twist) if cfg.pre_twist is not None else f
+    """Apply the construction once; requires f defined one level higher.
+
+    Level n is n blocks of tau = translate(pre-twisted f, 1) at n.  The
+    stabilization n -> n2 and its splitting data are tau's, one copy per
+    block, placed after the n2-n new blocks of the target.
+    """
+    base = _pretwisted(cfg, f)
+    tau = translate(base, 1)
     post = cfg.post_scale
 
     def dim(n):
@@ -183,8 +186,7 @@ def long_moody(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
     def gen(n, letter):
         d = f.dim(n + 1)
         amap = cfg.action.generator_map(n, letter)
-        shifted = BraidWord(n + 1, (letter + 1 if letter > 0 else letter - 1,))
-        right = base.word_matrix(shifted)
+        right = tau.gen_matrix(n, letter)
         entries = {}
         for c in range(1, n + 1):
             image = amap.apply_word(FreeWord.generator(n, c))
@@ -201,27 +203,19 @@ def long_moody(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
         return PolyMatrix(n * d, n * d, entries)
 
     def stab(n, n2):
-        # Block j of the source goes to block k + j of the target.
-        k = n2 - n
-        q_mat = base.word_matrix(_router_word(n2 + 1, k, n)).matmul(f.stab(n + 1, n2 + 1))
-        lead = PolyMatrix.zeros(k * f.dim(n2 + 1), 0)
-        return lead.direct_sum(PolyMatrix.identity(n).kron(q_mat))
+        blocks = PolyMatrix.identity(n).kron(tau.stab(n, n2))
+        return PolyMatrix.zeros((n2 - n) * f.dim(n2 + 1), 0).direct_sum(blocks)
 
     def split(n, n2):
-        k = n2 - n
-        base_split = f.split(n + 1, n2 + 1)
-        if base_split is None:
+        tau_split = tau.split(n, n2)
+        if tau_split is None:
             return None
-        router = _router_word(n2 + 1, k, n)
-        q_mat = base.word_matrix(router)
-        q_inv = base.word_matrix(router.inverse())
         blocks = PolyMatrix.identity(n).kron
-        # The first k blocks of the target are entirely complementary.
-        lead = k * f.dim(n2 + 1)
+        lead = (n2 - n) * f.dim(n2 + 1)
         return SplitData(
-            PolyMatrix.zeros(0, lead).direct_sum(blocks(base_split.retraction.matmul(q_inv))),
-            PolyMatrix.identity(lead).direct_sum(blocks(q_mat.matmul(base_split.complement))),
-            PolyMatrix.identity(lead).direct_sum(blocks(base_split.coprojection.matmul(q_inv))),
+            PolyMatrix.zeros(0, lead).direct_sum(blocks(tau_split.retraction)),
+            PolyMatrix.identity(lead).direct_sum(blocks(tau_split.complement)),
+            PolyMatrix.identity(lead).direct_sum(blocks(tau_split.coprojection)),
         )
 
     label = f"lm({cfg.label()};{f.name})"
@@ -246,11 +240,13 @@ def long_moody_power(cfg: LongMoodyConfig, f: BraidFunctor, iterations: int) -> 
 @dataclass
 class ConditionResult:
     condition: str
-    verdict: bool
     params: dict
     witness: dict | None
     seed: int
-    checked: int
+
+    @property
+    def verdict(self) -> bool:
+        return self.witness is None
 
     def to_json(self) -> dict:
         return {
@@ -280,7 +276,10 @@ class CoherenceReport:
         return [r.to_json() for r in self.results]
 
 
-def _sigma_word_policy(n: int, max_len: int, seed: int, samples: int):
+_SAMPLES = 8
+
+
+def _sigma_word_policy(n: int, max_len: int, seed: int):
     """Words used for the braid-evaluation conditions: exhaustive through
     length 2, then a seeded sample per longer length.  Exhaustive checking
     of long words is redundant (both conditions are multiplicative in the
@@ -292,7 +291,7 @@ def _sigma_word_policy(n: int, max_len: int, seed: int, samples: int):
         rng = random.Random((seed, n, max_len).__hash__())
         letters = [l for i in range(1, n) for l in (i, -i)]
         for length in range(3, max_len + 1):
-            for _ in range(samples):
+            for _ in range(_SAMPLES):
                 word = BraidWord(n, tuple(rng.choice(letters) for _ in range(length)))
                 words.append(word)
     return words
@@ -304,7 +303,6 @@ def check_coherence(
     word_len: int,
     seed: int = 0,
     certainty: int = 3,
-    samples: int = 8,
 ) -> CoherenceReport:
     """The three conditions a pair must satisfy for the construction to be
     functorial: stability of the local system, compatibility of the action
@@ -312,142 +310,95 @@ def check_coherence(
 
     Braid-word identities are certified through the word-equality oracle
     (Lawrence-Krammer at `certainty` seeded points plus symbolic Burau);
-    free-group identities are exact word comparisons.
+    free-group identities are exact word comparisons.  Each condition
+    reports its first failure in enumeration order as the witness.
+
+    Action compatibility is an exact identity between products of letter
+    maps, so it is checked on words of length <= min(word_len, 1) only:
+    psi ♮ sigma = (psi ♮ id)(id ♮ sigma), and the identity for each factor
+    composes, so it holds for every pair of words up to word_len iff it
+    holds for every pair of letters or empty words.  The enumeration is
+    breadth first with the empty word first, so the first failing pair, and
+    with it the witness, is the one the all-words enumeration would find.
     """
     action, system = cfg.action, cfg.system
-    results = []
 
-    # (i) stability: routing the new strand past one added strand commutes
-    # with the system, on free generators (both sides are multiplicative).
-    witness = None
-    checked = 0
-    for n in range(0, big_n):
-        router = BraidWord(n + 2, (-1,))
-        for i in range(1, n + 1):
-            lhs = router.compose(system.generator_image(n, i).shift(1, n + 2))
-            rhs = system.generator_image(n + 1, i + 1).compose(router)
-            checked += 1
-            ok, why = braid_equal_witness(lhs, rhs, certainty, seed)
-            if not ok:
-                witness = {"n": n, "generator": f"g{i}", "detail": why}
-                break
-        if witness:
-            break
-    results.append(
-        ConditionResult(
-            "stability", witness is None, {"N": big_n}, witness, seed, checked
-        )
-    )
-
-    # (ii) action compatibility: the level-inclusion intertwines the action
-    # with juxtaposed braids, as exact word identities.
-    witness = None
-    checked = 0
-    for n in range(0, big_n + 1):
-        sigma_maps = _word_maps(action, n, word_len)
-        for n2 in range(n, big_n + 1):
-            k = n2 - n
-            if k == 0:
-                continue
-            psi_words = enumerate_words(k, word_len)
-            for sigma_word, sigma_map in sigma_maps:
-                shifted_images = [
-                    sigma_map.apply_word(FreeWord.generator(n, i)).shifted(k, n2)
-                    for i in range(1, n + 1)
-                ]
-                for psi in psi_words:
-                    full = psi.monoidal(sigma_word)
-                    full_map = action.word_map(n2, full)
-                    checked += 1
-                    bad = next(
-                        (
-                            i
-                            for i in range(1, n + 1)
-                            if full_map.apply_word(FreeWord.generator(n2, i + k))
-                            != shifted_images[i - 1]
-                        ),
-                        None,
-                    )
-                    if bad is not None:
-                        witness = {
-                            "n": n,
-                            "n2": n2,
-                            "word": list(sigma_word.letters),
-                            "psi": list(psi.letters),
-                            "generator": f"g{bad}",
-                        }
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    results.append(
-        ConditionResult(
-            "action-compatibility",
-            witness is None,
-            {"N": big_n, "L": word_len},
-            witness,
-            seed,
-            checked,
-        )
-    )
-
-    # (iii) semidirect factorization: conjugating the system through the
-    # shifted braid equals the system of the acted generator.
-    witness = None
-    checked = 0
-    for n in range(0, big_n):
-        words = _sigma_word_policy(n, word_len, seed, samples)
-        for sigma in words:
-            if not sigma.letters:
-                continue
-            shifted = sigma.shift(1, n + 1)
-            amap = action.word_map(n, sigma)
+    def stability():
+        # Routing the new strand past one added strand commutes with the
+        # system, on free generators (both sides are multiplicative).
+        for n in range(0, big_n):
+            cross = BraidWord(n + 2, (-1,))
             for i in range(1, n + 1):
-                lhs = shifted.compose(system.generator_image(n, i))
-                rhs = system.evaluate(amap.apply_word(FreeWord.generator(n, i))).compose(
-                    shifted
-                )
-                checked += 1
+                lhs = cross.compose(system.generator_image(n, i).shift(1, n + 2))
+                rhs = system.generator_image(n + 1, i + 1).compose(cross)
                 ok, why = braid_equal_witness(lhs, rhs, certainty, seed)
                 if not ok:
-                    witness = {
-                        "n": n,
-                        "word": list(sigma.letters),
-                        "generator": f"g{i}",
-                        "detail": why,
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    results.append(
+                    yield {"n": n, "generator": f"g{i}", "detail": why}
+
+    def action_compatibility():
+        # The level-inclusion intertwines the action with juxtaposed braids,
+        # as exact word identities, decided on letters (see the docstring).
+        for n in range(0, big_n + 1):
+            sigma_words = enumerate_words(n, min(word_len, 1))
+            sigma_maps = [(w, action.word_map(n, w)) for w in sigma_words]
+            for n2 in range(n + 1, big_n + 1):
+                k = n2 - n
+                psi_words = enumerate_words(k, min(word_len, 1))
+                for sigma, sigma_map in sigma_maps:
+                    shifted_images = [
+                        sigma_map.apply_word(FreeWord.generator(n, i)).shifted(k, n2)
+                        for i in range(1, n + 1)
+                    ]
+                    for psi in psi_words:
+                        full_map = action.word_map(n2, psi.monoidal(sigma))
+                        for i in range(1, n + 1):
+                            got = full_map.apply_word(FreeWord.generator(n2, i + k))
+                            if got != shifted_images[i - 1]:
+                                yield {
+                                    "n": n,
+                                    "n2": n2,
+                                    "word": list(sigma.letters),
+                                    "psi": list(psi.letters),
+                                    "generator": f"g{i}",
+                                }
+
+    def semidirect():
+        # Conjugating the system through the shifted braid equals the system
+        # of the acted generator.
+        for n in range(0, big_n):
+            for sigma in _sigma_word_policy(n, word_len, seed):
+                if not sigma.letters:
+                    continue
+                shifted = sigma.shift(1, n + 1)
+                amap = action.word_map(n, sigma)
+                for i in range(1, n + 1):
+                    lhs = shifted.compose(system.generator_image(n, i))
+                    acted = system.evaluate(amap.apply_word(FreeWord.generator(n, i)))
+                    ok, why = braid_equal_witness(lhs, acted.compose(shifted), certainty, seed)
+                    if not ok:
+                        yield {
+                            "n": n,
+                            "word": list(sigma.letters),
+                            "generator": f"g{i}",
+                            "detail": why,
+                        }
+
+    policy = f"exhaustive<=2, {_SAMPLES}/length beyond"
+    return CoherenceReport([
+        ConditionResult("stability", {"N": big_n}, next(stability(), None), seed),
+        ConditionResult(
+            "action-compatibility",
+            {"N": big_n, "L": word_len},
+            next(action_compatibility(), None),
+            seed,
+        ),
         ConditionResult(
             "semidirect",
-            witness is None,
-            {"N": big_n, "L": word_len, "policy": f"exhaustive<=2, {samples}/length beyond"},
-            witness,
+            {"N": big_n, "L": word_len, "policy": policy},
+            next(semidirect(), None),
             seed,
-            checked,
-        )
-    )
-    return CoherenceReport(results)
-
-
-def _word_maps(action: ActionFamily, n: int, word_len: int):
-    """All (word, action map) pairs for words of length <= word_len on n
-    strands, memoized on prefixes so each word costs one composition."""
-    maps = {(): FreeGroupMap.identity(n)}
-    out = []
-    for word in enumerate_words(n, word_len):
-        w = word.letters
-        if w:
-            maps[w] = maps[w[:-1]].compose(action.generator_map(n, w[-1]))
-        out.append((word, maps[w]))
-    return out
+        ),
+    ])
 
 
 def check_reliability(
@@ -455,70 +406,53 @@ def check_reliability(
 ) -> CoherenceReport:
     """The two extra conditions for the splitting machinery, both exact
     free-group word identities: the routed first generator returns to g1,
-    and juxtaposed braids fix the first generators."""
+    and juxtaposed braids fix the first generators.
+
+    The second is checked on words of length <= min(word_len, 1) only: the
+    action of a shifted word is the product of its letters' maps, and maps
+    fixing g1..gk compose to one that fixes them.  In the breadth-first
+    order the empty word passes and letters come before longer words, so
+    the first failing word, the witness, is a letter.
+    """
     action = cfg.action
-    results = []
 
-    witness = None
-    checked = 0
-    for n in range(0, big_n + 1):
-        for n2 in range(n, big_n + 1):
-            k = n2 - n
-            router = _router_word(n2 + 1, k, n)
-            checked += 1
-            got = action.word_map(n2 + 1, router).apply_word(
-                FreeWord.generator(n2 + 1, k + 1)
-            )
-            if got != FreeWord.generator(n2 + 1, 1):
-                witness = {"n": n, "n2": n2, "image": str(got)}
-                break
-        if witness:
-            break
-    results.append(
+    def first_generator_return():
+        for n in range(0, big_n + 1):
+            for n2 in range(n, big_n + 1):
+                got = action.word_map(n2 + 1, router(1, n, n2)).apply_word(
+                    FreeWord.generator(n2 + 1, n2 - n + 1)
+                )
+                if got != FreeWord.generator(n2 + 1, 1):
+                    yield {"n": n, "n2": n2, "image": str(got)}
+
+    def first_generators_fixed():
+        for n in range(0, big_n + 1):
+            words = enumerate_words(n, min(word_len, 1))
+            for n2 in range(n + 1, big_n + 1):
+                k = n2 - n
+                for sigma in words:
+                    amap = action.word_map(n2, sigma.shift(k, n2))
+                    for p in range(1, k + 1):
+                        g = FreeWord.generator(n2, p)
+                        if amap.apply_word(g) != g:
+                            yield {
+                                "n": n,
+                                "n2": n2,
+                                "word": list(sigma.letters),
+                                "generator": f"g{p}",
+                            }
+
+    return CoherenceReport([
         ConditionResult(
-            "first-generator-return", witness is None, {"N": big_n}, witness, seed, checked
-        )
-    )
-
-    witness = None
-    checked = 0
-    for n in range(0, big_n + 1):
-        words = enumerate_words(n, word_len)
-        for n2 in range(n, big_n + 1):
-            k = n2 - n
-            if k == 0:
-                continue
-            for sigma in words:
-                amap = action.word_map(n2, sigma.shift(k, n2))
-                for p in range(1, k + 1):
-                    checked += 1
-                    if amap.apply_word(FreeWord.generator(n2, p)) != FreeWord.generator(
-                        n2, p
-                    ):
-                        witness = {
-                            "n": n,
-                            "n2": n2,
-                            "word": list(sigma.letters),
-                            "generator": f"g{p}",
-                        }
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    results.append(
+            "first-generator-return", {"N": big_n}, next(first_generator_return(), None), seed
+        ),
         ConditionResult(
             "first-generators-fixed",
-            witness is None,
             {"N": big_n, "L": word_len},
-            witness,
+            next(first_generators_fixed(), None),
             seed,
-            checked,
-        )
-    )
-    return CoherenceReport(results)
+        ),
+    ])
 
 
 def check_coherent_reliable(
@@ -546,11 +480,10 @@ def splitting_maps(cfg: LongMoodyConfig, f: BraidFunctor, n: int):
 
     Their concatenation is square with unit determinant.
     """
-    base = scalar_twist(f, cfg.pre_twist) if cfg.pre_twist is not None else f
     d2 = f.dim(n + 2)
     rows = (n + 1) * d2
     new_block = PolyMatrix(rows, d2, {(r, r): ONE for r in range(d2)})
-    q_mat = base.word_matrix(_router_word(n + 2, 1, n))
+    q_mat = _pretwisted(cfg, f).word_matrix(router(1, n, n + 1))
     old_blocks = PolyMatrix.zeros(d2, 0).direct_sum(PolyMatrix.identity(n).kron(q_mat))
     return new_block, old_blocks
 
@@ -558,8 +491,7 @@ def splitting_maps(cfg: LongMoodyConfig, f: BraidFunctor, n: int):
 def splitting_concat_inverse(cfg: LongMoodyConfig, f: BraidFunctor, n: int) -> PolyMatrix:
     """Exact inverse of [new_block | old_blocks], assembled blockwise from
     F of the inverse router word."""
-    base = scalar_twist(f, cfg.pre_twist) if cfg.pre_twist is not None else f
-    q_inv = base.word_matrix(_router_word(n + 2, 1, n).inverse())
+    q_inv = _pretwisted(cfg, f).word_matrix(router(1, n, n + 1).inverse())
     return PolyMatrix.identity(f.dim(n + 2)).direct_sum(PolyMatrix.identity(n).kron(q_inv))
 
 

@@ -25,8 +25,8 @@ from .repfun import (
     direct_sum,
     translate,
 )
-from .braidcat import BraidWord, braiding
 from .longmoody import (
+    CoherenceError,
     LongMoodyConfig,
     check_inclusion_lemma,
     long_moody,
@@ -76,15 +76,16 @@ class SplitStabilization:
         return PolyMatrix.identity(self.inclusion.rows)
 
 
-def resolve_inclusion(
-    f: BraidFunctor, n: int, seed: int = 0, points: int = 4
-) -> SplitStabilization:
+_PIVOT_POINTS = 4
+
+
+def resolve_inclusion(f: BraidFunctor, n: int, seed: int = 0) -> SplitStabilization:
     """Classify and certify the canonical inclusion at level n.
 
     Resolution order: trivial source; splitting data declared by the
-    functor; literal zero map; complement search at seeded evaluation
-    points followed by symbolic certification.  An unresolvable inclusion
-    raises SplitCertificationError rather than silently degrading.
+    functor; literal zero map; complement search at _PIVOT_POINTS seeded
+    evaluation points followed by symbolic certification.  An unresolvable
+    inclusion raises SplitCertificationError rather than silently degrading.
     """
     incl = f.stab(n, n + 1)
     d_src, d_tgt = incl.cols, incl.rows
@@ -102,7 +103,7 @@ def resolve_inclusion(
         return SplitStabilization(incl, "zero")
     # Guess a complement from the pivot structure at random points, then
     # certify it exactly.
-    for point in seeded_points(points, seed):
+    for point in seeded_points(_PIVOT_POINTS, seed):
         pivots = incl.pivot_rows_at(point)
         if len(pivots) != d_src:
             continue
@@ -138,16 +139,6 @@ class InclusionCache:
         if n not in self._cache:
             self._cache[n] = resolve_inclusion(self.functor, n, self.seed)
         return self._cache[n]
-
-
-def _translated_gen(f: BraidFunctor, n: int, letter: int) -> PolyMatrix:
-    shifted = letter + 1 if letter > 0 else letter - 1
-    return f.gen_matrix(n + 1, shifted)
-
-
-def _translated_stab(f: BraidFunctor, n: int, n2: int) -> PolyMatrix:
-    router = braiding(1, n2 - n).inverse().monoidal(BraidWord.identity(n))
-    return f.word_matrix(router).matmul(f.stab(n + 1, n2 + 1))
 
 
 def evanescence(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
@@ -193,19 +184,18 @@ def difference(
     preserve the image of the inclusion (the functor criterion).
     """
     cache = cache or InclusionCache(f, seed)
+    tau = translate(f, 1)
 
     def dim(n):
         return cache.at(n).coker_dim
 
     def gen(n, letter):
         res = cache.at(n)
-        return res.coprojection.matmul(_translated_gen(f, n, letter)).matmul(
-            res.complement
-        )
+        return res.coprojection.matmul(tau.gen_matrix(n, letter)).matmul(res.complement)
 
     def stab(n, n2):
         lo, hi = cache.at(n), cache.at(n2)
-        return hi.coprojection.matmul(_translated_stab(f, n, n2)).matmul(lo.complement)
+        return hi.coprojection.matmul(tau.stab(n, n2)).matmul(lo.complement)
 
     return BraidFunctor(
         f"delta({f.name})",
@@ -254,18 +244,25 @@ def estimate_strong_degree(
     The window shrinks by one level per iteration (each difference consumes
     one translation).  Conclusions are range-relative by construction; the
     very-strong flag additionally requires the evanescence of every iterate
-    up to the concluded degree to vanish on its window.
+    up to the concluded degree to vanish on its window.  When an inclusion
+    of the previous iterate has no certified complement, the order-d
+    difference is not determined: the report stops there with no degree.
     """
     if d_max is None:
         d_max = big_n - 1
     current = f
     evidence = []
     degree: int | None = None
+    note = None
     for d in range(0, d_max + 2):
         window = big_n - d
         if window < 0:
             break
-        dims = [current.dim(n) for n in range(0, window + 1)]
+        try:
+            dims = [current.dim(n) for n in range(0, window + 1)]
+        except SplitCertificationError as exc:
+            note = f"the order-{d} difference is not determined: {exc}"
+            break
         max_dim = max(dims) if dims else 0
         if max_dim == 0:
             degree = d - 1
@@ -287,11 +284,10 @@ def estimate_strong_degree(
     very_strong = degree is not None and degree >= 0 and all(
         k for (d, _, k) in evidence if d <= degree
     )
-    note = (
-        f"differences iterated on shrinking windows from N={big_n}"
-        if degree is not None
-        else f"no vanishing difference up to order {d_max + 1} on N={big_n}"
-    )
+    if note is None and degree is not None:
+        note = f"differences iterated on shrinking windows from N={big_n}"
+    elif note is None:
+        note = f"no vanishing difference up to order {d_max + 1} on N={big_n}"
     return DegreeReport(f.name, big_n, degree, very_strong, evidence, note)
 
 
@@ -370,7 +366,17 @@ def verify_difference_splitting(
           intertwiner;
     (iv)  evanescence commutes with the construction, dimensionwise, with
           an explicit intertwiner when both sides are nonzero.
+
+    Twisted configurations are refused: the side functor in (i) does not
+    carry the pre-twist or post-scale, so (i) and (iii) fail on stabilizations
+    even for coherent data, and no twisted form of the statement is derived.
     """
+    if cfg.pre_twist is not None or cfg.post_scale is not None:
+        raise CoherenceError(
+            "difference splitting is verified only for untwisted configurations"
+            f" (got {cfg.label()}): the side functor translate(F,2) + LM(translate F)"
+            " does not carry the twist"
+        )
     report = TheoremReport(
         "difference-splitting", {"N": big_n, "functor": f.name, "cfg": cfg.label()}
     )

@@ -31,10 +31,10 @@ from .braidcat import (
     BracketMorphism,
     BraidWord,
     LocalSystem,
-    braiding,
     enumerate_words,
     lk_generator_columns,
     lk_index,
+    router,
 )
 
 
@@ -525,16 +525,15 @@ def translate(f: BraidFunctor, k: int) -> BraidFunctor:
         return f
 
     def stab(n, n2):
-        router = braiding(k, n2 - n).inverse().monoidal(BraidWord.identity(n))
-        return f.word_matrix(router).matmul(f.stab(k + n, k + n2))
+        return f.word_matrix(router(k, n, n2)).matmul(f.stab(k + n, k + n2))
 
     def split(n, n2):
         base = f.split(k + n, k + n2)
         if base is None:
             return None
-        router = braiding(k, n2 - n).inverse().monoidal(BraidWord.identity(n))
-        q_mat = f.word_matrix(router)
-        q_inv = f.word_matrix(router.inverse())
+        word = router(k, n, n2)
+        q_mat = f.word_matrix(word)
+        q_inv = f.word_matrix(word.inverse())
         return SplitData(
             base.retraction.matmul(q_inv),
             q_mat.matmul(base.complement),

@@ -116,6 +116,21 @@ class TestDegreeAndVerify:
         code, out = run(capsys, "verify", "splitting", "--base", "burau", "--N", "3")
         assert code == 0
 
+    def test_degree_reports_undetermined_difference(self, capsys):
+        code, out = run(capsys, "degree", "--functor", "lm(artin,pure-braid;e(1))", "--N", "6")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["strong_degree_at_range"] is None
+        assert payload["note"].startswith("the order-2 difference is not determined")
+        assert "inclusion at level 1" in payload["note"]
+
+    def test_verify_splitting_refuses_twists(self, capsys):
+        code = main(
+            ["verify", "splitting", "--base", "tym", "--pre", "t", "--post", "t^-1", "--N", "3"]
+        )
+        assert code == 2
+        assert "untwisted" in capsys.readouterr().err
+
     def test_verify_xi_lemma(self, capsys):
         code, _ = run(capsys, "verify", "xi-lemma", "--base", "constant", "--N", "4")
         assert code == 0

@@ -6,6 +6,7 @@ from lmkit.laurent import LaurentPoly, ONE, PolyMatrix, T, ZERO
 from lmkit.freegroup import FreeGroupMap, FreeWord, fox_derivatives, artin_generator_map
 from lmkit.braidcat import (
     BraidWord,
+    enumerate_words,
     local_system,
     pure_braid_system,
     trivial_system,
@@ -16,6 +17,7 @@ from lmkit.repfun import (
     constant_functor,
     direct_sum,
     group_ring_matrix,
+    lk_functor,
     translate,
     tym_functor,
     zero_functor,
@@ -50,6 +52,60 @@ def twisted_constant_image():
     return long_moody(standard_config(pre=T, post=T_INV), constant_functor())
 
 
+def conjugated_artin(name, pick):
+    """The classical action conjugated by the generator g_pick(n) of F_n:
+    still a braid action, but conjugating by g1 breaks compatibility with
+    the level inclusions, and by g_n moves the first generators of the
+    bigger group."""
+
+    def rule(n, letter):
+        c = FreeWord.generator(n, pick(n))
+        gens = [FreeWord.generator(n, i) for i in range(1, n + 1)]
+        conj = FreeGroupMap(n, n, [c * g * c.inverse() for g in gens])
+        conj_inv = FreeGroupMap(n, n, [c.inverse() * g * c for g in gens])
+        return conj.compose(artin_generator_map(n, letter)).compose(conj_inv)
+
+    family = ActionFamily(name, rule)
+    family.verify_relations(4)
+    return family
+
+
+def all_words_compatibility(action, big_n, word_len):
+    """Reference for action compatibility: every pair of words, no letter
+    argument."""
+    for n in range(big_n + 1):
+        for n2 in range(n + 1, big_n + 1):
+            k = n2 - n
+            for sigma in enumerate_words(n, word_len):
+                sigma_map = action.word_map(n, sigma)
+                for psi in enumerate_words(k, word_len):
+                    full_map = action.word_map(n2, psi.monoidal(sigma))
+                    for i in range(1, n + 1):
+                        want = sigma_map.apply_word(FreeWord.generator(n, i)).shifted(k, n2)
+                        if full_map.apply_word(FreeWord.generator(n2, i + k)) != want:
+                            return {
+                                "n": n,
+                                "n2": n2,
+                                "word": list(sigma.letters),
+                                "psi": list(psi.letters),
+                                "generator": f"g{i}",
+                            }
+    return None
+
+
+def all_words_first_generators_fixed(action, big_n, word_len):
+    """Reference for first-generators-fixed over every word."""
+    for n in range(big_n + 1):
+        for n2 in range(n + 1, big_n + 1):
+            k = n2 - n
+            for sigma in enumerate_words(n, word_len):
+                amap = action.word_map(n2, sigma.shift(k, n2))
+                for p in range(1, k + 1):
+                    if amap.apply_word(FreeWord.generator(n2, p)) != FreeWord.generator(n2, p):
+                        return {"n": n, "n2": n2, "word": list(sigma.letters), "generator": f"g{p}"}
+    return None
+
+
 class TestConstruction:
     def test_dimension_rule(self):
         m = long_moody(standard_config(), burau_functor())
@@ -70,6 +126,15 @@ class TestConstruction:
                     .direct_sum(PolyMatrix.identity(n - i - 1))
                 )
                 assert m.gen_matrix(n, i) == expected
+
+    @pytest.mark.parametrize("pre,post", [(T, None), (None, T_INV), (T, T_INV)])
+    def test_twisted_split_certifies(self, pre, post):
+        for base in (burau_functor(), tym_functor(), lk_functor()):
+            image = long_moody(standard_config(pre, post), base)
+            for n in range(0, 5):
+                for n2 in range(n, 5):
+                    split = image.split(n, n2)
+                    assert split.certify(image.stab(n, n2)), (base.name, n, n2)
 
     def test_negative_letter_is_inverse(self):
         m = twisted_constant_image()
@@ -226,21 +291,37 @@ class TestCoherence:
         assert semidirect.witness["generator"] == "g1"
 
     def test_conjugated_action_fails_reliability(self):
-        # Conjugating the classical action by the last generator is still a
-        # braid action but moves the first generators of the bigger group.
-        def conjugated(n, letter):
-            base = artin_generator_map(n, letter)
-            last = FreeWord.generator(n, n)
-            conj = FreeGroupMap(n, n, [last * FreeWord.generator(n, i) * last.inverse() for i in range(1, n + 1)])
-            conj_inv = FreeGroupMap(n, n, [last.inverse() * FreeWord.generator(n, i) * last for i in range(1, n + 1)])
-            return conj.compose(base).compose(conj_inv)
-
-        family = ActionFamily("artin-conjugated", conjugated)
-        family.verify_relations(4)
+        family = conjugated_artin("artin-conjugated", lambda n: n)
         cfg = LongMoodyConfig(family, pure_braid_system())
         report = check_reliability(cfg, 4, 2)
         assert not report.passed
         assert report.by_name("first-generators-fixed").witness is not None
+
+    def test_conjugated_action_fails_compatibility(self):
+        family = conjugated_artin("artin-conjugated-first", lambda n: 1)
+        report = check_coherence(LongMoodyConfig(family, trivial_system()), 4, 2)
+        assert report.by_name("action-compatibility").witness == {
+            "n": 1, "n2": 3, "word": [], "psi": [1], "generator": "g1",
+        }
+
+    @pytest.mark.parametrize("word_len", [0, 1, 2, 3])
+    @pytest.mark.parametrize("big_n", [3, 4])
+    def test_letter_checks_match_all_words(self, big_n, word_len):
+        # Conditions (ii) and (v) run on letters; an all-words enumeration
+        # must give the same verdict and the same witness.
+        families = [artin_family()] + [wada_family(kind) for kind in range(1, 8)]
+        families += [
+            conjugated_artin("artin-conjugated-first", lambda n: 1),
+            conjugated_artin("artin-conjugated", lambda n: n),
+        ]
+        for family in families:
+            cfg = LongMoodyConfig(family, trivial_system())
+            compat = check_coherence(cfg, big_n, word_len).by_name("action-compatibility")
+            fixed = check_reliability(cfg, big_n, word_len).by_name("first-generators-fixed")
+            assert compat.witness == all_words_compatibility(family, big_n, word_len), family.name
+            assert fixed.witness == all_words_first_generators_fixed(
+                family, big_n, word_len
+            ), family.name
 
     def test_twists_must_be_units(self):
         with pytest.raises(CoherenceError):

@@ -7,6 +7,7 @@ from lmkit.freegroup import FreeWord, GroupRingElement, parse_word
 from lmkit.braidcat import (
     BracketMorphism,
     BraidWord,
+    bracket_monoidal,
     pure_braid_system,
     trivial_system,
 )
@@ -189,6 +190,19 @@ class TestCombinators:
     def test_translate_generator_shift(self):
         f = builtin("tym")
         assert translate(f, 2).gen_matrix(2, 1) == f.gen_matrix(4, 3)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_translate_stab_is_bracket_monoidal(self, k):
+        # Translation by k evaluates F on id_k ♮ [n2-n, id].
+        for name in ("burau", "lk"):
+            f = builtin(name)
+            tau = translate(f, k)
+            for n in range(0, 4):
+                for n2 in range(n, 4):
+                    phi = bracket_monoidal(
+                        BracketMorphism.identity(k), BracketMorphism.stabilization(n, n2)
+                    )
+                    assert tau.stab(n, n2) == f.apply(phi), (name, n, n2)
 
     def test_translate_twice_composes(self):
         f = builtin("burau")
