@@ -19,6 +19,13 @@ symbolic unreduced Burau comparison.  A negative answer always carries a
 concrete witness; a positive answer is exact on the Burau side and
 probabilistic (faithfulness of Lawrence-Krammer plus random evaluation) on
 the Lawrence-Krammer side.
+
+The Lawrence-Krammer side runs on plain integers: at each point the
+columns of every signed generator are scaled by one common denominator,
+lk_scale(n, point), so a word of length L evaluates to lk_scale**L times
+its matrix, and two words are compared after the shorter side is
+multiplied by the scale to the difference in length.  The comparison is
+as exact as one over Fraction.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .laurent import EvaluationPoint, LaurentPoly, ONE, ZERO, seeded_points
 from .freegroup import FreeWord, reduced_words
@@ -363,26 +371,55 @@ def _frac_matrix_inverse(cols: list[dict], dim: int) -> list[dict]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _lk_letter_columns(n: int, letter: int, point: EvaluationPoint):
+@lru_cache(maxsize=64)
+def _lk_scaled_generators(n: int, point: EvaluationPoint):
+    """lk_scale(n, point), and per signed letter the Lawrence-Krammer
+    columns at the point multiplied by it: integers.
+
+    One entry per (n, point) holds every letter, because the scale is the
+    common denominator of all of them; the rational columns are not kept.
+    """
     t, q = point.t_value, point.q_value
-    cols = lk_generator_columns(n, abs(letter), t, q, Fraction(1))
-    return cols if letter > 0 else _frac_matrix_inverse(cols, n * (n - 1) // 2)
+    rational = {}
+    for i in range(1, n):
+        cols = lk_generator_columns(n, i, t, q, Fraction(1))
+        rational[i] = cols
+        rational[-i] = _frac_matrix_inverse(cols, n * (n - 1) // 2)
+    scale = lcm(
+        *(v.denominator for cols in rational.values() for col in cols for v in col.values())
+    )
+    return scale, {
+        letter: [
+            {r: v.numerator * (scale // v.denominator) for r, v in col.items()} for col in cols
+        ]
+        for letter, cols in rational.items()
+    }
+
+
+def lk_scale(n: int, point: EvaluationPoint) -> int:
+    """The least common denominator of the Lawrence-Krammer columns of every
+    signed generator s_i^{±1} on n strands at the point."""
+    return _lk_scaled_generators(n, point)[0]
 
 
 def lk_numeric(word: BraidWord, point: EvaluationPoint) -> list[dict]:
-    """Lawrence-Krammer matrix of a word at a rational point, as columns."""
+    """Integer columns of lk_scale(n, point)**len(word) times the
+    Lawrence-Krammer matrix of a word at a rational point.
+
+    Every letter matrix is scaled to integers by the same factor, so the
+    product is exact without a denominator; divide by the power of the
+    scale to recover the rational matrix.
+    """
     n = word.strands
-    dim = n * (n - 1) // 2
-    state = [{r: Fraction(1)} for r in range(dim)]
+    letters = _lk_scaled_generators(n, point)[1]
+    state = [{r: 1} for r in range(n * (n - 1) // 2)]
     for letter in word.letters:
-        gen_cols = _lk_letter_columns(n, letter, point)
         new_state = []
-        for col in gen_cols:
-            acc: dict[int, Fraction] = {}
+        for col in letters[letter]:
+            acc: dict[int, int] = {}
             for r, v in col.items():
                 for rr, vv in state[r].items():
-                    s = acc.get(rr, Fraction(0)) + v * vv
+                    s = acc.get(rr, 0) + v * vv
                     if s:
                         acc[rr] = s
                     else:
@@ -390,6 +427,19 @@ def lk_numeric(word: BraidWord, point: EvaluationPoint) -> list[dict]:
             new_state.append(acc)
         state = new_state
     return state
+
+
+def _lk_scaled_equal(u: BraidWord, v: BraidWord, point: EvaluationPoint) -> bool:
+    """LK(u) == LK(v) at the point, exactly: lk_numeric carries the scale to
+    the power of the word length, so the shorter side makes up the gap."""
+    mu, mv = lk_numeric(u, point), lk_numeric(v, point)
+    gap = len(v.letters) - len(u.letters)
+    if gap < 0:
+        mu, mv, gap = mv, mu, -gap
+    if gap:
+        factor = lk_scale(u.strands, point) ** gap
+        mu = [{r: x * factor for r, x in col.items()} for col in mu]
+    return mu == mv
 
 
 def braid_equal(
@@ -415,7 +465,7 @@ def braid_equal_witness(
     n = u.strands
     if n >= 2:
         for point in seeded_points(max(1, certainty), seed):
-            if lk_numeric(u, point) != lk_numeric(v, point):
+            if not _lk_scaled_equal(u, v, point):
                 return False, {
                     "reason": "lawrence-krammer evaluation differs",
                     "t": str(point.t_value),

@@ -1,10 +1,14 @@
 """Exact arithmetic in the Laurent polynomial ring Q[t^{±1}, q^{±1}].
 
 Polynomials are stored sparsely as a mapping from exponent pairs (a, b),
-meaning t^a * q^b, to nonzero rational coefficients.  Everything downstream
-(group rings, representation matrices, splitting certificates) is built on
-this ring, so all identities checked by the package are exact, never
-floating point.
+meaning t^a * q^b, to nonzero rational coefficients.  Coefficients are
+integer-first: an integral value is a plain int, and only a non-integral
+one is a Fraction.  Division goes through Fraction and is normalised back,
+so int / int never yields a float, and matrices with integer coefficients
+(Burau, Tong-Yang-Ma, Lawrence-Krammer, Long-Moody) multiply ints.
+Everything downstream (group rings, representation matrices, splitting
+certificates) is built on this ring, so all identities checked by the
+package are exact, never floating point.
 
 Matrices over the ring act on column vectors: entry (r, c) is the
 coefficient of basis vector r in the image of basis vector c, and the
@@ -23,16 +27,22 @@ class LaurentError(ValueError):
     pass
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _fr(x) -> int | Fraction:
+    """An exact rational as a coefficient: int when integral, else Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise LaurentError(f"not an exact rational: {x!r}")
 
 
+def _quo(a, b) -> int | Fraction:
+    """The exact quotient a / b of two coefficients, normalised."""
+    return _fr(Fraction(a, b))
+
+
 class LaurentPoly:
-    """A Laurent polynomial in t and q with Fraction coefficients.
+    """A Laurent polynomial in t and q with int-or-Fraction coefficients.
 
     Canonical form: no zero coefficients are stored, so equality is
     dictionary equality and the zero polynomial has an empty term map.
@@ -148,7 +158,7 @@ class LaurentPoly:
         if not self.is_unit():
             raise LaurentError(f"not invertible: {self}")
         ((a, b), c), = self.terms.items()
-        return LaurentPoly({(-a, -b): Fraction(1) / c})
+        return LaurentPoly({(-a, -b): _quo(1, c)})
 
     def eval(self, point: "EvaluationPoint") -> Fraction:
         """Exact value at t = point.t_value, q = point.q_value."""
@@ -385,7 +395,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if num.is_zero():
         return ZERO
     if den.is_unit():
-        return num * den.unit_inverse()
+        ((a, b), c), = den.terms.items()
+        return _wrap({(ea - a, eb - b): _quo(v, c) for (ea, eb), v in num.terms.items()})
     nmin = num.exponent_bounds()[0]
     dmin = den.exponent_bounds()[0]
     # Shift both operands to ordinary polynomials (min exponents 0).
@@ -399,7 +410,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         ea, eb = lead_n[0] - lead_d[0], lead_n[1] - lead_d[1]
         if ea < 0 or eb < 0:
             raise LaurentError("not an exact division")
-        c = n_terms[lead_n] / cd
+        c = _quo(n_terms[lead_n], cd)
         quot[(ea, eb)] = c
         for (fa, fb), d in d_terms.items():
             key = (fa + ea, fb + eb)

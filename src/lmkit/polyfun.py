@@ -247,11 +247,16 @@ def estimate_strong_degree(
     up to the concluded degree to vanish on its window.  When an inclusion
     of the previous iterate has no certified complement, the order-d
     difference is not determined: the report stops there with no degree.
+    An uncertified inclusion inside the evanescence check leaves kappa_zero
+    unknown (None, never False) unless another level has a certified
+    nonzero kernel; the note names the level, and very_strong is never
+    claimed from an unknown.
     """
     if d_max is None:
         d_max = big_n - 1
     current = f
     evidence = []
+    unknown = []
     degree: int | None = None
     note = None
     for d in range(0, d_max + 2):
@@ -268,26 +273,29 @@ def estimate_strong_degree(
             degree = d - 1
             evidence.append((d, 0, True))
             break
-        kappa_zero = True
+        kappa_zero, uncertified = True, None
         for n in range(0, window):
             try:
                 if resolve_inclusion(current, n, seed).kernel_dim:
                     kappa_zero = False
                     break
-            except SplitCertificationError:
-                kappa_zero = False
-                break
+            except SplitCertificationError as exc:
+                uncertified = uncertified or exc
+        if kappa_zero and uncertified:
+            kappa_zero = None
+            unknown.append(f"kappa of the order-{d} difference is unknown: {uncertified}")
         evidence.append((d, max_dim, kappa_zero))
         if d == d_max + 1:
             break
         current = difference(current, window - 1, seed)
     very_strong = degree is not None and degree >= 0 and all(
-        k for (d, _, k) in evidence if d <= degree
+        k is True for (d, _, k) in evidence if d <= degree
     )
     if note is None and degree is not None:
         note = f"differences iterated on shrinking windows from N={big_n}"
     elif note is None:
         note = f"no vanishing difference up to order {d_max + 1} on N={big_n}"
+    note = "; ".join([note] + unknown)
     return DegreeReport(f.name, big_n, degree, very_strong, evidence, note)
 
 

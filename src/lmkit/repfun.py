@@ -101,13 +101,20 @@ def partial_permutation_split(incl: PolyMatrix) -> SplitData | None:
     return SplitData(retraction, complement, coprojection)
 
 
+# Word matrices memoized per functor; the largest check in the benchmark
+# evaluates about 700 distinct words on one functor.
+WORD_MEMO_CAP = 1024
+
+
 class BraidFunctor:
     """Dimensions, generator matrices, and stabilization data on a range.
 
     Rules are memoized; instances behave as immutable values and the memo
-    tables are idempotent, so concurrent readers are safe.  gen_rule is
-    called with positive generator indices only; negative letters are
-    served from the memoized inverse unless neg_rule is supplied.
+    tables are idempotent, so concurrent readers are safe.  The word memo
+    holds at most WORD_MEMO_CAP matrices and drops the oldest first.
+    gen_rule is called with positive generator indices only; negative
+    letters are served from the memoized inverse unless neg_rule is
+    supplied.
     """
 
     def __init__(
@@ -199,12 +206,15 @@ class BraidFunctor:
         composition order, so the product is taken in list order)."""
         n = word.strands
         key = (n, word.letters)
-        if key not in self._words:
+        m = self._words.get(key)
+        if m is None:
             m = PolyMatrix.identity(self.dim(n))
             for letter in word.letters:
                 m = m.matmul(self.gen_matrix(n, letter))
+            if len(self._words) >= WORD_MEMO_CAP:
+                self._words.pop(next(iter(self._words)), None)
             self._words[key] = m
-        return self._words[key]
+        return m
 
     def apply(self, phi: BracketMorphism) -> PolyMatrix:
         """Evaluate on a bracket-category morphism."""

@@ -18,10 +18,13 @@ from lmkit.braidcat import (
     burau_symbolic,
     enumerate_words,
     lk_numeric,
+    lk_scale,
     local_system,
     parse_braid,
     pure_braid_system,
     trivial_system,
+    _frac_matrix_inverse,
+    lk_generator_columns,
 )
 
 
@@ -220,16 +223,77 @@ class TestEqualityOracle:
                 )
                 sym = lk.word_matrix(word).eval(point)
                 cols = lk_numeric(word, point)
+                scale = Fraction(lk_scale(strands, point)) ** len(word.letters)
                 dim = strands * (strands - 1) // 2
                 for c in range(dim):
                     for r in range(dim):
-                        assert cols[c].get(r, Fraction(0)) == sym[r][c]
+                        assert cols[c].get(r, 0) / scale == sym[r][c]
+
+    def test_lk_numeric_matches_fraction_reference(self):
+        # The integer product, divided by the scale, is the product of the
+        # rational letter matrices taken over Fraction.
+        rng = random.Random(12)
+        for seed in (0, 5):
+            for point in seeded_points(3, seed):
+                for strands in range(3, 7):
+                    for _ in range(3):
+                        word = BraidWord(
+                            strands,
+                            tuple(
+                                rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                                for _ in range(rng.randint(0, 8))
+                            ),
+                        )
+                        cols = lk_numeric(word, point)
+                        assert all(type(v) is int for col in cols for v in col.values())
+                        scale = Fraction(lk_scale(strands, point)) ** len(word.letters)
+                        got = [{r: v / scale for r, v in col.items()} for col in cols]
+                        assert got == _lk_fraction_reference(word, point)
+
+    def test_words_of_different_lengths_compare_equal(self):
+        # s1 s2 s1 = s2 s1 s2, so s1 s2 s1 s2^-1 = s2 s1; the integer
+        # matrices differ by lk_scale**2 and must still compare equal.
+        long_word, short_word = bw([1, 2, 1, -2], 3), bw([2, 1], 3)
+        assert braid_equal_witness(long_word, short_word) == (True, None)
+        assert braid_equal_witness(short_word, long_word) == (True, None)
+
+    def test_words_of_different_lengths_keep_their_witness(self):
+        point = seeded_points(1, 0)[0]
+        expected = {
+            "reason": "lawrence-krammer evaluation differs",
+            "t": str(point.t_value),
+            "q": str(point.q_value),
+        }
+        assert expected["t"] == "8" and expected["q"] == "9/4"
+        assert braid_equal_witness(bw([1, 2, 1], 3), bw([1], 3)) == (False, expected)
+        assert braid_equal_witness(bw([1], 3), bw([1, 2, 1], 3)) == (False, expected)
 
     def test_burau_symbolic_homomorphism(self):
         u, v = bw([1, -2], 3), bw([2, 2, 1], 3)
         prod = burau_symbolic(u.compose(v))
         assert prod == burau_symbolic(u.compose(v))
         assert burau_symbolic(u) != burau_symbolic(v)
+
+
+def _lk_fraction_reference(word, point):
+    """Lawrence-Krammer columns of a word at a point as a product of the
+    rational letter matrices, accumulated over Fraction."""
+    n = word.strands
+    dim = n * (n - 1) // 2
+    state = [{r: Fraction(1)} for r in range(dim)]
+    for letter in word.letters:
+        cols = lk_generator_columns(n, abs(letter), point.t_value, point.q_value, Fraction(1))
+        if letter < 0:
+            cols = _frac_matrix_inverse(cols, dim)
+        new_state = []
+        for col in cols:
+            acc = {}
+            for r, v in col.items():
+                for rr, vv in state[r].items():
+                    acc[rr] = acc.get(rr, Fraction(0)) + v * vv
+            new_state.append({r: v for r, v in acc.items() if v})
+        state = new_state
+    return state
 
 
 class TestLocalSystems:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,17 @@ class TestDegreeAndVerify:
         assert payload["note"].startswith("the order-2 difference is not determined")
         assert "inclusion at level 1" in payload["note"]
 
+    def test_degree_reports_uncertified_evanescence_as_unknown(self, capsys):
+        code, out = run(capsys, "degree", "--functor", "lm(artin,pure-braid;e(1))", "--N", "6")
+        assert code == 0
+        payload = json.loads(out)
+        assert [e["kappa_zero"] for e in payload["evidence"]] == [True, None]
+        assert payload["very_strong"] is False
+        assert (
+            "kappa of the order-1 difference is unknown: delta(lm(artin,pure-braid;e(1))): "
+            "no certified complement for the inclusion at level 1"
+        ) in payload["note"]
+
     def test_verify_splitting_refuses_twists(self, capsys):
         code = main(
             ["verify", "splitting", "--base", "tym", "--pre", "t", "--post", "t^-1", "--N", "3"]
@@ -186,3 +201,21 @@ class TestFunctorGrammar:
         assert main(["check", "functor", "--functor", "burau", "--N", "2"]) == 3
         err = capsys.readouterr().err
         assert "Traceback" in err and "internal bug" in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["emit", "--functor", "burau", "--n", "3"]
+    done = subprocess.run(
+        [sys.executable, "-m", "lmkit", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0
+    assert done.stdout == run(capsys, *argv)[1]
+    bad = subprocess.run(
+        [sys.executable, "-m", "lmkit", "emit", "--functor", "bogus", "--n", "2"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert bad.returncode == 2

@@ -221,3 +221,105 @@ class TestRank:
             EvaluationPoint(Fraction(0), Fraction(1))
         with pytest.raises(LaurentError):
             EvaluationPoint(Fraction(2), Fraction(0))
+
+
+int_coeffs = st.integers(-9, 9)
+int_polys = st.dictionaries(exponents, int_coeffs, max_size=5).map(LaurentPoly)
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+
+
+def assert_int_first(p):
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction)
+        if type(c) is Fraction:
+            assert c.denominator != 1
+
+
+class TestIntegerFirstCoefficients:
+    """Differential checks of the int-or-Fraction coefficient contract."""
+
+    @given(polys, polys)
+    @settings(max_examples=30, deadline=None)
+    def test_never_float_and_integral_values_are_int(self, p, q):
+        assert_int_first(p)
+        assert_int_first(parse_poly(format_poly(p)))
+        if p.is_unit():
+            assert_int_first(p.unit_inverse())
+        # Sums and products of non-integral Fractions are exact but are
+        # not normalised (that cost ~30% on matrix products).
+        for value in (p + q, p - q, p * q, -p):
+            assert all(type(c) in (int, Fraction) for c in value.terms.values())
+
+    @given(int_polys, int_polys, st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_integer_arithmetic_stays_int(self, p, q, k):
+        for value in (p + q, p - q, p * q, -p, p**k):
+            assert all(type(c) is int for c in value.terms.values())
+
+    @given(polys, nonzero_polys)
+    @settings(max_examples=30, deadline=None)
+    def test_exact_div_undoes_multiplication(self, a, b):
+        quotient = exact_div(a * b, b)
+        assert quotient == a
+        assert_int_first(quotient)
+
+    def test_integral_fraction_normalised(self):
+        assert type(LaurentPoly.const(Fraction(6, 3)).terms[(0, 0)]) is int
+        assert type(LaurentPoly.monomial(-2, 1, 1).unit_inverse().terms[(-1, -1)]) is Fraction
+        assert type(LaurentPoly.monomial(Fraction(1, 2), 1).unit_inverse().terms[(-1, 0)]) is int
+        assert exact_div(lp("2 + 4*t"), lp("1 + 2*t")) == LaurentPoly.const(2)
+        assert exact_div(lp("1 + t"), lp("2 + 2*t")).terms == {(0, 0): Fraction(1, 2)}
+
+
+small_entries = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)), st.integers(-3, 3), max_size=2
+).map(LaurentPoly)
+
+
+def _sympy_of(p, sympy, t, q):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * t**a * q**b for (a, b), c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def _sympy_matrix(m, sympy, t, q):
+    return sympy.Matrix([[_sympy_of(v, sympy, t, q) for v in row] for row in m.to_rows()])
+
+
+class TestAgainstSympy:
+    """det and inverse compared with sympy on small random matrices."""
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(small_entries, min_size=n * n, max_size=n * n)))
+    @settings(max_examples=15, deadline=None)
+    def test_det(self, flat):
+        sympy = pytest.importorskip("sympy")
+        t, q = sympy.symbols("t q")
+        n = int(len(flat) ** 0.5)
+        m = PolyMatrix.from_rows([flat[r * n:(r + 1) * n] for r in range(n)])
+        expected = _sympy_matrix(m, sympy, t, q).det()
+        assert sympy.expand(expected - _sympy_of(m.det(), sympy, t, q)) == 0
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from([T, -Q, ONE - T, T**-1])),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_inverse(self, steps):
+        sympy = pytest.importorskip("sympy")
+        t, q = sympy.symbols("t q")
+        # Products of elementary and unit-diagonal matrices have unit det.
+        m = PolyMatrix.identity(3)
+        for i, j, x in steps:
+            e = PolyMatrix.identity(3)
+            if i != j:
+                e = e + PolyMatrix(3, 3, {(i, j): x})
+            elif x.is_unit():
+                e = PolyMatrix(3, 3, {(k, k): x if k == i else ONE for k in range(3)})
+            m = m.matmul(e)
+        expected = _sympy_matrix(m, sympy, t, q).inv()
+        difference = expected - _sympy_matrix(m.inverse(), sympy, t, q)
+        assert all(sympy.simplify(v) == 0 for v in difference)

@@ -8,10 +8,12 @@ from lmkit.braidcat import (
     BracketMorphism,
     BraidWord,
     bracket_monoidal,
+    enumerate_words,
     pure_braid_system,
     trivial_system,
 )
 from lmkit.repfun import (
+    WORD_MEMO_CAP,
     FunctorError,
     NaturalMap,
     builtin,
@@ -293,3 +295,18 @@ def test_functor_json_shape():
     assert set(payload["generators"]) == {"s1", "s2"}
     assert payload["generators"]["s1"][0][0] == "1 - t"
     assert "4" in payload["stab_to"]
+
+
+def test_word_memo_is_capped_and_drops_the_oldest():
+    f = builtin("burau")
+    words = enumerate_words(3, 6)
+    assert len(words) > WORD_MEMO_CAP
+    for word in words:
+        f.word_matrix(word)
+    assert len(f._words) == WORD_MEMO_CAP
+    kept = [(w.strands, w.letters) for w in words[-WORD_MEMO_CAP:]]
+    assert list(f._words) == kept
+    oldest = words[1]
+    assert (3, oldest.letters) not in f._words
+    assert f.word_matrix(oldest) == f.gen_matrix(3, oldest.letters[0])
+    assert len(f._words) == WORD_MEMO_CAP
