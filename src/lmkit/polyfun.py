@@ -273,10 +273,11 @@ def estimate_strong_degree(
             degree = d - 1
             evidence.append((d, 0, True))
             break
+        cache = InclusionCache(current, seed)
         kappa_zero, uncertified = True, None
         for n in range(0, window):
             try:
-                if resolve_inclusion(current, n, seed).kernel_dim:
+                if cache.at(n).kernel_dim:
                     kappa_zero = False
                     break
             except SplitCertificationError as exc:
@@ -287,7 +288,7 @@ def estimate_strong_degree(
         evidence.append((d, max_dim, kappa_zero))
         if d == d_max + 1:
             break
-        current = difference(current, window - 1, seed)
+        current = difference(current, window - 1, seed, cache)
     very_strong = degree is not None and degree >= 0 and all(
         k is True for (d, _, k) in evidence if d <= degree
     )

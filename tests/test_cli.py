@@ -111,6 +111,16 @@ class TestDegreeAndVerify:
         assert payload["strong_degree_at_range"] == 2
         assert payload["very_strong"] is False
 
+    def test_degree_lk_at_n12(self, capsys):
+        # LK generators at n = 12 are 66 x 66; their inverses eliminate
+        # only the 21 columns each generator moves.
+        code, out = run(capsys, "degree", "--functor", "lk", "--N", "12")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["strong_degree_at_range"] == 2
+        assert payload["very_strong"] is True
+        assert [e["max_nonzero_dim"] for e in payload["evidence"]] == [66, 11, 1, 0]
+
     def test_verify_burau_equivalence(self, capsys):
         code, out = run(capsys, "verify", "burau-equivalence", "--N", "4")
         assert code == 0

@@ -13,12 +13,15 @@ from lmkit.laurent import (
     T,
     Q,
     ZERO,
+    _bareiss_det,
+    _montante_inverse,
     exact_div,
     format_poly,
     parse_poly,
     rank_probabilistic,
     seeded_points,
 )
+from lmkit.repfun import lk_functor
 
 
 def lp(text):
@@ -323,3 +326,128 @@ class TestAgainstSympy:
         expected = _sympy_matrix(m, sympy, t, q).inv()
         difference = expected - _sympy_matrix(m.inverse(), sympy, t, q)
         assert all(sympy.simplify(v) == 0 for v in difference)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matmul(self, rows, inner, cols, data):
+        sympy = pytest.importorskip("sympy")
+        t, q = sympy.symbols("t q")
+
+        def matrix(r, c):
+            row = st.lists(small_entries, min_size=c, max_size=c)
+            return PolyMatrix.from_rows(data.draw(st.lists(row, min_size=r, max_size=r)))
+
+        a, b = matrix(rows, inner), matrix(inner, cols)
+        expected = _sympy_matrix(a, sympy, t, q) * _sympy_matrix(b, sympy, t, q)
+        difference = expected - _sympy_matrix(a.matmul(b), sympy, t, q)
+        assert difference.shape == (a.rows, b.cols)
+        assert all(sympy.expand(v) == 0 for v in difference)
+
+
+LOCAL_POOL = [ZERO, ZERO, ONE, -ONE, T, -Q, ONE - T, ONE + Q, T * Q, LaurentPoly.const(2)]
+
+
+@st.composite
+def local_support_matrices(draw):
+    """I + E with E supported on a column subset C: the columns outside C
+    are unit vectors.  The block M[C,C] is random (usually a non-unit
+    determinant), unimodular (a product of elementary, unit-diagonal and
+    swap matrices, so zero diagonal entries are common), or singular (a
+    zero column of M[C,C], or a column of M repeated in another)."""
+    size = draw(st.sampled_from(["none", "one", "some", "all"]))
+    n = draw(st.integers(3 if size == "some" else 1, 6))
+    if size == "none":
+        moved = []
+    elif size == "one":
+        moved = [draw(st.integers(0, n - 1))]
+    elif size == "all":
+        moved = list(range(n))
+    else:
+        moved = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n - 1)))
+    k = len(moved)
+    kind = draw(st.sampled_from(["random", "unimodular", "singular"]))
+    if kind == "unimodular":
+        block = PolyMatrix.identity(k)
+        index = st.integers(0, max(k - 1, 0))
+        for i, j, x in draw(st.lists(st.tuples(index, index, st.sampled_from(LOCAL_POOL)), max_size=6)):
+            if i != j and x.is_zero():
+                swap = {(r, r): ONE for r in range(k) if r not in (i, j)}
+                step = PolyMatrix(k, k, swap | {(i, j): ONE, (j, i): ONE})
+            elif i != j:
+                step = PolyMatrix.identity(k) + PolyMatrix(k, k, {(i, j): x})
+            elif x.is_unit():
+                step = PolyMatrix(k, k, {(r, r): x if r == i else ONE for r in range(k)})
+            else:
+                continue
+            block = block.matmul(step)
+        columns = [[block.entry(r, c) for r in range(k)] for c in range(k)]
+    else:
+        columns = [[draw(st.sampled_from(LOCAL_POOL)) for _ in range(k)] for _ in range(k)]
+    entries = {(j, j): ONE for j in range(n) if j not in moved}
+    for c, j in enumerate(moved):
+        for r, v in zip(moved, columns[c]):
+            entries[(r, j)] = v
+        for r in range(n):
+            if r not in moved:
+                entries[(r, j)] = draw(st.sampled_from(LOCAL_POOL))
+    if kind == "singular" and k:
+        src, dst = draw(st.sampled_from(moved)), draw(st.sampled_from(moved))
+        for r in range(n):
+            if src == dst and r not in moved:
+                continue
+            entries[(r, dst)] = ZERO if src == dst else entries.get((r, src), ZERO)
+    return PolyMatrix(n, n, entries)
+
+
+def _outcome(routine, m):
+    try:
+        return routine(m)
+    except LaurentError as exc:
+        return str(exc)
+
+
+class TestLocalSupportElimination:
+    """inverse() and det() eliminate only the moved columns; the full
+    Montante and Bareiss eliminations of the whole matrix are the reference."""
+
+    @given(local_support_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_elimination(self, m):
+        assert m.det() == _bareiss_det(m)
+        inverse = _outcome(PolyMatrix.inverse, m)
+        assert inverse == _outcome(_montante_inverse, m)
+        if isinstance(inverse, PolyMatrix):
+            assert m.matmul(inverse) == PolyMatrix.identity(m.rows)
+
+    def test_zero_diagonal_columns_are_moved(self):
+        # Column 1 is zero, so M is singular although no stored entry of
+        # that column differs from the identity.
+        m = PolyMatrix(3, 3, {(0, 0): ONE, (2, 2): ONE, (2, 0): T})
+        assert m.det() == ZERO
+        with pytest.raises(LaurentError, match="singular"):
+            m.inverse()
+        swap = PolyMatrix(3, 3, {(0, 1): ONE, (1, 0): ONE, (2, 2): ONE, (2, 0): T})
+        assert swap.det() == -ONE
+        assert swap.inverse() == _montante_inverse(swap)
+
+    def test_non_unit_message_names_the_determinant(self):
+        # The full elimination swaps rows twice, the elimination of the
+        # moved columns 0 and 2 once; both name det M = -(1 + t).
+        m = PolyMatrix.from_rows([[ZERO, ZERO, ONE + T], [T, ONE, Q], [ONE, ZERO, ONE]])
+        message = "determinant -1 - t is not a unit; no inverse over the ring"
+        assert m.det() == -(ONE + T)
+        for routine in (PolyMatrix.inverse, _montante_inverse):
+            with pytest.raises(LaurentError) as exc:
+                routine(m)
+            assert str(exc.value) == message
+
+    def test_lk_generators(self):
+        lk = lk_functor()
+        for n in range(2, 9):
+            for i in range(1, n):
+                for letter in (i, -i):
+                    m = lk.gen_matrix(n, letter)
+                    assert m.matmul(m.inverse()) == PolyMatrix.identity(m.rows)
+                    if n <= 5:
+                        assert m.inverse() == _montante_inverse(m)
+                        assert m.det() == _bareiss_det(m)
