@@ -229,14 +229,14 @@ def bracket_equal(
     f: BracketMorphism,
     certainty: int = 3,
     seed: int = 0,
-) -> bool:
-    """Equality of bracket-category morphisms.
+) -> bool | None:
+    """Equality of bracket-category morphisms: True, False, or None.
 
     Representatives are equal when they differ by precomposition with a
-    braid of the first target-source strands.  With a trivial coset group
-    the answer is exact (word equality); otherwise coset representatives up
-    to length _COSET_BOUND are searched, so a negative answer is only
-    "not found within bound".
+    braid of the first target-source strands.  Different source or target,
+    or a trivial coset group (k <= 1, word equality), give a definite
+    answer; otherwise coset representatives up to length _COSET_BOUND are
+    searched, and a failed search is None ("not found within bound").
     """
     if (g.source, g.target) != (f.source, f.target):
         return False
@@ -248,7 +248,7 @@ def bracket_equal(
         candidate = f.word.compose(psi.monoidal(BraidWord.identity(g.source)))
         if braid_equal(g.word, candidate, certainty, seed):
             return True
-    return False
+    return None
 
 
 def enumerate_words(strands: int, max_len: int) -> list[BraidWord]:

@@ -380,7 +380,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functor", default="constant")
     p.add_argument("--map", default="identity", help="natural map name for `natural`")
     p.add_argument("--N", type=int, default=4)
-    p.add_argument("--L", type=int, default=3)
+    p.add_argument(
+        "--L", type=int, default=3,
+        help="word length bound; checks are decided on letters, so any L >= 1 "
+        "gives the same verdict and witness",
+    )
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("lm", help="apply the construction and dump matrices")

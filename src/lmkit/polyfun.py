@@ -128,7 +128,8 @@ def resolve_inclusion(f: BraidFunctor, n: int, seed: int = 0) -> SplitStabilizat
 
 class InclusionCache:
     """Shared per-functor resolution cache so that difference functors and
-    the identifications built on top of them use the same complements."""
+    the identifications built on top of them use the same complements.
+    A failed search is stored too, and raised again on later lookups."""
 
     def __init__(self, f: BraidFunctor, seed: int = 0):
         self.functor = f
@@ -137,8 +138,14 @@ class InclusionCache:
 
     def at(self, n: int) -> SplitStabilization:
         if n not in self._cache:
-            self._cache[n] = resolve_inclusion(self.functor, n, self.seed)
-        return self._cache[n]
+            try:
+                self._cache[n] = resolve_inclusion(self.functor, n, self.seed)
+            except SplitCertificationError as exc:
+                self._cache[n] = exc
+        hit = self._cache[n]
+        if isinstance(hit, SplitCertificationError):
+            raise hit.with_traceback(None)
+        return hit
 
 
 def evanescence(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:

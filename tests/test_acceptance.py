@@ -310,5 +310,5 @@ def test_criterion_11_prebraided_failure_witness():
     rhs = bracket_monoidal(BracketMorphism.identity(2), BracketMorphism.stabilization(0, 1))
     equal = bracket_equal(lhs, rhs)
     word_ok, witness = braid_equal_witness(lhs.word, rhs.word, certainty=3, seed=0)
-    ok = (not equal) and (not word_ok) and witness is not None
+    ok = equal is False and (not word_ok) and witness is not None
     verdict(11, ok, f"pre-braided failure: {lhs.word} != {rhs.word}, witness {witness}")

@@ -164,7 +164,17 @@ class TestBracketCategory:
                 bracket_monoidal(BracketMorphism.identity(m), f),
             )
             assert (direct.source, direct.target) == (staged.source, staged.target)
-            assert bracket_equal(direct, staged)
+            assert bracket_equal(direct, staged) is True
+
+    def test_bracket_equal_is_tri_state(self):
+        # Representatives that differ by the coset element s1^j on the two
+        # added strands: found within _COSET_BOUND = 4, "not found" (None,
+        # never False) beyond it; a different target is a definite False.
+        g = BracketMorphism(1, 3, BraidWord.identity(3))
+        for power, want in ((4, True), (5, None)):
+            f = BracketMorphism(1, 3, bw([-1] * power, 3))
+            assert bracket_equal(g, f) is want, power
+        assert bracket_equal(g, BracketMorphism(1, 2, BraidWord.identity(2))) is False
 
     def test_morphism_json(self):
         phi = BracketMorphism(1, 3, bw([2, -1], 3))
@@ -180,7 +190,7 @@ class TestBracketCategory:
         rhs = bracket_monoidal(BracketMorphism.identity(2), BracketMorphism.stabilization(0, 1))
         assert lhs.word.letters == (2, 1)
         assert rhs.word.letters == (-2, -1)
-        assert not bracket_equal(lhs, rhs)
+        assert bracket_equal(lhs, rhs) is False
         ok, witness = braid_equal_witness(lhs.word, rhs.word)
         assert not ok and witness is not None
 

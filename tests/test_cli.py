@@ -68,6 +68,36 @@ class TestCheck:
         failing = [c for c in conditions if c["verdict"] == "fail"]
         assert failing and failing[-1]["witness"] is not None
 
+    def test_functor_letters_decide_any_length(self, capsys):
+        payloads = []
+        for word_len in ("1", "3"):
+            code, out = run(capsys, "check", "functor", "--functor", "lk", "--N", "5", "--L", word_len)
+            assert code == 0
+            payloads.append(json.loads(out))
+        short, long = payloads
+        assert (short["verdict"], short["witness"]) == (long["verdict"], long["witness"])
+        assert short["checked"] == long["checked"]
+
+    @pytest.mark.parametrize(
+        "action,lengths", [("artin", ("1", "4")), ("wada3", ("1", "3"))]
+    )
+    def test_coherence_letters_decide_any_length(self, capsys, action, lengths):
+        runs = []
+        for word_len in lengths:
+            code, out = run(
+                capsys, "check", "coherence", "--action", action,
+                "--sigma", "pure-braid", "--N", "5", "--L", word_len,
+            )
+            runs.append((code, json.loads(out)["conditions"]))
+        (code_short, short), (code_long, long) = runs
+        assert code_short == code_long
+        for a, b in zip(short, long):
+            assert (a["condition"], a["verdict"], a["witness"]) == (
+                b["condition"], b["verdict"], b["witness"]
+            )
+        semidirect = next(c for c in long if c["condition"] == "semidirect")
+        assert set(semidirect["range"]) == {"N", "L"}
+
     def test_reliability(self, capsys):
         code, _ = run(capsys, "check", "reliability", "--N", "3", "--L", "2")
         assert code == 0

@@ -6,6 +6,7 @@ from lmkit.laurent import LaurentPoly, ONE, PolyMatrix, T, ZERO
 from lmkit.freegroup import FreeGroupMap, FreeWord, fox_derivatives, artin_generator_map
 from lmkit.braidcat import (
     BraidWord,
+    braid_equal_witness,
     enumerate_words,
     local_system,
     pure_braid_system,
@@ -103,6 +104,24 @@ def all_words_first_generators_fixed(action, big_n, word_len):
                 for p in range(1, k + 1):
                     if amap.apply_word(FreeWord.generator(n2, p)) != FreeWord.generator(n2, p):
                         return {"n": n, "n2": n2, "word": list(sigma.letters), "generator": f"g{p}"}
+    return None
+
+
+def all_words_semidirect(cfg, big_n, word_len):
+    """Reference for the semidirect condition over every word, no letter
+    argument and no sampling."""
+    action, system = cfg.action, cfg.system
+    for n in range(big_n):
+        for sigma in enumerate_words(n, word_len)[1:]:
+            shifted = sigma.shift(1, n + 1)
+            amap = action.word_map(n, sigma)
+            for i in range(1, n + 1):
+                lhs = shifted.compose(system.generator_image(n, i))
+                acted = system.evaluate(amap.apply_word(FreeWord.generator(n, i)))
+                ok, why = braid_equal_witness(lhs, acted.compose(shifted))
+                if not ok:
+                    return {"n": n, "word": list(sigma.letters), "generator": f"g{i}",
+                            "detail": why}
     return None
 
 
@@ -322,6 +341,26 @@ class TestCoherence:
             assert fixed.witness == all_words_first_generators_fixed(
                 family, big_n, word_len
             ), family.name
+
+    @pytest.mark.parametrize("word_len", [0, 1, 2, 3])
+    @pytest.mark.parametrize("big_n", [3, 4])
+    @pytest.mark.parametrize(
+        "system", [trivial_system(), pure_braid_system()], ids=lambda s: s.name
+    )
+    def test_semidirect_on_letters_matches_all_words(self, system, big_n, word_len):
+        families = [artin_family()] + [wada_family(kind) for kind in range(1, 8)]
+        families += [
+            conjugated_artin("artin-conjugated-first", lambda n: 1),
+            conjugated_artin("artin-conjugated", lambda n: n),
+            # Not an action: inverse letters act like positive ones, so with
+            # the pure-braid system only the inverse letters fail.
+            ActionFamily("artin-positive-inverses", lambda n, l: artin_generator_map(n, abs(l))),
+        ]
+        for family in families:
+            cfg = LongMoodyConfig(family, system)
+            report = check_coherence(cfg, big_n, word_len).by_name("semidirect")
+            assert report.params == {"N": big_n, "L": word_len}
+            assert report.witness == all_words_semidirect(cfg, big_n, word_len), family.name
 
     def test_twists_must_be_units(self):
         with pytest.raises(CoherenceError):

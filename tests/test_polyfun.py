@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from lmkit import polyfun
 from lmkit.laurent import ONE, PolyMatrix, T
 from lmkit.braidcat import BraidWord, braiding
 from lmkit.repfun import (
@@ -88,6 +91,40 @@ class TestResolution:
         )
         with pytest.raises(SplitCertificationError):
             resolve_inclusion(bad, 2)
+
+
+class TestInclusionCache:
+    def test_failed_search_is_stored_and_raised_again(self):
+        bad = BraidFunctor(
+            "non-split",
+            lambda n: 1,
+            lambda n, i: PolyMatrix.identity(1),
+            lambda n, n2: PolyMatrix.from_rows([[ONE + T]]),
+            eval_range=8,
+        )
+        cache = InclusionCache(bad)
+        with pytest.raises(SplitCertificationError) as first:
+            cache.at(2)
+        with pytest.raises(SplitCertificationError) as second:
+            cache.at(2)
+        assert second.value is first.value
+
+    def test_each_level_is_resolved_once(self, monkeypatch):
+        # lm(artin,pure-braid;e(1)) has an uncertified inclusion at level 1
+        # of its first difference, which both the kappa loop and the next
+        # difference look up.
+        calls = Counter()
+        resolve = polyfun.resolve_inclusion
+
+        def counting(f, n, seed=0):
+            calls[(id(f), n)] += 1
+            return resolve(f, n, seed)
+
+        monkeypatch.setattr(polyfun, "resolve_inclusion", counting)
+        base = long_moody(standard_config(), power_functor(1))
+        report = estimate_strong_degree(base, 6)
+        assert report.strong_degree is None
+        assert calls and max(calls.values()) == 1
 
 
 class TestEvanescence:

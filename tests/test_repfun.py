@@ -1,8 +1,11 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lmkit.laurent import ONE, PolyMatrix, Q, T, seeded_points
+from lmkit.cli import parse_functor
+from lmkit.laurent import ONE, LaurentError, PolyMatrix, Q, T, seeded_points
 from lmkit.freegroup import FreeWord, GroupRingElement, parse_word
 from lmkit.braidcat import (
     BracketMorphism,
@@ -162,6 +165,111 @@ class TestCriterion:
 
     def test_constant_passes_any_range(self):
         assert check_functor(builtin("constant"), 6, 2).passed
+
+
+def all_words_functor_failures(f, big_n, word_len):
+    """Reference for check_functor: the same checks in the same order, with
+    the intertwining identities on every word up to word_len."""
+    for n in range(2, big_n + 1):
+        for i in range(1, n - 1):
+            a, b = f.gen_matrix(n, i), f.gen_matrix(n, i + 1)
+            if a.matmul(b).matmul(a) != b.matmul(a).matmul(b):
+                yield {"kind": "braid-relation", "n": n, "i": i}
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                a, b = f.gen_matrix(n, i), f.gen_matrix(n, j)
+                if a.matmul(b) != b.matmul(a):
+                    yield {"kind": "commutation", "n": n, "i": i, "j": j}
+            if f.gen_matrix(n, i).matmul(f.gen_matrix(n, -i)) != PolyMatrix.identity(f.dim(n)):
+                yield {"kind": "inverse", "n": n, "i": i}
+    for n in range(big_n + 1):
+        for n1 in range(n, big_n + 1):
+            for n2 in range(n1, big_n + 1):
+                if f.stab(n1, n2).matmul(f.stab(n, n1)) != f.stab(n, n2):
+                    yield {"kind": "stab-composition", "n": n, "mid": n1, "top": n2}
+    for n in range(big_n + 1):
+        for n2 in range(n, big_n + 1):
+            stab, k = f.stab(n, n2), n2 - n
+            passing = []
+            for sigma in enumerate_words(n, word_len):
+                lhs = stab.matmul(f.word_matrix(sigma))
+                if lhs != f.word_matrix(sigma.shift(k, n2)).matmul(stab):
+                    yield {"kind": "intertwining", "n": n, "n2": n2,
+                           "word": list(sigma.letters), "psi": []}
+                else:
+                    passing.append((sigma, lhs))
+            for psi in enumerate_words(k, word_len)[1:]:
+                m_psi = f.word_matrix(psi.monoidal(BraidWord.identity(n)))
+                for sigma, lhs in passing:
+                    if m_psi.matmul(lhs) != lhs:
+                        yield {"kind": "intertwining", "n": n, "n2": n2,
+                               "word": list(sigma.letters), "psi": list(psi.letters)}
+
+
+def functor_outcomes(f, big_n, word_len):
+    """(passed, first witness) of check_functor and of the reference, or the
+    exception type when the data cannot be evaluated (a singular letter)."""
+    outcomes = []
+    for run in (
+        lambda: check_functor(f, big_n, word_len).failures,
+        lambda: list(all_words_functor_failures(f, big_n, word_len))[:1],
+    ):
+        try:
+            failures = run()
+            outcomes.append((not failures, failures[0] if failures else None))
+        except (LaurentError, FunctorError) as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
+
+@functools.cache
+def reference_functor(spec):
+    return parse_functor(spec)
+
+
+class TestCriterionOnLetters:
+    @pytest.mark.parametrize("word_len", [0, 1, 2, 3])
+    @pytest.mark.parametrize("big_n", [3, 4])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "burau",
+            "tym",
+            "reduced-burau",
+            "lk",
+            "tensor(burau; tym)",
+            "lm(artin,pure-braid; burau)",
+            # Fails only the psi identity: mat(psi # id) * stab = t * stab.
+            "twist(t; burau)",
+        ],
+    )
+    def test_letters_match_all_words(self, spec, big_n, word_len):
+        f = reference_functor(spec)
+        letters, words = functor_outcomes(f, big_n, word_len)
+        assert letters == words, spec
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        base=st.sampled_from(["burau", "tym", "lk"]),
+        level=st.integers(2, 4),
+        data=st.data(),
+        delta=st.sampled_from([ONE, -ONE, T, T.unit_inverse(), Q, ONE + T]),
+    )
+    def test_corruptions_match_all_words(self, base, level, data, delta):
+        f = reference_functor(base)
+        i = data.draw(st.integers(1, level - 1), label="generator")
+        r = data.draw(st.integers(0, f.dim(level) - 1), label="row")
+        c = data.draw(st.integers(0, f.dim(level) - 1), label="column")
+        bad = corrupted(f, level, i, r, c, delta)
+        letters, words = functor_outcomes(bad, 4, 2)
+        assert letters == words
+
+    @pytest.mark.parametrize("word_len", [1, 2, 3])
+    def test_corrupted_burau_count_is_pinned(self, word_len):
+        # Criterion 2's corruption: the letters-only count does not grow with L.
+        report = check_functor(corrupted(builtin("burau"), 4, 2, 1, 1, T), 5, word_len)
+        assert report.checked == 197
+        assert report.failures[0] == {"kind": "braid-relation", "n": 4, "i": 1}
 
 
 class TestNatural:
