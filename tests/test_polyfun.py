@@ -38,6 +38,17 @@ from lmkit.polyfun import (
 from display_fixtures import oriented
 
 
+def non_split_functor():
+    """Stabilizations multiply by 1 + t, which has no retraction."""
+    return BraidFunctor(
+        "non-split",
+        lambda n: 1,
+        lambda n, i: PolyMatrix.identity(1),
+        lambda n, n2: PolyMatrix.from_rows([[ONE + T]]),
+        eval_range=8,
+    )
+
+
 class TestResolution:
     def test_coordinate_split(self):
         f = tym_functor()
@@ -82,27 +93,13 @@ class TestResolution:
         assert res.data.certify(conjugated.stab(2, 3))
 
     def test_uncertified_raises(self):
-        bad = BraidFunctor(
-            "non-split",
-            lambda n: 1,
-            lambda n, i: PolyMatrix.identity(1),
-            lambda n, n2: PolyMatrix.from_rows([[ONE + T]]),
-            eval_range=8,
-        )
         with pytest.raises(SplitCertificationError):
-            resolve_inclusion(bad, 2)
+            resolve_inclusion(non_split_functor(), 2)
 
 
 class TestInclusionCache:
     def test_failed_search_is_stored_and_raised_again(self):
-        bad = BraidFunctor(
-            "non-split",
-            lambda n: 1,
-            lambda n, i: PolyMatrix.identity(1),
-            lambda n, n2: PolyMatrix.from_rows([[ONE + T]]),
-            eval_range=8,
-        )
-        cache = InclusionCache(bad)
+        cache = InclusionCache(non_split_functor())
         with pytest.raises(SplitCertificationError) as first:
             cache.at(2)
         with pytest.raises(SplitCertificationError) as second:

@@ -208,7 +208,9 @@ def all_words_functor_failures(f, big_n, word_len):
 
 def functor_outcomes(f, big_n, word_len):
     """(passed, first witness) of check_functor and of the reference, or the
-    exception type when the data cannot be evaluated (a singular letter)."""
+    exception type when the data cannot be evaluated (a singular letter).
+    Both run every check before reporting, so both raise on a singular
+    letter even after an earlier failure."""
     outcomes = []
     for run in (
         lambda: check_functor(f, big_n, word_len).failures,
