@@ -20,12 +20,23 @@ concrete witness; a positive answer is exact on the Burau side and
 probabilistic (faithfulness of Lawrence-Krammer plus random evaluation) on
 the Lawrence-Krammer side.
 
+Before either representation is evaluated, the longest common prefix and
+then the longest common suffix of what is left are cancelled: in a group
+p x s = p y s exactly when x = y, and since every letter matrix is
+invertible (Lawrence-Krammer at every seeded point, Burau over Z[t^±1]),
+each comparison of the cores has the verdict of the full one, so the
+answer and its witness do not change.
+
 The Lawrence-Krammer side runs on plain integers: at each point the
 columns of every signed generator are scaled by one common denominator,
 lk_scale(n, point), so a word of length L evaluates to lk_scale**L times
 its matrix, and two words are compared after the shorter side is
 multiplied by the scale to the difference in length.  The comparison is
-as exact as one over Fraction.
+as exact as one over Fraction.  A letter s_i^±1 mixes only n-1 of the
+n(n-1)/2 columns; the others are unit or permutation columns, which the
+product moves without arithmetic.  Each column therefore carries its own
+scale exponent, and only the end of the product brings every column to
+lk_scale**L.
 """
 
 from __future__ import annotations
@@ -373,11 +384,16 @@ def _frac_matrix_inverse(cols: list[dict], dim: int) -> list[dict]:
 
 @lru_cache(maxsize=64)
 def _lk_scaled_generators(n: int, point: EvaluationPoint):
-    """lk_scale(n, point), and per signed letter the Lawrence-Krammer
-    columns at the point multiplied by it: integers.
+    """lk_scale(n, point), and per signed letter its Lawrence-Krammer
+    columns at the point multiplied by it, as integers, split into
+    (moved, mixed).
 
-    One entry per (n, point) holds every letter, because the scale is the
-    common denominator of all of them; the rational columns are not kept.
+    moved lists (c, r) for each column c that is the unit vector e_r with
+    r != c, so the product's column c becomes its column r; mixed lists
+    (c, entries) for each column that is not a unit vector.  Columns e_c
+    are in neither list.  One entry per (n, point) holds every letter,
+    because the scale is the common denominator of all of them; the
+    rational columns are not kept.
     """
     t, q = point.t_value, point.q_value
     rational = {}
@@ -388,12 +404,19 @@ def _lk_scaled_generators(n: int, point: EvaluationPoint):
     scale = lcm(
         *(v.denominator for cols in rational.values() for col in cols for v in col.values())
     )
-    return scale, {
-        letter: [
-            {r: v.numerator * (scale // v.denominator) for r, v in col.items()} for col in cols
-        ]
-        for letter, cols in rational.items()
-    }
+    letters = {}
+    for letter, cols in rational.items():
+        moved, mixed = [], []
+        for c, col in enumerate(cols):
+            if list(col.values()) == [1]:
+                (r,) = col
+                if r != c:
+                    moved.append((c, r))
+            else:
+                entries = tuple((r, v.numerator * (scale // v.denominator)) for r, v in col.items())
+                mixed.append((c, entries))
+        letters[letter] = (tuple(moved), tuple(mixed))
+    return scale, letters
 
 
 def lk_scale(n: int, point: EvaluationPoint) -> int:
@@ -409,24 +432,42 @@ def lk_numeric(word: BraidWord, point: EvaluationPoint) -> list[dict]:
     Every letter matrix is scaled to integers by the same factor, so the
     product is exact without a denominator; divide by the power of the
     scale to recover the rational matrix.
+
+    Column c of the running product is held as integers over scale**e[c].
+    A letter moves its unit and permutation columns with their exponents
+    and no arithmetic; a mixed column brings its inputs to their largest
+    exponent, and its exponent is that plus one.  At the end every column
+    is multiplied up to scale**len(word).
     """
     n = word.strands
-    letters = _lk_scaled_generators(n, point)[1]
-    state = [{r: 1} for r in range(n * (n - 1) // 2)]
+    scale, letters = _lk_scaled_generators(n, point)
+    dim = n * (n - 1) // 2
+    state = [{r: 1} for r in range(dim)]
+    exps = [0] * dim
     for letter in word.letters:
-        new_state = []
-        for col in letters[letter]:
+        moved, mixed = letters[letter]
+        new_state, new_exps = state[:], exps[:]
+        for c, r in moved:
+            new_state[c], new_exps[c] = state[r], exps[r]
+        for c, entries in mixed:
+            top = max([exps[r] for r, _ in entries])
             acc: dict[int, int] = {}
-            for r, v in col.items():
+            for r, v in entries:
+                if exps[r] < top:
+                    v *= scale ** (top - exps[r])
                 for rr, vv in state[r].items():
                     s = acc.get(rr, 0) + v * vv
                     if s:
                         acc[rr] = s
                     else:
                         acc.pop(rr, None)
-            new_state.append(acc)
-        state = new_state
-    return state
+            new_state[c], new_exps[c] = acc, top + 1
+        state, exps = new_state, new_exps
+    length = len(word.letters)
+    return [
+        {r: v * scale ** (length - e) for r, v in col.items()} if e < length else col
+        for col, e in zip(state, exps)
+    ]
 
 
 def _lk_scaled_equal(u: BraidWord, v: BraidWord, point: EvaluationPoint) -> bool:
@@ -440,6 +481,21 @@ def _lk_scaled_equal(u: BraidWord, v: BraidWord, point: EvaluationPoint) -> bool
         factor = lk_scale(u.strands, point) ** gap
         mu = [{r: x * factor for r, x in col.items()} for col in mu]
     return mu == mv
+
+
+def _cores(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
+    """u and v without their longest common prefix and then the longest
+    common suffix of the rest; the two affixes never overlap."""
+    a, b = u.letters, v.letters
+    short = min(len(a), len(b))
+    head = 0
+    while head < short and a[head] == b[head]:
+        head += 1
+    tail = 0
+    while tail < short - head and a[-1 - tail] == b[-1 - tail]:
+        tail += 1
+    n = u.strands
+    return BraidWord(n, a[head : len(a) - tail]), BraidWord(n, b[head : len(b) - tail])
 
 
 def braid_equal(
@@ -456,12 +512,14 @@ def braid_equal_witness(
 
     The test combines Lawrence-Krammer evaluation at `certainty` seeded
     rational points (faithful representation, probabilistic detection) with
-    an exact symbolic unreduced Burau comparison.
+    an exact symbolic unreduced Burau comparison, both on the cores left
+    after cancelling the common prefix and suffix (see the module notes).
     """
     if u.strands != v.strands:
         return False, {"reason": "strand mismatch"}
     if u.letters == v.letters:
         return True, None
+    u, v = _cores(u, v)
     n = u.strands
     if n >= 2:
         for point in seeded_points(max(1, certainty), seed):

@@ -1,7 +1,11 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmkit.laurent import seeded_points
 from lmkit.freegroup import FreeWord, parse_word
@@ -241,24 +245,31 @@ class TestEqualityOracle:
 
     def test_lk_numeric_matches_fraction_reference(self):
         # The integer product, divided by the scale, is the product of the
-        # rational letter matrices taken over Fraction.
+        # rational letter matrices taken over Fraction: short words on 3-6
+        # strands, and thirty letters of both signs on 6 and 7 strands,
+        # where the columns' scale exponents drift apart.
         rng = random.Random(12)
-        for seed in (0, 5):
-            for point in seeded_points(3, seed):
-                for strands in range(3, 7):
-                    for _ in range(3):
-                        word = BraidWord(
-                            strands,
-                            tuple(
-                                rng.choice([1, -1]) * rng.randint(1, strands - 1)
-                                for _ in range(rng.randint(0, 8))
-                            ),
-                        )
-                        cols = lk_numeric(word, point)
-                        assert all(type(v) is int for col in cols for v in col.values())
-                        scale = Fraction(lk_scale(strands, point)) ** len(word.letters)
-                        got = [{r: v / scale for r, v in col.items()} for col in cols]
-                        assert got == _lk_fraction_reference(word, point)
+
+        def word(strands, length):
+            return BraidWord(
+                strands,
+                tuple(rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(length)),
+            )
+
+        cases = [
+            (word(strands, rng.randint(0, 8)), point)
+            for seed in (0, 5)
+            for point in seeded_points(3, seed)
+            for strands in range(3, 7)
+            for _ in range(3)
+        ]
+        cases += [(word(strands, 30), point) for point in seeded_points(2, 1) for strands in (6, 7)]
+        for word, point in cases:
+            cols = lk_numeric(word, point)
+            assert all(type(v) is int for col in cols for v in col.values())
+            scale = Fraction(lk_scale(word.strands, point)) ** len(word.letters)
+            got = [{r: v / scale for r, v in col.items()} for col in cols]
+            assert got == _lk_fraction_reference(word, point)
 
     def test_words_of_different_lengths_compare_equal(self):
         # s1 s2 s1 = s2 s1 s2, so s1 s2 s1 s2^-1 = s2 s1; the integer
@@ -304,6 +315,97 @@ def _lk_fraction_reference(word, point):
             new_state.append({r: v for r, v in acc.items() if v})
         state = new_state
     return state
+
+
+def dense_braid_equal_witness(u, v, certainty=3, seed=0):
+    """Reference for braid_equal_witness: the whole words, no affix
+    cancelled, with every column of every Lawrence-Krammer letter
+    multiplied out (over Fraction, so no scale is involved)."""
+    if u.strands != v.strands:
+        return False, {"reason": "strand mismatch"}
+    if u.letters == v.letters:
+        return True, None
+    if u.strands >= 2:
+        for point in seeded_points(max(1, certainty), seed):
+            if _lk_fraction_reference(u, point) != _lk_fraction_reference(v, point):
+                return False, {
+                    "reason": "lawrence-krammer evaluation differs",
+                    "t": str(point.t_value),
+                    "q": str(point.q_value),
+                }
+    if burau_symbolic(u) != burau_symbolic(v):
+        return False, {"reason": "symbolic burau matrices differ"}
+    return True, None
+
+
+@st.composite
+def affixed_pairs(draw):
+    """(u, v, equal) with u = p x s and v = p y s: x = y by one braid
+    relation, or x != y because y is x with one letter changed."""
+    n = draw(st.integers(3, 6), label="strands")
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    prefix = draw(st.lists(letter, max_size=8), label="prefix")
+    suffix = draw(st.lists(letter, max_size=8), label="suffix")
+    i = draw(st.integers(1, n - 2), label="site")
+    sign = draw(st.sampled_from([1, -1]), label="sign")
+    x = (sign * i, sign * (i + 1), sign * i)
+    equal = draw(st.booleans(), label="equal")
+    if equal:
+        y = (sign * (i + 1), sign * i, sign * (i + 1))
+    else:
+        # s_i s_j s_i against s_i s_j s_j: they differ by s_i^-1 s_j,
+        # whose permutation is not the identity.
+        y = (sign * i, sign * (i + 1), sign * (i + 1))
+    return bw(prefix + list(x) + suffix, n), bw(prefix + list(y) + suffix, n), equal
+
+
+class TestAffixCancellation:
+    @settings(max_examples=25, deadline=None)
+    @given(pair=affixed_pairs())
+    def test_matches_dense_reference(self, pair):
+        u, v, equal = pair
+        for a, b in ((u, v), (v, u)):
+            got = braid_equal_witness(a, b)
+            assert got == dense_braid_equal_witness(a, b)
+            assert got[0] is equal
+
+    @pytest.mark.parametrize(
+        "u,v",
+        [
+            # u = v s: the common prefix is all of v, so no suffix is left.
+            ((1, 2, 1, -2), (1, 2)),
+            # u = s v: the common suffix is all of v.
+            ((-1, 2, 1), (2, 1)),
+            # A prefix and a suffix that would overlap: the cores are () and s1.
+            ((1, 1), (1, 1, 1)),
+            ((2, 1, 2), (2, 1, 2, 1, 2)),
+            # One core empty, the other a trivial braid.
+            ((1, 2, 1, -2, -1, -2, 3), (3,)),
+            # Both affixes cancelled; the cores differ by a braid relation.
+            ((3, 1, 2, 1, 3), (3, 2, 1, 2, 3)),
+        ],
+    )
+    def test_edge_cases_match_dense_reference(self, u, v):
+        a, b = bw(u, 4), bw(v, 4)
+        assert braid_equal_witness(a, b) == dense_braid_equal_witness(a, b)
+        assert braid_equal_witness(b, a) == dense_braid_equal_witness(b, a)
+
+
+def test_benchmark_oracle_pairs_keep_their_verdicts(monkeypatch):
+    # The benchmark's oracle table, read without writing anything beside it:
+    # every pair gets its constructed verdict, and every "unequal" a witness.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for seed in (1, 2):
+        for pair in workloads.oracle_pairs(seed):
+            u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
+            ok, witness = braid_equal_witness(u, v, 3)
+            assert ok is pair.equal, (seed, pair)
+            assert ok or witness
 
 
 class TestLocalSystems:
