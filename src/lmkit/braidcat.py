@@ -354,12 +354,11 @@ def lk_generator_columns(n: int, i: int, t, q, one) -> list[dict]:
     return cols
 
 
-def _frac_matrix_inverse(cols: list[dict], dim: int) -> list[dict]:
-    """Invert a column-sparse Fraction matrix by Gauss-Jordan."""
-    a = [[Fraction(0)] * dim for _ in range(dim)]
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            a[r][c] = v
+def _frac_gauss_jordan(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Rows of the inverse of a dense square Fraction matrix, by
+    Gauss-Jordan elimination of every column."""
+    dim = len(a)
+    a = [row[:] for row in a]
     inv = [[Fraction(1) if r == c else Fraction(0) for c in range(dim)] for r in range(dim)]
     for k in range(dim):
         piv = next((r for r in range(k, dim) if a[r][k]), None)
@@ -368,16 +367,52 @@ def _frac_matrix_inverse(cols: list[dict], dim: int) -> list[dict]:
         a[k], a[piv] = a[piv], a[k]
         inv[k], inv[piv] = inv[piv], inv[k]
         pv = a[k][k]
-        a[k] = [x / pv for x in a[k]]
-        inv[k] = [x / pv for x in inv[k]]
+        a[k] = [x / pv if x else x for x in a[k]]
+        inv[k] = [x / pv if x else x for x in inv[k]]
         for r in range(dim):
             if r != k and a[r][k]:
                 f = a[r][k]
-                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[k])]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[k])]
+                inv[r] = [x - f * y if y else x for x, y in zip(inv[r], inv[k])]
+    return inv
+
+
+def _frac_matrix_inverse(cols: list[dict], dim: int) -> list[dict]:
+    """Invert a column-sparse Fraction matrix, eliminating only the columns
+    it moves.
+
+    With C the columns that are not their own unit vector and R the others,
+    listing C first gives M = [[A, 0], [B, I]] for A = M[C,C], B = M[R,C],
+    so M^{-1} = [[A^{-1}, 0], [-B A^{-1}, I]] (as in PolyMatrix.inverse)
+    and only A goes through Gauss-Jordan: the 2n-3 columns a
+    Lawrence-Krammer letter moves, of n(n-1)/2.  M is singular exactly when
+    A is.
+    """
+    moved = [c for c, col in enumerate(cols) if col != {c: 1}]
+    pos = {c: i for i, c in enumerate(moved)}
+    a = [[Fraction(0)] * len(moved) for _ in moved]
+    lower: dict[int, dict] = {}
+    for i, c in enumerate(moved):
+        for r, v in cols[c].items():
+            if r in pos:
+                a[pos[r]][i] = v
+            else:
+                lower.setdefault(r, {})[i] = v
+    a_inv = _frac_gauss_jordan(a)
     out = []
     for c in range(dim):
-        col = {r: inv[r][c] for r in range(dim) if inv[r][c]}
+        if c not in pos:
+            out.append({c: Fraction(1)})
+            continue
+        j = pos[c]
+        col = {}
+        for r in range(dim):
+            if r in pos:
+                v = a_inv[pos[r]][j]
+            else:
+                v = -sum(b * a_inv[i][j] for i, b in lower.get(r, {}).items())
+            if v:
+                col[r] = v
         out.append(col)
     return out
 

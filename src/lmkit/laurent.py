@@ -13,6 +13,14 @@ package are exact, never floating point.
 Matrices over the ring act on column vectors: entry (r, c) is the
 coefficient of basis vector r in the image of basis vector c, and the
 matrix of a composite g∘f is mat(g) * mat(f).
+
+Polynomials and matrices are values: no operation mutates one after it is
+built.  So the matrix kernels share entry polynomials instead of copying
+them: a product, Kronecker product or scaling multiplies by a factor 1 by
+returning the other factor unchanged, and a product entry with a single
+contribution stores that polynomial itself.  Identity, permutation and
+0/1 selection blocks (stabilizations, splittings, routers) therefore cost
+no ring multiplication.
 """
 
 from __future__ import annotations
@@ -199,6 +207,17 @@ def _wrap(terms: dict) -> LaurentPoly:
     return p
 
 
+def _mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """p * q, with no ring multiplication when a factor is 1: the other
+    factor is returned itself, which is safe because values are never
+    mutated."""
+    if p.terms == _ONE_TERMS:
+        return q
+    if q.terms == _ONE_TERMS:
+        return p
+    return p * q
+
+
 def _coerce(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
@@ -209,6 +228,7 @@ def _coerce(x) -> LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly.const(1)
+_ONE_TERMS = ONE.terms
 T = LaurentPoly.monomial(1, 1, 0)
 Q = LaurentPoly.monomial(1, 0, 1)
 T_INV = LaurentPoly.monomial(1, -1, 0)
@@ -552,9 +572,11 @@ class PolyMatrix:
         p = _coerce(p)
         if p.is_zero():
             return PolyMatrix.zeros(self.rows, self.cols)
+        if p.terms == _ONE_TERMS:
+            return self
         out = PolyMatrix.__new__(PolyMatrix)
         out.rows, out.cols = self.rows, self.cols
-        out.entries = {key: v * p for key, v in self.entries.items()}
+        out.entries = {key: _mul(v, p) for key, v in self.entries.items()}
         return out
 
     def transpose(self) -> "PolyMatrix":
@@ -577,7 +599,7 @@ class PolyMatrix:
         entries = {}
         for (r, c), p in self.entries.items():
             for (r2, c2), p2 in other.entries.items():
-                entries[(r * other.rows + r2, c * other.cols + c2)] = p * p2
+                entries[(r * other.rows + r2, c * other.cols + c2)] = _mul(p, p2)
         out = PolyMatrix.__new__(PolyMatrix)
         out.rows, out.cols = self.rows * other.rows, self.cols * other.cols
         out.entries = entries
@@ -704,7 +726,12 @@ class PolyMatrix:
 def _product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """The matrix product a * b; the caller has checked the shapes.  Kept
     apart from PolyMatrix.matmul so that the product inside inverse() is
-    not one of the matmul calls that perfbench's per-layer trace counts."""
+    not one of the matmul calls that perfbench's per-layer trace counts.
+
+    An entry's first contribution is stored as it is, with no addition; it
+    is nonzero, since the ring is an integral domain and stored entries are
+    nonzero.  Later contributions are added, and a sum that cancels is
+    dropped, as a later contribution may start the entry afresh."""
     by_row: dict[int, list] = {}
     for (k, c), p in b.entries.items():
         by_row.setdefault(k, []).append((c, p))
@@ -712,11 +739,16 @@ def _product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     for (r, k), p in a.entries.items():
         for c, q2 in by_row.get(k, ()):
             key = (r, c)
-            s = acc.get(key, ZERO) + p * q2
+            term = _mul(p, q2)
+            s = acc.get(key)
+            if s is None:
+                acc[key] = term
+                continue
+            s = s + term
             if s.terms:
                 acc[key] = s
             else:
-                acc.pop(key, None)
+                del acc[key]
     out = PolyMatrix.__new__(PolyMatrix)
     out.rows, out.cols, out.entries = a.rows, b.cols, acc
     return out

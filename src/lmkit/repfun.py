@@ -155,23 +155,33 @@ class BraidFunctor:
         return self._dims[n]
 
     def gen_matrix(self, n: int, letter: int) -> PolyMatrix:
+        """The matrix of a signed letter.  A letter with no inverse over the
+        ring is memoized too: its LaurentError is raised again on later
+        lookups, without repeating the elimination."""
         if letter == 0 or abs(letter) > n - 1:
             raise FunctorError(f"s{letter} is not a generator on {n} strands")
         key = (n, letter)
         if key not in self._gens:
-            if letter > 0:
-                m = self._gen_rule(n, letter)
-            elif self._neg_rule is not None:
-                m = self._neg_rule(n, -letter)
+            try:
+                if letter > 0:
+                    m = self._gen_rule(n, letter)
+                elif self._neg_rule is not None:
+                    m = self._neg_rule(n, -letter)
+                else:
+                    m = self.gen_matrix(n, -letter).inverse()
+            except LaurentError as exc:
+                self._gens[key] = exc
             else:
-                m = self.gen_matrix(n, -letter).inverse()
-            d = self.dim(n)
-            if (m.rows, m.cols) != (d, d):
-                raise FunctorError(
-                    f"{self.name}: generator matrix at level {n} has wrong shape"
-                )
-            self._gens[key] = m
-        return self._gens[key]
+                d = self.dim(n)
+                if (m.rows, m.cols) != (d, d):
+                    raise FunctorError(
+                        f"{self.name}: generator matrix at level {n} has wrong shape"
+                    )
+                self._gens[key] = m
+        hit = self._gens[key]
+        if isinstance(hit, LaurentError):
+            raise hit.with_traceback(None)
+        return hit
 
     def stab(self, n: int, n2: int) -> PolyMatrix:
         if not 0 <= n <= n2:
@@ -209,9 +219,13 @@ class BraidFunctor:
         key = (n, word.letters)
         m = self._words.get(key)
         if m is None:
-            m = PolyMatrix.identity(self.dim(n))
-            for letter in word.letters:
-                m = m.matmul(self.gen_matrix(n, letter))
+            d = self.dim(n)  # a level out of range fails before any letter
+            if not word.letters:
+                m = PolyMatrix.identity(d)
+            else:
+                m = self.gen_matrix(n, word.letters[0])
+                for letter in word.letters[1:]:
+                    m = m.matmul(self.gen_matrix(n, letter))
             if len(self._words) >= WORD_MEMO_CAP:
                 self._words.pop(next(iter(self._words)), None)
             self._words[key] = m

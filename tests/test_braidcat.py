@@ -27,9 +27,12 @@ from lmkit.braidcat import (
     parse_braid,
     pure_braid_system,
     trivial_system,
+    _frac_gauss_jordan,
     _frac_matrix_inverse,
+    _lk_scaled_generators,
     lk_generator_columns,
 )
+from lmkit import braidcat
 
 
 def bw(letters, strands):
@@ -296,6 +299,16 @@ class TestEqualityOracle:
         assert burau_symbolic(u) != burau_symbolic(v)
 
 
+def _full_frac_inverse(cols, dim):
+    """Reference for _frac_matrix_inverse: Gauss-Jordan over every column."""
+    a = [[Fraction(0)] * dim for _ in range(dim)]
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            a[r][c] = v
+    inv = _frac_gauss_jordan(a)
+    return [{r: inv[r][c] for r in range(dim) if inv[r][c]} for c in range(dim)]
+
+
 def _lk_fraction_reference(word, point):
     """Lawrence-Krammer columns of a word at a point as a product of the
     rational letter matrices, accumulated over Fraction."""
@@ -305,7 +318,7 @@ def _lk_fraction_reference(word, point):
     for letter in word.letters:
         cols = lk_generator_columns(n, abs(letter), point.t_value, point.q_value, Fraction(1))
         if letter < 0:
-            cols = _frac_matrix_inverse(cols, dim)
+            cols = _full_frac_inverse(cols, dim)
         new_state = []
         for col in cols:
             acc = {}
@@ -406,6 +419,64 @@ def test_benchmark_oracle_pairs_keep_their_verdicts(monkeypatch):
             ok, witness = braid_equal_witness(u, v, 3)
             assert ok is pair.equal, (seed, pair)
             assert ok or witness
+
+
+FRACTION_POOL = [Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]
+
+
+@st.composite
+def column_sparse_matrices(draw):
+    """Columns that are their own unit vector, mixed with random columns
+    (unit vectors elsewhere and singular matrices included)."""
+    dim = draw(st.integers(1, 5))
+    cols = []
+    for c in range(dim):
+        if draw(st.booleans()):
+            cols.append({c: Fraction(1)})
+        else:
+            col = {r: draw(st.sampled_from(FRACTION_POOL)) for r in range(dim)}
+            cols.append({r: v for r, v in col.items() if v})
+    return cols
+
+
+def _inverse_outcome(routine, cols):
+    try:
+        return routine(cols, len(cols))
+    except BraidError as exc:
+        return str(exc)
+
+
+class TestLetterTable:
+    """_frac_matrix_inverse eliminates only the columns a matrix moves; the
+    Gauss-Jordan elimination of every column is the reference."""
+
+    @given(column_sparse_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_full_elimination(self, cols):
+        got = _inverse_outcome(_frac_matrix_inverse, cols)
+        assert got == _inverse_outcome(_full_frac_inverse, cols)
+        if not isinstance(got, str):
+            assert [list(col) for col in got] == [sorted(col) for col in got]
+            # M * M^-1 = I, column by column: an independent check.
+            for c, col in enumerate(got):
+                image = {}
+                for k, v in col.items():
+                    for r, w in cols[k].items():
+                        image[r] = image.get(r, 0) + w * v
+                assert {r: v for r, v in image.items() if v} == {c: 1}
+
+    def test_letter_table_equals_the_full_elimination_one(self, monkeypatch):
+        build = _lk_scaled_generators.__wrapped__
+        points = seeded_points(3, 0)
+        keys = [(n, point) for n in range(2, 7) for point in points]
+        tables = {key: build(*key) for key in keys}
+        for n, point in keys:
+            dim = n * (n - 1) // 2
+            for i in range(1, n):
+                cols = lk_generator_columns(n, i, point.t_value, point.q_value, Fraction(1))
+                assert _frac_matrix_inverse(cols, dim) == _full_frac_inverse(cols, dim)
+        monkeypatch.setattr(braidcat, "_frac_matrix_inverse", _full_frac_inverse)
+        assert {key: build(*key) for key in keys} == tables
 
 
 class TestLocalSystems:

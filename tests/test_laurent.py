@@ -451,3 +451,105 @@ class TestLocalSupportElimination:
                     if n <= 5:
                         assert m.inverse() == _montante_inverse(m)
                         assert m.det() == _bareiss_det(m)
+
+
+# 1 stored with a Fraction coefficient, as unnormalised products leave it.
+ONE_AS_FRACTION = LaurentPoly.const(Fraction(1, 2)) * LaurentPoly.const(2)
+UNIT_POOL = [ZERO, ZERO, ONE, ONE, ONE_AS_FRACTION, -ONE, T, -T, ONE - T, T * Q, ONE + Q]
+
+
+@st.composite
+def pool_matrices(draw, rows, cols):
+    entries = {(r, c): draw(st.sampled_from(UNIT_POOL)) for r in range(rows) for c in range(cols)}
+    return PolyMatrix(rows, cols, entries)
+
+
+def _dense_product(a, b):
+    """Reference: every entry summed term by term, with no shortcut."""
+    rows = []
+    for r in range(a.rows):
+        row = []
+        for c in range(b.cols):
+            total = ZERO
+            for k in range(a.cols):
+                total = total + a.entry(r, k) * b.entry(k, c)
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+def _dense_kron(a, b):
+    return [
+        [a.entry(r // b.rows, c // b.cols) * b.entry(r % b.rows, c % b.cols) for c in range(a.cols * b.cols)]
+        for r in range(a.rows * b.rows)
+    ]
+
+
+def _snapshot(m):
+    return {key: dict(p.terms) for key, p in m.entries.items()}
+
+
+def _assert_canonical(m, rows, cols, dense):
+    assert (m.rows, m.cols) == (rows, cols)
+    assert all(p.terms for p in m.entries.values())
+    assert all(0 <= r < rows and 0 <= c < cols for r, c in m.entries)
+    assert m.to_rows() == dense
+
+
+class TestUnitAwareKernels:
+    """matmul, kron and scale reuse a factor's entry polynomial when the other
+    factor is 1; a naive dense reference that multiplies everything is the
+    oracle, and the operands must come out unchanged."""
+
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matmul_matches_dense_reference(self, rows, inner, cols, data):
+        a = data.draw(pool_matrices(rows, inner))
+        b = data.draw(pool_matrices(inner, cols))
+        before = _snapshot(a), _snapshot(b)
+        _assert_canonical(a.matmul(b), rows, cols, _dense_product(a, b))
+        assert (_snapshot(a), _snapshot(b)) == before
+
+    @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kron_matches_dense_reference(self, r1, c1, r2, c2, data):
+        a = data.draw(pool_matrices(r1, c1))
+        b = data.draw(pool_matrices(r2, c2))
+        before = _snapshot(a), _snapshot(b)
+        _assert_canonical(a.kron(b), r1 * r2, c1 * c2, _dense_kron(a, b))
+        assert (_snapshot(a), _snapshot(b)) == before
+
+    @given(st.integers(0, 3), st.integers(0, 3), st.sampled_from(UNIT_POOL), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scale_matches_dense_reference(self, rows, cols, p, data):
+        m = data.draw(pool_matrices(rows, cols))
+        before = _snapshot(m)
+        dense = [[v * p for v in row] for row in m.to_rows()]
+        _assert_canonical(m.scale(p), rows, cols, dense)
+        assert _snapshot(m) == before
+
+    def test_cancelling_sums_leave_no_zero_entry(self):
+        a = PolyMatrix.from_rows([[T, T], [ONE, ZERO]])
+        b = PolyMatrix.from_rows([[ONE, Q], [-ONE, -Q]])
+        product = a.matmul(b)
+        assert (0, 0) not in product.entries and (0, 1) not in product.entries
+        assert product.to_rows() == _dense_product(a, b)
+
+    def test_multiplying_by_one_makes_no_ring_multiplication(self, monkeypatch):
+        rng = random.Random(3)
+        m = random_matrix(rng, 4, 4, ENTRY_POOL)
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counting(p, q):
+            calls.append((p, q))
+            return mul(p, q)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        assert type(ONE_AS_FRACTION.terms[(0, 0)]) is Fraction
+        assert PolyMatrix.identity(4).matmul(m) == m
+        assert m.matmul(PolyMatrix.identity(4)) == m
+        assert m.scale(ONE) is m and m.scale(ONE_AS_FRACTION) is m
+        assert PolyMatrix.identity(2).kron(m) == m.direct_sum(m)
+        assert calls == []
+        assert m.matmul(m).to_rows() == _dense_product(m, m) and calls

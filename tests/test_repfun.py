@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +129,14 @@ class TestEvaluation:
             u = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(3)))
             v = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(3)))
             assert f.word_matrix(u.compose(v)) == f.word_matrix(u).matmul(f.word_matrix(v))
+
+    def test_word_matrix_starts_from_the_first_letter(self):
+        f = builtin("burau")
+        assert f.word_matrix(BraidWord(3, (2,))) is f.gen_matrix(3, 2)
+        assert f.word_matrix(BraidWord.identity(3)) == PolyMatrix.identity(3)
+        f.eval_range = 3
+        with pytest.raises(FunctorError, match="^burau: level 5 beyond evaluation range 3$"):
+            f.word_matrix(BraidWord(5, (4, -1)))
 
     def test_apply_respects_composition(self):
         rng = random.Random(1)
@@ -290,6 +299,29 @@ class TestCriterionOnLetters:
             "error": "determinant 1 - t - t^2 is not a unit; no inverse over the ring",
         }
         assert report.to_json()["checked"] == 96
+
+    def test_singular_letter_is_eliminated_once(self, monkeypatch):
+        # The failed inversion of s1 at level 2 is memoized like a success
+        # and raised again, so no later check repeats the elimination.
+        inverted = []
+        inverse = PolyMatrix.inverse
+        monkeypatch.setattr(PolyMatrix, "inverse", lambda m: inverted.append(m) or inverse(m))
+        bad = corrupted(builtin("burau"), 2, 1, 1, 1, ONE + T)
+        report = check_functor(bad, 5, 1).to_json()
+        error = "determinant 1 - t - t^2 is not a unit; no inverse over the ring"
+        assert report == {
+            "check": "functor-criterion",
+            "checked": 172,
+            "failure_count": 4,
+            "range": {"L": 1, "N": 5, "functor": "corrupted(burau)"},
+            "verdict": "fail",
+            "witness": {"error": error, "i": 1, "kind": "inverse", "n": 2},
+        }
+        assert len(inverted) <= 10
+        assert sum(m == bad.gen_matrix(2, 1) for m in inverted) == 1
+        with pytest.raises(LaurentError, match=re.escape(error)):
+            bad.gen_matrix(2, -1)
+        assert sum(m == bad.gen_matrix(2, 1) for m in inverted) == 1
 
 
 class TestNatural:
