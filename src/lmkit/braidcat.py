@@ -326,95 +326,51 @@ def lk_index(n: int):
     return pairs, {p: i for i, p in enumerate(pairs)}
 
 
-def lk_generator_columns(n: int, i: int, t, q, one) -> list[dict]:
-    """Columns {row: entry} of the Lawrence-Krammer matrix of s_i on n
-    strands, over any commutative ring containing t, q and one.
+def lk_generator_columns(n: int, letter: int, t, q, one) -> list[dict]:
+    """Columns {row: entry} of the Lawrence-Krammer matrix of the signed
+    letter s_i^{±1} on n strands, over any commutative ring containing t,
+    q, their inverses and one.
 
-    This is the one copy of the table: the oracle evaluates it at rational
-    points and repfun.lk_functor builds it over the Laurent ring.  Constant
-    entries are the ring's own `one`, never a bare int (int / int is a
-    float in the Fraction inverse).
+    This is the one copy of the table, for both signs: the oracle evaluates
+    it at rational points and repfun.lk_functor builds it over the Laurent
+    ring.  The columns of s_i^{-1} are the closed-form inverse of those of
+    s_i, written in ti = t^{-1} and qi = q^{-1}; tests check that the two
+    multiply to the identity both ways.
     """
     pairs, idx = lk_index(n)
+    i = abs(letter)
+    if letter < 0:
+        ti, qi = t**-1, q**-1
     cols = []
     for (j, k) in pairs:
-        if i == j and i == k - 1:
-            col = {(i, i + 1): -q * t * t}
-        elif i == j - 1:
-            col = {(i, k): t, (i, i + 1): t * t - t, (i + 1, k): one - t}
-        elif i == j:  # here k > i + 1
-            col = {(i + 1, k): one}
-        elif i == k - 1:  # here j < i
-            col = {(j, i): t, (j, i + 1): one - t, (i, i + 1): -(t * t - t) * q}
-        elif i == k:
-            col = {(j, i + 1): one}
+        if letter > 0:
+            if i == j and i == k - 1:
+                col = {(i, i + 1): -q * t * t}
+            elif i == j - 1:
+                col = {(i, k): t, (i, i + 1): t * t - t, (i + 1, k): one - t}
+            elif i == j:  # here k > i + 1
+                col = {(i + 1, k): one}
+            elif i == k - 1:  # here j < i
+                col = {(j, i): t, (j, i + 1): one - t, (i, i + 1): -(t * t - t) * q}
+            elif i == k:
+                col = {(j, i + 1): one}
+            else:
+                col = {(j, k): one}
         else:
-            col = {(j, k): one}
+            if i == j and i == k - 1:
+                col = {(i, i + 1): -ti * ti * qi}
+            elif i == j - 1:
+                col = {(i, k): one}
+            elif i == j:  # here k > i + 1
+                col = {(i, k): one - ti, (i + 1, k): ti, (i, i + 1): (ti - ti * ti) * qi}
+            elif i == k - 1:  # here j < i
+                col = {(j, i): one}
+            elif i == k:
+                col = {(j, i): one - ti, (j, i + 1): ti, (i, i + 1): ti * ti - ti}
+            else:
+                col = {(j, k): one}
         cols.append({idx[p]: v for p, v in col.items()})
     return cols
-
-
-def _frac_gauss_jordan(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Rows of the inverse of a dense square Fraction matrix, by
-    Gauss-Jordan elimination of every column."""
-    dim = len(a)
-    a = [row[:] for row in a]
-    inv = [[Fraction(1) if r == c else Fraction(0) for c in range(dim)] for r in range(dim)]
-    for k in range(dim):
-        piv = next((r for r in range(k, dim) if a[r][k]), None)
-        if piv is None:
-            raise BraidError("generator matrix unexpectedly singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv[k], inv[piv] = inv[piv], inv[k]
-        pv = a[k][k]
-        a[k] = [x / pv if x else x for x in a[k]]
-        inv[k] = [x / pv if x else x for x in inv[k]]
-        for r in range(dim):
-            if r != k and a[r][k]:
-                f = a[r][k]
-                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[k])]
-                inv[r] = [x - f * y if y else x for x, y in zip(inv[r], inv[k])]
-    return inv
-
-
-def _frac_matrix_inverse(cols: list[dict], dim: int) -> list[dict]:
-    """Invert a column-sparse Fraction matrix, eliminating only the columns
-    it moves.
-
-    With C the columns that are not their own unit vector and R the others,
-    listing C first gives M = [[A, 0], [B, I]] for A = M[C,C], B = M[R,C],
-    so M^{-1} = [[A^{-1}, 0], [-B A^{-1}, I]] (as in PolyMatrix.inverse)
-    and only A goes through Gauss-Jordan: the 2n-3 columns a
-    Lawrence-Krammer letter moves, of n(n-1)/2.  M is singular exactly when
-    A is.
-    """
-    moved = [c for c, col in enumerate(cols) if col != {c: 1}]
-    pos = {c: i for i, c in enumerate(moved)}
-    a = [[Fraction(0)] * len(moved) for _ in moved]
-    lower: dict[int, dict] = {}
-    for i, c in enumerate(moved):
-        for r, v in cols[c].items():
-            if r in pos:
-                a[pos[r]][i] = v
-            else:
-                lower.setdefault(r, {})[i] = v
-    a_inv = _frac_gauss_jordan(a)
-    out = []
-    for c in range(dim):
-        if c not in pos:
-            out.append({c: Fraction(1)})
-            continue
-        j = pos[c]
-        col = {}
-        for r in range(dim):
-            if r in pos:
-                v = a_inv[pos[r]][j]
-            else:
-                v = -sum(b * a_inv[i][j] for i, b in lower.get(r, {}).items())
-            if v:
-                col[r] = v
-        out.append(col)
-    return out
 
 
 @lru_cache(maxsize=64)
@@ -431,11 +387,11 @@ def _lk_scaled_generators(n: int, point: EvaluationPoint):
     rational columns are not kept.
     """
     t, q = point.t_value, point.q_value
-    rational = {}
-    for i in range(1, n):
-        cols = lk_generator_columns(n, i, t, q, Fraction(1))
-        rational[i] = cols
-        rational[-i] = _frac_matrix_inverse(cols, n * (n - 1) // 2)
+    rational = {
+        letter: lk_generator_columns(n, letter, t, q, Fraction(1))
+        for i in range(1, n)
+        for letter in (i, -i)
+    }
     scale = lcm(
         *(v.denominator for cols in rational.values() for col in cols for v in col.values())
     )

@@ -236,12 +236,20 @@ T_INV = LaurentPoly.monomial(1, -1, 0)
 
 @dataclass(frozen=True)
 class EvaluationPoint:
-    """A rational substitution point for t and q; both must be nonzero."""
+    """A rational substitution point for t and q; both must be nonzero.
+
+    Integers are stored as Fraction, so that t**-1 and q**-1 stay exact; a
+    float or any other non-rational value is rejected."""
 
     t_value: Fraction
     q_value: Fraction
 
     def __post_init__(self):
+        for name in ("t_value", "q_value"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, Fraction)):
+                raise LaurentError(f"evaluation point needs rational values, got {value!r}")
+            object.__setattr__(self, name, Fraction(value))
         if self.t_value == 0 or self.q_value == 0:
             raise LaurentError("evaluation requires t and q nonzero")
 
@@ -692,7 +700,9 @@ class PolyMatrix:
         return out
 
     def rank_at(self, point: EvaluationPoint) -> int:
-        return _frac_rank(self.eval(point))
+        """Rank of the evaluated matrix: the pivot count of its column
+        reduction."""
+        return len(self.pivot_rows_at(point))
 
     def pivot_rows_at(self, point: EvaluationPoint) -> list[int]:
         """Row indices carrying pivots when the evaluated matrix is reduced
@@ -848,29 +858,6 @@ def _montante_inverse(a: PolyMatrix) -> PolyMatrix:
             if v.terms:
                 entries[(r, c)] = v * d_inv
     return PolyMatrix(n, n, entries)
-
-
-def _frac_rank(m: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in m if any(row)]
-    if not rows:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c] / pv
-                for j in range(c, cols):
-                    rows[i][j] -= f * rows[rank][j]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def rank_probabilistic(a: PolyMatrix, points: list[EvaluationPoint]) -> int:

@@ -59,22 +59,26 @@ class SplitData:
     coprojection: PolyMatrix
 
     def certify(self, incl: PolyMatrix) -> bool:
-        n_in = incl.cols
-        n_out = incl.rows
-        if self.retraction.matmul(incl) != PolyMatrix.identity(n_in):
+        """Check the splitting identities; the fifth follows from the
+        other four and the shapes, so it is not multiplied out.
+
+        With P = [incl | complement] and S = [retraction; coprojection],
+        the four block identities say S * P = Id.  When P is square
+        (incl.cols + complement.cols == incl.rows), det S * det P = 1 over
+        the commutative ring, so P is invertible with inverse S, and
+        P * S = incl * retraction + complement * coprojection = Id follows.
+        """
+        if incl.cols + self.complement.cols != incl.rows:
+            return False
+        if self.retraction.matmul(incl) != PolyMatrix.identity(incl.cols):
             return False
         if not self.coprojection.matmul(incl).is_zero():
             return False
         if not self.retraction.matmul(self.complement).is_zero():
             return False
-        if self.coprojection.matmul(self.complement) != PolyMatrix.identity(
+        return self.coprojection.matmul(self.complement) == PolyMatrix.identity(
             self.complement.cols
-        ):
-            return False
-        recomposed = incl.matmul(self.retraction) + self.complement.matmul(
-            self.coprojection
         )
-        return recomposed == PolyMatrix.identity(n_out)
 
 
 def partial_permutation_split(incl: PolyMatrix) -> SplitData | None:
@@ -361,14 +365,14 @@ def reduced_burau_functor(
 
 def lk_functor(eval_range: int = 14) -> BraidFunctor:
     """The two-variable family on the rank-one summands v_{j,k}, j < k,
-    ordered lexicographically; generator action given columnwise by the
-    table in braidcat."""
+    ordered lexicographically; generator action of both signs given
+    columnwise by the table in braidcat, so no letter is inverted here."""
 
     def dim(n):
         return n * (n - 1) // 2
 
-    def gen(n, i):
-        cols = lk_generator_columns(n, i, VAR_T, VAR_Q, ONE)
+    def gen(n, letter):
+        cols = lk_generator_columns(n, letter, VAR_T, VAR_Q, ONE)
         entries = {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
         return PolyMatrix(dim(n), dim(n), entries)
 
@@ -380,7 +384,9 @@ def lk_functor(eval_range: int = 14) -> BraidFunctor:
         }
         return PolyMatrix(dim(n2), dim(n), entries)
 
-    return BraidFunctor("lk", dim, gen, stab, eval_range=eval_range)
+    return BraidFunctor(
+        "lk", dim, gen, stab, neg_rule=lambda n, i: gen(n, -i), eval_range=eval_range
+    )
 
 
 def atomic_functor(k: int, eval_range: int = 24) -> BraidFunctor:
@@ -440,6 +446,8 @@ def t1_functor(eval_range: int = 24) -> BraidFunctor:
 def power_functor(l: int, eval_range: int = 14) -> BraidFunctor:
     """Dimension n^l with identity braid action; factors through the poset
     of natural numbers.  Very useful as a degree-l yardstick."""
+    if l < 0:
+        raise FunctorError(f"e({l}): the power must be nonnegative")
 
     def dim(n):
         return n**l

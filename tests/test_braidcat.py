@@ -27,12 +27,11 @@ from lmkit.braidcat import (
     parse_braid,
     pure_braid_system,
     trivial_system,
-    _frac_gauss_jordan,
-    _frac_matrix_inverse,
     _lk_scaled_generators,
     lk_generator_columns,
 )
 from lmkit import braidcat
+from lmkit.laurent import ONE, PolyMatrix, Q, T
 
 
 def bw(letters, strands):
@@ -299,8 +298,32 @@ class TestEqualityOracle:
         assert burau_symbolic(u) != burau_symbolic(v)
 
 
+def _frac_gauss_jordan(a):
+    """Rows of the inverse of a dense square Fraction matrix, by
+    Gauss-Jordan elimination of every column."""
+    dim = len(a)
+    a = [row[:] for row in a]
+    inv = [[Fraction(1) if r == c else Fraction(0) for c in range(dim)] for r in range(dim)]
+    for k in range(dim):
+        piv = next((r for r in range(k, dim) if a[r][k]), None)
+        if piv is None:
+            raise BraidError("generator matrix unexpectedly singular")
+        a[k], a[piv] = a[piv], a[k]
+        inv[k], inv[piv] = inv[piv], inv[k]
+        pv = a[k][k]
+        a[k] = [x / pv if x else x for x in a[k]]
+        inv[k] = [x / pv if x else x for x in inv[k]]
+        for r in range(dim):
+            if r != k and a[r][k]:
+                f = a[r][k]
+                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[k])]
+                inv[r] = [x - f * y if y else x for x, y in zip(inv[r], inv[k])]
+    return inv
+
+
 def _full_frac_inverse(cols, dim):
-    """Reference for _frac_matrix_inverse: Gauss-Jordan over every column."""
+    """Reference for the stored inverse letters: Gauss-Jordan over every
+    column of the positive letter's rational matrix."""
     a = [[Fraction(0)] * dim for _ in range(dim)]
     for c, col in enumerate(cols):
         for r, v in col.items():
@@ -404,15 +427,21 @@ class TestAffixCancellation:
         assert braid_equal_witness(b, a) == dense_braid_equal_witness(b, a)
 
 
-def test_benchmark_oracle_pairs_keep_their_verdicts(monkeypatch):
-    # The benchmark's oracle table, read without writing anything beside it:
-    # every pair gets its constructed verdict, and every "unequal" a witness.
+def _load_perfbench(monkeypatch, name):
+    """A module of perfbench/, loaded without writing anything beside it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_oracle_pairs_keep_their_verdicts(monkeypatch):
+    # The benchmark's oracle table: every pair gets its constructed verdict,
+    # and every "unequal" a witness.
+    workloads = _load_perfbench(monkeypatch, "workloads")
     for seed in (1, 2):
         for pair in workloads.oracle_pairs(seed):
             u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
@@ -421,62 +450,70 @@ def test_benchmark_oracle_pairs_keep_their_verdicts(monkeypatch):
             assert ok or witness
 
 
-FRACTION_POOL = [Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]
+def test_benchmark_tracer_ops_resolve(monkeypatch):
+    # Every op the per-layer tracer wraps still exists, so that removing or
+    # renaming one cannot silently break a traced benchmark run.
+    tracer = _load_perfbench(monkeypatch, "tracer")
+    for prefix, module, path, _mode in tracer.OPS:
+        importlib.import_module(module)
+        assert callable(tracer._resolve(module, path)[2]), prefix
 
 
-@st.composite
-def column_sparse_matrices(draw):
-    """Columns that are their own unit vector, mixed with random columns
-    (unit vectors elsewhere and singular matrices included)."""
-    dim = draw(st.integers(1, 5))
-    cols = []
-    for c in range(dim):
-        if draw(st.booleans()):
-            cols.append({c: Fraction(1)})
-        else:
-            col = {r: draw(st.sampled_from(FRACTION_POOL)) for r in range(dim)}
-            cols.append({r: v for r, v in col.items() if v})
-    return cols
+def _canonical_table(table):
+    """A scaled letter table with each mixed column's entries as a dict, so
+    that tables listing the same entries in another order compare equal."""
+    scale, letters = table
+    return scale, {
+        letter: (moved, tuple((c, dict(entries)) for c, entries in mixed))
+        for letter, (moved, mixed) in letters.items()
+    }
 
 
-def _inverse_outcome(routine, cols):
-    try:
-        return routine(cols, len(cols))
-    except BraidError as exc:
-        return str(exc)
+def _ring_matrix(cols):
+    return PolyMatrix(
+        len(cols), len(cols), {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
+    )
+
+
+def _is_inverse_pair(pos_cols, neg_cols):
+    pos, neg = _ring_matrix(pos_cols), _ring_matrix(neg_cols)
+    eye = PolyMatrix.identity(len(pos_cols))
+    return pos.matmul(neg) == eye and neg.matmul(pos) == eye
 
 
 class TestLetterTable:
-    """_frac_matrix_inverse eliminates only the columns a matrix moves; the
-    Gauss-Jordan elimination of every column is the reference."""
-
-    @given(column_sparse_matrices())
-    @settings(max_examples=100, deadline=None)
-    def test_matches_full_elimination(self, cols):
-        got = _inverse_outcome(_frac_matrix_inverse, cols)
-        assert got == _inverse_outcome(_full_frac_inverse, cols)
-        if not isinstance(got, str):
-            assert [list(col) for col in got] == [sorted(col) for col in got]
-            # M * M^-1 = I, column by column: an independent check.
-            for c, col in enumerate(got):
-                image = {}
-                for k, v in col.items():
-                    for r, w in cols[k].items():
-                        image[r] = image.get(r, 0) + w * v
-                assert {r: v for r, v in image.items() if v} == {c: 1}
+    """lk_generator_columns stores the inverse letters in closed form; the
+    Gauss-Jordan elimination of the positive letters is the reference."""
 
     def test_letter_table_equals_the_full_elimination_one(self, monkeypatch):
         build = _lk_scaled_generators.__wrapped__
-        points = seeded_points(3, 0)
-        keys = [(n, point) for n in range(2, 7) for point in points]
-        tables = {key: build(*key) for key in keys}
-        for n, point in keys:
-            dim = n * (n - 1) // 2
+        keys = [(n, point) for n in range(2, 8) for seed in (0, 7) for point in seeded_points(3, seed)]
+        tables = {key: _canonical_table(build(*key)) for key in keys}
+        stored = lk_generator_columns
+
+        def reference(n, letter, t, q, one):
+            if letter > 0:
+                return stored(n, letter, t, q, one)
+            return _full_frac_inverse(stored(n, -letter, t, q, one), n * (n - 1) // 2)
+
+        monkeypatch.setattr(braidcat, "lk_generator_columns", reference)
+        assert {key: _canonical_table(build(*key)) for key in keys} == tables
+
+    def test_closed_form_inverts_the_letter_over_the_ring(self):
+        for n in range(2, 15):
             for i in range(1, n):
-                cols = lk_generator_columns(n, i, point.t_value, point.q_value, Fraction(1))
-                assert _frac_matrix_inverse(cols, dim) == _full_frac_inverse(cols, dim)
-        monkeypatch.setattr(braidcat, "_frac_matrix_inverse", _full_frac_inverse)
-        assert {key: build(*key) for key in keys} == tables
+                pos = lk_generator_columns(n, i, T, Q, ONE)
+                assert _is_inverse_pair(pos, lk_generator_columns(n, -i, T, Q, ONE)), (n, i)
+        # Negative control: changing any one entry of s_2^-1 on 5 strands
+        # breaks the identity.
+        n, i = 5, 2
+        pos = lk_generator_columns(n, i, T, Q, ONE)
+        neg = lk_generator_columns(n, -i, T, Q, ONE)
+        for c, col in enumerate(neg):
+            for r in col:
+                corrupted = [dict(cc) for cc in neg]
+                corrupted[c][r] = col[r] + T
+                assert not _is_inverse_pair(pos, corrupted), (c, r)
 
 
 class TestLocalSystems:

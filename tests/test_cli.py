@@ -223,7 +223,7 @@ class TestFunctorGrammar:
         assert main(["degree", "--functor", "sum(burau)", "--N", "3"]) == 2
 
     def test_bad_arguments_are_usage_errors(self, capsys):
-        for spec in ["atomic(x)", "e(1.5)", "tau(x; burau)", "tau(1; burau; tym)",
+        for spec in ["atomic(x)", "e(1.5)", "e(-1)", "tau(x; burau)", "tau(1; burau; tym)",
                      "twist(t)", "lm(artin,pure-braid)"]:
             assert main(["emit", "--functor", spec, "--n", "2"]) == 2, spec
         assert main(["check", "coherence", "--action", "wada1:x"]) == 2

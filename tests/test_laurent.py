@@ -74,6 +74,18 @@ class TestArithmetic:
         assert lp("t^-1").eval(EvaluationPoint(Fraction(1, 2), Fraction(1))) == 2
         assert ZERO.eval(point) == 0
 
+    def test_integer_point_stays_exact(self):
+        point = EvaluationPoint(2, 3)
+        assert type(point.t_value) is Fraction and type(point.q_value) is Fraction
+        value = lp("t^-1 + q^-1").eval(point)
+        assert type(value) is Fraction and value == Fraction(5, 6)
+
+    def test_float_point_rejected(self):
+        with pytest.raises(LaurentError):
+            EvaluationPoint(0.5, Fraction(2))
+        with pytest.raises(LaurentError):
+            EvaluationPoint(Fraction(2), 3.0)
+
 
 class TestGrammar:
     def test_examples_parse(self):
@@ -291,7 +303,8 @@ def _sympy_matrix(m, sympy, t, q):
 
 
 class TestAgainstSympy:
-    """det and inverse compared with sympy on small random matrices."""
+    """det, inverse, matmul and rank_at compared with sympy on small random
+    matrices."""
 
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(small_entries, min_size=n * n, max_size=n * n)))
     @settings(max_examples=15, deadline=None)
@@ -342,6 +355,25 @@ class TestAgainstSympy:
         difference = expected - _sympy_matrix(a.matmul(b), sympy, t, q)
         assert difference.shape == (a.rows, b.cols)
         assert all(sympy.expand(v) == 0 for v in difference)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.integers(0, 9), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rank_at(self, rows, cols, deficient, seed, data):
+        # Rectangular shapes; with `deficient`, one more row that is a
+        # combination of the others, so the rank is below the row count.
+        sympy = pytest.importorskip("sympy")
+        t, q = sympy.symbols("t q")
+        row = st.lists(small_entries, min_size=cols, max_size=cols)
+        body = data.draw(st.lists(row, min_size=rows, max_size=rows))
+        if deficient:
+            weights = data.draw(st.lists(small_entries, min_size=rows, max_size=rows))
+            body.append([sum((w * r[c] for w, r in zip(weights, body)), ZERO) for c in range(cols)])
+        m = PolyMatrix.from_rows(body)
+        point = seeded_points(1, seed)[0]
+        values = {t: sympy.Rational(point.t_value.numerator, point.t_value.denominator),
+                  q: sympy.Rational(point.q_value.numerator, point.q_value.denominator)}
+        expected = _sympy_matrix(m, sympy, t, q).subs(values).rank()
+        assert m.rank_at(point) == expected
 
 
 LOCAL_POOL = [ZERO, ZERO, ONE, -ONE, T, -Q, ONE - T, ONE + Q, T * Q, LaurentPoly.const(2)]

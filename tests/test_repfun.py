@@ -20,6 +20,7 @@ from lmkit.repfun import (
     WORD_MEMO_CAP,
     FunctorError,
     NaturalMap,
+    SplitData,
     builtin,
     check_functor,
     check_natural,
@@ -401,6 +402,20 @@ class TestSplitData:
             sd = f.split(n, n + 1)
             assert sd is not None
             assert sd.certify(f.stab(n, n + 1))
+
+    def test_complement_one_column_short_fails(self):
+        # The four block identities still hold, but [incl | complement] is
+        # not square, so it cannot be invertible.
+        f = builtin("burau")
+        incl, sd = f.stab(3, 4), f.split(3, 4)
+        keep = range(sd.complement.cols - 1)
+        short = SplitData(
+            sd.retraction,
+            sd.complement.submatrix(range(sd.complement.rows), keep),
+            sd.coprojection.submatrix(keep, range(sd.coprojection.cols)),
+        )
+        assert sd.certify(incl)
+        assert not short.certify(incl)
 
     def test_stab_full_column_rank_at_points(self):
         points = seeded_points(2, 3)
