@@ -530,16 +530,25 @@ def braid_equal_witness(
 # ---------------------------------------------------------------------------
 
 
+# Braid images memoized per local system; group-ring matrices evaluate the
+# same Fox-coefficient words for every functor built over one system (63
+# distinct words in the splitting and degree-growth checks at N=5).
+IMAGE_MEMO_CAP = 1024
+
+
 @dataclass(frozen=True)
 class LocalSystem:
     """A family of homomorphisms F_n -> B_{n+1}, given per free generator.
 
     rule(n, i) is the image of gi; the extension to arbitrary words is the
-    unique multiplicative one, which exists by freeness.
+    unique multiplicative one, which exists by freeness.  evaluate memoizes
+    its images per instance, at most IMAGE_MEMO_CAP of them, dropping the
+    oldest first; equality ignores the rule, so the memo is never shared.
     """
 
     name: str
     rule: callable = field(compare=False)
+    _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def generator_image(self, n: int, i: int) -> BraidWord:
         if not 1 <= i <= n:
@@ -550,10 +559,15 @@ class LocalSystem:
         return word
 
     def evaluate(self, w: FreeWord) -> BraidWord:
-        n = w.rank
-        out = BraidWord.identity(n + 1)
-        for gen, exp in w.syllables:
-            out = out.compose(self.generator_image(n, gen) ** exp)
+        out = self._images.get(w)
+        if out is None:
+            n = w.rank
+            out = BraidWord.identity(n + 1)
+            for gen, exp in w.syllables:
+                out = out.compose(self.generator_image(n, gen) ** exp)
+            if len(self._images) >= IMAGE_MEMO_CAP:
+                self._images.pop(next(iter(self._images)), None)
+            self._images[w] = out
         return out
 
 

@@ -345,6 +345,18 @@ def _verify_burau_equivalence(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """A level, range bound or iteration count: an integer >= 0.  A negative
+    range is refused here rather than checked as an empty, vacuous pass."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmkit",
@@ -371,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit", help="dump dimension, generator, stabilization data")
     common(p, functor=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("check", help="run an exact identity check")
@@ -379,9 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, cfg=True)
     p.add_argument("--functor", default="constant")
     p.add_argument("--map", default="identity", help="natural map name for `natural`")
-    p.add_argument("--N", type=int, default=4)
+    p.add_argument("--N", type=_count, default=4)
     p.add_argument(
-        "--L", type=int, default=3,
+        "--L", type=_count, default=3,
         help="word length bound; checks are decided on letters, so any L >= 1 "
         "gives the same verdict and witness",
     )
@@ -389,14 +401,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lm", help="apply the construction and dump matrices")
     common(p, base=True, cfg=True)
-    p.add_argument("--iterations", type=int, default=1)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--iterations", type=_count, default=1)
+    p.add_argument("--n", type=_count, required=True)
     p.set_defaults(func=cmd_lm)
 
     p = sub.add_parser("degree", help="estimate the strong polynomial degree")
     common(p, functor=True)
-    p.add_argument("--N", type=int, default=6)
-    p.add_argument("--d-max", type=int, default=None, dest="d_max")
+    p.add_argument("--N", type=_count, default=6)
+    p.add_argument("--d-max", type=_count, default=None, dest="d_max")
     p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("verify", help="verify one of the package's theorems")
@@ -406,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(p, cfg=True)
     p.add_argument("--base", default="constant")
-    p.add_argument("--N", type=int, default=4)
+    p.add_argument("--N", type=_count, default=4)
     p.set_defaults(func=cmd_verify)
 
     return parser

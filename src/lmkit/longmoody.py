@@ -11,7 +11,14 @@ braid letter has block (r, c) equal to
 
     (F ∘ localsystem)(fox_r(action(letter)(g_c))) * τ₁F(letter),
 
-the Fox-coordinate expansion of the action on basis differences.  The
+the Fox-coordinate expansion of the action on basis differences.  That
+Fox Jacobian depends on the action and the letter only, never on the input
+functor, so each LongMoodyConfig stores it per (level, signed letter): the
+nonzero (r, c, coefficient) triples, expanded once however many functors
+are built over the configuration (FOX_TABLE_CAP entries, oldest dropped
+first).  A coefficient equal to the unit 1·[e] of the group ring contributes
+τ₁F(letter) itself, so that block is placed without a group-ring matrix or
+a product; the other blocks are multiplied out as above.  The
 stabilization from n to n' is τ₁F's own stabilization on each of the n
 blocks, which land after n'-n wholly new blocks; τ₁F carries the
 inverse-braiding router, and its splitting data is placed the same way,
@@ -21,12 +28,13 @@ so kernels and cokernels of the image functor stay computable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .laurent import LaurentPoly, PolyMatrix, ONE
 from .freegroup import (
     FreeGroupMap,
     FreeWord,
+    GroupRingElement,
     artin_generator_map,
     fox_derivatives,
     wada_generator_map,
@@ -126,24 +134,51 @@ def action_family(name: str) -> ActionFamily:
     raise CoherenceError(f"unknown action family {name!r}")
 
 
+# Fox Jacobians memoized per configuration, keyed by (level, signed letter);
+# the splitting and degree-growth checks at N=5 read 29 of them.
+FOX_TABLE_CAP = 1024
+
+
 @dataclass(frozen=True)
 class LongMoodyConfig:
     """Parameters of one Long-Moody application.
 
     pre_twist scales the input functor's braid action by a unit before the
     construction; post_scale scales every generator matrix of the output.
-    Both are optional and must be units.
+    Both are optional and must be units.  The Fox-Jacobian table belongs to
+    the instance, so two configurations never share entries.
     """
 
     action: ActionFamily
     system: LocalSystem
     pre_twist: LaurentPoly | None = None
     post_scale: LaurentPoly | None = None
+    _fox: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for twist in (self.pre_twist, self.post_scale):
             if twist is not None and not twist.is_unit():
                 raise CoherenceError("twists must be units of the coefficient ring")
+
+    def fox_jacobian(self, n: int, letter: int) -> tuple:
+        """The nonzero (r, c, fox_r(action(letter)(g_c))) at level n, with c
+        outer and r inner, memoized per instance."""
+        key = (n, letter)
+        hit = self._fox.get(key)
+        if hit is None:
+            amap = self.action.generator_map(n, letter)
+            hit = tuple(
+                (r, c, coeff)
+                for c in range(1, n + 1)
+                for r, coeff in enumerate(
+                    fox_derivatives(amap.apply_word(FreeWord.generator(n, c))).coords, 1
+                )
+                if not coeff.is_zero()
+            )
+            if len(self._fox) >= FOX_TABLE_CAP:
+                self._fox.pop(next(iter(self._fox)), None)
+            self._fox[key] = hit
+        return hit
 
     def label(self) -> str:
         parts = [self.action.name, self.system.name]
@@ -184,21 +219,18 @@ def long_moody(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
 
     def gen(n, letter):
         d = f.dim(n + 1)
-        amap = cfg.action.generator_map(n, letter)
         right = tau.gen_matrix(n, letter)
+        scale = ONE if post is None else post if letter > 0 else post.unit_inverse()
+        unit = GroupRingElement.one(n)
+        unit_block = right.scale(scale)
         entries = {}
-        for c in range(1, n + 1):
-            image = amap.apply_word(FreeWord.generator(n, c))
-            coords = fox_derivatives(image)
-            for r in range(1, n + 1):
-                coeff = coords.coords[r - 1]
-                if coeff.is_zero():
-                    continue
-                block = group_ring_matrix(base, n, cfg.system, coeff).matmul(right)
-                if post is not None:
-                    block = block.scale(post if letter > 0 else post.unit_inverse())
-                for (br, bc), val in block.entries.items():
-                    entries[((r - 1) * d + br, (c - 1) * d + bc)] = val
+        for r, c, coeff in cfg.fox_jacobian(n, letter):
+            if coeff == unit:
+                block = unit_block
+            else:
+                block = group_ring_matrix(base, n, cfg.system, coeff).matmul(right).scale(scale)
+            for (br, bc), val in block.entries.items():
+                entries[((r - 1) * d + br, (c - 1) * d + bc)] = val
         return PolyMatrix(n * d, n * d, entries)
 
     def stab(n, n2):

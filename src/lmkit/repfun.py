@@ -391,6 +391,8 @@ def lk_functor(eval_range: int = 14) -> BraidFunctor:
 
 def atomic_functor(k: int, eval_range: int = 24) -> BraidFunctor:
     """Supported at the single level k, identity there, zero elsewhere."""
+    if k < 0:
+        raise FunctorError(f"atomic({k}): the level must be nonnegative")
 
     def dim(n):
         return 1 if n == k else 0

@@ -223,11 +223,35 @@ class TestFunctorGrammar:
         assert main(["degree", "--functor", "sum(burau)", "--N", "3"]) == 2
 
     def test_bad_arguments_are_usage_errors(self, capsys):
-        for spec in ["atomic(x)", "e(1.5)", "e(-1)", "tau(x; burau)", "tau(1; burau; tym)",
-                     "twist(t)", "lm(artin,pure-braid)"]:
+        for spec in ["atomic(x)", "atomic(-1)", "e(1.5)", "e(-1)", "tau(x; burau)",
+                     "tau(1; burau; tym)", "twist(t)", "lm(artin,pure-braid)"]:
             assert main(["emit", "--functor", spec, "--n", "2"]) == 2, spec
         assert main(["check", "coherence", "--action", "wada1:x"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "functor", "--functor", "burau", "--N", "-3", "--L", "-1"],
+            ["check", "functor", "--functor", "burau", "--N", "3", "--L", "-1"],
+            ["check", "coherence", "--N", "-1"],
+            ["check", "reliability", "--N", "2", "--L", "-2"],
+            ["verify", "splitting", "--base", "burau", "--N", "-1"],
+            ["degree", "--functor", "burau", "--N", "-2"],
+            ["degree", "--functor", "burau", "--N", "4", "--d-max", "-1"],
+            ["lm", "--base", "burau", "--iterations", "-1", "--n", "2"],
+            ["emit", "--functor", "burau", "--n", "-1"],
+        ],
+    )
+    def test_negative_ranges_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= 0" in captured.err
+
+    def test_zero_ranges_are_accepted(self, capsys):
+        code, out = run(capsys, "check", "functor", "--functor", "burau", "--N", "0", "--L", "0")
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
 
     def test_bad_seed_environment_is_usage_error(self, monkeypatch):
         monkeypatch.setenv("LMKIT_SEED", "x")

@@ -4,8 +4,10 @@ import pytest
 
 from lmkit.laurent import LaurentPoly, ONE, PolyMatrix, T, ZERO
 from lmkit.freegroup import FreeGroupMap, FreeWord, fox_derivatives, artin_generator_map
+from lmkit import braidcat, longmoody
 from lmkit.braidcat import (
     BraidWord,
+    LocalSystem,
     braid_equal_witness,
     enumerate_words,
     local_system,
@@ -19,6 +21,7 @@ from lmkit.repfun import (
     direct_sum,
     group_ring_matrix,
     lk_functor,
+    scalar_twist,
     translate,
     tym_functor,
     zero_functor,
@@ -448,3 +451,126 @@ class TestActionFamilies:
         for bad in ("wada", "wadax", "wada1:x", "wada1:2:3", "burau"):
             with pytest.raises(CoherenceError):
                 action_family(bad)
+
+
+def reference_gen_matrix(cfg, f, n, letter):
+    """The generator matrix of long_moody(cfg, f) assembled block by block:
+    a Fox expansion per column and a group-ring matrix times τ₁F(letter)
+    per nonzero block, unit blocks included, over a fresh copy of the local
+    system so that no memo is shared with the code under test."""
+    system = LocalSystem(cfg.system.name, cfg.system.rule)
+    base = f if cfg.pre_twist is None else scalar_twist(f, cfg.pre_twist)
+    right = translate(base, 1).gen_matrix(n, letter)
+    d = f.dim(n + 1)
+    amap = cfg.action.generator_map(n, letter)
+    entries = {}
+    for c in range(1, n + 1):
+        coords = fox_derivatives(amap.apply_word(FreeWord.generator(n, c)))
+        for r in range(1, n + 1):
+            coeff = coords.coords[r - 1]
+            if coeff.is_zero():
+                continue
+            block = group_ring_matrix(base, n, system, coeff).matmul(right)
+            if cfg.post_scale is not None:
+                post = cfg.post_scale
+                block = block.scale(post if letter > 0 else post.unit_inverse())
+            for (br, bc), val in block.entries.items():
+                entries[((r - 1) * d + br, (c - 1) * d + bc)] = val
+    return PolyMatrix(n * d, n * d, entries)
+
+
+def signed_letters(n):
+    return [i for i in range(1, n)] + [-i for i in range(1, n)]
+
+
+class TestFoxTable:
+    @pytest.mark.parametrize("action", ["artin"] + [f"wada{k}" for k in range(1, 8)])
+    def test_matches_per_block_assembly(self, action):
+        bases = (constant_functor(), burau_functor(), tym_functor(), lk_functor())
+        for system in (trivial_system(), pure_braid_system()):
+            for pre, post in ((None, None), (T, None), (None, T_INV)):
+                cfg = LongMoodyConfig(action_family(action), system, pre, post)
+                for f in bases:
+                    image = long_moody(cfg, f)
+                    for n in range(2, 5):
+                        for letter in signed_letters(n):
+                            want = reference_gen_matrix(cfg, f, n, letter)
+                            assert image.gen_matrix(n, letter) == want, (
+                                cfg.label(), f.name, n, letter
+                            )
+
+    def test_one_expansion_per_letter(self, monkeypatch):
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return fox_derivatives(w)
+
+        monkeypatch.setattr(longmoody, "fox_derivatives", counting)
+        cfg = standard_config()
+        keys = [(n, letter) for n in range(2, 5) for letter in signed_letters(n)]
+        for f in (burau_functor(), tym_functor()):
+            image = long_moody(cfg, f)
+            for n, letter in keys:
+                image.gen_matrix(n, letter)
+        # One expansion per column of each (level, letter), for both images.
+        assert len(calls) == sum(n for n, _ in keys)
+
+    def test_same_name_systems_share_nothing(self):
+        good = pure_braid_system()
+        bad_rule = local_system("corrupted-demo").rule
+        bad = LocalSystem(good.name, bad_rule)
+        assert good == bad  # equality ignores the rule
+        g1 = FreeWord.generator(2, 1)
+        assert good.evaluate(g1) != bad.evaluate(g1)
+        assert bad.evaluate(g1) == BraidWord(3, (1,))
+        cfg_good = LongMoodyConfig(artin_family(), good)
+        cfg_bad = LongMoodyConfig(artin_family(), bad)
+        assert cfg_good == cfg_bad
+        for f in (burau_functor(), constant_functor()):
+            good_image, bad_image = long_moody(cfg_good, f), long_moody(cfg_bad, f)
+            for n in range(2, 4):
+                for letter in signed_letters(n):
+                    assert good_image.gen_matrix(n, letter) == reference_gen_matrix(
+                        cfg_good, f, n, letter
+                    )
+                    assert bad_image.gen_matrix(n, letter) == reference_gen_matrix(
+                        cfg_bad, f, n, letter
+                    )
+        assert long_moody(cfg_good, burau_functor()).gen_matrix(2, 1) != long_moody(
+            cfg_bad, burau_functor()
+        ).gen_matrix(2, 1)
+
+    def test_same_name_actions_share_nothing(self):
+        plain = LongMoodyConfig(artin_family(), pure_braid_system())
+        conjugated = LongMoodyConfig(
+            conjugated_artin("artin", lambda n: 1), pure_braid_system()
+        )
+        assert plain.fox_jacobian(2, 1) != conjugated.fox_jacobian(2, 1)
+        for cfg in (plain, conjugated):
+            image = long_moody(cfg, burau_functor())
+            for letter in signed_letters(3):
+                assert image.gen_matrix(3, letter) == reference_gen_matrix(
+                    cfg, burau_functor(), 3, letter
+                )
+
+    def test_memos_stay_within_caps(self, monkeypatch):
+        monkeypatch.setattr(longmoody, "FOX_TABLE_CAP", 3)
+        monkeypatch.setattr(braidcat, "IMAGE_MEMO_CAP", 3)
+        cfg = standard_config()
+        keys = [(n, letter) for n in range(2, 6) for letter in signed_letters(n)]
+        for n, letter in keys:
+            cfg.fox_jacobian(n, letter)
+            assert len(cfg._fox) <= 3
+        assert list(cfg._fox) == keys[-3:]  # the oldest are dropped first
+        image = long_moody(cfg, burau_functor())
+        for n, letter in keys:
+            assert image.gen_matrix(n, letter) == reference_gen_matrix(
+                cfg, burau_functor(), n, letter
+            )
+            assert len(cfg._fox) <= 3
+            assert len(cfg.system._images) <= 3
+        words = [FreeWord.generator(4, i, e) for i in range(1, 5) for e in (1, -1, 2)]
+        for w in words:
+            cfg.system.evaluate(w)
+        assert list(cfg.system._images) == words[-3:]
