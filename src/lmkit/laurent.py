@@ -329,7 +329,10 @@ def parse_poly(text: str) -> LaurentPoly:
             kind, val = peek()
             if kind == "op" and val == "/":
                 i += 1
-                n = Fraction(n, parse_int())
+                den = parse_int()
+                if den == 0:
+                    raise LaurentError(f"zero denominator in {text!r}")
+                n = Fraction(n, den)
             coeff *= n
             saw_anything = True
             kind, val = peek()

@@ -50,7 +50,9 @@ from .braidcat import (
 )
 from .repfun import (
     BraidFunctor,
+    CheckReport,
     SplitData,
+    constant_functor,
     group_ring_matrix,
     scalar_twist,
     translate,
@@ -250,10 +252,7 @@ def long_moody(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
         )
 
     label = f"lm({cfg.label()};{f.name})"
-    return BraidFunctor(
-        label, dim, gen, stab, split_rule=split, neg_rule=lambda n, i: gen(n, -i),
-        eval_range=f.eval_range - 1,
-    )
+    return BraidFunctor(label, dim, gen, stab, split_rule=split, eval_range=f.eval_range - 1)
 
 
 def long_moody_power(cfg: LongMoodyConfig, f: BraidFunctor, iterations: int) -> BraidFunctor:
@@ -512,8 +511,6 @@ def lm_of_inclusion(cfg: LongMoodyConfig, f: BraidFunctor, n: int) -> PolyMatrix
 def check_inclusion_lemma(cfg: LongMoodyConfig, f: BraidFunctor, big_n: int):
     """Exact identity: old_blocks ∘ (LM of the inclusion) equals the image
     functor's own stabilization by one."""
-    from .repfun import CheckReport
-
     report = CheckReport(
         "inclusion-lemma", {"N": big_n, "functor": f.name, "cfg": cfg.label()}
     )
@@ -532,8 +529,6 @@ def check_factorization(action: ActionFamily, f: BraidFunctor, big_n: int):
     """With the trivial local system the construction factors as a
     Kronecker product: LM(F) = LM(constant) ⊗ translate(F), exactly,
     on generator matrices and stabilizations."""
-    from .repfun import CheckReport, constant_functor
-
     cfg = LongMoodyConfig(action, trivial_system())
     lm_f = long_moody(cfg, f)
     lm_x = long_moody(cfg, constant_functor(eval_range=f.eval_range))

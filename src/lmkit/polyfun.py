@@ -175,7 +175,6 @@ def evanescence(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
         dim,
         gen,
         stab,
-        neg_rule=lambda n, i: gen(n, -i),
         eval_range=min(big_n, f.eval_range - 1),
     )
 
@@ -209,7 +208,6 @@ def difference(
         dim,
         gen,
         stab,
-        neg_rule=lambda n, i: gen(n, -i),
         eval_range=min(big_n, f.eval_range - 1),
     )
 

@@ -2,10 +2,12 @@
 Laurent ring.
 
 A BraidFunctor packages the data that determines such a functor on a
-finite range of objects: a dimension per level n, a matrix per braid
-generator per level, stabilization matrices for the canonical morphisms
-n -> n', and (optionally) splitting data for those stabilizations.  The
-package's evaluation rule for a general morphism [n'-n, w] is
+finite range of objects: a dimension per level n, a matrix per signed
+letter s_i^{±1} per level, stabilization matrices for the canonical
+morphisms n -> n', and (optionally) splitting data for those
+stabilizations.  Every family and combinator below states the matrices of
+both letter signs; none inverts a letter at run time.  The package's
+evaluation rule for a general morphism [n'-n, w] is
 
     mat(w at level n') * stab(n, n'),
 
@@ -117,9 +119,9 @@ class BraidFunctor:
     Rules are memoized; instances behave as immutable values and the memo
     tables are idempotent, so concurrent readers are safe.  The word memo
     holds at most WORD_MEMO_CAP matrices and drops the oldest first.
-    gen_rule is called with positive generator indices only; negative
-    letters are served from the memoized inverse unless neg_rule is
-    supplied.
+    gen_rule(n, letter) takes a signed letter, ±i for s_i^{±1}, and is
+    called once per (n, letter); check_functor tests that the two signs
+    are inverse to each other.
     """
 
     def __init__(
@@ -129,7 +131,6 @@ class BraidFunctor:
         gen_rule,
         stab_rule,
         split_rule=None,
-        neg_rule=None,
         eval_range: int = 16,
     ):
         self.name = name
@@ -137,7 +138,6 @@ class BraidFunctor:
         self._gen_rule = gen_rule
         self._stab_rule = stab_rule
         self._split_rule = split_rule
-        self._neg_rule = neg_rule
         self.eval_range = eval_range
         self._dims: dict = {}
         self._gens: dict = {}
@@ -159,20 +159,15 @@ class BraidFunctor:
         return self._dims[n]
 
     def gen_matrix(self, n: int, letter: int) -> PolyMatrix:
-        """The matrix of a signed letter.  A letter with no inverse over the
-        ring is memoized too: its LaurentError is raised again on later
-        lookups, without repeating the elimination."""
+        """The matrix of a signed letter.  A rule that raises LaurentError
+        (a letter with no inverse over the ring) is memoized too: the error
+        is raised again on later lookups, without calling the rule again."""
         if letter == 0 or abs(letter) > n - 1:
             raise FunctorError(f"s{letter} is not a generator on {n} strands")
         key = (n, letter)
         if key not in self._gens:
             try:
-                if letter > 0:
-                    m = self._gen_rule(n, letter)
-                elif self._neg_rule is not None:
-                    m = self._neg_rule(n, -letter)
-                else:
-                    m = self.gen_matrix(n, -letter).inverse()
+                m = self._gen_rule(n, letter)
             except LaurentError as exc:
                 self._gens[key] = exc
             else:
@@ -268,12 +263,10 @@ def _last_coords_stab(dim_rule):
     return rule
 
 
-def _block_gen(n: int, i: int, block: PolyMatrix) -> PolyMatrix:
-    return (
-        PolyMatrix.identity(i - 1)
-        .direct_sum(block)
-        .direct_sum(PolyMatrix.identity(n - i - 1))
-    )
+def _block_gen(dim: int, offset: int, block: PolyMatrix) -> PolyMatrix:
+    """The identity of size dim with block on the diagonal at offset."""
+    rest = PolyMatrix.identity(dim - offset - block.rows)
+    return PolyMatrix.identity(offset).direct_sum(block).direct_sum(rest)
 
 
 def constant_functor(eval_range: int = 24) -> BraidFunctor:
@@ -282,7 +275,6 @@ def constant_functor(eval_range: int = 24) -> BraidFunctor:
         lambda n: 1,
         lambda n, i: PolyMatrix.identity(1),
         _last_coords_stab(lambda n: 1),
-        neg_rule=lambda n, i: PolyMatrix.identity(1),
         eval_range=eval_range,
     )
 
@@ -291,15 +283,18 @@ def burau_functor(param: LaurentPoly = VAR_T, eval_range: int = 16) -> BraidFunc
     """Unreduced Burau at an invertible parameter.
 
     The classical 2x2 display [[1-y, y], [1, 0]] is written for row vectors;
-    the stored block is its transpose so that it acts on columns.
+    the stored block is its transpose so that it acts on columns.  The
+    inverse letter's block is stored in closed form:
+    [[1-y, 1], [y, 0]]^-1 = [[0, y^-1], [1, 1-y^-1]].
     """
     if not param.is_unit():
         raise FunctorError("burau parameter must be a unit")
-    y = param
+    y, y_inv = param, param.unit_inverse()
     block = PolyMatrix.from_rows([[ONE - y, ONE], [y, ZERO]])
+    inv_block = PolyMatrix.from_rows([[ZERO, y_inv], [ONE, ONE - y_inv]])
 
     def gen(n, i):
-        return _block_gen(n, i, block)
+        return _block_gen(n, abs(i) - 1, block if i > 0 else inv_block)
 
     name = "burau" if y == VAR_T else f"burau({y})"
     return BraidFunctor(
@@ -316,16 +311,11 @@ def tym_functor(param: LaurentPoly = VAR_T, eval_range: int = 16) -> BraidFuncto
     inv_block = PolyMatrix.from_rows([[ZERO, ONE], [y.unit_inverse(), ZERO]])
 
     def gen(n, i):
-        return _block_gen(n, i, block)
+        return _block_gen(n, abs(i) - 1, block if i > 0 else inv_block)
 
     name = "tym" if y == VAR_T else f"tym({y})"
     return BraidFunctor(
-        name,
-        lambda n: n,
-        gen,
-        _last_coords_stab(lambda n: n),
-        neg_rule=lambda n, i: _block_gen(n, i, inv_block),
-        eval_range=eval_range,
+        name, lambda n: n, gen, _last_coords_stab(lambda n: n), eval_range=eval_range
     )
 
 
@@ -336,26 +326,37 @@ def _redbur_dim(n: int) -> int:
 def reduced_burau_functor(
     param: LaurentPoly = VAR_T, eval_range: int = 16
 ) -> BraidFunctor:
-    """Reduced Burau; stored blocks are transposes of the usual displays."""
+    """Reduced Burau; stored blocks are transposes of the usual displays.
+
+    Each block moves one row, [y, -y, 1] for s_i; the blocks of s_i^-1 are
+    stored in closed form with moving row [1, -y^-1, y^-1], e.g.
+    [[-y, 1], [0, 1]]^-1 = [[-y^-1, y^-1], [0, 1]].
+    """
     if not param.is_unit():
         raise FunctorError("parameter must be a unit")
-    y = param
-    bottom = PolyMatrix.from_rows([[-y, ONE], [ZERO, ONE]])
-    middle = PolyMatrix.from_rows([[ONE, ZERO, ZERO], [y, -y, ONE], [ZERO, ZERO, ONE]])
-    top = PolyMatrix.from_rows([[ONE, ZERO], [y, -y]])
 
-    def gen(n, i):
-        if n == 2:
-            return PolyMatrix.from_rows([[-y]])
-        if i == 1:
-            return bottom.direct_sum(PolyMatrix.identity(n - 3))
-        if i == n - 1:
-            return PolyMatrix.identity(n - 3).direct_sum(top)
+    def blocks(a, u, b):
+        """(single, bottom, middle, top) for the moving row [a, -u, b]."""
         return (
-            PolyMatrix.identity(i - 2)
-            .direct_sum(middle)
-            .direct_sum(PolyMatrix.identity(n - i - 2))
+            PolyMatrix.from_rows([[-u]]),
+            PolyMatrix.from_rows([[-u, b], [ZERO, ONE]]),
+            PolyMatrix.from_rows([[ONE, ZERO, ZERO], [a, -u, b], [ZERO, ZERO, ONE]]),
+            PolyMatrix.from_rows([[ONE, ZERO], [a, -u]]),
         )
+
+    y, y_inv = param, param.unit_inverse()
+    pos, neg = blocks(y, y, ONE), blocks(ONE, y_inv, y_inv)
+
+    def gen(n, letter):
+        single, bottom, middle, top = pos if letter > 0 else neg
+        i = abs(letter)
+        if n == 2:
+            return single
+        if i == 1:
+            return _block_gen(n - 1, 0, bottom)
+        if i == n - 1:
+            return _block_gen(n - 1, n - 3, top)
+        return _block_gen(n - 1, i - 2, middle)
 
     name = "reduced-burau" if y == VAR_T else f"reduced-burau({y})"
     return BraidFunctor(
@@ -384,9 +385,7 @@ def lk_functor(eval_range: int = 14) -> BraidFunctor:
         }
         return PolyMatrix(dim(n2), dim(n), entries)
 
-    return BraidFunctor(
-        "lk", dim, gen, stab, neg_rule=lambda n, i: gen(n, -i), eval_range=eval_range
-    )
+    return BraidFunctor("lk", dim, gen, stab, eval_range=eval_range)
 
 
 def atomic_functor(k: int, eval_range: int = 24) -> BraidFunctor:
@@ -421,7 +420,6 @@ def atomic_functor(k: int, eval_range: int = 24) -> BraidFunctor:
         lambda n, i: PolyMatrix.identity(dim(n)),
         stab,
         split_rule=split,
-        neg_rule=lambda n, i: PolyMatrix.identity(dim(n)),
         eval_range=eval_range,
     )
 
@@ -440,7 +438,6 @@ def t1_functor(eval_range: int = 24) -> BraidFunctor:
         dim,
         lambda n, i: PolyMatrix.identity(dim(n)),
         stab,
-        neg_rule=lambda n, i: PolyMatrix.identity(dim(n)),
         eval_range=eval_range,
     )
 
@@ -459,7 +456,6 @@ def power_functor(l: int, eval_range: int = 14) -> BraidFunctor:
         dim,
         lambda n, i: PolyMatrix.identity(dim(n)),
         _last_coords_stab(dim),
-        neg_rule=lambda n, i: PolyMatrix.identity(dim(n)),
         eval_range=eval_range,
     )
 
@@ -470,7 +466,6 @@ def zero_functor(eval_range: int = 24) -> BraidFunctor:
         lambda n: 0,
         lambda n, i: PolyMatrix.zeros(0, 0),
         lambda n, n2: PolyMatrix.zeros(0, 0),
-        neg_rule=lambda n, i: PolyMatrix.zeros(0, 0),
         eval_range=eval_range,
     )
 
@@ -499,7 +494,6 @@ def direct_sum(f: BraidFunctor, g: BraidFunctor) -> BraidFunctor:
         lambda n, i: f.gen_matrix(n, i).direct_sum(g.gen_matrix(n, i)),
         lambda n, n2: f.stab(n, n2).direct_sum(g.stab(n, n2)),
         split_rule=split,
-        neg_rule=lambda n, i: f.gen_matrix(n, -i).direct_sum(g.gen_matrix(n, -i)),
         eval_range=min(f.eval_range, g.eval_range),
     )
 
@@ -525,7 +519,6 @@ def tensor(f: BraidFunctor, g: BraidFunctor) -> BraidFunctor:
         lambda n, i: f.gen_matrix(n, i).kron(g.gen_matrix(n, i)),
         lambda n, n2: f.stab(n, n2).kron(g.stab(n, n2)),
         split_rule=split,
-        neg_rule=lambda n, i: f.gen_matrix(n, -i).kron(g.gen_matrix(n, -i)),
         eval_range=min(f.eval_range, g.eval_range),
     )
 
@@ -540,10 +533,9 @@ def scalar_twist(f: BraidFunctor, y: LaurentPoly) -> BraidFunctor:
     return BraidFunctor(
         f"{y}*({f.name})",
         f.dim,
-        lambda n, i: f.gen_matrix(n, i).scale(y),
+        lambda n, i: f.gen_matrix(n, i).scale(y if i > 0 else y_inv),
         f.stab,
         split_rule=f.split,
-        neg_rule=lambda n, i: f.gen_matrix(n, -i).scale(y_inv),
         eval_range=f.eval_range,
     )
 
@@ -551,8 +543,8 @@ def scalar_twist(f: BraidFunctor, y: LaurentPoly) -> BraidFunctor:
 def translate(f: BraidFunctor, k: int) -> BraidFunctor:
     """Precompose with juxtaposition by k: level n sees level k+n of f.
 
-    Generator s_i becomes f(s_{k+i}); the stabilization picks up the inverse
-    braiding routing the k fixed strands past the added ones.
+    Letter s_i^{±1} becomes f(s_{k+i}^{±1}); the stabilization picks up
+    the inverse braiding routing the k fixed strands past the added ones.
     """
     if k < 0:
         raise FunctorError("translation amount must be >= 0")
@@ -578,18 +570,22 @@ def translate(f: BraidFunctor, k: int) -> BraidFunctor:
     return BraidFunctor(
         f"tau({k};{f.name})",
         lambda n: f.dim(k + n),
-        lambda n, i: f.gen_matrix(k + n, k + i),
+        lambda n, i: f.gen_matrix(k + n, i + k if i > 0 else i - k),
         stab,
         split_rule=split,
-        neg_rule=lambda n, i: f.gen_matrix(k + n, -(k + i)),
         eval_range=f.eval_range - k,
     )
 
 
 def corrupted(f: BraidFunctor, n: int, i: int, r: int, c: int, delta: LaurentPoly) -> BraidFunctor:
-    """Negative control: add delta to one generator-matrix entry."""
+    """Negative control: add delta to one entry of letter i at level n.
+
+    The opposite letter -i at level n is the inverse of the bumped matrix,
+    the one place where a rule inverts at run time (it may be singular)."""
 
     def gen(level, idx):
+        if (level, idx) == (n, -i):
+            return gen(level, i).inverse()
         m = f.gen_matrix(level, idx)
         if (level, idx) == (n, i):
             bump = PolyMatrix(m.rows, m.cols, {(r, c): delta})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -224,9 +225,10 @@ class TestFunctorGrammar:
 
     def test_bad_arguments_are_usage_errors(self, capsys):
         for spec in ["atomic(x)", "atomic(-1)", "e(1.5)", "e(-1)", "tau(x; burau)",
-                     "tau(1; burau; tym)", "twist(t)", "lm(artin,pure-braid)"]:
+                     "tau(1; burau; tym)", "twist(t)", "lm(artin,pure-braid)", "burau(1/0)"]:
             assert main(["emit", "--functor", spec, "--n", "2"]) == 2, spec
         assert main(["check", "coherence", "--action", "wada1:x"]) == 2
+        assert main(["lm", "--base", "constant", "--pre", "1/0", "--n", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -265,6 +267,35 @@ class TestFunctorGrammar:
         assert main(["check", "functor", "--functor", "burau", "--N", "2"]) == 3
         err = capsys.readouterr().err
         assert "Traceback" in err and "internal bug" in err
+
+
+# Stdout digests at --seed 0.  Any change to a verdict, a count, a witness
+# or a matrix entry of these commands shows here; update a digest only for
+# an intended change of output, and record it in CHANGES.md.
+PINNED_STDOUT = [
+    (["check", "functor", "--functor", "burau"], 0,
+     "e0e6bf45e38468fef19e27db5d8ddb43fc2f299f15ac0d3a53a832809bf9f5eb"),
+    (["check", "functor", "--functor", "reduced-burau"], 0,
+     "657df047f0d13dc3f59cc19dfbe050dac49a526b0fc244f4e80479acf7fb0d01"),
+    (["check", "functor", "--functor", "lk"], 0,
+     "d63de482d2ee600ae32e7894a6ce3e1765e44d015126d7d5ceb46186648a258f"),
+    (["check", "functor", "--functor", "tensor(burau;tym)"], 0,
+     "aa10ea714146173b63d67f6cdc7eacedaee4b6d14729978bcb9ac4c9ab9ff90a"),
+    (["check", "functor", "--functor", "lm(artin,pure-braid;burau)"], 0,
+     "a2634b610b8bc77acd61d7d33e193fc1a0917af86e5b6f34cef427ad0fd20adb"),
+    (["emit", "--functor", "lm(artin,pure-braid,t,t^-1;constant)", "--n", "4"], 0,
+     "b2017840567aa89ea35b4f85e5c35a8286ba4728403cfb790708870056aa99c6"),
+    (["verify", "splitting", "--base", "burau", "--N", "4"], 0,
+     "3289a80c41df7ebb487972f41983f0d75fc6dd4c5833e805b155932d9d3be7a7"),
+    (["check", "natural", "--map", "burau-reversal", "--N", "6"], 0,
+     "222c2792aa553b7474d09fa0128d0c447922252250a99ef37c90c2540f5a34e2"),
+]
+
+
+def test_stdout_digests_are_pinned(capsys):
+    for argv, code, digest in PINNED_STDOUT:
+        got, out = run(capsys, *argv, "--seed", "0")
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -93,6 +93,11 @@ class TestGrammar:
         assert lp("2*t^-3*q") == LaurentPoly.monomial(2, -3, 1)
         assert lp("0") == ZERO
 
+    def test_zero_denominator_is_a_parse_error(self):
+        for text in ["1/0", "t + 3/0*q", "-2/-0"]:
+            with pytest.raises(LaurentError, match="zero denominator"):
+                parse_poly(text)
+
     def test_roundtrip_examples(self):
         for text in ["1 - t^2", "2*t^-3*q", "0", "-t + 1/2*q^-2", "3/4"]:
             assert format_poly(lp(text)) == format_poly(lp(format_poly(lp(text))))

@@ -18,6 +18,7 @@ from lmkit.braidcat import (
 )
 from lmkit.repfun import (
     WORD_MEMO_CAP,
+    BraidFunctor,
     FunctorError,
     NaturalMap,
     SplitData,
@@ -323,6 +324,47 @@ class TestCriterionOnLetters:
         with pytest.raises(LaurentError, match=re.escape(error)):
             bad.gen_matrix(2, -1)
         assert sum(m == bad.gen_matrix(2, 1) for m in inverted) == 1
+
+
+SIGNED_LETTER_SPECS = [
+    f"{family}({y})" for family in ("burau", "reduced-burau", "tym") for y in ("t", "t^2", "-1")
+] + [
+    "lk", "constant", "t1", "atomic(2)", "e(2)", "zero",
+    "sum(burau; lk)", "tensor(reduced-burau; tym(-1))",
+    "tau(1; reduced-burau(t^2))", "tau(2; burau)", "twist(t^-1; tym)",
+    "lm(artin,pure-braid; burau)", "lm(wada3,trivial,t,t^-1; reduced-burau)",
+]
+
+
+def assert_signed_letters_inverse(f, top=5):
+    """Reference: each negative letter is the inverse of the positive one,
+    computed by elimination."""
+    for n in range(2, min(top, f.eval_range) + 1):
+        for i in range(1, n):
+            assert f.gen_matrix(n, -i) == f.gen_matrix(n, i).inverse(), (f.name, n, i)
+
+
+class TestSignedLetterRules:
+    @pytest.mark.parametrize("spec", SIGNED_LETTER_SPECS)
+    def test_negative_letter_is_the_inverse(self, spec):
+        assert_signed_letters_inverse(parse_functor(spec))
+
+    def test_corrupted_unit_bump(self):
+        # s1 at level 3 gains t below its block; det stays -t, so the
+        # bumped letter and its stated inverse are both defined.
+        bad = corrupted(builtin("burau"), 3, 1, 2, 0, T)
+        assert bad.gen_matrix(3, 1) != builtin("burau").gen_matrix(3, 1)
+        assert_signed_letters_inverse(bad)
+
+    def test_wrong_inverse_letter_is_a_witness(self):
+        f = builtin("burau")
+        wrong = BraidFunctor(
+            "wrong-inverse", f.dim, lambda n, i: f.gen_matrix(n, 1 if i == -1 else i), f.stab
+        )
+        failures = check_functor(wrong, 4, 1).failures
+        assert failures[0] == {"kind": "inverse", "n": 2, "i": 1}
+        inverse = [w for w in failures if w["kind"] == "inverse"]
+        assert inverse == [{"kind": "inverse", "n": n, "i": 1} for n in (2, 3, 4)]
 
 
 class TestNatural:
