@@ -1,9 +1,19 @@
 """Free groups, their group rings, Fox calculus, and braid actions on them.
 
-Words live in a free group of explicit rank n with generators g1..gn and
-are kept freely reduced.  The augmentation ideal of the group ring is a
-free right module on the differences (gi - 1); fox_derivatives computes the
-coordinates of a word in that basis using the right-sided product rule
+Words live in a free group of explicit rank n with generators g1..gn.
+Every FreeWord is freely reduced (no zero exponent, no two adjacent
+syllables on one generator) and in range (every generator in 1..rank).
+The public constructor establishes both by reducing and checking its
+input.  The operations keep them without re-checking, through the private
+constructor _word: a product of two reduced words can only cancel where
+the factors meet, so __mul__ merges at the junction and stops at the
+first syllable that survives; an inverse reverses a reduced word; and an
+image under a map is the one reduction of its images' syllables, which are
+in the target's range.
+
+The augmentation ideal of the group ring is a free right module on the
+differences (gi - 1); fox_derivatives computes the coordinates of a word
+in that basis using the right-sided product rule
 
     d(uv) = d(u)·v + d(v),
 
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from .laurent import ONE, ZERO, LaurentPoly
 
 
@@ -59,11 +70,13 @@ class FreeWord:
 
     @staticmethod
     def identity(rank: int) -> "FreeWord":
-        return FreeWord(rank, ())
+        return _word(rank, ())
 
     @staticmethod
     def generator(rank: int, i: int, exp: int = 1) -> "FreeWord":
-        return FreeWord(rank, ((i, exp),))
+        if not 1 <= i <= rank:
+            raise FreeGroupError(f"generator g{i} outside rank {rank}")
+        return _word(rank, ((i, exp),) if exp else ())
 
     def is_identity(self) -> bool:
         return not self.syllables
@@ -71,10 +84,21 @@ class FreeWord:
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise FreeGroupError("rank mismatch in word product")
-        return FreeWord(self.rank, self.syllables + other.syllables)
+        left, right = self.syllables, other.syllables
+        if not right:
+            return self
+        if not left:
+            return other
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            gen, merged = right[j][0], left[i - 1][1] + right[j][1]
+            if merged:
+                return _word(self.rank, left[: i - 1] + ((gen, merged),) + right[j + 1 :])
+            i, j = i - 1, j + 1
+        return _word(self.rank, left[:i] + right[j:])
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple((g, -e) for g, e in reversed(self.syllables)))
+        return _word(self.rank, tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, k: int) -> "FreeWord":
         if k == 0:
@@ -96,6 +120,14 @@ class FreeWord:
 
     def __repr__(self):
         return f"FreeWord({self.rank}, {str(self)!r})"
+
+
+def _word(rank: int, syllables: tuple) -> FreeWord:
+    """A FreeWord from syllables that keep the module invariant as they are."""
+    word = object.__new__(FreeWord)
+    object.__setattr__(word, "rank", rank)
+    object.__setattr__(word, "syllables", syllables)
+    return word
 
 
 _WORD_SYLLABLE = re.compile(r"g(\d+)(?:\^(-?\d+))?")
@@ -312,7 +344,10 @@ def fox_derivative(w: FreeWord, i: int) -> GroupRingElement:
 
 
 class FreeGroupMap:
-    """A homomorphism F_source -> F_target given by generator images."""
+    """A homomorphism F_source -> F_target given by generator images.
+
+    Never mutated after construction (the images are a tuple of frozen
+    words), so the generator maps below are stored and shared."""
 
     __slots__ = ("source_rank", "target_rank", "images")
 
@@ -346,10 +381,13 @@ class FreeGroupMap:
     def apply_word(self, w: FreeWord) -> FreeWord:
         if w.rank != self.source_rank:
             raise FreeGroupError("rank mismatch in apply")
-        out = FreeWord.identity(self.target_rank)
+        out = []
         for gen, exp in w.syllables:
-            out = out * self.images[gen - 1] ** exp
-        return out
+            img = self.images[gen - 1].syllables
+            if exp < 0:
+                img = tuple((g, -e) for g, e in reversed(img))
+            out.extend(img * abs(exp))
+        return _word(self.target_rank, _reduce(out))
 
     def apply_ring(self, x: GroupRingElement) -> GroupRingElement:
         if x.rank != self.source_rank:
@@ -579,6 +617,7 @@ def _cartesian_shortest(candidates):
     yield from rec(0, [])
 
 
+@lru_cache(maxsize=1024)
 def artin_generator_map(n: int, gen: int) -> FreeGroupMap:
     """The classical action of a signed braid generator on F_n.
 
@@ -595,6 +634,7 @@ def artin_generator_map(n: int, gen: int) -> FreeGroupMap:
     return _pair_map(n, i, g1 * g2 * g1.inverse(), g1)
 
 
+@lru_cache(maxsize=1024)
 def wada_generator_map(n: int, gen: int, kind: int, m: int = 1) -> FreeGroupMap:
     """Action of a signed braid generator through the kind-k local pair."""
     i = abs(gen)

@@ -130,8 +130,10 @@ def wada_family(kind: int, m: int = 1) -> ActionFamily:
 def action_family(name: str) -> ActionFamily:
     if name == "artin":
         return artin_family()
-    match = re.fullmatch(r"wada(\d+)(?::(-?\d+))?", name)
+    match = re.fullmatch(r"wada([1-9]\d*)(?::(0|-?[1-9]\d*))?", name)
     if match:
+        if match[2] is not None and match[1] != "1":
+            raise CoherenceError(f"{name!r}: only wada1 takes a parameter")
         return wada_family(int(match[1]), int(match[2] or 1))
     raise CoherenceError(f"unknown action family {name!r}")
 

@@ -227,7 +227,8 @@ class TestFunctorGrammar:
         for spec in ["atomic(x)", "atomic(-1)", "e(1.5)", "e(-1)", "tau(x; burau)",
                      "tau(1; burau; tym)", "twist(t)", "lm(artin,pure-braid)", "burau(1/0)"]:
             assert main(["emit", "--functor", spec, "--n", "2"]) == 2, spec
-        assert main(["check", "coherence", "--action", "wada1:x"]) == 2
+        for action in ["wada1:x", "wada2:3", "wada01", "wada1:02"]:
+            assert main(["check", "coherence", "--action", action]) == 2, action
         assert main(["lm", "--base", "constant", "--pre", "1/0", "--n", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
@@ -289,6 +290,14 @@ PINNED_STDOUT = [
      "3289a80c41df7ebb487972f41983f0d75fc6dd4c5833e805b155932d9d3be7a7"),
     (["check", "natural", "--map", "burau-reversal", "--N", "6"], 0,
      "222c2792aa553b7474d09fa0128d0c447922252250a99ef37c90c2540f5a34e2"),
+    (["check", "coherence", "--N", "5", "--L", "4"], 0,
+     "02dbceb948d58196f1d34153c2e275dc3412328dc067fc02f79423f024c158e2"),
+    (["check", "coherence", "--action", "wada3", "--sigma", "pure-braid", "--N", "4", "--L", "3"], 1,
+     "383bcfa716150c07ec19ed883003636ffc3ead956654ff9f0f843ab651cf1e30"),
+    (["check", "coherence", "--action", "wada1:2", "--sigma", "pure-braid", "--N", "4", "--L", "2"], 1,
+     "35ee40ec438e2470898a223c498fa6bd07af78538dfacadf425991a440d20512"),
+    (["check", "reliability", "--N", "5", "--L", "4"], 0,
+     "3911523606d20ac60c6b0cc9b579db25b53e2c9e65c304a711fdfa374dee9166"),
 ]
 
 

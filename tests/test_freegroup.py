@@ -60,6 +60,86 @@ class TestWords:
         assert (word * FreeWord.identity(4)) == word
 
 
+def assert_reduced_in_range(word):
+    for gen, exp in word.syllables:
+        assert exp != 0 and 1 <= gen <= word.rank, word
+    for (a, _), (b, _) in zip(word.syllables, word.syllables[1:]):
+        assert a != b, word
+
+
+def reference_apply(phi, word):
+    # The product-of-powers loop, every step through the validating
+    # constructor, which reduces the whole word again.
+    out = FreeWord.identity(phi.target_rank)
+    for gen, exp in word.syllables:
+        img = phi.images[gen - 1].syllables
+        if exp < 0:
+            img = tuple((g, -e) for g, e in reversed(img))
+        power = FreeWord(phi.target_rank, img * abs(exp))
+        out = FreeWord(out.rank, out.syllables + power.syllables)
+    return out
+
+
+class TestKernel:
+    """The junction-only product and the one-pass apply_word against the
+    validating constructor, on seeded random reduced words."""
+
+    def junction_pairs(self, rng, rank):
+        u = random_word(rng, rank, 12)
+        tail = u.syllables[rng.randint(0, len(u.syllables)):]
+        cancel = FreeWord(rank, tuple((g, -e) for g, e in reversed(tail)))
+        yield u, random_word(rng, rank, 12)
+        yield u, u.inverse()
+        # Partial cancellation: v starts by undoing a suffix of u.
+        yield u, FreeWord(rank, cancel.syllables + random_word(rng, rank, 6).syllables)
+        if u.syllables:
+            # The last syllable merges without vanishing.
+            gen, exp = u.syllables[-1]
+            yield u, FreeWord(rank, ((gen, 1 - exp),) + random_word(rng, rank, 6).syllables)
+        yield u, FreeWord.identity(rank)
+        yield FreeWord.identity(rank), u
+
+    def test_product_matches_validated_path(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            rank = rng.randint(2, 5)
+            for u, v in self.junction_pairs(rng, rank):
+                product = u * v
+                assert product == FreeWord(rank, u.syllables + v.syllables), (u, v)
+                assert_reduced_in_range(product)
+        g = FreeWord.generator(3, 2)
+        assert g * FreeWord.identity(3) is g and FreeWord.identity(3) * g is g
+
+    def test_inverse_and_generator_keep_invariant(self):
+        rng = random.Random(14)
+        for _ in range(100):
+            u = random_word(rng, rng.randint(2, 5), 12)
+            assert_reduced_in_range(u.inverse())
+            assert u.inverse() == FreeWord(u.rank, tuple((g, -e) for g, e in reversed(u.syllables)))
+        assert FreeWord.generator(3, 2, 0) == FreeWord.identity(3)
+        for bad in (0, 4):
+            with pytest.raises(FreeGroupError):
+                FreeWord.generator(3, bad)
+
+    def test_apply_word_matches_power_loop(self):
+        rng = random.Random(15)
+        for n in range(2, 6):
+            maps = [artin_generator_map(n, s * i) for i in range(1, n) for s in (1, -1)]
+            maps += [
+                wada_generator_map(n, s * i, kind)
+                for kind in range(1, 8)
+                for i in range(1, n)
+                for s in (1, -1)
+            ]
+            maps.append(maps[0].compose(maps[-1]).compose(maps[len(maps) // 2]))
+            for phi in maps:
+                for _ in range(8):
+                    u = random_word(rng, n, 12)
+                    image = phi.apply_word(u)
+                    assert image == reference_apply(phi, u), (phi, u)
+                    assert_reduced_in_range(image)
+
+
 class TestFox:
     def test_conjugated_generator(self):
         # The worked expansion of g2^-1 g1 g2 - 1 over the free basis.
@@ -240,6 +320,23 @@ class TestWada:
             neg = wada_generator_map(2, -1, kind, m)
             assert pos.compose(neg).is_identity(), (kind, m)
             assert neg.compose(pos).is_identity(), (kind, m)
+
+    def test_generator_maps_are_stored(self):
+        assert artin_generator_map(4, -2) is artin_generator_map(4, -2)
+        assert wada_generator_map(4, 3, 7) is wada_generator_map(4, 3, 7)
+        assert wada_generator_map(3, 1, 1, -3) is wada_generator_map(3, 1, 1, -3)
+        for stored in (artin_generator_map, wada_generator_map):
+            assert stored.cache_info().maxsize is not None
+
+    def test_bad_letters_raise_on_every_call(self):
+        # Exceptions are not stored: a bad letter raises again each time.
+        for _ in range(2):
+            with pytest.raises(FreeGroupError):
+                artin_generator_map(3, 3)
+            with pytest.raises(FreeGroupError):
+                wada_generator_map(3, -3, 4)
+            with pytest.raises(FreeGroupError):
+                wada_generator_map(3, 1, 8)
 
     def test_reduced_words_order(self):
         assert list(reduced_words(1, 2)) == [(), (1,), (-1,), (1, 1), (-1, -1)]

@@ -448,7 +448,8 @@ class TestActionFamilies:
 
     def test_action_family_names(self):
         assert action_family("wada3").name == "wada3"
-        for bad in ("wada", "wadax", "wada1:x", "wada1:2:3", "burau"):
+        for bad in ("wada", "wadax", "wada1:x", "wada1:2:3", "burau", "wada2:3", "wada7:1",
+                    "wada01", "wada1:02", "wada1:-0"):
             with pytest.raises(CoherenceError):
                 action_family(bad)
 
