@@ -298,6 +298,16 @@ PINNED_STDOUT = [
      "35ee40ec438e2470898a223c498fa6bd07af78538dfacadf425991a440d20512"),
     (["check", "reliability", "--N", "5", "--L", "4"], 0,
      "3911523606d20ac60c6b0cc9b579db25b53e2c9e65c304a711fdfa374dee9166"),
+    (["degree", "--functor", "lk", "--N", "10"], 0,
+     "907e4a3d9ba6624a0c1804d433df25b87a0b27c08f83caa754e90d4ad63b5fbd"),
+    (["degree", "--functor", "atomic(2)", "--N", "6"], 0,
+     "c3c422a17828def1f6d363af3b30f7fc0b3ee50ec675a8e1bd1ecbc22c074611"),
+    (["degree", "--functor", "lm(artin,pure-braid;lm(artin,pure-braid;burau))", "--N", "6"], 0,
+     "d92b77126b37bfaf63a14cac567069c274fdc70a3ce5543c2cf3c362a10ce43d"),
+    (["verify", "degree", "--base", "tym", "--N", "5"], 0,
+     "2e50b86a2ffbc138045e72ef53173b89770842ef90fa5b238a3054576c5d5d59"),
+    (["verify", "splitting", "--base", "atomic(2)", "--N", "5"], 0,
+     "f6fd96e7600a4236e0b190fc300b8ce0d64a6e5c67d4cb2486b34565a7e5a91a"),
 ]
 
 
