@@ -49,6 +49,7 @@ from .longmoody import (
     check_inclusion_lemma,
     check_reliability,
     long_moody,
+    long_moody_power,
     standard_config,
 )
 from . import polyfun
@@ -246,6 +247,10 @@ def _named_natural_map(args):
     raise UsageError(f"unknown natural map {name!r}")
 
 
+def _reversal(n: int) -> PolyMatrix:
+    return PolyMatrix(n, n, {(i, n - 1 - i): ONE for i in range(n)})
+
+
 def _burau_reversal_map():
     """Components of the groupoid-level equivalence from the twisted image
     of the constant functor to the squared-parameter Burau family.
@@ -259,12 +264,11 @@ def _burau_reversal_map():
     target = repfun.burau_functor(t * t)
 
     def component(n):
-        reversal = PolyMatrix(n, n, {(i, n - 1 - i): ONE for i in range(n)})
         letters = []
         for k in range(1, n):
             letters.extend(range(k, 0, -1))
         half_twist = BraidWord(n, tuple(letters))
-        return target.word_matrix(half_twist).matmul(reversal)
+        return target.word_matrix(half_twist).matmul(_reversal(n))
 
     return NaturalMap(source, target, component, "burau-reversal"), source, target
 
@@ -272,9 +276,7 @@ def _burau_reversal_map():
 def cmd_lm(args) -> int:
     cfg = _config_from_args(args)
     functor = parse_functor(args.base)
-    for _ in range(args.iterations):
-        functor = long_moody(cfg, functor)
-    _emit(functor.to_json(args.n), args.format)
+    _emit(long_moody_power(cfg, functor, args.iterations).to_json(args.n), args.format)
     return 0
 
 
@@ -317,7 +319,7 @@ def _verify_burau_equivalence(args) -> int:
     failures = []
     checked = 0
     for n in range(2, args.N + 1):
-        reversal = PolyMatrix(n, n, {(i, n - 1 - i): ONE for i in range(n)})
+        reversal = _reversal(n)
         for i in range(1, n):
             checked += 1
             conj = reversal.matmul(source.gen_matrix(n, i)).matmul(reversal)

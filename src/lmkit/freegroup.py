@@ -334,10 +334,6 @@ def fox_derivatives(w: FreeWord) -> AugIdealElement:
     return AugIdealElement(rank, coords)
 
 
-def fox_derivative(w: FreeWord, i: int) -> GroupRingElement:
-    return fox_derivatives(w).coords[i - 1]
-
-
 # ---------------------------------------------------------------------------
 # Homomorphisms between free groups
 # ---------------------------------------------------------------------------
@@ -441,16 +437,6 @@ class FreeGroupMap:
 
     def is_identity(self) -> bool:
         return self == FreeGroupMap.identity(self.source_rank) and self.source_rank == self.target_rank
-
-
-def include_left(n: int, k: int) -> FreeGroupMap:
-    """F_n -> F_{k+n} sending gi to g(i+k): the last-copies identification."""
-    return FreeGroupMap(n, n + k, [FreeWord.generator(n + k, i + k) for i in range(1, n + 1)])
-
-
-def include_right(n: int, k: int) -> FreeGroupMap:
-    """F_n -> F_{n+k} sending gi to gi: the first-copies identification."""
-    return FreeGroupMap(n, n + k, [FreeWord.generator(n + k, i) for i in range(1, n + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -83,29 +83,42 @@ class SplitData:
         )
 
 
+def split_at_rows(incl: PolyMatrix, pivots: list[int], a_inv: PolyMatrix) -> SplitData:
+    """The split of incl fixed by its pivot rows P, given A^{-1} for A = incl[P].
+
+    The complement is the unit columns on the other rows M, in increasing
+    order.  Listing P before M makes [incl | complement] = [[A, 0], [B, I]]
+    with B = incl[M]; its unique inverse [[A^{-1}, 0], [-B A^{-1}, I]] stacks
+    the retraction over the coprojection, so only A needs eliminating.
+    """
+    pivot_set = set(pivots)
+    missing = [r for r in range(incl.rows) if r not in pivot_set]
+    retraction = {(c, pivots[i]): p for (c, i), p in a_inv.entries.items()}
+    lower = incl.submatrix(missing, range(incl.cols)).matmul(a_inv)
+    coprojection = {(i, pivots[j]): -p for (i, j), p in lower.entries.items()}
+    coprojection.update({(i, r): ONE for i, r in enumerate(missing)})
+    return SplitData(
+        PolyMatrix(incl.cols, incl.rows, retraction),
+        PolyMatrix(incl.rows, len(missing), {(r, i): ONE for i, r in enumerate(missing)}),
+        PolyMatrix(len(missing), incl.rows, coprojection),
+    )
+
+
 def partial_permutation_split(incl: PolyMatrix) -> SplitData | None:
-    """Split a column monomial matrix: one unit entry per column, distinct rows."""
-    rows_used = {}
-    for c in range(incl.cols):
-        col = [(r, p) for (r, cc), p in incl.entries.items() if cc == c]
-        if len(col) != 1 or not col[0][1].is_unit():
+    """Split a column monomial matrix: one unit entry per column, distinct
+    rows.  Its pivot block is monomial too, so A^{-1} is read off from the
+    entries' unit inverses, with no elimination."""
+    placed = {}
+    for (r, c), p in incl.entries.items():
+        if c in placed or not p.is_unit():
             return None
-        r, p = col[0]
-        if r in rows_used:
-            return None
-        rows_used[r] = (c, p)
-    retr = {}
-    for r, (c, p) in rows_used.items():
-        retr[(c, r)] = p.unit_inverse()
-    retraction = PolyMatrix(incl.cols, incl.rows, retr)
-    missing = [r for r in range(incl.rows) if r not in rows_used]
-    complement = PolyMatrix(
-        incl.rows, len(missing), {(r, i): ONE for i, r in enumerate(missing)}
-    )
-    coprojection = PolyMatrix(
-        len(missing), incl.rows, {(i, r): ONE for i, r in enumerate(missing)}
-    )
-    return SplitData(retraction, complement, coprojection)
+        placed[c] = (r, p)
+    pivots = sorted({r for r, _ in placed.values()})
+    if len(pivots) != incl.cols:
+        return None
+    index = {r: i for i, r in enumerate(pivots)}
+    a_inv = {(c, index[r]): p.unit_inverse() for c, (r, p) in placed.items()}
+    return split_at_rows(incl, pivots, PolyMatrix(incl.cols, incl.cols, a_inv))
 
 
 # Word matrices memoized per functor; the checks evaluate letters, routers
@@ -389,7 +402,8 @@ def lk_functor(eval_range: int = 14) -> BraidFunctor:
 
 
 def atomic_functor(k: int, eval_range: int = 24) -> BraidFunctor:
-    """Supported at the single level k, identity there, zero elsewhere."""
+    """Supported at the single level k, identity there, zero elsewhere; the
+    zero map out of level k is the one stabilization with no split."""
     if k < 0:
         raise FunctorError(f"atomic({k}): the level must be nonnegative")
 
@@ -399,27 +413,11 @@ def atomic_functor(k: int, eval_range: int = 24) -> BraidFunctor:
     def stab(n, n2):
         return PolyMatrix.zeros(dim(n2), dim(n))
 
-    def split(n, n2):
-        if n == n2:
-            return SplitData(
-                PolyMatrix.identity(dim(n)),
-                PolyMatrix.zeros(dim(n), 0),
-                PolyMatrix.zeros(0, dim(n)),
-            )
-        # The inclusion is the zero map; the whole target is the cokernel.
-        d2 = dim(n2)
-        return SplitData(
-            PolyMatrix.zeros(dim(n), d2),
-            PolyMatrix.identity(d2),
-            PolyMatrix.identity(d2),
-        ) if dim(n) == 0 else None
-
     return BraidFunctor(
         f"atomic({k})",
         dim,
         lambda n, i: PolyMatrix.identity(dim(n)),
         stab,
-        split_rule=split,
         eval_range=eval_range,
     )
 

@@ -2,12 +2,13 @@ from collections import Counter
 
 import pytest
 
-from lmkit import polyfun
-from lmkit.laurent import ONE, PolyMatrix, T
+from lmkit import laurent, polyfun
+from lmkit.laurent import ONE, PolyMatrix, T, seeded_points
 from lmkit.braidcat import BraidWord, braiding
 from lmkit.repfun import (
     BraidFunctor,
     NaturalMap,
+    SplitData,
     atomic_functor,
     builtin,
     burau_functor,
@@ -17,6 +18,7 @@ from lmkit.repfun import (
     lk_functor,
     power_functor,
     reduced_burau_functor,
+    split_at_rows,
     t1_functor,
     translate,
     tym_functor,
@@ -49,6 +51,22 @@ def non_split_functor():
     )
 
 
+def conjugated_burau():
+    """Burau with the stabilization 2 -> 3 composed with s2, so it is no
+    longer monomial, the declared coordinate split no longer applies there
+    and the evaluation search must run.  (Composing with s1 keeps it
+    monomial.)"""
+    f = burau_functor()
+    q = f.gen_matrix(3, 2)
+    return BraidFunctor(
+        "conjugated",
+        f.dim,
+        f.gen_matrix,
+        lambda n, n2: q.matmul(f.stab(n, n2)) if (n, n2) == (2, 3) else f.stab(n, n2),
+        eval_range=8,
+    )
+
+
 class TestResolution:
     def test_coordinate_split(self):
         f = tym_functor()
@@ -74,20 +92,7 @@ class TestResolution:
         assert res.kind == "split" and res.coker_dim == 0
 
     def test_search_certifies_non_coordinate_complement(self):
-        # Conjugate the standard stabilization so the declared coordinate
-        # split no longer applies and the evaluation search must run.
-        f = burau_functor()
-        q = f.gen_matrix(3, 1)
-
-        conjugated = BraidFunctor(
-            "conjugated",
-            f.dim,
-            f.gen_matrix,
-            lambda n, n2: (
-                q.matmul(f.stab(n, n2)) if (n, n2) == (2, 3) else f.stab(n, n2)
-            ),
-            eval_range=8,
-        )
+        conjugated = conjugated_burau()
         res = resolve_inclusion(conjugated, 2)
         assert res.kind == "split"
         assert res.data.certify(conjugated.stab(2, 3))
@@ -95,6 +100,77 @@ class TestResolution:
     def test_uncertified_raises(self):
         with pytest.raises(SplitCertificationError):
             resolve_inclusion(non_split_functor(), 2)
+
+
+def reference_split(incl, pivots):
+    """The split as the search built it before split_at_rows: the row blocks
+    of the inverse of the whole square [incl | complement]."""
+    d_src, d_tgt = incl.cols, incl.rows
+    missing = [r for r in range(d_tgt) if r not in set(pivots)]
+    complement = PolyMatrix(d_tgt, len(missing), {(r, i): ONE for i, r in enumerate(missing)})
+    inverse = incl.hstack(complement).inverse()
+    return SplitData(
+        inverse.submatrix(range(d_src), range(d_tgt)),
+        complement,
+        inverse.submatrix(range(d_src, d_tgt), range(d_tgt)),
+    )
+
+
+def searched_levels(f, levels, seed=0):
+    """(level, inclusion, pivot rows) for each level where resolve_inclusion
+    reaches the complement search, with the pivots of its first full-rank
+    point."""
+    out = []
+    for n in levels:
+        incl = f.stab(n, n + 1)
+        declared = f.split(n, n + 1)
+        if incl.cols == 0 or incl.is_zero() or (declared and declared.certify(incl)):
+            continue
+        for point in seeded_points(polyfun._PIVOT_POINTS, seed):
+            pivots = incl.pivot_rows_at(point)
+            if len(pivots) == incl.cols:
+                out.append((n, incl, pivots))
+                break
+    return out
+
+
+@pytest.fixture(scope="module")
+def l2_difference():
+    """The first difference of L2 = LM(LM(burau)) as degree --N 6 builds it."""
+    l2 = long_moody_power(standard_config(), burau_functor(), 2)
+    return difference(l2, 5)
+
+
+class TestSplitBuilder:
+    def check_against_reference(self, f, levels):
+        found = searched_levels(f, levels)
+        for n, incl, pivots in found:
+            a_inv = incl.submatrix(pivots, range(incl.cols)).inverse()
+            built = split_at_rows(incl, pivots, a_inv)
+            assert built == reference_split(incl, pivots), n
+            assert resolve_inclusion(f, n).data == built, n
+        return [n for n, _, _ in found]
+
+    def test_conjugated_inclusion_matches_full_square_inverse(self):
+        assert self.check_against_reference(conjugated_burau(), range(4)) == [2]
+
+    def test_l2_difference_matches_full_square_inverse(self, l2_difference):
+        assert self.check_against_reference(l2_difference, range(5))
+
+    def test_search_eliminates_no_block_beyond_the_source(self, l2_difference, monkeypatch):
+        incl = l2_difference.stab(4, 5)
+        sizes = []
+        montante = laurent._montante_inverse
+
+        def recording(a):
+            sizes.append(a.rows)
+            return montante(a)
+
+        monkeypatch.setattr(laurent, "_montante_inverse", recording)
+        res = resolve_inclusion(l2_difference, 4)
+        assert res.kind == "split" and res.data.certify(incl)
+        # The full square [incl | complement] would be incl.rows (126) wide.
+        assert sizes and max(sizes) <= incl.cols < incl.rows
 
 
 class TestInclusionCache:

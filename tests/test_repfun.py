@@ -22,6 +22,7 @@ from lmkit.repfun import (
     FunctorError,
     NaturalMap,
     SplitData,
+    atomic_functor,
     builtin,
     check_functor,
     check_natural,
@@ -29,7 +30,9 @@ from lmkit.repfun import (
     corrupted,
     direct_sum,
     group_ring_matrix,
+    partial_permutation_split,
     scalar_twist,
+    split_at_rows,
     tensor,
     translate,
 )
@@ -459,6 +462,14 @@ class TestSplitData:
         assert sd.certify(incl)
         assert not short.certify(incl)
 
+    def test_split_at_rows_of_a_monomial_block(self):
+        # Rows 1 and 3 carry the pivots; row 0 and row 2 are the complement.
+        incl = PolyMatrix.from_rows([[1 + T, Q], [0, T], [2, 0], [1, 0]])
+        a_inv = PolyMatrix.from_rows([[0, 1], [T.unit_inverse(), 0]])
+        sd = split_at_rows(incl, [1, 3], a_inv)
+        assert sd.certify(incl)
+        assert sd.complement == PolyMatrix.from_rows([[1, 0], [0, 0], [0, 1], [0, 0]])
+
     def test_stab_full_column_rank_at_points(self):
         points = seeded_points(2, 3)
         for name, kw in ALL_BUILTINS[:6]:
@@ -527,3 +538,78 @@ def test_word_memo_is_capped_and_drops_the_oldest():
     assert (3, oldest.letters) not in f._words
     assert f.word_matrix(oldest) == f.gen_matrix(3, oldest.letters[0])
     assert len(f._words) == WORD_MEMO_CAP
+
+
+def reference_partial_permutation_split(incl):
+    """The per-column construction that split_at_rows replaced."""
+    rows_used = {}
+    for c in range(incl.cols):
+        col = [(r, p) for (r, cc), p in incl.entries.items() if cc == c]
+        if len(col) != 1 or not col[0][1].is_unit():
+            return None
+        r, p = col[0]
+        if r in rows_used:
+            return None
+        rows_used[r] = (c, p)
+    retr = {(c, r): p.unit_inverse() for r, (c, p) in rows_used.items()}
+    missing = [r for r in range(incl.rows) if r not in rows_used]
+    return SplitData(
+        PolyMatrix(incl.cols, incl.rows, retr),
+        PolyMatrix(incl.rows, len(missing), {(r, i): ONE for i, r in enumerate(missing)}),
+        PolyMatrix(len(missing), incl.rows, {(i, r): ONE for i, r in enumerate(missing)}),
+    )
+
+
+def reference_atomic_split(k, n, n2):
+    """The split rule atomic_functor declared before the default covered it."""
+
+    def dim(m):
+        return 1 if m == k else 0
+
+    if n == n2:
+        return SplitData(
+            PolyMatrix.identity(dim(n)),
+            PolyMatrix.zeros(dim(n), 0),
+            PolyMatrix.zeros(0, dim(n)),
+        )
+    # The inclusion is the zero map; the whole target is the cokernel.
+    d2 = dim(n2)
+    return SplitData(
+        PolyMatrix.zeros(dim(n), d2),
+        PolyMatrix.identity(d2),
+        PolyMatrix.identity(d2),
+    ) if dim(n) == 0 else None
+
+
+class TestSplitBuilder:
+    UNITS = [ONE, T, -(Q * Q), T.unit_inverse() * Q, -ONE]
+
+    def test_partial_permutation_split_matches_reference(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            rows = rng.randint(0, 7)
+            cols = rng.randint(0, rows)
+            placed = rng.sample(range(rows), cols)
+            entries = {(r, c): rng.choice(self.UNITS) for c, r in enumerate(placed)}
+            incl = PolyMatrix(rows, cols, entries)
+            got = partial_permutation_split(incl)
+            assert got == reference_partial_permutation_split(incl)
+            assert got.certify(incl)
+
+    def test_partial_permutation_split_refusals_match_reference(self):
+        for rows in (
+            [[T, 0], [0, 1 + T], [0, 0]],  # a non-unit entry
+            [[T, 0], [Q, 0], [0, 1]],  # two entries in one column
+            [[T, 1], [0, 0], [0, 0]],  # two columns on one row
+            [[T, 0], [0, 0], [0, 0]],  # an empty column
+        ):
+            incl = PolyMatrix.from_rows(rows)
+            assert reference_partial_permutation_split(incl) is None
+            assert partial_permutation_split(incl) is None
+
+    def test_atomic_default_split_matches_the_deleted_rule(self):
+        for k in range(4):
+            f = atomic_functor(k)
+            for n2 in range(7):
+                for n in range(n2 + 1):
+                    assert f.split(n, n2) == reference_atomic_split(k, n, n2), (k, n, n2)
