@@ -308,6 +308,14 @@ PINNED_STDOUT = [
      "2e50b86a2ffbc138045e72ef53173b89770842ef90fa5b238a3054576c5d5d59"),
     (["verify", "splitting", "--base", "atomic(2)", "--N", "5"], 0,
      "f6fd96e7600a4236e0b190fc300b8ce0d64a6e5c67d4cb2486b34565a7e5a91a"),
+    (["verify", "splitting", "--base", "lk", "--N", "4"], 0,
+     "3a73fd5557c06cb3cdd0f66da90afcbc7469ad3583a786462ce457fe0e0d666d"),
+    (["verify", "splitting", "--base", "tym", "--N", "6"], 0,
+     "97321131f4b9ce258c0950578bef8abaf8767d164acb119d62a3d419a0fe26bd"),
+    (["verify", "factorization", "--base", "burau", "--N", "4"], 0,
+     "2abeaa38a5c1fa26687cfc91d5f322f1031091241d1f0b0aff7a571511f8ad29"),
+    (["verify", "xi-lemma", "--base", "burau", "--N", "4"], 0,
+     "aa9cc426b29b29da97f838625f885da3df9f2ff4bf79202eea34420e63ab0ba8"),
 ]
 
 
