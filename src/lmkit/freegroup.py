@@ -22,10 +22,11 @@ with coefficients on the right.  (The classical left-sided convention
 differs; everything downstream depends on this choice.)
 
 Braid generators act through local pairs (W, V) on adjacent generators:
-the Artin action and the seven classified kinds (Wada 1992).  A negative
-letter acts through the inverse pair, read from a stored table (kind 1 has
-a closed form at every parameter), not searched for at run time; see
-_WADA_TABLE for where the entries came from and how they are certified.
+the seven classified kinds (Wada 1992), of which kind 1 at m = 1 is the
+Artin action.  A negative letter acts through the inverse pair, read from
+a stored table (kind 1 has a closed form at every parameter), not searched
+for at run time; see _WADA_TABLE for where the entries came from and how
+they are certified.
 """
 
 from __future__ import annotations
@@ -499,6 +500,7 @@ _WADA_TABLE = {
 }
 
 
+@lru_cache(maxsize=64)
 def _wada_pairs(kind: int, m: int) -> tuple[WadaPair, WadaPair]:
     """The kind-k local pair and the pair of its inverse automorphism."""
     if kind == 1:
@@ -603,21 +605,14 @@ def _cartesian_shortest(candidates):
     yield from rec(0, [])
 
 
-@lru_cache(maxsize=1024)
 def artin_generator_map(n: int, gen: int) -> FreeGroupMap:
-    """The classical action of a signed braid generator on F_n.
+    """The classical action of a signed braid generator on F_n,
 
-    Positive si:  gi -> g(i+1),  g(i+1) -> g(i+1)^-1 gi g(i+1),  else fixed.
-    Negative letters return the exact inverse map.
+        si:  gi -> g(i+1),  g(i+1) -> g(i+1)^-1 gi g(i+1),  else fixed,
+
+    which is the kind-1 Wada pair at m = 1, so it is read from that table.
     """
-    i = abs(gen)
-    if not 1 <= i <= n - 1:
-        raise FreeGroupError(f"generator s{gen} outside braid group on {n} strands")
-    g1 = FreeWord.generator(2, 1)
-    g2 = FreeWord.generator(2, 2)
-    if gen > 0:
-        return _pair_map(n, i, g2, g2.inverse() * g1 * g2)
-    return _pair_map(n, i, g1 * g2 * g1.inverse(), g1)
+    return wada_generator_map(n, gen, 1)
 
 
 @lru_cache(maxsize=1024)

@@ -21,6 +21,10 @@ returning the other factor unchanged, and a product entry with a single
 contribution stores that polynomial itself.  Identity, permutation and
 0/1 selection blocks (stabilizations, splittings, routers) therefore cost
 no ring multiplication.
+
+One fraction-free elimination, _montante, yields determinants and
+inverses, and one completion, complete_inverse, extends the inverse of a
+pivot block to PolyMatrix.inverse and to every certified split.
 """
 
 from __future__ import annotations
@@ -417,12 +421,12 @@ def format_poly(p: LaurentPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exact division (used by the fraction-free elimination routines)
+# Exact division (the divisions of the Montante elimination)
 # ---------------------------------------------------------------------------
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact quotient num/den in the Laurent ring.
+    """Exact quotient num/den in the Laurent ring, as _montante divides.
 
     Raises LaurentError if den does not divide num.  Division is reduced to
     ordinary-polynomial long division by the leading monomial in lex order;
@@ -655,44 +659,33 @@ class PolyMatrix:
         Proof: list C before the other columns R, permuting rows and
         columns alike (no sign change).  Each column in R is a unit vector,
         so M = [[A, 0], [B, I]] with A = M[C,C], B = M[R,C], which is block
-        lower triangular.  A is reduced by fraction-free (Bareiss)
-        elimination; when C is every column, that is all of M.
+        lower triangular.  det A is the last pivot of the Montante
+        elimination of A; when C is every column, A is M.
         """
         if self.rows != self.cols:
             raise LaurentError("determinant of a non-square matrix")
         moved = self._moved_columns()
-        return _bareiss_det(self.submatrix(moved, moved))
+        return _montante(self.submatrix(moved, moved).to_rows(), len(moved))
 
     def inverse(self) -> "PolyMatrix":
         """Inverse over the ring; exists iff det is a unit.
 
-        With the support C and M = [[A, 0], [B, I]] as in det(),
-
-            M^{-1} = [[A^{-1}, 0], [-B A^{-1}, I]],
-
-        as multiplying out M * M^{-1} = I shows; this is the Woodbury
-        identity M^{-1} = I - E[:,C] A^{-1} P_C^T for E = M - I.  So only A
-        is eliminated, by fraction-free complete (Montante) elimination.
+        Only the block A = M[C,C] over the support C is eliminated: the
+        columns outside C are the unit columns on the rows outside C, so
+        complete_inverse(M[:,C], C, A^{-1}) gives the rows of M^{-1}.
         Since det M = det A, M is singular or has a non-unit determinant
-        exactly when A does, and the error names that determinant.  When C
-        is every column, A is M.
+        exactly when A does, and the error names that determinant.
         """
         if self.rows != self.cols:
             raise LaurentError("inverse of a non-square matrix")
         moved = self._moved_columns()
         block_inv = _montante_inverse(self.submatrix(moved, moved))
-        entries = {(moved[i], moved[j]): p for (i, j), p in block_inv.entries.items()}
-        in_block = set(moved)
-        fixed = [r for r in range(self.rows) if r not in in_block]
-        lower = _product(self.submatrix(fixed, moved), block_inv)
-        for (i, j), p in lower.entries.items():
-            entries[(fixed[i], moved[j])] = -p
-        for r in fixed:
-            entries[(r, r)] = ONE
-        out = PolyMatrix.__new__(PolyMatrix)
-        out.rows = out.cols = self.rows
-        out.entries = entries
-        return out
+        top, bottom, fixed = complete_inverse(
+            self.submatrix(range(self.rows), moved), moved, block_inv
+        )
+        entries = {(moved[i], c): p for (i, c), p in top.entries.items()}
+        entries.update(((fixed[i], c), p) for (i, c), p in bottom.entries.items())
+        return PolyMatrix(self.rows, self.rows, entries)
 
     # -- numeric evaluation ---------------------------------------------
 
@@ -738,7 +731,7 @@ class PolyMatrix:
 
 def _product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """The matrix product a * b; the caller has checked the shapes.  Kept
-    apart from PolyMatrix.matmul so that the product inside inverse() is
+    apart from PolyMatrix.matmul so that the product in complete_inverse is
     not one of the matmul calls that perfbench's per-layer trace counts.
 
     An entry's first contribution is stored as it is, with no addition; it
@@ -767,69 +760,50 @@ def _product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return out
 
 
-def _bareiss_det(a: PolyMatrix) -> LaurentPoly:
-    """Determinant of a square matrix by fraction-free (Bareiss) elimination.
+def complete_inverse(cols: PolyMatrix, pivots: list[int], a_inv: PolyMatrix):
+    """The inverse of S = [cols | the unit columns on the rows M not in
+    pivots], given A^{-1} for the pivot block A = cols[pivots].
 
-    Entries are ordinary polynomials after factoring a monomial out of
-    each row, so every division performed is exact by the Bareiss
-    invariant; the extracted monomials are multiplied back at the end.
+    Returns the row blocks (top, bottom) of S^{-1} and M, in increasing
+    order: top is A^{-1} placed in the pivot columns, and bottom is I on M
+    and -cols[M] A^{-1} on the pivots.  Proof: list the pivot rows P before
+    M.  Then S = [[A, 0], [B, I]] with B = cols[M], and multiplying out
+    shows that its unique inverse is [[A^{-1}, 0], [-B A^{-1}, I]].  So only
+    A is ever eliminated, and det S = ±det A.  When B has no entries, as
+    for a monomial inclusion, no product is formed.
     """
-    n = a.rows
-    if n == 0:
-        return ONE
-    m = a.to_rows()
-    monomial_factor = ONE
-    for r in range(n):
-        bounds = [p.exponent_bounds() for p in m[r] if not p.is_zero()]
-        if not bounds:
-            return ZERO
-        sa = min(b[0][0] for b in bounds)
-        sb = min(b[0][1] for b in bounds)
-        if sa or sb:
-            shift = LaurentPoly.monomial(1, -sa, -sb)
-            m[r] = [p * shift for p in m[r]]
-            monomial_factor = monomial_factor * LaurentPoly.monomial(1, sa, sb)
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if m[i][k].terms), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        p = m[k][k]
-        for i in range(k + 1, n):
-            coef = m[i][k]
-            for j in range(k + 1, n):
-                num = p * m[i][j]
-                if coef.terms:
-                    num = num - coef * m[k][j]
-                m[i][j] = exact_div(num, prev)
-            m[i][k] = ZERO
-        prev = p
-    d = m[n - 1][n - 1] * monomial_factor
-    return d if sign == 1 else -d
+    pivot_set = set(pivots)
+    missing = [r for r in range(cols.rows) if r not in pivot_set]
+    top = {(i, pivots[j]): p for (i, j), p in a_inv.entries.items()}
+    bottom = {(i, r): ONE for i, r in enumerate(missing)}
+    lower = cols.submatrix(missing, range(cols.cols))
+    if lower.entries:
+        for (i, j), p in _product(lower, a_inv).entries.items():
+            bottom[(i, pivots[j])] = -p
+    return (
+        PolyMatrix(a_inv.rows, cols.rows, top),
+        PolyMatrix(len(missing), cols.rows, bottom),
+        missing,
+    )
 
 
-def _montante_inverse(a: PolyMatrix) -> PolyMatrix:
-    """Inverse of a square matrix by fraction-free complete (Montante)
-    elimination on [A | I].
+def _montante(m: list[list[LaurentPoly]], n: int) -> LaurentPoly:
+    """Fraction-free complete (Montante) elimination of the first n columns
+    of the rows m, in place; returns the signed last pivot, or ZERO when a
+    column has no pivot.
 
-    The elimination produces det(A)·A^{-1} with all divisions exact, then
-    divides by the determinant, which must be a unit of the ring.
+    Each step clears a pivot column in every other row, dividing exactly
+    by the previous pivot.  By Sylvester's identity the pivot of step k is
+    the leading (k+1)-minor of the row-swapped matrix, so the signed last
+    pivot is det m[:, :n]; at the end every diagonal entry is the last
+    pivot d, and the columns past n hold d times their solution.
     """
-    n = a.rows
-    if n == 0:
-        return a
-    width = 2 * n
-    m = [row + [ONE if r == c else ZERO for c in range(n)] for r, row in enumerate(a.to_rows())]
     sign = 1
     prev = ONE
     for k in range(n):
         pivot_row = next((i for i in range(k, n) if m[i][k].terms), None)
         if pivot_row is None:
-            raise LaurentError("matrix is singular")
+            return ZERO
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
@@ -838,7 +812,7 @@ def _montante_inverse(a: PolyMatrix) -> PolyMatrix:
             if i == k:
                 continue
             coef = m[i][k]
-            for j in range(width):
+            for j in range(len(m[k])):
                 if j == k:
                     continue
                 num = p * m[i][j]
@@ -847,10 +821,22 @@ def _montante_inverse(a: PolyMatrix) -> PolyMatrix:
                 m[i][j] = exact_div(num, prev) if num.terms else ZERO
             m[i][k] = ZERO
         prev = p
-    d = m[n - 1][n - 1]
-    if not d.is_unit():
-        det = d if sign == 1 else -d
+    return prev if sign == 1 else -prev
+
+
+def _montante_inverse(a: PolyMatrix) -> PolyMatrix:
+    """Inverse of a square matrix: _montante on [A | I] leaves det(A)·A^{-1}
+    in the right half, which is divided by the determinant, a unit."""
+    n = a.rows
+    if n == 0:
+        return a
+    m = [row + [ONE if r == c else ZERO for c in range(n)] for r, row in enumerate(a.to_rows())]
+    det = _montante(m, n)
+    if not det:
+        raise LaurentError("matrix is singular")
+    if not det.is_unit():
         raise LaurentError(f"determinant {det} is not a unit; no inverse over the ring")
+    d = m[n - 1][n - 1]
     d_inv = d.unit_inverse()
     entries = {}
     for r in range(n):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .laurent import LaurentError, LaurentPoly, PolyMatrix, ONE, ZERO
+from .laurent import LaurentError, LaurentPoly, PolyMatrix, ONE, ZERO, complete_inverse
 from .laurent import T as VAR_T, Q as VAR_Q
 from .freegroup import GroupRingElement
 from .braidcat import (
@@ -87,20 +87,13 @@ def split_at_rows(incl: PolyMatrix, pivots: list[int], a_inv: PolyMatrix) -> Spl
     """The split of incl fixed by its pivot rows P, given A^{-1} for A = incl[P].
 
     The complement is the unit columns on the other rows M, in increasing
-    order.  Listing P before M makes [incl | complement] = [[A, 0], [B, I]]
-    with B = incl[M]; its unique inverse [[A^{-1}, 0], [-B A^{-1}, I]] stacks
-    the retraction over the coprojection, so only A needs eliminating.
+    order, so the retraction over the coprojection is the inverse of
+    [incl | complement] that laurent.complete_inverse builds.
     """
-    pivot_set = set(pivots)
-    missing = [r for r in range(incl.rows) if r not in pivot_set]
-    retraction = {(c, pivots[i]): p for (c, i), p in a_inv.entries.items()}
-    lower = incl.submatrix(missing, range(incl.cols)).matmul(a_inv)
-    coprojection = {(i, pivots[j]): -p for (i, j), p in lower.entries.items()}
-    coprojection.update({(i, r): ONE for i, r in enumerate(missing)})
+    retraction, coprojection, missing = complete_inverse(incl, pivots, a_inv)
+    complement = {(r, i): ONE for i, r in enumerate(missing)}
     return SplitData(
-        PolyMatrix(incl.cols, incl.rows, retraction),
-        PolyMatrix(incl.rows, len(missing), {(r, i): ONE for i, r in enumerate(missing)}),
-        PolyMatrix(len(missing), incl.rows, coprojection),
+        retraction, PolyMatrix(incl.rows, len(missing), complement), coprojection
     )
 
 
@@ -282,17 +275,17 @@ def _block_gen(dim: int, offset: int, block: PolyMatrix) -> PolyMatrix:
     return PolyMatrix.identity(offset).direct_sum(block).direct_sum(rest)
 
 
-def constant_functor(eval_range: int = 24) -> BraidFunctor:
+def constant_functor() -> BraidFunctor:
     return BraidFunctor(
         "constant",
         lambda n: 1,
         lambda n, i: PolyMatrix.identity(1),
         _last_coords_stab(lambda n: 1),
-        eval_range=eval_range,
+        eval_range=24,
     )
 
 
-def burau_functor(param: LaurentPoly = VAR_T, eval_range: int = 16) -> BraidFunctor:
+def burau_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
     """Unreduced Burau at an invertible parameter.
 
     The classical 2x2 display [[1-y, y], [1, 0]] is written for row vectors;
@@ -311,11 +304,11 @@ def burau_functor(param: LaurentPoly = VAR_T, eval_range: int = 16) -> BraidFunc
 
     name = "burau" if y == VAR_T else f"burau({y})"
     return BraidFunctor(
-        name, lambda n: n, gen, _last_coords_stab(lambda n: n), eval_range=eval_range
+        name, lambda n: n, gen, _last_coords_stab(lambda n: n), eval_range=16
     )
 
 
-def tym_functor(param: LaurentPoly = VAR_T, eval_range: int = 16) -> BraidFunctor:
+def tym_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
     """The other irreducible 2x2-block family: blocks [[0, y], [1, 0]]."""
     if not param.is_unit():
         raise FunctorError("parameter must be a unit")
@@ -328,7 +321,7 @@ def tym_functor(param: LaurentPoly = VAR_T, eval_range: int = 16) -> BraidFuncto
 
     name = "tym" if y == VAR_T else f"tym({y})"
     return BraidFunctor(
-        name, lambda n: n, gen, _last_coords_stab(lambda n: n), eval_range=eval_range
+        name, lambda n: n, gen, _last_coords_stab(lambda n: n), eval_range=16
     )
 
 
@@ -336,9 +329,7 @@ def _redbur_dim(n: int) -> int:
     return max(n - 1, 0)
 
 
-def reduced_burau_functor(
-    param: LaurentPoly = VAR_T, eval_range: int = 16
-) -> BraidFunctor:
+def reduced_burau_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
     """Reduced Burau; stored blocks are transposes of the usual displays.
 
     Each block moves one row, [y, -y, 1] for s_i; the blocks of s_i^-1 are
@@ -373,11 +364,11 @@ def reduced_burau_functor(
 
     name = "reduced-burau" if y == VAR_T else f"reduced-burau({y})"
     return BraidFunctor(
-        name, _redbur_dim, gen, _last_coords_stab(_redbur_dim), eval_range=eval_range
+        name, _redbur_dim, gen, _last_coords_stab(_redbur_dim), eval_range=16
     )
 
 
-def lk_functor(eval_range: int = 14) -> BraidFunctor:
+def lk_functor() -> BraidFunctor:
     """The two-variable family on the rank-one summands v_{j,k}, j < k,
     ordered lexicographically; generator action of both signs given
     columnwise by the table in braidcat, so no letter is inverted here."""
@@ -398,10 +389,10 @@ def lk_functor(eval_range: int = 14) -> BraidFunctor:
         }
         return PolyMatrix(dim(n2), dim(n), entries)
 
-    return BraidFunctor("lk", dim, gen, stab, eval_range=eval_range)
+    return BraidFunctor("lk", dim, gen, stab, eval_range=14)
 
 
-def atomic_functor(k: int, eval_range: int = 24) -> BraidFunctor:
+def atomic_functor(k: int) -> BraidFunctor:
     """Supported at the single level k, identity there, zero elsewhere; the
     zero map out of level k is the one stabilization with no split."""
     if k < 0:
@@ -418,11 +409,11 @@ def atomic_functor(k: int, eval_range: int = 24) -> BraidFunctor:
         dim,
         lambda n, i: PolyMatrix.identity(dim(n)),
         stab,
-        eval_range=eval_range,
+        eval_range=24,
     )
 
 
-def t1_functor(eval_range: int = 24) -> BraidFunctor:
+def t1_functor() -> BraidFunctor:
     """The subfunctor of the constant functor that vanishes at level 0."""
 
     def dim(n):
@@ -436,11 +427,11 @@ def t1_functor(eval_range: int = 24) -> BraidFunctor:
         dim,
         lambda n, i: PolyMatrix.identity(dim(n)),
         stab,
-        eval_range=eval_range,
+        eval_range=24,
     )
 
 
-def power_functor(l: int, eval_range: int = 14) -> BraidFunctor:
+def power_functor(l: int) -> BraidFunctor:
     """Dimension n^l with identity braid action; factors through the poset
     of natural numbers.  Very useful as a degree-l yardstick."""
     if l < 0:
@@ -454,17 +445,17 @@ def power_functor(l: int, eval_range: int = 14) -> BraidFunctor:
         dim,
         lambda n, i: PolyMatrix.identity(dim(n)),
         _last_coords_stab(dim),
-        eval_range=eval_range,
+        eval_range=14,
     )
 
 
-def zero_functor(eval_range: int = 24) -> BraidFunctor:
+def zero_functor() -> BraidFunctor:
     return BraidFunctor(
         "zero",
         lambda n: 0,
         lambda n, i: PolyMatrix.zeros(0, 0),
         lambda n, n2: PolyMatrix.zeros(0, 0),
-        eval_range=eval_range,
+        eval_range=24,
     )
 
 

@@ -320,11 +320,10 @@ class TestWada:
             assert neg.compose(pos).is_identity(), (kind, m)
 
     def test_generator_maps_are_stored(self):
-        assert artin_generator_map(4, -2) is artin_generator_map(4, -2)
+        assert artin_generator_map(4, -2) is wada_generator_map(4, -2, 1)
         assert wada_generator_map(4, 3, 7) is wada_generator_map(4, 3, 7)
         assert wada_generator_map(3, 1, 1, -3) is wada_generator_map(3, 1, 1, -3)
-        for stored in (artin_generator_map, wada_generator_map):
-            assert stored.cache_info().maxsize is not None
+        assert wada_generator_map.cache_info().maxsize is not None
 
     def test_bad_letters_raise_on_every_call(self):
         # Exceptions are not stored: a bad letter raises again each time.

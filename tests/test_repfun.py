@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmkit.cli import parse_functor
+from lmkit import laurent
 from lmkit.laurent import ONE, LaurentError, PolyMatrix, Q, T, seeded_points
 from lmkit.freegroup import FreeWord, GroupRingElement, parse_word
 from lmkit.braidcat import (
@@ -24,6 +25,7 @@ from lmkit.repfun import (
     SplitData,
     atomic_functor,
     builtin,
+    burau_functor,
     check_functor,
     check_natural,
     constant_functor,
@@ -31,6 +33,7 @@ from lmkit.repfun import (
     direct_sum,
     group_ring_matrix,
     partial_permutation_split,
+    power_functor,
     scalar_twist,
     split_at_rows,
     tensor,
@@ -595,6 +598,24 @@ class TestSplitBuilder:
             got = partial_permutation_split(incl)
             assert got == reference_partial_permutation_split(incl)
             assert got.certify(incl)
+
+    def test_monomial_inclusions_make_no_product(self, monkeypatch):
+        # incl[M] is zero off the pivot rows, so the coprojection needs no
+        # product; burau 4x3 and e(2) 81x64.
+        products = []
+        product = laurent._product
+
+        def recording(a, b):
+            products.append((a.rows, b.cols))
+            return product(a, b)
+
+        monkeypatch.setattr(laurent, "_product", recording)
+        for f, n, shape in ((burau_functor(), 3, (4, 3)), (power_functor(2), 8, (81, 64))):
+            incl = f.stab(n, n + 1)
+            assert (incl.rows, incl.cols) == shape
+            got = partial_permutation_split(incl)
+            assert got == reference_partial_permutation_split(incl)
+            assert products == [], f.name
 
     def test_partial_permutation_split_refusals_match_reference(self):
         for rows in (
