@@ -601,7 +601,7 @@ class TestSplitBuilder:
 
     def test_monomial_inclusions_make_no_product(self, monkeypatch):
         # incl[M] is zero off the pivot rows, so the coprojection needs no
-        # product; burau 4x3 and e(2) 81x64.
+        # product.
         products = []
         product = laurent._product
 
