@@ -41,13 +41,12 @@ lk_scale**L.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .laurent import EvaluationPoint, LaurentPoly, ONE, ZERO, seeded_points
+from .laurent import EvaluationPoint, LaurentPoly, ONE, T, T_INV, ZERO, seeded_points
 from .freegroup import FreeWord, reduced_words
 
 
@@ -122,9 +121,6 @@ class BraidWord:
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
         return tuple(perm[1:])
 
-    def is_pure(self) -> bool:
-        return self.permutation() == tuple(range(1, self.strands + 1))
-
     def __str__(self):
         if not self.letters:
             return "id"
@@ -132,23 +128,6 @@ class BraidWord:
 
     def __repr__(self):
         return f"BraidWord({self.strands}, {str(self)!r})"
-
-
-_BRAID_TOKEN = re.compile(r"s(\d+)(?:\^(-?\d+))?")
-
-
-def parse_braid(text: str, strands: int) -> BraidWord:
-    text = text.strip()
-    if text in ("", "id", "1"):
-        return BraidWord.identity(strands)
-    letters = []
-    for part in text.split():
-        m = _BRAID_TOKEN.fullmatch(part)
-        if not m:
-            raise BraidError(f"cannot parse braid letter {part!r}")
-        i, e = int(m.group(1)), int(m.group(2) or 1)
-        letters.extend([i if e > 0 else -i] * abs(e))
-    return BraidWord(strands, tuple(letters))
 
 
 def braiding(n: int, m: int) -> BraidWord:
@@ -271,10 +250,8 @@ def enumerate_words(strands: int, max_len: int) -> list[BraidWord]:
 # Word-equality oracle
 # ---------------------------------------------------------------------------
 
-_ONE_MINUS_T = ONE - LaurentPoly.monomial(1, 1, 0)
-_T = LaurentPoly.monomial(1, 1, 0)
-_T_INV = LaurentPoly.monomial(1, -1, 0)
-_ONE_MINUS_T_INV = ONE - _T_INV
+_ONE_MINUS_T = ONE - T
+_ONE_MINUS_T_INV = ONE - T_INV
 
 
 def _burau_columns(state: list[dict], letter: int):
@@ -285,9 +262,9 @@ def _burau_columns(state: list[dict], letter: int):
     if letter > 0:
         # columns of the generator: e_i -> (1-t) e_i + e_{i+1},  e_{i+1} -> t e_i
         state[i] = _col_add(_col_scale(ci, _ONE_MINUS_T), cj)
-        state[i + 1] = _col_scale(ci, _T)
+        state[i + 1] = _col_scale(ci, T)
     else:
-        state[i] = _col_scale(cj, _T_INV)
+        state[i] = _col_scale(cj, T_INV)
         state[i + 1] = _col_add(ci, _col_scale(cj, _ONE_MINUS_T_INV))
 
 

@@ -30,9 +30,9 @@ from .braidcat import BraidError, local_system
 from .freegroup import FreeGroupError
 from . import repfun
 from .repfun import (
+    BUILTINS,
     BraidFunctor,
     NaturalMap,
-    builtin,
     check_functor,
     check_natural,
     direct_sum,
@@ -132,17 +132,13 @@ def parse_functor(spec: str) -> BraidFunctor:
         )
         return long_moody(cfg, parse_functor(f_text))
 
-    if head in ("burau", "reduced-burau", "tym"):
-        kwargs = {}
-        if body:
-            kwargs["param"] = parse_poly(body)
-        return builtin(head, **kwargs)
-    if head == "atomic":
-        return builtin("atomic", k=_int_arg(head, body))
-    if head == "e":
-        return builtin("e", l=_int_arg(head, body))
-    if head in ("constant", "x", "lk", "t1", "zero"):
-        return builtin(head)
+    if head in BUILTINS:
+        make, key = BUILTINS[head]
+        if key is None:
+            return make()
+        if key == "param":
+            return make(param=parse_poly(body)) if body else make()
+        return make(**{key: _int_arg(head, body)})
     raise UsageError(f"unknown functor {spec!r}")
 
 

@@ -79,9 +79,6 @@ class FreeWord:
             raise FreeGroupError(f"generator g{i} outside rank {rank}")
         return _word(rank, ((i, exp),) if exp else ())
 
-    def is_identity(self) -> bool:
-        return not self.syllables
-
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise FreeGroupError("rank mismatch in word product")
@@ -195,9 +192,7 @@ class GroupRingElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other) -> "GroupRingElement":
-        if isinstance(other, (LaurentPoly, int)):
-            return self.scale(other)
+    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         if self.rank != other.rank:
             raise FreeGroupError("rank mismatch in group ring product")
         out: dict = {}
@@ -213,11 +208,6 @@ class GroupRingElement:
 
     def right_mul_word(self, word: FreeWord) -> "GroupRingElement":
         return GroupRingElement(self.rank, {w * word: c for w, c in self.terms.items()})
-
-    def scale(self, p) -> "GroupRingElement":
-        if not isinstance(p, LaurentPoly):
-            p = LaurentPoly.const(p)
-        return GroupRingElement(self.rank, {w: c * p for w, c in self.terms.items()})
 
     def augmentation(self) -> LaurentPoly:
         total = ZERO
@@ -265,16 +255,6 @@ class AugIdealElement:
                 raise FreeGroupError("coordinate rank mismatch")
         self.rank = rank
         self.coords = coords
-
-    @staticmethod
-    def zero(rank: int) -> "AugIdealElement":
-        return AugIdealElement(rank, [GroupRingElement.zero(rank)] * rank)
-
-    def __add__(self, other: "AugIdealElement") -> "AugIdealElement":
-        return AugIdealElement(self.rank, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def scale(self, p) -> "AugIdealElement":
-        return AugIdealElement(self.rank, [c.scale(p) for c in self.coords])
 
     def expand(self) -> GroupRingElement:
         """The group-ring element  sum_i (gi - 1)·coords[i]."""
@@ -565,44 +545,31 @@ def reduced_words(rank: int, max_len: int):
 def invert_map(phi: FreeGroupMap, search_bound: int = 8) -> FreeGroupMap | None:
     """Search for the inverse automorphism by bounded generator-image search.
 
-    The candidate images are found one generator at a time by requiring
-    psi(phi(gi)) = gi; a found candidate is certified by composing both ways
-    to the identity on generators, never assumed.
+    A map with a two-sided inverse is injective, and an injective map sends
+    at most one reduced word to each gi, so the first reduced word whose
+    image is gi^{±1} is the only candidate for psi(gi).  The search keeps
+    that one preimage per generator and stops once every generator has one;
+    the candidate is certified by composing both ways to the identity on
+    generators, never assumed.
     """
     n = phi.source_rank
     if phi.target_rank != n:
         return None
-    candidates: list[list[FreeWord]] = [[] for _ in range(n)]
+    preimages: dict[int, FreeWord] = {}
     for letters in reduced_words(n, search_bound):
         w = FreeWord(n, tuple((abs(l), 1 if l > 0 else -1) for l in letters))
         img = phi.apply_word(w)
-        if img.length() == 1 and img.syllables[0][1] in (1, -1):
+        if img.length() == 1:
             gen, exp = img.syllables[0]
-            candidates[gen - 1].append(w if exp == 1 else w.inverse())
-    for imgs in _cartesian_shortest(candidates):
-        psi = FreeGroupMap(n, n, imgs)
-        if psi.compose(phi).is_identity() and phi.compose(psi).is_identity():
-            return psi
+            preimages.setdefault(gen, w if exp == 1 else w.inverse())
+            if len(preimages) == n:
+                break
+    if len(preimages) < n:
+        return None
+    psi = FreeGroupMap(n, n, [preimages[i] for i in range(1, n + 1)])
+    if psi.compose(phi).is_identity() and phi.compose(psi).is_identity():
+        return psi
     return None
-
-
-def _cartesian_shortest(candidates):
-    if any(not c for c in candidates):
-        return
-    # Try shortest image tuples first; in practice the first tuple works.
-    firsts = [sorted(c, key=lambda w: w.length()) for c in candidates]
-    limit = 4
-
-    def rec(i, acc):
-        if i == len(firsts):
-            yield list(acc)
-            return
-        for w in firsts[i][:limit]:
-            acc.append(w)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
 
 
 def artin_generator_map(n: int, gen: int) -> FreeGroupMap:

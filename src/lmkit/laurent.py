@@ -279,115 +279,83 @@ def seeded_points(count: int, seed: int) -> list[EvaluationPoint]:
 # ---------------------------------------------------------------------------
 # Text grammar
 #
-#   poly := term (("+"|"-") term)* | "0"
-#   term := coeff ("*" mono)* | mono
-#   mono := ("t"|"q") ("^" int)?
-#   coeff := int | int "/" int
+#   poly    := ["+"|"-"] term (("+"|"-") term)*
+#   term    := (coeff | mono) ("*" mono)*
+#   mono    := ("t"|"q") ("^" integer)?
+#   coeff   := integer ("/" integer)?
+#   integer := ["-"] digits
+#
+# Whitespace may separate any two tokens, and a number token is unsigned, so
+# "t-1" and "t - 1" are both t minus 1; "t - -1" is t plus 1.
 #
 # Printing and parsing round-trip: terms are emitted in ascending order of
 # the exponent pair (t first, then q).
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>-?\d+)|(?P<var>[tq])|(?P<op>[\^*+/-]))")
+_TOKEN = re.compile(r"\s*(\d+|[tq^*+/-])")
 
 
 def parse_poly(text: str) -> LaurentPoly:
+    """The polynomial that `text` spells in the grammar above; anything
+    else, such as a dangling "*" or a doubled sign in an exponent, raises
+    LaurentError."""
     tokens = []
     pos = 0
-    while pos < len(text):
+    while text[pos:].strip():
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise LaurentError(f"cannot parse polynomial near {text[pos:]!r}")
-            break
-        tokens.append(m)
+        if not m:
+            raise LaurentError(f"cannot parse polynomial near {text[pos:]!r}")
+        tokens.append(m.group(1))
         pos = m.end()
+    # A stack: the next token is last, and None marks the end of the text.
+    tokens = [None, *reversed(tokens)]
 
-    toks = [(m.lastgroup, m.group(m.lastgroup)) for m in tokens]
-    i = 0
+    def accept(token) -> bool:
+        if tokens[-1] != token:
+            return False
+        tokens.pop()
+        return True
 
-    def peek():
-        return toks[i] if i < len(toks) else (None, None)
-
-    def parse_int() -> int:
-        nonlocal i
-        kind, val = peek()
-        sign = 1
-        if kind == "op" and val == "-":
-            sign = -1
-            i += 1
-            kind, val = peek()
-        if kind != "num":
+    def integer() -> int:
+        sign = -1 if accept("-") else 1
+        digits = tokens.pop()
+        if digits is None or not digits.isdigit():
             raise LaurentError(f"expected integer in {text!r}")
-        i += 1
-        return sign * int(val)
+        return sign * int(digits)
 
-    def parse_term(sign: int) -> LaurentPoly:
-        nonlocal i
-        kind, val = peek()
+    def mono(exps: list[int]) -> None:
+        var = tokens.pop()
+        if var not in ("t", "q"):
+            raise LaurentError(f"expected t or q in {text!r}")
+        exps[0 if var == "t" else 1] += integer() if accept("^") else 1
+
+    def term(sign: int) -> LaurentPoly:
         coeff = Fraction(sign)
         exps = [0, 0]
-        saw_anything = False
-        if kind == "num":
-            n = parse_int()
-            kind, val = peek()
-            if kind == "op" and val == "/":
-                i += 1
-                den = parse_int()
+        if tokens[-1] in ("t", "q"):
+            mono(exps)
+        else:
+            coeff *= integer()
+            if accept("/"):
+                den = integer()
                 if den == 0:
                     raise LaurentError(f"zero denominator in {text!r}")
-                n = Fraction(n, den)
-            coeff *= n
-            saw_anything = True
-            kind, val = peek()
-            while kind == "op" and val == "*":
-                i += 1
-                var_kind, var = peek()
-                if var_kind != "var":
-                    raise LaurentError(f"expected t or q after '*' in {text!r}")
-                i += 1
-                e = 1
-                k2, v2 = peek()
-                if k2 == "op" and v2 == "^":
-                    i += 1
-                    e = parse_int()
-                exps[0 if var == "t" else 1] += e
-                kind, val = peek()
-        elif kind == "var":
-            while True:
-                kind, val = peek()
-                if kind != "var":
-                    break
-                i += 1
-                e = 1
-                k2, v2 = peek()
-                if k2 == "op" and v2 == "^":
-                    i += 1
-                    e = parse_int()
-                exps[0 if val == "t" else 1] += e
-                saw_anything = True
-                k2, v2 = peek()
-                if k2 == "op" and v2 == "*":
-                    i += 1
-                else:
-                    break
-        if not saw_anything:
-            raise LaurentError(f"empty term in {text!r}")
+                coeff /= den
+        while accept("*"):
+            mono(exps)
         return LaurentPoly.monomial(coeff, exps[0], exps[1])
 
-    result = ZERO
-    sign = 1
-    kind, val = peek()
-    if kind == "op" and val in "+-":
-        sign = -1 if val == "-" else 1
-        i += 1
-    result = result + parse_term(sign)
-    while i < len(toks):
-        kind, val = peek()
-        if kind != "op" or val not in "+-":
+    def signed_term() -> LaurentPoly:
+        if accept("-"):
+            return term(-1)
+        accept("+")
+        return term(1)
+
+    result = signed_term()
+    while tokens[-1] is not None:
+        if tokens[-1] not in ("+", "-"):
             raise LaurentError(f"expected '+' or '-' in {text!r}")
-        i += 1
-        result = result + parse_term(-1 if val == "-" else 1)
+        result = result + signed_term()
     return result
 
 
@@ -564,17 +532,6 @@ class PolyMatrix:
         out = PolyMatrix.__new__(PolyMatrix)
         out.rows, out.cols, out.entries = self.rows, self.cols, entries
         return out
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + other.scale(LaurentPoly.const(-1))
-
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            return self.matmul(other)
-        return self.scale(_coerce(other))
-
-    def __rmul__(self, other):
-        return self.scale(_coerce(other))
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
@@ -797,6 +754,10 @@ def _montante(m: list[list[LaurentPoly]], n: int) -> LaurentPoly:
     the leading (k+1)-minor of the row-swapped matrix, so the signed last
     pivot is det m[:, :n]; at the end every diagonal entry is the last
     pivot d, and the columns past n hold d times their solution.
+
+    With no columns past n only that determinant is wanted; the pivots
+    depend only on the rows below them, so each step then updates only
+    those, right of the pivot column (Bareiss order).
     """
     sign = 1
     prev = ONE
@@ -808,11 +769,12 @@ def _montante(m: list[list[LaurentPoly]], n: int) -> LaurentPoly:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         p = m[k][k]
-        for i in range(n):
+        first = k + 1 if len(m[k]) == n else 0
+        for i in range(first, n):
             if i == k:
                 continue
             coef = m[i][k]
-            for j in range(len(m[k])):
+            for j in range(first, len(m[k])):
                 if j == k:
                     continue
                 num = p * m[i][j]

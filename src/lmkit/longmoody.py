@@ -504,22 +504,17 @@ def splitting_concat_inverse(cfg: LongMoodyConfig, f: BraidFunctor, n: int) -> P
     return PolyMatrix.identity(f.dim(n + 2)).direct_sum(PolyMatrix.identity(n).kron(q_inv))
 
 
-def lm_of_inclusion(cfg: LongMoodyConfig, f: BraidFunctor, n: int) -> PolyMatrix:
-    """The construction applied to the canonical inclusion of f: block
-    diagonal copies of f.stab(n+1, n+2)."""
-    return PolyMatrix.identity(n).kron(f.stab(n + 1, n + 2))
-
-
 def check_inclusion_lemma(cfg: LongMoodyConfig, f: BraidFunctor, big_n: int):
     """Exact identity: old_blocks ∘ (LM of the inclusion) equals the image
-    functor's own stabilization by one."""
+    functor's own stabilization by one.  LM of the canonical inclusion of f
+    is I_n ⊗ f.stab(n+1, n+2), block diagonal copies of that stabilization."""
     report = CheckReport(
         "inclusion-lemma", {"N": big_n, "functor": f.name, "cfg": cfg.label()}
     )
     lm_f = long_moody(cfg, f)
     for n in range(0, big_n + 1):
         _, old_blocks = splitting_maps(cfg, f, n)
-        lhs = old_blocks.matmul(lm_of_inclusion(cfg, f, n))
+        lhs = old_blocks.matmul(PolyMatrix.identity(n).kron(f.stab(n + 1, n + 2)))
         rhs = lm_f.stab(n, n + 1)
         report.checked += 1
         if lhs != rhs:

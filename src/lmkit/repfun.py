@@ -768,24 +768,25 @@ def check_natural(
 # ---------------------------------------------------------------------------
 
 
+# Each family name, its constructor, and the keyword that carries the
+# family's parameter (None for a family without one).
+BUILTINS = {
+    "constant": (constant_functor, None),
+    "x": (constant_functor, None),
+    "burau": (burau_functor, "param"),
+    "reduced-burau": (reduced_burau_functor, "param"),
+    "tym": (tym_functor, "param"),
+    "lk": (lk_functor, None),
+    "atomic": (atomic_functor, "k"),
+    "t1": (t1_functor, None),
+    "e": (power_functor, "l"),
+    "zero": (zero_functor, None),
+}
+
+
 def builtin(name: str, **params) -> BraidFunctor:
+    """The named family, built from its constructor's keyword parameters."""
     name = name.lower()
-    if name in ("constant", "x"):
-        return constant_functor()
-    if name == "burau":
-        return burau_functor(params.get("param", VAR_T))
-    if name in ("reduced-burau", "reduced_burau"):
-        return reduced_burau_functor(params.get("param", VAR_T))
-    if name == "tym":
-        return tym_functor(params.get("param", VAR_T))
-    if name == "lk":
-        return lk_functor()
-    if name == "atomic":
-        return atomic_functor(int(params["k"]))
-    if name == "t1":
-        return t1_functor()
-    if name == "e":
-        return power_functor(int(params["l"]))
-    if name == "zero":
-        return zero_functor()
-    raise FunctorError(f"unknown functor {name!r}")
+    if name not in BUILTINS:
+        raise FunctorError(f"unknown functor {name!r}")
+    return BUILTINS[name][0](**params)

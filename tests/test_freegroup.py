@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from lmkit.freegroup import (
     FreeWord,
     GroupRingElement,
     WadaPair,
+    _wada_pairs,
     artin_generator_map,
     fox_derivatives,
     invert_map,
@@ -304,6 +306,45 @@ class TestWada:
         # g1 -> g1^2 is injective but not invertible; the search must fail.
         phi = FreeGroupMap(1, 1, [w("g1^2", 1)])
         assert invert_map(phi, search_bound=5) is None
+
+    def test_invert_map_has_one_candidate(self):
+        # For the stored pairs (kinds 2-7, kind 1 at m in [-3, 3]) and their
+        # pairwise composites: every reduced word of length <= the stored
+        # inverse's longest image that maps to gi^{±1} is the same preimage,
+        # so exactly one image tuple is certified, and invert_map returns
+        # it.  Maps whose inverse is longer than the bound are not found.
+        bound = 5
+        pairs = [_wada_pairs(k, 1) for k in range(2, 8)]
+        pairs += [_wada_pairs(1, m) for m in range(-3, 4)]
+        maps = [(a.as_map(), a_inv.as_map()) for a, a_inv in pairs]
+        maps += [
+            (a.as_map().compose(b.as_map()), b_inv.as_map().compose(a_inv.as_map()))
+            for a, a_inv in pairs
+            for b, b_inv in pairs
+        ]
+        found_within_bound = 0
+        for phi, inv in maps:
+            length = max(image.length() for image in inv.images)
+            if length > bound:
+                assert invert_map(phi, search_bound=bound) is None
+                continue
+            found_within_bound += 1
+            candidates = [set(), set()]
+            for letters in reduced_words(2, length):
+                word = FreeWord(2, tuple((abs(l), 1 if l > 0 else -1) for l in letters))
+                image = phi.apply_word(word)
+                if image.length() == 1:
+                    gen, exp = image.syllables[0]
+                    candidates[gen - 1].add(word if exp == 1 else word.inverse())
+            certified = [
+                psi
+                for psi in (FreeGroupMap(2, 2, list(imgs)) for imgs in itertools.product(*candidates))
+                if psi.compose(phi).is_identity() and phi.compose(psi).is_identity()
+            ]
+            assert [len(c) for c in candidates] == [1, 1]
+            assert certified == [inv]
+            assert invert_map(phi, search_bound=length) == inv
+        assert (len(maps), found_within_bound) == (182, 104)
 
     def test_stored_inverses_certified_without_search(self, monkeypatch):
         # Every stored inverse pair composes to the identity both ways on

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -106,6 +108,180 @@ class TestGrammar:
     @settings(max_examples=80, deadline=None)
     def test_roundtrip_random(self, p):
         assert parse_poly(format_poly(p)) == p
+
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(?P<num>-?\d+)|(?P<var>[tq])|(?P<op>[\^*+/-]))")
+
+
+def reference_parse_poly(text: str) -> LaurentPoly:
+    """The parser before the one-cursor rewrite: signed number tokens, and
+    the monomial loop written twice.  Kept to pin where the two differ."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise LaurentError(f"cannot parse polynomial near {text[pos:]!r}")
+            break
+        tokens.append(m)
+        pos = m.end()
+
+    toks = [(m.lastgroup, m.group(m.lastgroup)) for m in tokens]
+    i = 0
+
+    def peek():
+        return toks[i] if i < len(toks) else (None, None)
+
+    def parse_int() -> int:
+        nonlocal i
+        kind, val = peek()
+        sign = 1
+        if kind == "op" and val == "-":
+            sign = -1
+            i += 1
+            kind, val = peek()
+        if kind != "num":
+            raise LaurentError(f"expected integer in {text!r}")
+        i += 1
+        return sign * int(val)
+
+    def parse_term(sign: int) -> LaurentPoly:
+        nonlocal i
+        kind, val = peek()
+        coeff = Fraction(sign)
+        exps = [0, 0]
+        saw_anything = False
+        if kind == "num":
+            n = parse_int()
+            kind, val = peek()
+            if kind == "op" and val == "/":
+                i += 1
+                den = parse_int()
+                if den == 0:
+                    raise LaurentError(f"zero denominator in {text!r}")
+                n = Fraction(n, den)
+            coeff *= n
+            saw_anything = True
+            kind, val = peek()
+            while kind == "op" and val == "*":
+                i += 1
+                var_kind, var = peek()
+                if var_kind != "var":
+                    raise LaurentError(f"expected t or q after '*' in {text!r}")
+                i += 1
+                e = 1
+                k2, v2 = peek()
+                if k2 == "op" and v2 == "^":
+                    i += 1
+                    e = parse_int()
+                exps[0 if var == "t" else 1] += e
+                kind, val = peek()
+        elif kind == "var":
+            while True:
+                kind, val = peek()
+                if kind != "var":
+                    break
+                i += 1
+                e = 1
+                k2, v2 = peek()
+                if k2 == "op" and v2 == "^":
+                    i += 1
+                    e = parse_int()
+                exps[0 if val == "t" else 1] += e
+                saw_anything = True
+                k2, v2 = peek()
+                if k2 == "op" and v2 == "*":
+                    i += 1
+                else:
+                    break
+        if not saw_anything:
+            raise LaurentError(f"empty term in {text!r}")
+        return LaurentPoly.monomial(coeff, exps[0], exps[1])
+
+    result = ZERO
+    sign = 1
+    kind, val = peek()
+    if kind == "op" and val in "+-":
+        sign = -1 if val == "-" else 1
+        i += 1
+    result = result + parse_term(sign)
+    while i < len(toks):
+        kind, val = peek()
+        if kind != "op" or val not in "+-":
+            raise LaurentError(f"expected '+' or '-' in {text!r}")
+        i += 1
+        result = result + parse_term(-1 if val == "-" else 1)
+    return result
+
+
+def parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except LaurentError:
+        return None
+
+
+# Where the two parsers disagree on whether a string parses.  Now parsed:
+# glued subtraction ("t-1", which the reference reads as t then the number
+# -1), and a second sign followed by a space and a number ("+- 1").  Now
+# rejected: a "*" with no monomial after it, and a doubled sign in an
+# exponent or a denominator ("t^--1").
+GLUED_SUBTRACTION = re.compile(r"[\dtq]\s*-\d")
+SPACED_SIGNED_NUMBER = re.compile(r"[+-]\s*-\s+\d")
+DANGLING_STAR = re.compile(r"\*\s*(?:[^\stq]|$)")
+DOUBLED_SIGN = re.compile(r"[\^/]\s*-\s*-")
+
+
+class TestParserAgainstReference:
+    ALPHABET = ["1", "0", "t", "q", "^", "*", "+", "-", "/", "-1", "2", " "]
+
+    def test_every_short_string(self):
+        # Every string of up to 4 tokens over the alphabet: where both
+        # parsers give a value the values agree, and every disagreement on
+        # whether the input parses lies in one of the classes above.
+        now_parse, now_rejected, total = [], [], 0
+        for k in range(1, 5):
+            for tokens in itertools.product(self.ALPHABET, repeat=k):
+                text = "".join(tokens)
+                total += 1
+                old = parse_outcome(reference_parse_poly, text)
+                new = parse_outcome(parse_poly, text)
+                if old is not None and new is not None:
+                    assert old == new, text
+                elif new is not None:
+                    now_parse.append(text)
+                elif old is not None:
+                    now_rejected.append(text)
+        for text in now_parse:
+            assert GLUED_SUBTRACTION.search(text) or SPACED_SIGNED_NUMBER.search(text), text
+        for text in now_rejected:
+            assert DANGLING_STAR.search(text) or DOUBLED_SIGN.search(text), text
+        assert (total, len(now_parse), len(now_rejected)) == (22620, 938, 100)
+
+    def test_one_example_per_class(self):
+        for text, value in [
+            ("t-1", T - 1),
+            ("q-2", Q - 2),
+            ("2-1", ONE),
+            ("t -1", T - 1),
+            ("-t-1", -T - 1),
+            ("+- 1", -ONE),
+        ]:
+            assert parse_outcome(reference_parse_poly, text) is None, text
+            assert parse_poly(text) == value, text
+        for text in ["t*", "t*+1", "t^--1", "1/--1"]:
+            assert parse_outcome(reference_parse_poly, text) is not None, text
+            with pytest.raises(LaurentError):
+                parse_poly(text)
+        # Unchanged: a signed coefficient after a sign, and signed exponents
+        # and denominators.
+        for text, value in [
+            ("t - -1", T + 1),
+            ("t^-1", T.unit_inverse()),
+            ("1/-2*q", LaurentPoly.monomial(Fraction(-1, 2), 0, 1)),
+        ]:
+            assert parse_poly(text) == reference_parse_poly(text) == value, text
 
 
 def random_matrix(rng, rows, cols, entry_pool):
@@ -505,6 +681,16 @@ class TestLocalSupportElimination:
                     if n <= 5:
                         assert m.inverse() == _montante_inverse(m)
                         assert m.det() == _full_det(m)
+
+
+class TestDeterminantPass:
+    @given(local_support_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_below_give_the_complete_pass_determinant(self, m):
+        # A zero column past n makes _montante clear every other row; with
+        # none it updates only the rows below each pivot.  Same determinant.
+        padded = [row + [ZERO] for row in m.to_rows()]
+        assert _montante(m.to_rows(), m.rows) == _montante(padded, m.rows)
 
 
 # 1 stored with a Fraction coefficient, as unnormalised products leave it.

@@ -37,7 +37,6 @@ from lmkit.longmoody import (
     check_factorization,
     check_inclusion_lemma,
     check_reliability,
-    lm_of_inclusion,
     long_moody,
     long_moody_power,
     splitting_concat_inverse,
@@ -413,7 +412,7 @@ class TestSplittingMaps:
             n * d2,
             {((1 + j) * d2 + r, j * d2 + r): ONE for j in range(n) for r in range(d2)},
         )
-        lhs = naive.matmul(lm_of_inclusion(cfg, f, n))
+        lhs = naive.matmul(PolyMatrix.identity(n).kron(f.stab(n + 1, n + 2)))
         assert lhs != image.stab(n, n + 1)
 
     def test_factorization_reports(self):
