@@ -48,6 +48,7 @@ from math import lcm
 
 from .laurent import EvaluationPoint, LaurentPoly, ONE, T, T_INV, ZERO, seeded_points
 from .freegroup import FreeWord, reduced_words
+from .memo import remember
 
 
 class BraidError(ValueError):
@@ -510,17 +511,14 @@ def braid_equal_witness(
 # Braid images memoized per local system; group-ring matrices evaluate the
 # same Fox-coefficient words for every functor built over one system (63
 # distinct words in the splitting and degree-growth checks at N=5).
-IMAGE_MEMO_CAP = 1024
-
-
 @dataclass(frozen=True)
 class LocalSystem:
     """A family of homomorphisms F_n -> B_{n+1}, given per free generator.
 
     rule(n, i) is the image of gi; the extension to arbitrary words is the
     unique multiplicative one, which exists by freeness.  evaluate memoizes
-    its images per instance, at most IMAGE_MEMO_CAP of them, dropping the
-    oldest first; equality ignores the rule, so the memo is never shared.
+    its images per instance, stored by memo.remember; equality ignores the
+    rule, so the memo is never shared.
     """
 
     name: str
@@ -542,9 +540,7 @@ class LocalSystem:
             out = BraidWord.identity(n + 1)
             for gen, exp in w.syllables:
                 out = out.compose(self.generator_image(n, gen) ** exp)
-            if len(self._images) >= IMAGE_MEMO_CAP:
-                self._images.pop(next(iter(self._images)), None)
-            self._images[w] = out
+            remember(self._images, w, out)
         return out
 
 

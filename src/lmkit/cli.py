@@ -135,6 +135,8 @@ def parse_functor(spec: str) -> BraidFunctor:
     if head in BUILTINS:
         make, key = BUILTINS[head]
         if key is None:
+            if body.strip():
+                raise UsageError(f"{head} takes no argument, got {body.strip()!r}")
             return make()
         if key == "param":
             return make(param=parse_poly(body)) if body else make()
@@ -157,10 +159,16 @@ def _config_from_args(args) -> LongMoodyConfig:
 
 
 def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        _emit_text(payload, "")
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            _emit_text(payload, "")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (say, `| head`): stop writing, and point stdout
+        # at devnull so that the interpreter's final flush does not raise too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit_text(value, indent: str) -> None:

@@ -211,6 +211,13 @@ def _wrap(terms: dict) -> LaurentPoly:
     return p
 
 
+def _matrix(rows: int, cols: int, entries: dict) -> "PolyMatrix":
+    """A PolyMatrix over entries known to be nonzero and in range, unchecked."""
+    m = PolyMatrix.__new__(PolyMatrix)
+    m.rows, m.cols, m.entries = rows, cols, entries
+    return m
+
+
 def _mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """p * q, with no ring multiplication when a factor is 1: the other
     factor is returned itself, which is safe because values are never
@@ -529,9 +536,7 @@ class PolyMatrix:
                 entries[key] = s
             else:
                 entries.pop(key, None)
-        out = PolyMatrix.__new__(PolyMatrix)
-        out.rows, out.cols, out.entries = self.rows, self.cols, entries
-        return out
+        return _matrix(self.rows, self.cols, entries)
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
@@ -546,25 +551,18 @@ class PolyMatrix:
             return PolyMatrix.zeros(self.rows, self.cols)
         if p.terms == _ONE_TERMS:
             return self
-        out = PolyMatrix.__new__(PolyMatrix)
-        out.rows, out.cols = self.rows, self.cols
-        out.entries = {key: _mul(v, p) for key, v in self.entries.items()}
-        return out
+        return _matrix(
+            self.rows, self.cols, {key: _mul(v, p) for key, v in self.entries.items()}
+        )
 
     def transpose(self) -> "PolyMatrix":
-        out = PolyMatrix.__new__(PolyMatrix)
-        out.rows, out.cols = self.cols, self.rows
-        out.entries = {(c, r): p for (r, c), p in self.entries.items()}
-        return out
+        return _matrix(self.cols, self.rows, {(c, r): p for (r, c), p in self.entries.items()})
 
     def direct_sum(self, other: "PolyMatrix") -> "PolyMatrix":
         entries = dict(self.entries)
         for (r, c), p in other.entries.items():
             entries[(r + self.rows, c + self.cols)] = p
-        out = PolyMatrix.__new__(PolyMatrix)
-        out.rows, out.cols = self.rows + other.rows, self.cols + other.cols
-        out.entries = entries
-        return out
+        return _matrix(self.rows + other.rows, self.cols + other.cols, entries)
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product; block (r, c) of the result is entry(r,c) * other."""
@@ -572,10 +570,7 @@ class PolyMatrix:
         for (r, c), p in self.entries.items():
             for (r2, c2), p2 in other.entries.items():
                 entries[(r * other.rows + r2, c * other.cols + c2)] = _mul(p, p2)
-        out = PolyMatrix.__new__(PolyMatrix)
-        out.rows, out.cols = self.rows * other.rows, self.cols * other.cols
-        out.entries = entries
-        return out
+        return _matrix(self.rows * other.rows, self.cols * other.cols, entries)
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.rows != other.rows:
@@ -583,10 +578,7 @@ class PolyMatrix:
         entries = dict(self.entries)
         for (r, c), p in other.entries.items():
             entries[(r, c + self.cols)] = p
-        out = PolyMatrix.__new__(PolyMatrix)
-        out.rows, out.cols = self.rows, self.cols + other.cols
-        out.entries = entries
-        return out
+        return _matrix(self.rows, self.cols + other.cols, entries)
 
     def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
         rmap = {r: i for i, r in enumerate(row_idx)}
@@ -595,10 +587,7 @@ class PolyMatrix:
         for (r, c), p in self.entries.items():
             if r in rmap and c in cmap:
                 entries[(rmap[r], cmap[c])] = p
-        out = PolyMatrix.__new__(PolyMatrix)
-        out.rows, out.cols = len(row_idx), len(col_idx)
-        out.entries = entries
-        return out
+        return _matrix(len(row_idx), len(col_idx), entries)
 
     # -- elimination ---------------------------------------------------
 
@@ -712,9 +701,7 @@ def _product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                 acc[key] = s
             else:
                 del acc[key]
-    out = PolyMatrix.__new__(PolyMatrix)
-    out.rows, out.cols, out.entries = a.rows, b.cols, acc
-    return out
+    return _matrix(a.rows, b.cols, acc)
 
 
 def complete_inverse(cols: PolyMatrix, pivots: list[int], a_inv: PolyMatrix):

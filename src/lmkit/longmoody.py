@@ -15,7 +15,7 @@ the Fox-coordinate expansion of the action on basis differences.  That
 Fox Jacobian depends on the action and the letter only, never on the input
 functor, so each LongMoodyConfig stores it per (level, signed letter): the
 nonzero (r, c, coefficient) triples, expanded once however many functors
-are built over the configuration (FOX_TABLE_CAP entries, oldest dropped
+are built over the configuration (stored by memo.remember, oldest dropped
 first).  A coefficient equal to the unit 1·[e] of the group ring contributes
 τ₁F(letter) itself, so that block is placed without a group-ring matrix or
 a product; the other blocks are multiplied out as above.  The
@@ -57,6 +57,7 @@ from .repfun import (
     scalar_twist,
     translate,
 )
+from .memo import remember
 
 
 class CoherenceError(ValueError):
@@ -106,13 +107,13 @@ class ActionFamily:
                         )
 
 
-_verified_families: set = set()
+_verified_families: dict = {}
 
 
 def _verified(family: ActionFamily) -> ActionFamily:
     if family.name not in _verified_families:
         family.verify_relations()
-        _verified_families.add(family.name)
+        remember(_verified_families, family.name, True)
     return family
 
 
@@ -140,9 +141,6 @@ def action_family(name: str) -> ActionFamily:
 
 # Fox Jacobians memoized per configuration, keyed by (level, signed letter);
 # the splitting and degree-growth checks at N=5 read 29 of them.
-FOX_TABLE_CAP = 1024
-
-
 @dataclass(frozen=True)
 class LongMoodyConfig:
     """Parameters of one Long-Moody application.
@@ -179,9 +177,7 @@ class LongMoodyConfig:
                 )
                 if not coeff.is_zero()
             )
-            if len(self._fox) >= FOX_TABLE_CAP:
-                self._fox.pop(next(iter(self._fox)), None)
-            self._fox[key] = hit
+            remember(self._fox, key, hit)
         return hit
 
     def label(self) -> str:

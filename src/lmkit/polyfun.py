@@ -8,7 +8,10 @@ computed only from certified split stabilizations: either data declared by
 the functor (all built-ins, and everything the construction propagates) or
 a complement found by evaluation pivoting and then certified symbolically.
 Degree conclusions are therefore exact but range-relative: a report says
-"the (d+1)-st difference vanishes on levels <= N", never more.
+"the (d+1)-st difference vanishes on levels <= N", never more.  Each
+resolution is stored on its functor (see resolution), so the evanescence,
+the difference and every check built on one functor instance share one
+certified complement per level and seed.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .laurent import LaurentError, PolyMatrix, seeded_points
+from .memo import remember
 from .repfun import (
     BraidFunctor,
     CheckReport,
@@ -81,7 +85,7 @@ _PIVOT_POINTS = 4
 
 
 def resolve_inclusion(f: BraidFunctor, n: int, seed: int = 0) -> SplitStabilization:
-    """Classify and certify the canonical inclusion at level n.
+    """Classify and certify the inclusion at level n, uncached (see resolution).
 
     Resolution order: trivial source; splitting data declared by the
     functor; literal zero map; complement search at _PIVOT_POINTS seeded
@@ -115,26 +119,22 @@ def resolve_inclusion(f: BraidFunctor, n: int, seed: int = 0) -> SplitStabilizat
     )
 
 
-class InclusionCache:
-    """Shared per-functor resolution cache so that difference functors and
-    the identifications built on top of them use the same complements.
-    A failed search is stored too, and raised again on later lookups."""
-
-    def __init__(self, f: BraidFunctor, seed: int = 0):
-        self.functor = f
-        self.seed = seed
-        self._cache: dict = {}
-
-    def at(self, n: int) -> SplitStabilization:
-        if n not in self._cache:
-            try:
-                self._cache[n] = resolve_inclusion(self.functor, n, self.seed)
-            except SplitCertificationError as exc:
-                self._cache[n] = exc
-        hit = self._cache[n]
-        if isinstance(hit, SplitCertificationError):
-            raise hit.with_traceback(None)
-        return hit
+def resolution(f: BraidFunctor, n: int, seed: int = 0) -> SplitStabilization:
+    """resolve_inclusion(f, n, seed), stored once per (functor instance,
+    level, seed) in f's resolution table, so that differences and the
+    identifications built on them share complements.  A failed search is
+    stored too: later lookups raise the same SplitCertificationError."""
+    key = (n, seed)
+    hit = f._resolutions.get(key)
+    if hit is None:
+        try:
+            hit = resolve_inclusion(f, n, seed)
+        except SplitCertificationError as exc:
+            hit = exc
+        remember(f._resolutions, key, hit)
+    if isinstance(hit, SplitCertificationError):
+        raise hit.with_traceback(None)
+    return hit
 
 
 def evanescence(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
@@ -144,10 +144,8 @@ def evanescence(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
     (kernel zero) or the zero map (kernel everything); intermediate cases
     raise rather than guess.
     """
-    cache = InclusionCache(f, seed)
-
     def dim(n):
-        return cache.at(n).kernel_dim
+        return resolution(f, n, seed).kernel_dim
 
     def gen(n, letter):
         if dim(n) == 0:
@@ -168,9 +166,7 @@ def evanescence(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
     )
 
 
-def difference(
-    f: BraidFunctor, big_n: int, seed: int = 0, cache: InclusionCache | None = None
-) -> BraidFunctor:
+def difference(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
     """The cokernel of the canonical inclusion into the translate, realized
     on the certified complements.
 
@@ -178,18 +174,17 @@ def difference(
     translated ones; compression is exact because the translated morphisms
     preserve the image of the inclusion (the functor criterion).
     """
-    cache = cache or InclusionCache(f, seed)
     tau = translate(f, 1)
 
     def dim(n):
-        return cache.at(n).coker_dim
+        return resolution(f, n, seed).coker_dim
 
     def gen(n, letter):
-        res = cache.at(n)
+        res = resolution(f, n, seed)
         return res.coprojection.matmul(tau.gen_matrix(n, letter)).matmul(res.complement)
 
     def stab(n, n2):
-        lo, hi = cache.at(n), cache.at(n2)
+        lo, hi = resolution(f, n, seed), resolution(f, n2, seed)
         return hi.coprojection.matmul(tau.stab(n, n2)).matmul(lo.complement)
 
     return BraidFunctor(
@@ -267,11 +262,10 @@ def estimate_strong_degree(
             degree = d - 1
             evidence.append((d, 0, True))
             break
-        cache = InclusionCache(current, seed)
         kappa_zero, uncertified = True, None
         for n in range(0, window):
             try:
-                if cache.at(n).kernel_dim:
+                if resolution(current, n, seed).kernel_dim:
                     kappa_zero = False
                     break
             except SplitCertificationError as exc:
@@ -282,7 +276,7 @@ def estimate_strong_degree(
         evidence.append((d, max_dim, kappa_zero))
         if d == d_max + 1:
             break
-        current = difference(current, window - 1, seed, cache)
+        current = difference(current, window - 1, seed)
     very_strong = degree is not None and degree >= 0 and all(
         k is True for (d, _, k) in evidence if d <= degree
     )
@@ -413,16 +407,14 @@ def verify_difference_splitting(
     report.add(check_inclusion_lemma(cfg, f, big_n))
 
     # (iii) identification of the difference.
-    f_cache = InclusionCache(f, seed)
-    lm_cache = InclusionCache(lm_f, seed)
-    delta_lm = difference(lm_f, big_n, seed, cache=lm_cache)
-    delta_f = difference(f, big_n + 1, seed, cache=f_cache)
+    delta_lm = difference(lm_f, big_n, seed)
+    delta_f = difference(f, big_n + 1, seed)
     target = direct_sum(translate(f, 2), long_moody(cfg, delta_f))
 
     def identification(n: int) -> PolyMatrix:
-        res_v = lm_cache.at(n)
+        res_v = resolution(lm_f, n, seed)
         p_inv = splitting_concat_inverse(cfg, f, n)
-        p_block = f_cache.at(n + 1).coprojection
+        p_block = resolution(f, n + 1, seed).coprojection
         projector = PolyMatrix.identity(f.dim(n + 2)).direct_sum(
             PolyMatrix.identity(n).kron(p_block)
         )

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from .laurent import LaurentError, LaurentPoly, PolyMatrix, ONE, ZERO, complete_inverse
 from .laurent import T as VAR_T, Q as VAR_Q
 from .freegroup import GroupRingElement
+from .memo import remember
 from .braidcat import (
     BracketMorphism,
     BraidWord,
@@ -114,17 +115,14 @@ def partial_permutation_split(incl: PolyMatrix) -> SplitData | None:
     return split_at_rows(incl, pivots, PolyMatrix(incl.cols, incl.cols, a_inv))
 
 
-# Word matrices memoized per functor; the checks evaluate letters, routers
-# and group-ring images only (37 distinct words for burau at N=5).
-WORD_MEMO_CAP = 1024
-
-
 class BraidFunctor:
     """Dimensions, generator matrices, and stabilization data on a range.
 
     Rules are memoized; instances behave as immutable values and the memo
-    tables are idempotent, so concurrent readers are safe.  The word memo
-    holds at most WORD_MEMO_CAP matrices and drops the oldest first.
+    tables are idempotent, so concurrent readers are safe.  Every table,
+    word matrices included (the checks evaluate letters, routers and
+    group-ring images only: 37 distinct words for burau at N=5), stores
+    through memo.remember; _resolutions is filled by polyfun.resolution.
     gen_rule(n, letter) takes a signed letter, ±i for s_i^{±1}, and is
     called once per (n, letter); check_functor tests that the two signs
     are inverse to each other.
@@ -149,6 +147,7 @@ class BraidFunctor:
         self._gens: dict = {}
         self._stabs: dict = {}
         self._splits: dict = {}
+        self._resolutions: dict = {}
         self._words: dict = {}
 
     # -- core data ------------------------------------------------------
@@ -161,7 +160,7 @@ class BraidFunctor:
                 f"{self.name}: level {n} beyond evaluation range {self.eval_range}"
             )
         if n not in self._dims:
-            self._dims[n] = int(self._dim_rule(n))
+            remember(self._dims, n, int(self._dim_rule(n)))
         return self._dims[n]
 
     def gen_matrix(self, n: int, letter: int) -> PolyMatrix:
@@ -175,14 +174,14 @@ class BraidFunctor:
             try:
                 m = self._gen_rule(n, letter)
             except LaurentError as exc:
-                self._gens[key] = exc
+                m = exc
             else:
                 d = self.dim(n)
                 if (m.rows, m.cols) != (d, d):
                     raise FunctorError(
                         f"{self.name}: generator matrix at level {n} has wrong shape"
                     )
-                self._gens[key] = m
+            remember(self._gens, key, m)
         hit = self._gens[key]
         if isinstance(hit, LaurentError):
             raise hit.with_traceback(None)
@@ -201,7 +200,7 @@ class BraidFunctor:
                 raise FunctorError(
                     f"{self.name}: stabilization {n}->{n2} has wrong shape"
                 )
-            self._stabs[key] = m
+            remember(self._stabs, key, m)
         return self._stabs[key]
 
     def split(self, n: int, n2: int) -> SplitData | None:
@@ -212,7 +211,7 @@ class BraidFunctor:
                 data = self._split_rule(n, n2)
             if data is None:
                 data = partial_permutation_split(self.stab(n, n2))
-            self._splits[key] = data
+            remember(self._splits, key, data)
         return self._splits[key]
 
     # -- evaluation -------------------------------------------------------
@@ -231,9 +230,7 @@ class BraidFunctor:
                 m = self.gen_matrix(n, word.letters[0])
                 for letter in word.letters[1:]:
                     m = m.matmul(self.gen_matrix(n, letter))
-            if len(self._words) >= WORD_MEMO_CAP:
-                self._words.pop(next(iter(self._words)), None)
-            self._words[key] = m
+            remember(self._words, key, m)
         return m
 
     def apply(self, phi: BracketMorphism) -> PolyMatrix:

@@ -225,7 +225,8 @@ class TestFunctorGrammar:
 
     def test_bad_arguments_are_usage_errors(self, capsys):
         for spec in ["atomic(x)", "atomic(-1)", "e(1.5)", "e(-1)", "tau(x; burau)",
-                     "tau(1; burau; tym)", "twist(t)", "lm(artin,pure-braid)", "burau(1/0)"]:
+                     "tau(1; burau; tym)", "twist(t)", "lm(artin,pure-braid)", "burau(1/0)",
+                     "lk(7)", "constant(burau)", "x(1)", "t1(t)", "zero(0)"]:
             assert main(["emit", "--functor", spec, "--n", "2"]) == 2, spec
         for action in ["wada1:x", "wada2:3", "wada01", "wada1:02"]:
             assert main(["check", "coherence", "--action", action]) == 2, action
@@ -341,3 +342,21 @@ def test_python_dash_m_runs_the_cli(capsys):
         text=True,
     )
     assert bad.returncode == 2
+
+
+def test_closed_stdout_is_not_an_internal_fault():
+    # The reader keeps a few bytes of the 364 KB emit output and closes the
+    # pipe; the command still exits 0, with nothing on stderr.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lmkit", "emit", "--functor", "lk", "--n", "10"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "dim":'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")

@@ -4,7 +4,7 @@ import pytest
 
 from lmkit.laurent import LaurentPoly, ONE, PolyMatrix, T, ZERO
 from lmkit.freegroup import FreeGroupMap, FreeWord, fox_derivatives, artin_generator_map
-from lmkit import braidcat, longmoody
+from lmkit import longmoody, memo
 from lmkit.braidcat import (
     BraidWord,
     LocalSystem,
@@ -44,6 +44,7 @@ from lmkit.longmoody import (
     standard_config,
     wada_family,
 )
+from lmkit.polyfun import resolution
 
 from display_fixtures import oriented
 
@@ -555,8 +556,7 @@ class TestFoxTable:
                 )
 
     def test_memos_stay_within_caps(self, monkeypatch):
-        monkeypatch.setattr(longmoody, "FOX_TABLE_CAP", 3)
-        monkeypatch.setattr(braidcat, "IMAGE_MEMO_CAP", 3)
+        monkeypatch.setattr(memo, "MEMO_CAP", 3)
         cfg = standard_config()
         keys = [(n, letter) for n in range(2, 6) for letter in signed_letters(n)]
         for n, letter in keys:
@@ -574,3 +574,27 @@ class TestFoxTable:
         for w in words:
             cfg.system.evaluate(w)
         assert list(cfg.system._images) == words[-3:]
+        # Every table of a functor stores through the same policy.
+        steps = [(n, n + 1) for n in range(6)]
+        word_keys = [(n, (1, 1)) for n in range(2, 8)]
+        level_seeds = [(n, seed) for n in range(3) for seed in (0, 1)]
+        tables = {
+            "_dims": (lambda f, n: f.dim(n), list(range(7))),
+            "_gens": (lambda f, key: f.gen_matrix(*key), keys),
+            "_stabs": (lambda f, key: f.stab(*key), steps),
+            "_splits": (lambda f, key: f.split(*key), steps),
+            "_words": (lambda f, key: f.word_matrix(BraidWord(*key)), word_keys),
+            "_resolutions": (lambda f, key: resolution(f, *key), level_seeds),
+        }
+        for name, (fill, table_keys) in tables.items():
+            f = burau_functor()
+            for key in table_keys:
+                fill(f, key)
+                assert len(getattr(f, name)) <= 3, name
+            assert list(getattr(f, name)) == table_keys[-3:], name
+        # So does the record of spot-verified action families.
+        monkeypatch.setattr(longmoody, "_verified_families", {})
+        for m in range(2, 6):
+            wada_family(1, m)
+            assert len(longmoody._verified_families) <= 3
+        assert list(longmoody._verified_families) == [f"wada1(m={m})" for m in range(3, 6)]

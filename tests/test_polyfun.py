@@ -25,11 +25,11 @@ from lmkit.repfun import (
 )
 from lmkit.longmoody import long_moody, long_moody_power, standard_config
 from lmkit.polyfun import (
-    InclusionCache,
     SplitCertificationError,
     difference,
     estimate_strong_degree,
     evanescence,
+    resolution,
     resolve_inclusion,
     translation_degree_checks,
     unit_line_equivalence,
@@ -174,29 +174,44 @@ class TestSplitBuilder:
 
 
 class TestInclusionCache:
-    def test_failed_search_is_stored_and_raised_again(self):
-        cache = InclusionCache(non_split_functor())
+    """The resolutions stored on each functor by polyfun.resolution."""
+
+    @staticmethod
+    def _count_resolutions(monkeypatch) -> Counter:
+        calls = Counter()
+        resolve = polyfun.resolve_inclusion
+
+        def counting(f, n, seed=0):
+            calls[(id(f), n, seed)] += 1
+            return resolve(f, n, seed)
+
+        monkeypatch.setattr(polyfun, "resolve_inclusion", counting)
+        return calls
+
+    def test_failed_search_is_stored_and_raised_again(self, monkeypatch):
+        f = non_split_functor()
+        calls = self._count_resolutions(monkeypatch)
         with pytest.raises(SplitCertificationError) as first:
-            cache.at(2)
+            resolution(f, 2)
         with pytest.raises(SplitCertificationError) as second:
-            cache.at(2)
+            resolution(f, 2)
         assert second.value is first.value
+        assert calls == {(id(f), 2, 0): 1}
 
     def test_each_level_is_resolved_once(self, monkeypatch):
         # lm(artin,pure-braid;e(1)) has an uncertified inclusion at level 1
         # of its first difference, which both the kappa loop and the next
         # difference look up.
-        calls = Counter()
-        resolve = polyfun.resolve_inclusion
-
-        def counting(f, n, seed=0):
-            calls[(id(f), n)] += 1
-            return resolve(f, n, seed)
-
-        monkeypatch.setattr(polyfun, "resolve_inclusion", counting)
+        calls = self._count_resolutions(monkeypatch)
         base = long_moody(standard_config(), power_functor(1))
         report = estimate_strong_degree(base, 6)
         assert report.strong_degree is None
+        assert calls and max(calls.values()) == 1
+        # The splitting check builds the difference and the evanescence of
+        # both F and LM(F); each pair shares its functor's resolutions.
+        calls.clear()
+        report = verify_difference_splitting(standard_config(), burau_functor(), 5)
+        assert report.passed
         assert calls and max(calls.values()) == 1
 
 
@@ -320,22 +335,20 @@ class TestDegrees:
 
 
 class TestCommutations:
-    def _translation_difference_intertwiner(self, f, n, cache_a, cache_b):
+    def _translation_difference_intertwiner(self, f, tau_f, n):
         # Both sides are subquotients of f at level n+2; the braiding
         # router carries one realization onto the other.
         router = braiding(1, 1).inverse().monoidal(BraidWord.identity(n))
         q = f.word_matrix(router)
-        return cache_b.at(n).coprojection.matmul(q).matmul(cache_a.at(n + 1).complement)
+        return resolution(tau_f, n).coprojection.matmul(q).matmul(resolution(f, n + 1).complement)
 
     @pytest.mark.parametrize("factory", [burau_functor, tym_functor, lk_functor])
     def test_translation_commutes_with_difference(self, factory):
         f = factory()
-        cache_a = InclusionCache(f)
         tau_f = translate(f, 1)
-        cache_b = InclusionCache(tau_f)
-        lhs = translate(difference(f, 6, cache=cache_a), 1)
-        rhs = difference(tau_f, 5, cache=cache_b)
-        comps = {n: self._translation_difference_intertwiner(f, n, cache_a, cache_b) for n in range(5)}
+        lhs = translate(difference(f, 6), 1)
+        rhs = difference(tau_f, 5)
+        comps = {n: self._translation_difference_intertwiner(f, tau_f, n) for n in range(5)}
         eta = NaturalMap(lhs, rhs, lambda n: comps[n], "translation-difference")
         report = check_natural(eta, 4)
         assert report.passed, report.failures[:2]

@@ -17,8 +17,8 @@ from lmkit.braidcat import (
     pure_braid_system,
     trivial_system,
 )
+from lmkit.memo import MEMO_CAP
 from lmkit.repfun import (
-    WORD_MEMO_CAP,
     BraidFunctor,
     FunctorError,
     NaturalMap,
@@ -531,16 +531,16 @@ def test_functor_json_shape():
 def test_word_memo_is_capped_and_drops_the_oldest():
     f = builtin("burau")
     words = enumerate_words(3, 6)
-    assert len(words) > WORD_MEMO_CAP
+    assert len(words) > MEMO_CAP
     for word in words:
         f.word_matrix(word)
-    assert len(f._words) == WORD_MEMO_CAP
-    kept = [(w.strands, w.letters) for w in words[-WORD_MEMO_CAP:]]
+    assert len(f._words) == MEMO_CAP
+    kept = [(w.strands, w.letters) for w in words[-MEMO_CAP:]]
     assert list(f._words) == kept
     oldest = words[1]
     assert (3, oldest.letters) not in f._words
     assert f.word_matrix(oldest) == f.gen_matrix(3, oldest.letters[0])
-    assert len(f._words) == WORD_MEMO_CAP
+    assert len(f._words) == MEMO_CAP
 
 
 def reference_partial_permutation_split(incl):
