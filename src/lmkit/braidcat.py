@@ -213,12 +213,13 @@ def bracket_monoidal(g: BracketMorphism, f: BracketMorphism) -> BracketMorphism:
 
 
 _COSET_BOUND = 4
+# The certainty of every verdict: Lawrence-Krammer points per comparison.
+_CERTAINTY = 3
 
 
 def bracket_equal(
     g: BracketMorphism,
     f: BracketMorphism,
-    certainty: int = 3,
     seed: int = 0,
 ) -> bool | None:
     """Equality of bracket-category morphisms: True, False, or None.
@@ -233,11 +234,11 @@ def bracket_equal(
         return False
     k = g.target - g.source
     if k <= 1:
-        return braid_equal(g.word, f.word, certainty, seed)
+        return braid_equal(g.word, f.word, seed)
     for letters in reduced_words(k - 1, _COSET_BOUND):
         psi = BraidWord(k, letters)
         candidate = f.word.compose(psi.monoidal(BraidWord.identity(g.source)))
-        if braid_equal(g.word, candidate, certainty, seed):
+        if braid_equal(g.word, candidate, seed):
             return True
     return None
 
@@ -468,14 +469,14 @@ def _cores(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
 
 
 def braid_equal(
-    u: BraidWord, v: BraidWord, certainty: int = 3, seed: int = 0
+    u: BraidWord, v: BraidWord, seed: int = 0
 ) -> bool:
-    ok, _ = braid_equal_witness(u, v, certainty, seed)
+    ok, _ = braid_equal_witness(u, v, seed=seed)
     return ok
 
 
 def braid_equal_witness(
-    u: BraidWord, v: BraidWord, certainty: int = 3, seed: int = 0
+    u: BraidWord, v: BraidWord, certainty: int = _CERTAINTY, seed: int = 0
 ):
     """Decide u = v in the braid group; on failure return a witness.
 

@@ -11,7 +11,7 @@ Functors are named by a small prefix grammar, nestable via ';':
     burau           tym(-1)          reduced-burau     lk
     constant        t1               atomic(2)         e(2)
     sum(F; G)       tensor(F; G)     tau(k; F)         twist(y; F)
-    lm(action,system[,pre[,post]]; F)
+    lm(action,system[,pre[,post]]; F)      (at most four parameters)
 
 so the classical twisted image of the constant functor is
     lm(artin,pure-braid,t,t^-1; constant).
@@ -122,14 +122,9 @@ def parse_functor(spec: str) -> BraidFunctor:
     if head == "lm":
         params_text, f_text = _two_args(head, body)
         params = [p.strip() for p in params_text.split(",")]
-        if len(params) < 2:
+        if not 2 <= len(params) <= 4:
             raise UsageError("lm(action,system[,pre[,post]]; functor)")
-        cfg = LongMoodyConfig(
-            action_family(params[0]),
-            local_system(params[1]),
-            parse_poly(params[2]) if len(params) > 2 and params[2] else None,
-            parse_poly(params[3]) if len(params) > 3 and params[3] else None,
-        )
+        cfg = _config(*params)
         return long_moody(cfg, parse_functor(f_text))
 
     if head in BUILTINS:
@@ -144,13 +139,17 @@ def parse_functor(spec: str) -> BraidFunctor:
     raise UsageError(f"unknown functor {spec!r}")
 
 
-def _config_from_args(args) -> LongMoodyConfig:
+def _config(action: str, sigma: str, pre=None, post=None) -> LongMoodyConfig:
     return LongMoodyConfig(
-        action_family(args.action),
-        local_system(args.sigma),
-        parse_poly(args.pre) if args.pre else None,
-        parse_poly(args.post) if args.post else None,
+        action_family(action),
+        local_system(sigma),
+        parse_poly(pre) if pre else None,
+        parse_poly(post) if post else None,
     )
+
+
+def _config_from_args(args) -> LongMoodyConfig:
+    return _config(args.action, args.sigma, args.pre, args.post)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from .repfun import (
     constant_functor,
     group_ring_matrix,
     scalar_twist,
+    split_at_rows,
     translate,
 )
 from .memo import remember
@@ -243,11 +244,12 @@ def long_moody(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
             return None
         blocks = PolyMatrix.identity(n).kron
         lead = (n2 - n) * f.dim(n2 + 1)
-        return SplitData(
-            PolyMatrix.zeros(0, lead).direct_sum(blocks(tau_split.retraction)),
-            PolyMatrix.identity(lead).direct_sum(blocks(tau_split.complement)),
-            PolyMatrix.identity(lead).direct_sum(blocks(tau_split.coprojection)),
-        )
+        empty = split_at_rows(PolyMatrix.zeros(lead, 0), [], PolyMatrix.zeros(0, 0))
+        return empty.direct_sum(SplitData(
+            blocks(tau_split.retraction),
+            blocks(tau_split.complement),
+            blocks(tau_split.coprojection),
+        ))
 
     label = f"lm({cfg.label()};{f.name})"
     return BraidFunctor(label, dim, gen, stab, split_rule=split, eval_range=f.eval_range - 1)
@@ -309,23 +311,24 @@ def check_coherence(
     big_n: int,
     word_len: int,
     seed: int = 0,
-    certainty: int = 3,
 ) -> CoherenceReport:
     """The three conditions a pair must satisfy for the construction to be
     functorial: stability of the local system, compatibility of the action
     with the level inclusions, and the semidirect-product factorization.
 
     Braid-word identities are certified through the word-equality oracle
-    (Lawrence-Krammer at `certainty` seeded points plus symbolic Burau);
+    (Lawrence-Krammer at three seeded points plus symbolic Burau);
     free-group identities are exact word comparisons.  Each condition
     reports its first failure in enumeration order as the witness.
 
     Both braid-word conditions are decided on words of length
     <= min(word_len, 1), which proves them for every length.  Action
     compatibility: psi ♮ sigma = (psi ♮ id)(id ♮ sigma), and the identity
-    for each factor composes.  Semidirect: for a fixed sigma both sides are
-    homomorphisms F_n -> B_{n+1} in g, and the identity composes in sigma
-    because word_map multiplies letter maps in the same order as shift.  The
+    for each factor composes, so only (id, psi) and then (sigma, id) are
+    checked: a failing pair of letters has a failing factor, found earlier.
+    Semidirect: for a fixed sigma both sides are homomorphisms
+    F_n -> B_{n+1} in g, and the identity composes in sigma because
+    word_map multiplies letter maps in the same order as shift.  The
     enumeration is breadth first with the empty word first, so the first
     failure, and with it the witness, is the one all words would give.
     """
@@ -339,13 +342,13 @@ def check_coherence(
             for i in range(1, n + 1):
                 lhs = cross.compose(system.generator_image(n, i).shift(1, n + 2))
                 rhs = system.generator_image(n + 1, i + 1).compose(cross)
-                ok, why = braid_equal_witness(lhs, rhs, certainty, seed)
+                ok, why = braid_equal_witness(lhs, rhs, seed=seed)
                 if not ok:
                     yield {"n": n, "generator": f"g{i}", "detail": why}
 
     def action_compatibility():
         # The level-inclusion intertwines the action with juxtaposed braids,
-        # as exact word identities, decided on letters (see the docstring).
+        # as exact word identities, on (id, psi) and (sigma, id) pairs (see the docstring).
         for n in range(0, big_n + 1):
             sigma_words = enumerate_words(n, min(word_len, 1))
             sigma_maps = [(w, action.word_map(n, w)) for w in sigma_words]
@@ -357,7 +360,7 @@ def check_coherence(
                         sigma_map.apply_word(FreeWord.generator(n, i)).shifted(k, n2)
                         for i in range(1, n + 1)
                     ]
-                    for psi in psi_words:
+                    for psi in psi_words if not sigma.letters else psi_words[:1]:
                         full_map = action.word_map(n2, psi.monoidal(sigma))
                         for i in range(1, n + 1):
                             got = full_map.apply_word(FreeWord.generator(n2, i + k))
@@ -380,7 +383,7 @@ def check_coherence(
                 for i in range(1, n + 1):
                     lhs = shifted.compose(system.generator_image(n, i))
                     acted = system.evaluate(amap.apply_word(FreeWord.generator(n, i)))
-                    ok, why = braid_equal_witness(lhs, acted.compose(shifted), certainty, seed)
+                    ok, why = braid_equal_witness(lhs, acted.compose(shifted), seed=seed)
                     if not ok:
                         yield {
                             "n": n,
@@ -415,8 +418,8 @@ def check_reliability(
 
     The second is checked on words of length <= min(word_len, 1) only: the
     action of a shifted word is the product of its letters' maps, and maps
-    fixing g1..gk compose to one that fixes them.  In the breadth-first
-    order the empty word passes and letters come before longer words, so
+    fixing g1..gk compose to one that fixes them.  The empty word fixes
+    every generator and is skipped; letters come before longer words, so
     the first failing word, the witness, is a letter.
     """
     action = cfg.action
@@ -435,7 +438,7 @@ def check_reliability(
             words = enumerate_words(n, min(word_len, 1))
             for n2 in range(n + 1, big_n + 1):
                 k = n2 - n
-                for sigma in words:
+                for sigma in words[1:]:
                     amap = action.word_map(n2, sigma.shift(k, n2))
                     for p in range(1, k + 1):
                         g = FreeWord.generator(n2, p)
@@ -461,11 +464,11 @@ def check_reliability(
 
 
 def check_coherent_reliable(
-    cfg: LongMoodyConfig, big_n: int, word_len: int, seed: int = 0, **kw
+    cfg: LongMoodyConfig, big_n: int, word_len: int, seed: int = 0
 ) -> CoherenceReport:
     """All five conditions in one report."""
     return CoherenceReport(
-        check_coherence(cfg, big_n, word_len, seed, **kw).results
+        check_coherence(cfg, big_n, word_len, seed).results
         + check_reliability(cfg, big_n, word_len, seed).results
     )
 

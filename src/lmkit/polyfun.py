@@ -4,9 +4,11 @@ verification of the splitting and degree-growth theorems for the
 Long-Moody construction.
 
 Kernels and cokernels of the canonical inclusion F -> translate(F) are
-computed only from certified split stabilizations: either data declared by
-the functor (all built-ins, and everything the construction propagates) or
-a complement found by evaluation pivoting and then certified symbolically.
+read off one certified SplitData of it on a complement of its kernel: the
+rank is the retraction's rows, the cokernel the complement's columns.  It
+is either data declared by the functor (all built-ins, and everything the
+construction propagates) or a complement found by evaluation pivoting and
+then certified symbolically.
 Degree conclusions are therefore exact but range-relative: a report says
 "the (d+1)-st difference vanishes on levels <= N", never more.  Each
 resolution is stored on its functor (see resolution), so the evanescence,
@@ -44,63 +46,25 @@ class SplitCertificationError(RuntimeError):
     """Raised when no certified complement of a stabilization is found."""
 
 
-@dataclass
-class SplitStabilization:
-    """A certified analysis of one canonical inclusion F(n) -> F(n+1).
-
-    kind is "split" when the inclusion is split injective with an explicit
-    retraction and complement, or "zero" when it is the zero map out of a
-    nonzero module (then the kernel is everything and the whole target is
-    the cokernel).
-    """
-
-    inclusion: PolyMatrix
-    kind: str
-    data: SplitData | None = None
-
-    @property
-    def kernel_dim(self) -> int:
-        return 0 if self.kind == "split" else self.inclusion.cols
-
-    @property
-    def coker_dim(self) -> int:
-        if self.kind == "split":
-            return self.data.complement.cols
-        return self.inclusion.rows
-
-    @property
-    def complement(self) -> PolyMatrix:
-        if self.kind == "split":
-            return self.data.complement
-        return PolyMatrix.identity(self.inclusion.rows)
-
-    @property
-    def coprojection(self) -> PolyMatrix:
-        if self.kind == "split":
-            return self.data.coprojection
-        return PolyMatrix.identity(self.inclusion.rows)
-
-
 _PIVOT_POINTS = 4
 
 
-def resolve_inclusion(f: BraidFunctor, n: int, seed: int = 0) -> SplitStabilization:
-    """Classify and certify the inclusion at level n, uncached (see resolution).
+def resolve_inclusion(f: BraidFunctor, n: int, seed: int = 0) -> SplitData:
+    """Split the inclusion at level n on a complement of its kernel,
+    uncached (see resolution).
 
-    Resolution order: trivial source; splitting data declared by the
-    functor; literal zero map; complement search at _PIVOT_POINTS seeded
-    evaluation points followed by symbolic certification.  An unresolvable
-    inclusion raises SplitCertificationError rather than silently degrading.
+    Resolution order: a zero map (kernel everything), split as the empty
+    inclusion; splitting data declared by the functor; complement search at
+    _PIVOT_POINTS seeded evaluation points followed by symbolic
+    certification.  An unresolvable inclusion raises
+    SplitCertificationError rather than silently degrading.
     """
     incl = f.stab(n, n + 1)
-    if incl.cols == 0:
-        data = split_at_rows(incl, [], PolyMatrix.zeros(0, 0))
-        return SplitStabilization(incl, "split", data)
+    if incl.is_zero():
+        return split_at_rows(PolyMatrix.zeros(incl.rows, 0), [], PolyMatrix.zeros(0, 0))
     declared = f.split(n, n + 1)
     if declared is not None and declared.certify(incl):
-        return SplitStabilization(incl, "split", declared)
-    if incl.is_zero():
-        return SplitStabilization(incl, "zero")
+        return declared
     # Guess the pivot rows at random points, eliminate only the pivot block,
     # then certify the split exactly.
     for point in seeded_points(_PIVOT_POINTS, seed):
@@ -113,17 +77,17 @@ def resolve_inclusion(f: BraidFunctor, n: int, seed: int = 0) -> SplitStabilizat
             continue
         data = split_at_rows(incl, pivots, a_inv)
         if data.certify(incl):
-            return SplitStabilization(incl, "split", data)
+            return data
     raise SplitCertificationError(
         f"{f.name}: no certified complement for the inclusion at level {n}"
     )
 
 
-def resolution(f: BraidFunctor, n: int, seed: int = 0) -> SplitStabilization:
-    """resolve_inclusion(f, n, seed), stored once per (functor instance,
-    level, seed) in f's resolution table, so that differences and the
-    identifications built on them share complements.  A failed search is
-    stored too: later lookups raise the same SplitCertificationError."""
+def resolution(f: BraidFunctor, n: int, seed: int = 0) -> SplitData:
+    """The split resolve_inclusion(f, n, seed), stored once per (functor
+    instance, level, seed) in f's resolution table, so that differences and
+    the identifications built on them share complements.  A failed search
+    is stored too: later lookups raise the same SplitCertificationError."""
     key = (n, seed)
     hit = f._resolutions.get(key)
     if hit is None:
@@ -145,7 +109,7 @@ def evanescence(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
     raise rather than guess.
     """
     def dim(n):
-        return resolution(f, n, seed).kernel_dim
+        return f.dim(n) - resolution(f, n, seed).retraction.rows
 
     def gen(n, letter):
         if dim(n) == 0:
@@ -177,7 +141,7 @@ def difference(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
     tau = translate(f, 1)
 
     def dim(n):
-        return resolution(f, n, seed).coker_dim
+        return resolution(f, n, seed).complement.cols
 
     def gen(n, letter):
         res = resolution(f, n, seed)
@@ -265,7 +229,7 @@ def estimate_strong_degree(
         kappa_zero, uncertified = True, None
         for n in range(0, window):
             try:
-                if resolution(current, n, seed).kernel_dim:
+                if current.dim(n) - resolution(current, n, seed).retraction.rows:
                     kappa_zero = False
                     break
             except SplitCertificationError as exc:

@@ -83,6 +83,14 @@ class SplitData:
             self.complement.cols
         )
 
+    def direct_sum(self, other: "SplitData") -> "SplitData":
+        """The split of a block-diagonal inclusion: each piece direct-sums."""
+        return SplitData(
+            self.retraction.direct_sum(other.retraction),
+            self.complement.direct_sum(other.complement),
+            self.coprojection.direct_sum(other.coprojection),
+        )
+
 
 def split_at_rows(incl: PolyMatrix, pivots: list[int], a_inv: PolyMatrix) -> SplitData:
     """The split of incl fixed by its pivot rows P, given A^{-1} for A = incl[P].
@@ -119,10 +127,11 @@ class BraidFunctor:
     """Dimensions, generator matrices, and stabilization data on a range.
 
     Rules are memoized; instances behave as immutable values and the memo
-    tables are idempotent, so concurrent readers are safe.  Every table,
-    word matrices included (the checks evaluate letters, routers and
-    group-ring images only: 37 distinct words for burau at N=5), stores
-    through memo.remember; _resolutions is filled by polyfun.resolution.
+    tables are idempotent, so concurrent readers are safe.  The tables are
+    _dims, _gens, _stabs, _words (the checks evaluate letters, routers and
+    group-ring images only: 37 distinct words for burau at N=5) and
+    _resolutions, filled by polyfun.resolution with the certified splits;
+    each stores through memo.remember.
     gen_rule(n, letter) takes a signed letter, ±i for s_i^{±1}, and is
     called once per (n, letter); check_functor tests that the two signs
     are inverse to each other.
@@ -141,12 +150,11 @@ class BraidFunctor:
         self._dim_rule = dim_rule
         self._gen_rule = gen_rule
         self._stab_rule = stab_rule
-        self._split_rule = split_rule
+        self._split_rule = split_rule or (lambda n, n2: None)
         self.eval_range = eval_range
         self._dims: dict = {}
         self._gens: dict = {}
         self._stabs: dict = {}
-        self._splits: dict = {}
         self._resolutions: dict = {}
         self._words: dict = {}
 
@@ -204,15 +212,10 @@ class BraidFunctor:
         return self._stabs[key]
 
     def split(self, n: int, n2: int) -> SplitData | None:
-        key = (n, n2)
-        if key not in self._splits:
-            data = None
-            if self._split_rule is not None:
-                data = self._split_rule(n, n2)
-            if data is None:
-                data = partial_permutation_split(self.stab(n, n2))
-            remember(self._splits, key, data)
-        return self._splits[key]
+        data = self._split_rule(n, n2)
+        if data is None:
+            data = partial_permutation_split(self.stab(n, n2))
+        return data
 
     # -- evaluation -------------------------------------------------------
 
@@ -466,13 +469,7 @@ def direct_sum(f: BraidFunctor, g: BraidFunctor) -> BraidFunctor:
         sf, sg = f.split(n, n2), g.split(n, n2)
         if sf is None or sg is None:
             return None
-        # The stabilization is block-diagonal, so every piece of the
-        # splitting data direct-sums as well.
-        return SplitData(
-            sf.retraction.direct_sum(sg.retraction),
-            sf.complement.direct_sum(sg.complement),
-            sf.coprojection.direct_sum(sg.coprojection),
-        )
+        return sf.direct_sum(sg)
 
     return BraidFunctor(
         f"({f.name})+({g.name})",

@@ -122,11 +122,11 @@ def test_criterion_3_fox_oracle():
 
 
 def test_criterion_4_coherence_and_reliability():
-    report = check_coherent_reliable(standard_config(), 5, 4, seed=0, certainty=3)
+    report = check_coherent_reliable(standard_config(), 5, 4, seed=0)
     ok = report.passed
     for kind in range(1, 8):
         cfg = LongMoodyConfig(wada_family(kind), trivial_system())
-        ok &= check_coherence(cfg, 4, 2, seed=0, certainty=3).passed
+        ok &= check_coherence(cfg, 4, 2, seed=0).passed
     verdict(4, ok, "classical pair: all five conditions N=5 L=4; each local action with trivial system: coherence")
 
 

@@ -226,7 +226,8 @@ class TestFunctorGrammar:
     def test_bad_arguments_are_usage_errors(self, capsys):
         for spec in ["atomic(x)", "atomic(-1)", "e(1.5)", "e(-1)", "tau(x; burau)",
                      "tau(1; burau; tym)", "twist(t)", "lm(artin,pure-braid)", "burau(1/0)",
-                     "lk(7)", "constant(burau)", "x(1)", "t1(t)", "zero(0)"]:
+                     "lk(7)", "constant(burau)", "x(1)", "t1(t)", "zero(0)",
+                     "lm(artin,pure-braid,t,t^-1,junk;constant)"]:
             assert main(["emit", "--functor", spec, "--n", "2"]) == 2, spec
         for action in ["wada1:x", "wada2:3", "wada01", "wada1:02"]:
             assert main(["check", "coherence", "--action", action]) == 2, action

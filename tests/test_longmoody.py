@@ -15,12 +15,15 @@ from lmkit.braidcat import (
     trivial_system,
 )
 from lmkit.repfun import (
+    SplitData,
+    atomic_functor,
     burau_functor,
     check_functor,
     constant_functor,
     direct_sum,
     group_ring_matrix,
     lk_functor,
+    partial_permutation_split,
     scalar_twist,
     translate,
     tym_functor,
@@ -126,6 +129,24 @@ def all_words_semidirect(cfg, big_n, word_len):
                     return {"n": n, "word": list(sigma.letters), "generator": f"g{i}",
                             "detail": why}
     return None
+
+
+def reference_lm_split(cfg, f, n, n2):
+    """The image's split of stab(n, n2) as the construction assembled it
+    inline: no retraction rows and identity complement and coprojection on
+    the n2-n new blocks, then I_n ⊗ each piece of tau's split; the
+    monomial split when tau declares none."""
+    base = scalar_twist(f, cfg.pre_twist) if cfg.pre_twist is not None else f
+    tau_split = translate(base, 1).split(n, n2)
+    if tau_split is None:
+        return partial_permutation_split(long_moody(cfg, f).stab(n, n2))
+    blocks = PolyMatrix.identity(n).kron
+    lead = (n2 - n) * f.dim(n2 + 1)
+    return SplitData(
+        PolyMatrix.zeros(0, lead).direct_sum(blocks(tau_split.retraction)),
+        PolyMatrix.identity(lead).direct_sum(blocks(tau_split.complement)),
+        PolyMatrix.identity(lead).direct_sum(blocks(tau_split.coprojection)),
+    )
 
 
 class TestConstruction:
@@ -283,6 +304,16 @@ class TestConstruction:
                 rhs = vec_matrix(amap.apply_aug(x)).matmul(f.word_matrix(shifted))
                 assert lhs == rhs
 
+    @pytest.mark.parametrize("pre,post", [(None, None), (T, None), (None, T_INV)])
+    def test_split_matches_inline_assembly(self, pre, post):
+        cfg = standard_config(pre, post)
+        for base in (burau_functor(), tym_functor(), atomic_functor(2)):
+            image = long_moody(cfg, base)
+            for n in range(0, 5):
+                for n2 in range(n, 5):
+                    want = reference_lm_split(cfg, base, n, n2)
+                    assert image.split(n, n2) == want, (base.name, n, n2)
+
 
 class TestCoherence:
     def test_classical_pair_passes(self):
@@ -325,6 +356,25 @@ class TestCoherence:
         assert report.by_name("action-compatibility").witness == {
             "n": 1, "n2": 3, "word": [], "psi": [1], "generator": "g1",
         }
+
+    def test_compatibility_checks_no_pair_of_letters(self, monkeypatch):
+        # psi ♮ sigma = (psi ♮ id)(id ♮ sigma), so no word the check builds
+        # has letters of psi (below k) and of the shifted sigma (above k).
+        seen = []
+        word_map = ActionFamily.word_map
+
+        def recording(self, n, word):
+            seen.append((n, word.letters))
+            return word_map(self, n, word)
+
+        monkeypatch.setattr(ActionFamily, "word_map", recording)
+        assert check_coherence(standard_config(), 5, 4).passed
+        assert any(len(letters) == 1 for _, letters in seen)
+        for n2, letters in seen:
+            for k in range(1, n2):
+                below = any(abs(l) < k for l in letters)
+                above = any(abs(l) > k for l in letters)
+                assert not (below and above), (n2, k, letters)
 
     @pytest.mark.parametrize("word_len", [0, 1, 2, 3])
     @pytest.mark.parametrize("big_n", [3, 4])
@@ -582,7 +632,6 @@ class TestFoxTable:
             "_dims": (lambda f, n: f.dim(n), list(range(7))),
             "_gens": (lambda f, key: f.gen_matrix(*key), keys),
             "_stabs": (lambda f, key: f.stab(*key), steps),
-            "_splits": (lambda f, key: f.split(*key), steps),
             "_words": (lambda f, key: f.word_matrix(BraidWord(*key)), word_keys),
             "_resolutions": (lambda f, key: resolution(f, *key), level_seeds),
         }

@@ -71,31 +71,42 @@ class TestResolution:
     def test_coordinate_split(self):
         f = tym_functor()
         res = resolve_inclusion(f, 3)
-        assert res.kind == "split"
-        assert res.kernel_dim == 0 and res.coker_dim == 1
+        assert res.retraction.rows == f.dim(3) and res.complement.cols == 1
         # Retraction is the coordinate projection onto the last copies.
-        assert res.data.retraction == PolyMatrix(3, 4, {(i, i + 1): ONE for i in range(3)})
+        assert res.retraction == PolyMatrix(3, 4, {(i, i + 1): ONE for i in range(3)})
 
     def test_zero_map_at_atomic_top(self):
         a2 = atomic_functor(2)
         res = resolve_inclusion(a2, 2)
-        assert res.kind == "zero"
-        assert res.kernel_dim == 1 and res.coker_dim == 0
+        assert res.retraction.rows == 0
+        assert a2.dim(2) - res.retraction.rows == 1 and res.complement.cols == 0
 
     def test_zero_source(self):
         a2 = atomic_functor(2)
         res = resolve_inclusion(a2, 1)
-        assert res.kind == "split" and res.coker_dim == a2.dim(2)
+        assert res.retraction.rows == a2.dim(1) and res.complement.cols == a2.dim(2)
 
     def test_constant(self):
-        res = resolve_inclusion(constant_functor(), 4)
-        assert res.kind == "split" and res.coker_dim == 0
+        f = constant_functor()
+        res = resolve_inclusion(f, 4)
+        assert res.retraction.rows == f.dim(4) and res.complement.cols == 0
+
+    def test_zero_maps_resolve_to_the_empty_split(self):
+        # The zero map at level 2 and the zero source at level 1: no
+        # retraction rows, identity complement and coprojection on F(n+1).
+        a2 = atomic_functor(2)
+        for n in (1, 2):
+            rows = a2.dim(n + 1)
+            empty = split_at_rows(PolyMatrix.zeros(rows, 0), [], PolyMatrix.zeros(0, 0))
+            assert resolve_inclusion(a2, n) == empty, n
+            assert empty.retraction.rows == 0
+            assert empty.complement == empty.coprojection == PolyMatrix.identity(rows)
 
     def test_search_certifies_non_coordinate_complement(self):
         conjugated = conjugated_burau()
         res = resolve_inclusion(conjugated, 2)
-        assert res.kind == "split"
-        assert res.data.certify(conjugated.stab(2, 3))
+        assert res.retraction.rows == conjugated.dim(2)
+        assert res.certify(conjugated.stab(2, 3))
 
     def test_uncertified_raises(self):
         with pytest.raises(SplitCertificationError):
@@ -148,7 +159,7 @@ class TestSplitBuilder:
             a_inv = incl.submatrix(pivots, range(incl.cols)).inverse()
             built = split_at_rows(incl, pivots, a_inv)
             assert built == reference_split(incl, pivots), n
-            assert resolve_inclusion(f, n).data == built, n
+            assert resolve_inclusion(f, n) == built, n
         return [n for n, _, _ in found]
 
     def test_conjugated_inclusion_matches_full_square_inverse(self):
@@ -168,7 +179,7 @@ class TestSplitBuilder:
 
         monkeypatch.setattr(laurent, "_montante_inverse", recording)
         res = resolve_inclusion(l2_difference, 4)
-        assert res.kind == "split" and res.data.certify(incl)
+        assert res.retraction.rows == l2_difference.dim(4) and res.certify(incl)
         # The full square [incl | complement] would be incl.rows (126) wide.
         assert sizes and max(sizes) <= incl.cols < incl.rows
 
@@ -235,7 +246,7 @@ class TestDifference:
             k = evanescence(f, 4)
             for n in range(5):
                 res = resolve_inclusion(f, n)
-                rank = f.dim(n) - res.kernel_dim
+                rank = res.retraction.rows
                 assert rank + k.dim(n) == f.dim(n)
                 assert d.dim(n) == translate(f, 1).dim(n) - rank
 
