@@ -318,6 +318,36 @@ PINNED_STDOUT = [
      "2abeaa38a5c1fa26687cfc91d5f322f1031091241d1f0b0aff7a571511f8ad29"),
     (["verify", "xi-lemma", "--base", "burau", "--N", "4"], 0,
      "aa9cc426b29b29da97f838625f885da3df9f2ff4bf79202eea34420e63ab0ba8"),
+    # One emit per built-in family and combinator, so a rewrite of the
+    # families is checked on its matrices and not only through verdicts.
+    (["emit", "--functor", "constant", "--n", "4"], 0,
+     "52b3aa8ddf047bf6b1759786eb68d79209150ce70ff8c12fb6b4027fd8dafbba"),
+    (["emit", "--functor", "t1", "--n", "4"], 0,
+     "c0c3195dfdf956b6a9d8f55490f54c9bea05ceea5ea64224c2f8443686d502c3"),
+    (["emit", "--functor", "zero", "--n", "4"], 0,
+     "f52f50b7eea877347dfed553e2feeb22933b5fe453c993adc5bd9e501d52b7da"),
+    (["emit", "--functor", "e(2)", "--n", "4"], 0,
+     "3f0b323e3eaa8d047f35fa62f167851fe9347bc8bae6fe8b161839753b63bb6b"),
+    (["emit", "--functor", "atomic(2)", "--n", "4"], 0,
+     "06fcdd251b62e76988c87b8e4a319cefc7ac06eb4d41392e24615fa4d5810878"),
+    (["emit", "--functor", "burau", "--n", "4"], 0,
+     "add1a390345119ad7037e844041847c9aa2bc8d0058553eb3a40dee2d66c26e1"),
+    (["emit", "--functor", "burau(t^2)", "--n", "4"], 0,
+     "29595a3aee473aef6654f4472c0c4707150dffcb3d1baf03a524d8e33ab041dc"),
+    (["emit", "--functor", "tym(-1)", "--n", "4"], 0,
+     "6c65ff789b5453e89c655472ec514a9be7d1428a2ff13d96f9cbfc5fc7228a9a"),
+    (["emit", "--functor", "reduced-burau", "--n", "4"], 0,
+     "4c28437d59e2058b942b03a9996a0d1520e5b2a90e67a09ba82ebe6ef6fd3c29"),
+    (["emit", "--functor", "reduced-burau(t^2)", "--n", "4"], 0,
+     "e66f82449c76266fa17ed2e9c51e5acf67ed2051a5012ea24cb08834a330a13c"),
+    (["emit", "--functor", "lk", "--n", "4"], 0,
+     "af560884db4dcd5f2667c5db49750639415f76b821c05d17c4e37e342815385c"),
+    (["emit", "--functor", "sum(burau;lk)", "--n", "4"], 0,
+     "833268a2e796816a4e80cfd0874e818f07adc31bfe1122469351cc919057fb8b"),
+    (["emit", "--functor", "tensor(burau;tym)", "--n", "4"], 0,
+     "c5aa68945a2a451bd22499d3d81a5064c9db57b28c383dc0304d0b6cf8e3946b"),
+    (["emit", "--functor", "twist(t;burau)", "--n", "4"], 0,
+     "0d71e039864336a6fcee6e0acf2ce83eaaa97f8981c4a35454803ee204429064"),
 ]
 
 
