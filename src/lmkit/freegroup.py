@@ -343,18 +343,6 @@ class FreeGroupMap:
     def identity(rank: int) -> "FreeGroupMap":
         return FreeGroupMap(rank, rank, [FreeWord.generator(rank, i) for i in range(1, rank + 1)])
 
-    def __call__(self, x):
-        return self.apply(x)
-
-    def apply(self, x):
-        if isinstance(x, FreeWord):
-            return self.apply_word(x)
-        if isinstance(x, GroupRingElement):
-            return self.apply_ring(x)
-        if isinstance(x, AugIdealElement):
-            return self.apply_aug(x)
-        raise FreeGroupError(f"cannot apply map to {type(x).__name__}")
-
     def apply_word(self, w: FreeWord) -> FreeWord:
         if w.rank != self.source_rank:
             raise FreeGroupError("rank mismatch in apply")
@@ -512,10 +500,10 @@ def wada_dual(pair: WadaPair, kind: str) -> WadaPair:
     g2 = FreeWord.generator(2, 2)
     swap_map = FreeGroupMap(2, 2, [g2, g1])
     if kind == "swap":
-        return WadaPair(swap_map(pair.v), swap_map(pair.w))
+        return WadaPair(swap_map.apply_word(pair.v), swap_map.apply_word(pair.w))
     if kind == "backward":
         flip = FreeGroupMap(2, 2, [g1.inverse(), g2.inverse()])
-        return WadaPair(flip(pair.w).inverse(), flip(pair.v).inverse())
+        return WadaPair(flip.apply_word(pair.w).inverse(), flip.apply_word(pair.v).inverse())
     if kind == "inverse":
         inv = invert_map(pair.as_map())
         if inv is None:

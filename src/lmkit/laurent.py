@@ -648,31 +648,29 @@ class PolyMatrix:
 
     def pivot_rows_at(self, point: EvaluationPoint) -> list[int]:
         """Row indices carrying pivots when the evaluated matrix is reduced
-        by columns; used to guess a complement of the column span."""
+        by columns; used to guess a complement of the column span.  A column
+        pivots on a row whose entry in it is a unit when it can, so that
+        the seeded points do not all repeat one non-unit pivot.
+
+        Each basis vector is zero on the earlier pivot rows, so a reduced
+        column is zero on every row already used."""
         m = self.eval(point)
-        rows, cols = self.rows, self.cols
-        pivots = []
-        used = [False] * rows
-        col = [list(m[r][c] for r in range(rows)) for c in range(cols)]
-        basis: list[list[Fraction]] = []
-        basis_pivot: list[int] = []
-        for c in range(cols):
-            v = col[c][:]
-            for bp, bv in zip(basis_pivot, basis):
+        rows = range(self.rows)
+        basis: list[tuple[int, list[Fraction]]] = []
+        for c in range(self.cols):
+            v = [m[r][c] for r in rows]
+            for bp, bv in basis:
                 factor = v[bp]
                 if factor:
-                    for r in range(rows):
+                    for r in rows:
                         v[r] -= factor * bv[r]
-            piv = next((r for r in range(rows) if v[r] and not used[r]), None)
-            if piv is None:
+            live = [r for r in rows if v[r]]
+            if not live:
                 continue
+            piv = next((r for r in live if self.entries.get((r, c), ZERO).is_unit()), live[0])
             scale = v[piv]
-            v = [x / scale for x in v]
-            basis.append(v)
-            basis_pivot.append(piv)
-            used[piv] = True
-            pivots.append(piv)
-        return sorted(pivots)
+            basis.append((piv, [x / scale for x in v]))
+        return sorted(bp for bp, _ in basis)
 
 
 def _product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -514,10 +514,7 @@ def check_inclusion_lemma(cfg: LongMoodyConfig, f: BraidFunctor, big_n: int):
     for n in range(0, big_n + 1):
         _, old_blocks = splitting_maps(cfg, f, n)
         lhs = old_blocks.matmul(PolyMatrix.identity(n).kron(f.stab(n + 1, n + 2)))
-        rhs = lm_f.stab(n, n + 1)
-        report.checked += 1
-        if lhs != rhs:
-            report.record(n=n)
+        report.expect(lhs == lm_f.stab(n, n + 1), n=n)
     return report
 
 
@@ -536,13 +533,9 @@ def check_factorization(action: ActionFamily, f: BraidFunctor, big_n: int):
     )
     for n in range(0, big_n + 1):
         for i in list(range(1, n)) + [-i for i in range(1, n)]:
-            report.checked += 1
-            if lm_f.gen_matrix(n, i) != lm_x.gen_matrix(n, i).kron(
-                tau_f.gen_matrix(n, i)
-            ):
-                report.record(kind="generator", n=n, i=i)
+            ok = lm_f.gen_matrix(n, i) == lm_x.gen_matrix(n, i).kron(tau_f.gen_matrix(n, i))
+            report.expect(ok, kind="generator", n=n, i=i)
         for n2 in range(n, big_n + 1):
-            report.checked += 1
-            if lm_f.stab(n, n2) != lm_x.stab(n, n2).kron(tau_f.stab(n, n2)):
-                report.record(kind="stabilization", n=n, n2=n2)
+            ok = lm_f.stab(n, n2) == lm_x.stab(n, n2).kron(tau_f.stab(n, n2))
+            report.expect(ok, kind="stabilization", n=n, n2=n2)
     return report

@@ -388,11 +388,8 @@ def verify_difference_splitting(
     unit_psi = CheckReport("identification-invertible", {"N": big_n})
     for n in range(big_n + 1):
         m = psi_components[n]
-        unit_psi.checked += 1
-        if m.rows != m.cols:
-            unit_psi.record(kind="shape", n=n, rows=m.rows, cols=m.cols)
-            continue
-        if m.rows and not m.det().is_unit():
+        unit_psi.expect(m.rows == m.cols, kind="shape", n=n, rows=m.rows, cols=m.cols)
+        if m.rows == m.cols and m.rows and not m.det().is_unit():
             unit_psi.record(kind="determinant", n=n)
     report.add(unit_psi)
     eta2 = NaturalMap(delta_lm, target, lambda n: psi_components[n], "identification")
@@ -406,9 +403,8 @@ def verify_difference_splitting(
     lm_kap = long_moody(cfg, kap_f)
     kap_check = CheckReport("evanescence-commutation", {"N": big_n})
     for n in range(big_n + 1):
-        kap_check.checked += 1
-        if kap_lm.dim(n) != lm_kap.dim(n):
-            kap_check.record(kind="dimension", n=n, left=kap_lm.dim(n), right=lm_kap.dim(n))
+        left, right = kap_lm.dim(n), lm_kap.dim(n)
+        kap_check.expect(left == right, kind="dimension", n=n, left=left, right=right)
     if kap_check.passed and any(kap_lm.dim(n) for n in range(big_n + 1)):
         eta3 = NaturalMap(
             kap_lm, lm_kap, lambda n: PolyMatrix.identity(kap_lm.dim(n)), "evanescence"

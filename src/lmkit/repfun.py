@@ -25,6 +25,7 @@ choice per family.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .laurent import LaurentError, LaurentPoly, PolyMatrix, ONE, ZERO, complete_inverse
@@ -70,8 +71,11 @@ class SplitData:
         (incl.cols + complement.cols == incl.rows), det S * det P = 1 over
         the commutative ring, so P is invertible with inverse S, and
         P * S = incl * retraction + complement * coprojection = Id follows.
+        Data of any other shape is refused before a product is formed.
         """
-        if incl.cols + self.complement.cols != incl.rows:
+        d, d2 = incl.cols, incl.rows
+        shapes = [(m.rows, m.cols) for m in (self.retraction, self.complement, self.coprojection)]
+        if shapes != [(d, d2), (d2, d2 - d), (d2 - d, d2)]:
             return False
         if self.retraction.matmul(incl) != PolyMatrix.identity(incl.cols):
             return False
@@ -261,28 +265,54 @@ class BraidFunctor:
 # ---------------------------------------------------------------------------
 
 
-def _last_coords_stab(dim_rule):
-    def rule(n, n2):
-        d, d2 = dim_rule(n), dim_rule(n2)
-        return PolyMatrix(d2, d, {(d2 - d + i, i): ONE for i in range(d)})
-
-    return rule
-
-
 def _block_gen(dim: int, offset: int, block: PolyMatrix) -> PolyMatrix:
     """The identity of size dim with block on the diagonal at offset."""
     rest = PolyMatrix.identity(dim - offset - block.rows)
     return PolyMatrix.identity(offset).direct_sum(block).direct_sum(rest)
 
 
-def constant_functor() -> BraidFunctor:
+def _coordinate_family(name: str, dim, eval_range: int, gen=None) -> BraidFunctor:
+    """A family whose stabilization n -> n' includes level n as the last
+    dim(n) coordinates of level n'.  Letters act by gen(n, letter), or by
+    the identity when no rule is given."""
+
+    def stab(n, n2):
+        d, d2 = dim(n), dim(n2)
+        return PolyMatrix(d2, d, {(d2 - d + i, i): ONE for i in range(d)})
+
     return BraidFunctor(
-        "constant",
-        lambda n: 1,
-        lambda n, i: PolyMatrix.identity(1),
-        _last_coords_stab(lambda n: 1),
-        eval_range=24,
+        name,
+        dim,
+        gen or (lambda n, i: PolyMatrix.identity(dim(n))),
+        stab,
+        eval_range=eval_range,
     )
+
+
+def _unit_parameter(stem: str, param: LaurentPoly):
+    """The family's name, and its parameter with the inverse; the default
+    parameter t is left out of the name."""
+    if not param.is_unit():
+        raise FunctorError(f"{stem} parameter must be a unit")
+    name = stem if param == VAR_T else f"{stem}({param})"
+    return name, param, param.unit_inverse()
+
+
+def _two_strand_family(stem: str, param: LaurentPoly, blocks) -> BraidFunctor:
+    """Level n on n coordinates, s_i^{±1} acting by a 2x2 block on
+    coordinates i-1 and i; blocks(y, y^-1) gives the blocks of s_i and of
+    s_i^-1, both in closed form."""
+    name, y, y_inv = _unit_parameter(stem, param)
+    block, inv_block = blocks(y, y_inv)
+
+    def gen(n, i):
+        return _block_gen(n, abs(i) - 1, block if i > 0 else inv_block)
+
+    return _coordinate_family(name, lambda n: n, 16, gen)
+
+
+def constant_functor() -> BraidFunctor:
+    return _coordinate_family("constant", lambda n: 1, 24)
 
 
 def burau_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
@@ -293,40 +323,18 @@ def burau_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
     inverse letter's block is stored in closed form:
     [[1-y, 1], [y, 0]]^-1 = [[0, y^-1], [1, 1-y^-1]].
     """
-    if not param.is_unit():
-        raise FunctorError("burau parameter must be a unit")
-    y, y_inv = param, param.unit_inverse()
-    block = PolyMatrix.from_rows([[ONE - y, ONE], [y, ZERO]])
-    inv_block = PolyMatrix.from_rows([[ZERO, y_inv], [ONE, ONE - y_inv]])
-
-    def gen(n, i):
-        return _block_gen(n, abs(i) - 1, block if i > 0 else inv_block)
-
-    name = "burau" if y == VAR_T else f"burau({y})"
-    return BraidFunctor(
-        name, lambda n: n, gen, _last_coords_stab(lambda n: n), eval_range=16
-    )
+    return _two_strand_family("burau", param, lambda y, y_inv: (
+        PolyMatrix.from_rows([[ONE - y, ONE], [y, ZERO]]),
+        PolyMatrix.from_rows([[ZERO, y_inv], [ONE, ONE - y_inv]]),
+    ))
 
 
 def tym_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
     """The other irreducible 2x2-block family: blocks [[0, y], [1, 0]]."""
-    if not param.is_unit():
-        raise FunctorError("parameter must be a unit")
-    y = param
-    block = PolyMatrix.from_rows([[ZERO, y], [ONE, ZERO]])
-    inv_block = PolyMatrix.from_rows([[ZERO, ONE], [y.unit_inverse(), ZERO]])
-
-    def gen(n, i):
-        return _block_gen(n, abs(i) - 1, block if i > 0 else inv_block)
-
-    name = "tym" if y == VAR_T else f"tym({y})"
-    return BraidFunctor(
-        name, lambda n: n, gen, _last_coords_stab(lambda n: n), eval_range=16
-    )
-
-
-def _redbur_dim(n: int) -> int:
-    return max(n - 1, 0)
+    return _two_strand_family("tym", param, lambda y, y_inv: (
+        PolyMatrix.from_rows([[ZERO, y], [ONE, ZERO]]),
+        PolyMatrix.from_rows([[ZERO, ONE], [y_inv, ZERO]]),
+    ))
 
 
 def reduced_burau_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
@@ -336,8 +344,7 @@ def reduced_burau_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
     stored in closed form with moving row [1, -y^-1, y^-1], e.g.
     [[-y, 1], [0, 1]]^-1 = [[-y^-1, y^-1], [0, 1]].
     """
-    if not param.is_unit():
-        raise FunctorError("parameter must be a unit")
+    name, y, y_inv = _unit_parameter("reduced-burau", param)
 
     def blocks(a, u, b):
         """(single, bottom, middle, top) for the moving row [a, -u, b]."""
@@ -348,7 +355,6 @@ def reduced_burau_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
             PolyMatrix.from_rows([[ONE, ZERO], [a, -u]]),
         )
 
-    y, y_inv = param, param.unit_inverse()
     pos, neg = blocks(y, y, ONE), blocks(ONE, y_inv, y_inv)
 
     def gen(n, letter):
@@ -362,10 +368,7 @@ def reduced_burau_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
             return _block_gen(n - 1, n - 3, top)
         return _block_gen(n - 1, i - 2, middle)
 
-    name = "reduced-burau" if y == VAR_T else f"reduced-burau({y})"
-    return BraidFunctor(
-        name, _redbur_dim, gen, _last_coords_stab(_redbur_dim), eval_range=16
-    )
+    return _coordinate_family(name, lambda n: max(n - 1, 0), 16, gen)
 
 
 def lk_functor() -> BraidFunctor:
@@ -415,20 +418,7 @@ def atomic_functor(k: int) -> BraidFunctor:
 
 def t1_functor() -> BraidFunctor:
     """The subfunctor of the constant functor that vanishes at level 0."""
-
-    def dim(n):
-        return 0 if n == 0 else 1
-
-    def stab(n, n2):
-        return PolyMatrix(dim(n2), dim(n), {(0, 0): ONE} if n >= 1 else {})
-
-    return BraidFunctor(
-        "t1",
-        dim,
-        lambda n, i: PolyMatrix.identity(dim(n)),
-        stab,
-        eval_range=24,
-    )
+    return _coordinate_family("t1", lambda n: min(n, 1), 24)
 
 
 def power_functor(l: int) -> BraidFunctor:
@@ -436,27 +426,11 @@ def power_functor(l: int) -> BraidFunctor:
     of natural numbers.  Very useful as a degree-l yardstick."""
     if l < 0:
         raise FunctorError(f"e({l}): the power must be nonnegative")
-
-    def dim(n):
-        return n**l
-
-    return BraidFunctor(
-        f"e({l})",
-        dim,
-        lambda n, i: PolyMatrix.identity(dim(n)),
-        _last_coords_stab(dim),
-        eval_range=14,
-    )
+    return _coordinate_family(f"e({l})", lambda n: n**l, 14)
 
 
 def zero_functor() -> BraidFunctor:
-    return BraidFunctor(
-        "zero",
-        lambda n: 0,
-        lambda n, i: PolyMatrix.zeros(0, 0),
-        lambda n, n2: PolyMatrix.zeros(0, 0),
-        eval_range=24,
-    )
+    return _coordinate_family("zero", lambda n: 0, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -464,28 +438,37 @@ def zero_functor() -> BraidFunctor:
 # ---------------------------------------------------------------------------
 
 
-def direct_sum(f: BraidFunctor, g: BraidFunctor) -> BraidFunctor:
-    def split(n, n2):
+def _blockwise(name: str, f: BraidFunctor, g: BraidFunctor, size, op, split) -> BraidFunctor:
+    """f and g combined level by level: dimensions by size, letters and
+    stabilizations by the matrix operation op, and the splits of both sides
+    by split(n, n', split of f, split of g); there is no split when one
+    side has none."""
+
+    def split_rule(n, n2):
         sf, sg = f.split(n, n2), g.split(n, n2)
         if sf is None or sg is None:
             return None
-        return sf.direct_sum(sg)
+        return split(n, n2, sf, sg)
 
     return BraidFunctor(
-        f"({f.name})+({g.name})",
-        lambda n: f.dim(n) + g.dim(n),
-        lambda n, i: f.gen_matrix(n, i).direct_sum(g.gen_matrix(n, i)),
-        lambda n, n2: f.stab(n, n2).direct_sum(g.stab(n, n2)),
-        split_rule=split,
+        name,
+        lambda n: size(f.dim(n), g.dim(n)),
+        lambda n, i: op(f.gen_matrix(n, i), g.gen_matrix(n, i)),
+        lambda n, n2: op(f.stab(n, n2), g.stab(n, n2)),
+        split_rule=split_rule,
         eval_range=min(f.eval_range, g.eval_range),
     )
 
 
+def direct_sum(f: BraidFunctor, g: BraidFunctor) -> BraidFunctor:
+    return _blockwise(
+        f"({f.name})+({g.name})", f, g, operator.add, PolyMatrix.direct_sum,
+        lambda n, n2, sf, sg: sf.direct_sum(sg),
+    )
+
+
 def tensor(f: BraidFunctor, g: BraidFunctor) -> BraidFunctor:
-    def split(n, n2):
-        sf, sg = f.split(n, n2), g.split(n, n2)
-        if sf is None or sg is None:
-            return None
+    def split(n, n2, sf, sg):
         inc_f = f.stab(n, n2)
         # Complement of (s⊗s): columns [s_f ⊗ c_g | c_f ⊗ Id].
         comp = inc_f.kron(sg.complement).hstack(
@@ -496,13 +479,14 @@ def tensor(f: BraidFunctor, g: BraidFunctor) -> BraidFunctor:
         copr = copr_top.transpose().hstack(copr_bot.transpose()).transpose()
         return SplitData(sf.retraction.kron(sg.retraction), comp, copr)
 
+    return _blockwise(f"({f.name})x({g.name})", f, g, operator.mul, PolyMatrix.kron, split)
+
+
+def _relettered(name: str, f: BraidFunctor, gen) -> BraidFunctor:
+    """f's levels, stabilizations and splits, with the letter matrices
+    gen(n, letter) in place of f's."""
     return BraidFunctor(
-        f"({f.name})x({g.name})",
-        lambda n: f.dim(n) * g.dim(n),
-        lambda n, i: f.gen_matrix(n, i).kron(g.gen_matrix(n, i)),
-        lambda n, n2: f.stab(n, n2).kron(g.stab(n, n2)),
-        split_rule=split,
-        eval_range=min(f.eval_range, g.eval_range),
+        name, f.dim, gen, f.stab, split_rule=f.split, eval_range=f.eval_range
     )
 
 
@@ -513,13 +497,10 @@ def scalar_twist(f: BraidFunctor, y: LaurentPoly) -> BraidFunctor:
     if not y.is_unit():
         raise FunctorError("twist must be a unit")
     y_inv = y.unit_inverse()
-    return BraidFunctor(
+    return _relettered(
         f"{y}*({f.name})",
-        f.dim,
+        f,
         lambda n, i: f.gen_matrix(n, i).scale(y if i > 0 else y_inv),
-        f.stab,
-        split_rule=f.split,
-        eval_range=f.eval_range,
     )
 
 
@@ -575,14 +556,7 @@ def corrupted(f: BraidFunctor, n: int, i: int, r: int, c: int, delta: LaurentPol
             return m + bump
         return m
 
-    return BraidFunctor(
-        f"corrupted({f.name})",
-        f.dim,
-        gen,
-        f.stab,
-        split_rule=f.split,
-        eval_range=f.eval_range,
-    )
+    return _relettered(f"corrupted({f.name})", f, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +600,12 @@ class CheckReport:
     def record(self, **witness):
         self.failures.append(witness)
 
+    def expect(self, ok: bool, **witness):
+        """Count one check, and record its witness when it fails."""
+        self.checked += 1
+        if not ok:
+            self.record(**witness)
+
     def to_json(self) -> dict:
         return {
             "check": self.name,
@@ -662,29 +642,28 @@ def check_functor(f: BraidFunctor, big_n: int, word_len: int = 3) -> CheckReport
     for n in range(2, big_n + 1):
         for i in range(1, n - 1):
             a, b = f.gen_matrix(n, i), f.gen_matrix(n, i + 1)
-            report.checked += 1
-            if a.matmul(b).matmul(a) != b.matmul(a).matmul(b):
-                report.record(kind="braid-relation", n=n, i=i)
+            report.expect(
+                a.matmul(b).matmul(a) == b.matmul(a).matmul(b),
+                kind="braid-relation", n=n, i=i,
+            )
         for i in range(1, n):
             for j in range(i + 2, n):
-                report.checked += 1
                 a, b = f.gen_matrix(n, i), f.gen_matrix(n, j)
-                if a.matmul(b) != b.matmul(a):
-                    report.record(kind="commutation", n=n, i=i, j=j)
-            report.checked += 1
+                report.expect(a.matmul(b) == b.matmul(a), kind="commutation", n=n, i=i, j=j)
             try:
                 inverse = f.gen_matrix(n, -i)
             except LaurentError as exc:
-                report.record(kind="inverse", n=n, i=i, error=str(exc))
+                report.expect(False, kind="inverse", n=n, i=i, error=str(exc))
             else:
-                if f.gen_matrix(n, i).matmul(inverse) != PolyMatrix.identity(f.dim(n)):
-                    report.record(kind="inverse", n=n, i=i)
+                ok = f.gen_matrix(n, i).matmul(inverse) == PolyMatrix.identity(f.dim(n))
+                report.expect(ok, kind="inverse", n=n, i=i)
     for n in range(0, big_n + 1):
         for n1 in range(n, big_n + 1):
             for n2 in range(n1, big_n + 1):
-                report.checked += 1
-                if f.stab(n1, n2).matmul(f.stab(n, n1)) != f.stab(n, n2):
-                    report.record(kind="stab-composition", n=n, mid=n1, top=n2)
+                report.expect(
+                    f.stab(n1, n2).matmul(f.stab(n, n1)) == f.stab(n, n2),
+                    kind="stab-composition", n=n, mid=n1, top=n2,
+                )
     for n in range(0, big_n + 1):
         for n2 in range(n, big_n + 1):
             stab = f.stab(n, n2)
@@ -695,21 +674,18 @@ def check_functor(f: BraidFunctor, big_n: int, word_len: int = 3) -> CheckReport
                     rhs = f.word_matrix(sigma.shift(k, n2)).matmul(stab)
                 except LaurentError:
                     continue  # a singular letter, already an inverse failure
-                report.checked += 1
-                if lhs != rhs:
-                    report.record(
-                        kind="intertwining", n=n, n2=n2, word=list(sigma.letters), psi=[]
-                    )
+                report.expect(
+                    lhs == rhs, kind="intertwining", n=n, n2=n2, word=list(sigma.letters), psi=[]
+                )
             for psi in enumerate_words(k, min(word_len, 1))[1:]:
                 try:
                     m_psi = f.word_matrix(psi.monoidal(BraidWord.identity(n)))
                 except LaurentError:
                     continue
-                report.checked += 1
-                if m_psi.matmul(stab) != stab:
-                    report.record(
-                        kind="intertwining", n=n, n2=n2, word=[], psi=list(psi.letters)
-                    )
+                report.expect(
+                    m_psi.matmul(stab) == stab,
+                    kind="intertwining", n=n, n2=n2, word=[], psi=list(psi.letters),
+                )
     return report
 
 
@@ -742,18 +718,14 @@ def check_natural(
     for n in range(0, big_n + 1):
         comp = eta.component(n)
         for i in range(1, n):
-            report.checked += 1
             lhs = comp.matmul(eta.source.gen_matrix(n, i))
             rhs = eta.target.gen_matrix(n, i).matmul(comp)
-            if lhs != rhs:
-                report.record(kind="generator", n=n, i=i)
+            report.expect(lhs == rhs, kind="generator", n=n, i=i)
         if include_stab:
             for n2 in range(n, big_n + 1):
-                report.checked += 1
                 lhs = eta.component(n2).matmul(eta.source.stab(n, n2))
                 rhs = eta.target.stab(n, n2).matmul(comp)
-                if lhs != rhs:
-                    report.record(kind="stabilization", n=n, n2=n2)
+                report.expect(lhs == rhs, kind="stabilization", n=n, n2=n2)
     return report
 
 

@@ -180,6 +180,16 @@ class TestDegreeAndVerify:
             "no certified complement for the inclusion at level 1"
         ) in payload["note"]
 
+    @pytest.mark.parametrize("spec", ["burau", "tym", "reduced-burau"])
+    def test_degree_of_a_tensor_pivots_on_a_unit(self, capsys, spec):
+        # delta(tensor(burau; burau)) includes level 0 as the column
+        # [t^-1 - t^-2, t^-2, t^-1 - t^-2]: the first row is nonzero at every
+        # seeded point but no unit, and only the unit t^-2 as pivot certifies.
+        code, out = run(capsys, "degree", "--functor", f"tensor(burau;{spec})", "--N", "6")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["strong_degree_at_range"], payload["very_strong"]) == (2, True)
+
     def test_verify_splitting_refuses_twists(self, capsys):
         code = main(
             ["verify", "splitting", "--base", "tym", "--pre", "t", "--post", "t^-1", "--N", "3"]

@@ -108,6 +108,19 @@ class TestResolution:
         assert res.retraction.rows == conjugated.dim(2)
         assert res.certify(conjugated.stab(2, 3))
 
+    def test_mis_shaped_declared_split_falls_back_to_the_search(self):
+        f = burau_functor()
+
+        def transposed(n, n2):
+            s = f.split(n, n2)
+            return SplitData(s.retraction.transpose(), s.complement, s.coprojection)
+
+        g = BraidFunctor("burau", f.dim, f.gen_matrix, f.stab, transposed, eval_range=8)
+        incl = g.stab(3, 4)
+        assert not g.split(3, 4).certify(incl)
+        res = resolve_inclusion(g, 3)
+        assert res.retraction.rows == g.dim(3) and res.certify(incl)
+
     def test_uncertified_raises(self):
         with pytest.raises(SplitCertificationError):
             resolve_inclusion(non_split_functor(), 2)
