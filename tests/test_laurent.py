@@ -408,6 +408,12 @@ class TestRank:
         m = PolyMatrix.from_rows([[ONE - T, T - T * T], [ONE, T]])
         assert rank_probabilistic(m, seeded_points(3, 0)) == 1
 
+    def test_pivot_prefers_a_unit_entry(self):
+        # Row 0 is nonzero at every seeded point but no unit; row 1 is.
+        m = PolyMatrix.from_rows([[lp("t^-1 - t^-2")], [lp("t^-2")], [lp("t^-1 - t^-2")]])
+        for point in seeded_points(4, 0):
+            assert m.pivot_rows_at(point) == [1]
+
     def test_requires_points(self):
         with pytest.raises(LaurentError):
             rank_probabilistic(PolyMatrix.identity(1), [])
