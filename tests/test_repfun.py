@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import random
 import re
 
@@ -104,6 +106,29 @@ class TestStoredBlocks:
         assert m.entry(idx[(2, 4)], col) == T
         assert m.entry(idx[(2, 3)], col) == T * T - T
         assert m.entry(idx[(3, 4)], col) == ONE - T
+
+    # sha256 of the JSON {"n:letter": to_strings()} of gen_matrix(n, ±i),
+    # 2 <= n <= 4.  emit prints only the letters s_i, so these are the pins
+    # of the stored closed-form inverse blocks and of the Lawrence-Krammer
+    # table that the braid oracle reads too.
+    SIGNED_LETTER_DIGESTS = {
+        "burau": "83c712d84f2fdb998371e7bf1e525575ec82d776eeadc9b2ddb19f364ed12e0e",
+        "tym": "4da462f300d0b80f1991633aee576e685e7d9a0d2573334ef0cec1a7416dc4db",
+        "reduced-burau": "b6512a4b8e209d93340d7d8536fdeec84810fcbf13604ef98b61dcaab0a525e7",
+        "lk": "3f9de0c51158badc1aba5c6d2b40d64b3b0a168a33777e5a07b721c4fa0500c4",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SIGNED_LETTER_DIGESTS))
+    def test_both_letter_signs_are_pinned(self, name):
+        f = builtin(name)
+        table = {
+            f"{n}:{letter}": f.gen_matrix(n, letter).to_strings()
+            for n in range(2, 5)
+            for i in range(1, n)
+            for letter in (i, -i)
+        }
+        digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()
+        assert digest == self.SIGNED_LETTER_DIGESTS[name]
 
     def test_stab_is_index_shift(self):
         lk = builtin("lk")
