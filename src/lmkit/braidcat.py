@@ -27,16 +27,26 @@ invertible (Lawrence-Krammer at every seeded point, Burau over Z[t^±1]),
 each comparison of the cores has the verdict of the full one, so the
 answer and its witness do not change.
 
-The Lawrence-Krammer side runs on plain integers: at each point the
-columns of every signed generator are scaled by one common denominator,
-lk_scale(n, point), so a word of length L evaluates to lk_scale**L times
-its matrix, and two words are compared after the shorter side is
-multiplied by the scale to the difference in length.  The comparison is
-as exact as one over Fraction.  A letter s_i^±1 mixes only n-1 of the
-n(n-1)/2 columns; the others are unit or permutation columns, which the
-product moves without arithmetic.  Each column therefore carries its own
-scale exponent, and only the end of the product brings every column to
-lk_scale**L.
+The Lawrence-Krammer side runs on plain integers: at each point every
+signed generator is scaled by one common denominator, lk_scale(n, point),
+so a word of length L evaluates to lk_scale**L times its matrix, and the
+shorter side of a comparison is multiplied by the scale to the gap in
+length.  A letter s_i^±1 mixes only n-1 of the n(n-1)/2 columns and moves
+the others without arithmetic, so each column carries its own scale
+exponent until the end brings it to lk_scale**L.  Each column is one int,
+the sum of entry_r·2**(w·r) over its rows r, so a linear combination of
+columns is the same combination of their ints.  Let S be the largest
+column 1-norm of the scaled letters, a unit column counting as lk_scale.
+The 1-norm is submultiplicative, so every entry of either side, the
+shorter one times lk_scale**gap <= S**gap, is at most S**L_max in absolute
+value.  With w = L_max·bitlen(S) + 1 (L_max >= 1), S**L_max < 2**(w-1):
+every entry is a balanced digit of its slot, so packing is injective and
+the comparison is as exact as one over Fraction.
+
+The Burau side runs on integer coefficients: a column is a dict
+{e·n + r: c} for the term c·t^e in row r.  (e, r) -> e·n + r is a
+bijection from Z x [0, n) to Z, so the dicts are canonical whatever the
+word's length, and multiplying by t^±1 adds ±n to every key.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .laurent import EvaluationPoint, LaurentPoly, ONE, T, T_INV, ZERO, seeded_points
+from .laurent import EvaluationPoint, seeded_points
 from .freegroup import FreeWord, reduced_words
 from .memo import remember
 
@@ -252,49 +262,34 @@ def enumerate_words(strands: int, max_len: int) -> list[BraidWord]:
 # Word-equality oracle
 # ---------------------------------------------------------------------------
 
-_ONE_MINUS_T = ONE - T
-_ONE_MINUS_T_INV = ONE - T_INV
-
-
-def _burau_columns(state: list[dict], letter: int):
-    """Right-multiply the column family by the unreduced Burau matrix of a
-    signed generator, in place.  Only two columns change."""
-    i = abs(letter) - 1
-    ci, cj = state[i], state[i + 1]
-    if letter > 0:
-        # columns of the generator: e_i -> (1-t) e_i + e_{i+1},  e_{i+1} -> t e_i
-        state[i] = _col_add(_col_scale(ci, _ONE_MINUS_T), cj)
-        state[i + 1] = _col_scale(ci, T)
-    else:
-        state[i] = _col_scale(cj, T_INV)
-        state[i + 1] = _col_add(ci, _col_scale(cj, _ONE_MINUS_T_INV))
-
-
-def _col_scale(col: dict, p: LaurentPoly) -> dict:
-    return {r: v * p for r, v in col.items()}
-
-
-def _col_add(a: dict, b: dict) -> dict:
+def _burau_mix(a: dict, b: dict, shift: int) -> dict:
+    """a - t^±1·a + b on integer-keyed columns, t^±1 adding shift = ±n to a
+    key; zero coefficients are dropped, so equal columns are equal dicts."""
     out = dict(a)
-    for r, v in b.items():
-        s = out.get(r, ZERO) + v
-        if s.terms:
-            out[r] = s
-        else:
-            out.pop(r, None)
-    return out
+    for k, v in a.items():
+        out[k + shift] = out.get(k + shift, 0) - v
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
 
 
 def burau_symbolic(word: BraidWord) -> list[dict]:
-    """Unreduced Burau matrix of a word as a list of sparse columns.
-
-    Accumulating by right multiplication in letter order yields the product
-    of the letter matrices in composition order.
-    """
+    """Unreduced Burau matrix of a word as sparse columns {e·n + r: c}, c
+    the coefficient of t^e in row r: the product of the letter matrices in
+    composition order, accumulated by right multiplication in letter order."""
     n = word.strands
-    state = [{r: ONE} for r in range(n)]
+    state = [{r: 1} for r in range(n)]
     for letter in word.letters:
-        _burau_columns(state, letter)
+        i = abs(letter) - 1
+        ci, cj = state[i], state[i + 1]
+        if letter > 0:
+            # columns of the generator: e_i -> (1-t) e_i + e_{i+1},  e_{i+1} -> t e_i
+            state[i] = _burau_mix(ci, cj, n)
+            state[i + 1] = {k + n: v for k, v in ci.items()}
+        else:
+            # e_i -> t^-1 e_{i+1},  e_{i+1} -> e_i + (1-t^-1) e_{i+1}
+            state[i] = {k - n: v for k, v in cj.items()}
+            state[i + 1] = _burau_mix(cj, ci, -n)
     return state
 
 
@@ -354,16 +349,15 @@ def lk_generator_columns(n: int, letter: int, t, q, one) -> list[dict]:
 
 @lru_cache(maxsize=64)
 def _lk_scaled_generators(n: int, point: EvaluationPoint):
-    """lk_scale(n, point), and per signed letter its Lawrence-Krammer
-    columns at the point multiplied by it, as integers, split into
-    (moved, mixed).
+    """lk_scale(n, point), bitlen(S) for the bound S of the module notes,
+    and per signed letter its Lawrence-Krammer columns at the point
+    multiplied by the scale, as integers, split into (moved, mixed).
 
     moved lists (c, r) for each column c that is the unit vector e_r with
     r != c, so the product's column c becomes its column r; mixed lists
     (c, entries) for each column that is not a unit vector.  Columns e_c
-    are in neither list.  One entry per (n, point) holds every letter,
-    because the scale is the common denominator of all of them; the
-    rational columns are not kept.
+    are in neither list.  One entry per (n, point) holds every letter, as
+    the scale is the common denominator of all of them.
     """
     t, q = point.t_value, point.q_value
     rational = {
@@ -374,6 +368,7 @@ def _lk_scaled_generators(n: int, point: EvaluationPoint):
     scale = lcm(
         *(v.denominator for cols in rational.values() for col in cols for v in col.values())
     )
+    norm = scale
     letters = {}
     for letter, cols in rational.items():
         moved, mixed = [], []
@@ -385,8 +380,9 @@ def _lk_scaled_generators(n: int, point: EvaluationPoint):
             else:
                 entries = tuple((r, v.numerator * (scale // v.denominator)) for r, v in col.items())
                 mixed.append((c, entries))
+                norm = max(norm, sum(abs(v) for _, v in entries))
         letters[letter] = (tuple(moved), tuple(mixed))
-    return scale, letters
+    return scale, norm.bit_length(), letters
 
 
 def lk_scale(n: int, point: EvaluationPoint) -> int:
@@ -395,61 +391,62 @@ def lk_scale(n: int, point: EvaluationPoint) -> int:
     return _lk_scaled_generators(n, point)[0]
 
 
-def lk_numeric(word: BraidWord, point: EvaluationPoint) -> list[dict]:
-    """Integer columns of lk_scale(n, point)**len(word) times the
-    Lawrence-Krammer matrix of a word at a rational point.
+def lk_width(n: int, point: EvaluationPoint, length: int) -> int:
+    """The slot width w of the module notes, for words of at most `length`
+    letters on n strands."""
+    return max(length, 1) * _lk_scaled_generators(n, point)[1] + 1
 
-    Every letter matrix is scaled to integers by the same factor, so the
-    product is exact without a denominator; divide by the power of the
-    scale to recover the rational matrix.
 
-    Column c of the running product is held as integers over scale**e[c].
-    A letter moves its unit and permutation columns with their exponents
-    and no arithmetic; a mixed column brings its inputs to their largest
-    exponent, and its exponent is that plus one.  At the end every column
+def lk_numeric(word: BraidWord, point: EvaluationPoint, width: int) -> list[int]:
+    """Columns of lk_scale(n, point)**len(word) times the Lawrence-Krammer
+    matrix of a word at a rational point, each packed into one int in slots
+    of `width` bits (see the module notes).
+
+    Column c of the running product is held over scale**e[c].  A letter
+    moves its unit and permutation columns with their exponents; a mixed
+    column brings its inputs to their largest exponent in one multiply-add
+    per entry, and its exponent is that plus one.  At the end every column
     is multiplied up to scale**len(word).
     """
     n = word.strands
-    scale, letters = _lk_scaled_generators(n, point)
+    scale, _, letters = _lk_scaled_generators(n, point)
     dim = n * (n - 1) // 2
-    state = [{r: 1} for r in range(dim)]
+    state = [1 << (width * r) for r in range(dim)]
     exps = [0] * dim
     for letter in word.letters:
         moved, mixed = letters[letter]
         new_state, new_exps = state[:], exps[:]
         for c, r in moved:
-            new_state[c], new_exps[c] = state[r], exps[r]
+            new_state[c] = state[r]
+            new_exps[c] = exps[r]
         for c, entries in mixed:
-            top = max([exps[r] for r, _ in entries])
-            acc: dict[int, int] = {}
+            top = 0
+            for r, _ in entries:
+                if exps[r] > top:
+                    top = exps[r]
+            acc = 0
             for r, v in entries:
-                if exps[r] < top:
-                    v *= scale ** (top - exps[r])
-                for rr, vv in state[r].items():
-                    s = acc.get(rr, 0) + v * vv
-                    if s:
-                        acc[rr] = s
-                    else:
-                        acc.pop(rr, None)
-            new_state[c], new_exps[c] = acc, top + 1
+                e = exps[r]
+                acc += v * state[r] if e == top else v * scale ** (top - e) * state[r]
+            new_state[c] = acc
+            new_exps[c] = top + 1
         state, exps = new_state, new_exps
     length = len(word.letters)
-    return [
-        {r: v * scale ** (length - e) for r, v in col.items()} if e < length else col
-        for col, e in zip(state, exps)
-    ]
+    return [col * scale ** (length - e) if e < length else col for col, e in zip(state, exps)]
 
 
 def _lk_scaled_equal(u: BraidWord, v: BraidWord, point: EvaluationPoint) -> bool:
-    """LK(u) == LK(v) at the point, exactly: lk_numeric carries the scale to
-    the power of the word length, so the shorter side makes up the gap."""
-    mu, mv = lk_numeric(u, point), lk_numeric(v, point)
-    gap = len(v.letters) - len(u.letters)
-    if gap < 0:
-        mu, mv, gap = mv, mu, -gap
+    """LK(u) == LK(v) at the point, exactly: the shorter side makes up the
+    gap in scale powers, both packed in the slots of the longer one."""
+    if len(u.letters) > len(v.letters):
+        u, v = v, u
+    n, length = u.strands, len(v.letters)
+    width = lk_width(n, point, length)
+    mu, mv = lk_numeric(u, point, width), lk_numeric(v, point, width)
+    gap = length - len(u.letters)
     if gap:
-        factor = lk_scale(u.strands, point) ** gap
-        mu = [{r: x * factor for r, x in col.items()} for col in mu]
+        factor = lk_scale(n, point) ** gap
+        mu = [x * factor for x in mu]
     return mu == mv
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 
@@ -265,12 +266,13 @@ class EvaluationPoint:
             raise LaurentError("evaluation requires t and q nonzero")
 
 
-def seeded_points(count: int, seed: int) -> list[EvaluationPoint]:
-    """Deterministic list of random nonzero rational points.
+@lru_cache(maxsize=64)
+def seeded_points(count: int, seed: int) -> tuple[EvaluationPoint, ...]:
+    """Deterministic tuple of random nonzero rational points.
 
-    Values avoid 0 and ±1 so that evaluations do not collapse units, and
-    the generator is seeded so every caller with the same seed sees the
-    same points.
+    Values avoid 0 and ±1 so that evaluations do not collapse units.  The
+    tuple is stored, so every caller with the same seed sees the same point
+    objects, which the per-point tables then match by identity.
     """
     rng = random.Random(seed)
     points = []
@@ -280,7 +282,7 @@ def seeded_points(count: int, seed: int) -> list[EvaluationPoint]:
         if abs(t) in (0, 1) or abs(q) in (0, 1):
             continue
         points.append(EvaluationPoint(t, q))
-    return points
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import random
 import sys
@@ -23,6 +24,7 @@ from lmkit.braidcat import (
     enumerate_words,
     lk_numeric,
     lk_scale,
+    lk_width,
     local_system,
     pure_braid_system,
     trivial_system,
@@ -30,7 +32,7 @@ from lmkit.braidcat import (
     lk_generator_columns,
 )
 from lmkit import braidcat
-from lmkit.laurent import ONE, PolyMatrix, Q, T
+from lmkit.laurent import ONE, LaurentPoly, PolyMatrix, Q, T, T_INV, ZERO
 
 
 def bw(letters, strands):
@@ -232,7 +234,7 @@ class TestEqualityOracle:
                     ),
                 )
                 sym = lk.word_matrix(word).eval(point)
-                cols = lk_numeric(word, point)
+                cols = _lk_columns(word, point)
                 scale = Fraction(lk_scale(strands, point)) ** len(word.letters)
                 dim = strands * (strands - 1) // 2
                 for c in range(dim):
@@ -261,11 +263,56 @@ class TestEqualityOracle:
         ]
         cases += [(word(strands, 30), point) for point in seeded_points(2, 1) for strands in (6, 7)]
         for word, point in cases:
-            cols = lk_numeric(word, point)
+            packed = lk_numeric(word, point, lk_width(word.strands, point, len(word.letters)))
+            assert all(type(x) is int for x in packed)
+            cols = _lk_columns(word, point)
             assert all(type(v) is int for col in cols for v in col.values())
             scale = Fraction(lk_scale(word.strands, point)) ** len(word.letters)
             got = [{r: v / scale for r, v in col.items()} for col in cols]
             assert got == _lk_fraction_reference(word, point)
+
+    @pytest.mark.parametrize("strands", range(3, 8))
+    def test_lk_numeric_stays_inside_its_slots_on_long_words(self, strands):
+        # Sixty letters: the letter of largest column 1-norm repeated, and
+        # random words of both signs.  Every entry of the exact product
+        # (scale**60 times the rational reference) is a balanced digit of
+        # the slot width, and the packed columns decode to it.
+        rng = random.Random(strands)
+        length = 60
+        for seed in (0, 1, 2):
+            for point in seeded_points(3, seed):
+                scale, _, letters = _lk_scaled_generators(strands, point)
+
+                def norm(letter):
+                    return max(
+                        [scale] + [sum(abs(v) for _, v in e) for _, e in letters[letter][1]]
+                    )
+
+                heaviest = max(letters, key=norm)
+                words = [BraidWord(strands, (heaviest,) * length)]
+                words += [
+                    BraidWord(
+                        strands,
+                        tuple(
+                            rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                            for _ in range(length)
+                        ),
+                    )
+                    for _ in range(2)
+                ]
+                width = lk_width(strands, point, length)
+                for word in words:
+                    power = Fraction(scale) ** len(word.letters)
+                    want = [
+                        {r: v * power for r, v in col.items()}
+                        for col in _lk_fraction_reference(word, point)
+                    ]
+                    assert all(
+                        v.denominator == 1 and abs(v) < 2 ** (width - 1)
+                        for col in want
+                        for v in col.values()
+                    )
+                    assert _lk_columns(word, point, width) == want
 
     def test_words_of_different_lengths_compare_equal(self):
         # s1 s2 s1 = s2 s1 s2, so s1 s2 s1 s2^-1 = s2 s1; the integer
@@ -290,6 +337,31 @@ class TestEqualityOracle:
         prod = burau_symbolic(u.compose(v))
         assert prod == burau_symbolic(u.compose(v))
         assert burau_symbolic(u) != burau_symbolic(v)
+
+    def test_burau_symbolic_matches_laurent_reference(self):
+        # The integer-keyed columns decode to the product of the Burau
+        # letter matrices over the Laurent ring, on words of lengths 0-40.
+        rng = random.Random(21)
+        for strands in range(2, 8):
+            for length in (0, 1, 2, 5, 13, 40):
+                word = BraidWord(
+                    strands,
+                    tuple(
+                        rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(length)
+                    ),
+                )
+                assert _burau_decode(burau_symbolic(word), strands) == _burau_reference(word)
+
+    def test_burau_leg_decides_when_lawrence_krammer_agrees(self, monkeypatch):
+        # No benchmark pair reaches the Burau leg, so it is planted: with
+        # every Lawrence-Krammer comparison forced to "equal", the symbolic
+        # Burau comparison alone decides, with its own witness.
+        monkeypatch.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point: True)
+        differs = (False, {"reason": "symbolic burau matrices differ"})
+        assert braid_equal_witness(bw([1], 3), bw([2], 3)) == differs
+        assert braid_equal_witness(bw([1, 2, 2, 1], 3), bw([2, 1, 1, 2], 3)) == differs
+        assert braid_equal_witness(bw([1, 2, 1, -2], 3), bw([2, 1], 3)) == (True, None)
+        assert braid_equal_witness(bw([2, 1], 3), bw([1, 2, 1, -2], 3)) == (True, None)
 
 
 def _frac_gauss_jordan(a):
@@ -326,6 +398,16 @@ def _full_frac_inverse(cols, dim):
     return [{r: inv[r][c] for r in range(dim) if inv[r][c]} for c in range(dim)]
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_letter(n, letter, point):
+    """Rational Lawrence-Krammer columns of a signed letter at a point: the
+    positive letter's table, and its Gauss-Jordan inverse for s_i^-1."""
+    cols = lk_generator_columns(n, abs(letter), point.t_value, point.q_value, Fraction(1))
+    if letter < 0:
+        cols = _full_frac_inverse(cols, n * (n - 1) // 2)
+    return cols
+
+
 def _lk_fraction_reference(word, point):
     """Lawrence-Krammer columns of a word at a point as a product of the
     rational letter matrices, accumulated over Fraction."""
@@ -333,9 +415,7 @@ def _lk_fraction_reference(word, point):
     dim = n * (n - 1) // 2
     state = [{r: Fraction(1)} for r in range(dim)]
     for letter in word.letters:
-        cols = lk_generator_columns(n, abs(letter), point.t_value, point.q_value, Fraction(1))
-        if letter < 0:
-            cols = _full_frac_inverse(cols, dim)
+        cols = _reference_letter(n, letter, point)
         new_state = []
         for col in cols:
             acc = {}
@@ -345,6 +425,78 @@ def _lk_fraction_reference(word, point):
             new_state.append({r: v for r, v in acc.items() if v})
         state = new_state
     return state
+
+
+def _unpack(packed, width, dim):
+    """Entries {row: int} of packed columns, read as `dim` balanced digits
+    of `width` bits each; nothing may be left above the last slot."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    cols = []
+    for x in packed:
+        col = {}
+        for r in range(dim):
+            digit = x & mask
+            if digit >= half:
+                digit -= 1 << width
+            x = (x - digit) >> width
+            if digit:
+                col[r] = digit
+        assert x == 0
+        cols.append(col)
+    return cols
+
+
+def _lk_columns(word, point, width=None):
+    """lk_numeric's columns as {row: int}, packed at `width` (by default
+    the least width for the word's length) and unpacked."""
+    n = word.strands
+    if width is None:
+        width = lk_width(n, point, len(word.letters))
+    return _unpack(lk_numeric(word, point, width), width, n * (n - 1) // 2)
+
+
+def _burau_reference(word):
+    """Unreduced Burau columns {row: LaurentPoly} of a word, by right
+    multiplication with the letter matrices over the Laurent ring."""
+    n = word.strands
+    state = [{r: ONE} for r in range(n)]
+
+    def scaled(col, p):
+        return {r: v * p for r, v in col.items()}
+
+    def added(a, b):
+        out = dict(a)
+        for r, v in b.items():
+            s = out.get(r, ZERO) + v
+            if s.terms:
+                out[r] = s
+            else:
+                out.pop(r, None)
+        return out
+
+    for letter in word.letters:
+        i = abs(letter) - 1
+        ci, cj = state[i], state[i + 1]
+        if letter > 0:
+            # columns of the generator: e_i -> (1-t) e_i + e_{i+1},  e_{i+1} -> t e_i
+            state[i] = added(scaled(ci, ONE - T), cj)
+            state[i + 1] = scaled(ci, T)
+        else:
+            state[i] = scaled(cj, T_INV)
+            state[i + 1] = added(ci, scaled(cj, ONE - T_INV))
+    return state
+
+
+def _burau_decode(cols, n):
+    """burau_symbolic's columns {e·n + r: c} as {row: LaurentPoly}."""
+    out = []
+    for col in cols:
+        rows = {}
+        for key, c in col.items():
+            e, r = divmod(key, n)
+            rows.setdefault(r, {})[(e, 0)] = c
+        out.append({r: LaurentPoly(terms) for r, terms in rows.items()})
+    return out
 
 
 def dense_braid_equal_witness(u, v, certainty=3, seed=0):
@@ -363,7 +515,7 @@ def dense_braid_equal_witness(u, v, certainty=3, seed=0):
                     "t": str(point.t_value),
                     "q": str(point.q_value),
                 }
-    if burau_symbolic(u) != burau_symbolic(v):
+    if _burau_reference(u) != _burau_reference(v):
         return False, {"reason": "symbolic burau matrices differ"}
     return True, None
 
@@ -444,6 +596,29 @@ def test_benchmark_oracle_pairs_keep_their_verdicts(monkeypatch):
             assert ok or witness
 
 
+def test_benchmark_oracle_pairs_make_no_laurent_arithmetic(monkeypatch):
+    # A timing-free guard on the oracle: both of its legs run on plain
+    # integers, so the benchmark's pairs make no Laurent product or sum.
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    calls = {"__mul__": 0, "__add__": 0}
+    for op in calls:
+        original = vars(LaurentPoly)[op]
+
+        def counted(*args, _op=op, _original=original):
+            calls[_op] += 1
+            return _original(*args)
+
+        for name, value in list(vars(LaurentPoly).items()):
+            if value is original:
+                monkeypatch.setattr(LaurentPoly, name, counted)
+    assert ONE * T + T == T * 2 and calls == {"__mul__": 2, "__add__": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    for pair in workloads.oracle_pairs(11):
+        u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
+        assert braid_equal_witness(u, v, 3)[0] is pair.equal
+    assert calls == {"__mul__": 0, "__add__": 0}
+
+
 def test_benchmark_tracer_ops_resolve(monkeypatch):
     # Every op the per-layer tracer wraps still exists, so that removing or
     # renaming one cannot silently break a traced benchmark run.
@@ -456,8 +631,8 @@ def test_benchmark_tracer_ops_resolve(monkeypatch):
 def _canonical_table(table):
     """A scaled letter table with each mixed column's entries as a dict, so
     that tables listing the same entries in another order compare equal."""
-    scale, letters = table
-    return scale, {
+    scale, bits, letters = table
+    return scale, bits, {
         letter: (moved, tuple((c, dict(entries)) for c, entries in mixed))
         for letter, (moved, mixed) in letters.items()
     }

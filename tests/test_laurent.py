@@ -418,6 +418,15 @@ class TestRank:
         with pytest.raises(LaurentError):
             rank_probabilistic(PolyMatrix.identity(1), [])
 
+    def test_seeded_points_are_stored(self):
+        # One tuple per (count, seed), returned again by every call, so no
+        # caller can change another's points; the values stay those of
+        # the seeded generator.
+        points = seeded_points(3, 0)
+        assert type(points) is tuple and seeded_points(3, 0) is points
+        assert (points[0].t_value, points[0].q_value) == (Fraction(8), Fraction(9, 4))
+        assert seeded_points(1, 0) == points[:1]
+
     def test_points_must_be_invertible(self):
         with pytest.raises(LaurentError):
             EvaluationPoint(Fraction(0), Fraction(1))
