@@ -263,9 +263,10 @@ class TestEqualityOracle:
         ]
         cases += [(word(strands, 30), point) for point in seeded_points(2, 1) for strands in (6, 7)]
         for word, point in cases:
-            packed = lk_numeric(word, point, lk_width(word.strands, point, len(word.letters)))
+            width = lk_width(word.strands, point, len(word.letters))
+            packed = lk_numeric(word, point, width)
             assert all(type(x) is int for x in packed)
-            cols = _lk_columns(word, point)
+            cols = _unpack(packed, width, len(packed))
             assert all(type(v) is int for col in cols for v in col.values())
             scale = Fraction(lk_scale(word.strands, point)) ** len(word.letters)
             got = [{r: v / scale for r, v in col.items()} for col in cols]
