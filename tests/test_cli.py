@@ -401,3 +401,14 @@ def test_closed_stdout_is_not_an_internal_fault():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_triple_long_moody_burau_degree_is_pinned(capsys):
+    # The main theorem three times over: LM raises the very strong degree
+    # of burau (1) by one at each application, so L3 has degree 4.
+    l3 = "lm(artin,pure-braid;lm(artin,pure-braid;lm(artin,pure-braid;burau)))"
+    code, out = run(capsys, "degree", "--functor", l3, "--N", "5", "--seed", "0")
+    payload = json.loads(out)
+    assert (code, payload["strong_degree_at_range"], payload["very_strong"]) == (0, 4, True)
+    digest = "a0fc19773059ada25094aa4ec8b4027cffa85feafcfd2b3828f66d4e7dfc7e8c"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
