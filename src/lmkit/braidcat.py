@@ -28,17 +28,17 @@ each comparison of the cores has the verdict of the full one, so the
 answer and its witness do not change.
 
 The Lawrence-Krammer side runs on plain integers: at each point every
-signed generator is scaled by one common denominator, lk_scale(n, point),
-so a word of length L evaluates to lk_scale**L times its matrix, and the
+signed generator is scaled by one common denominator, the scale, so a
+word of length L evaluates to scale**L times its matrix, and the
 shorter side of a comparison is multiplied by the scale to the gap in
 length.  A letter s_i^±1 mixes only n-1 of the n(n-1)/2 columns and moves
 the others without arithmetic, so each column carries its own scale
-exponent until the end brings it to lk_scale**L.  Each column is one int,
+exponent until the end brings it to scale**L.  Each column is one int,
 the sum of entry_r·2**(w·r) over its rows r, so a linear combination of
 columns is the same combination of their ints.  Let S be the largest
-column 1-norm of the scaled letters, a unit column counting as lk_scale.
+column 1-norm of the scaled letters, a unit column counting as the scale.
 The 1-norm is submultiplicative, so every entry of either side, the
-shorter one times lk_scale**gap <= S**gap, is at most S**L_max in absolute
+shorter one times scale**gap <= S**gap, is at most S**L_max in absolute
 value.  With w = L_max·bitlen(S) + 1 (L_max >= 1), S**L_max < 2**(w-1):
 every entry is a balanced digit of its slot, so packing is injective and
 the comparison is as exact as one over Fraction.
@@ -349,7 +349,9 @@ def lk_generator_columns(n: int, letter: int, t, q, one) -> list[dict]:
 
 @lru_cache(maxsize=64)
 def _lk_scaled_generators(n: int, point: EvaluationPoint):
-    """lk_scale(n, point), bitlen(S) for the bound S of the module notes,
+    """The scale of the module notes, the least common denominator of the
+    Lawrence-Krammer columns of every signed generator s_i^{±1} on n
+    strands at the point; bitlen(S) for the bound S of the module notes;
     and per signed letter its Lawrence-Krammer columns at the point
     multiplied by the scale, as integers, split into (moved, mixed).
 
@@ -385,22 +387,17 @@ def _lk_scaled_generators(n: int, point: EvaluationPoint):
     return scale, norm.bit_length(), letters
 
 
-def lk_scale(n: int, point: EvaluationPoint) -> int:
-    """The least common denominator of the Lawrence-Krammer columns of every
-    signed generator s_i^{±1} on n strands at the point."""
-    return _lk_scaled_generators(n, point)[0]
-
-
-def lk_width(n: int, point: EvaluationPoint, length: int) -> int:
+def lk_width(table, length: int) -> int:
     """The slot width w of the module notes, for words of at most `length`
-    letters on n strands."""
-    return max(length, 1) * _lk_scaled_generators(n, point)[1] + 1
+    letters, given the table _lk_scaled_generators(n, point)."""
+    return max(length, 1) * table[1] + 1
 
 
-def lk_numeric(word: BraidWord, point: EvaluationPoint, width: int) -> list[int]:
-    """Columns of lk_scale(n, point)**len(word) times the Lawrence-Krammer
-    matrix of a word at a rational point, each packed into one int in slots
-    of `width` bits (see the module notes).
+def lk_numeric(word: BraidWord, table, width: int) -> list[int]:
+    """Columns of scale**len(word) times the Lawrence-Krammer matrix of a
+    word at a rational point, each packed into one int in slots of `width`
+    bits (see the module notes); table is _lk_scaled_generators(n, point)
+    for the word's strand count n, and scale is its first item.
 
     Column c of the running product is held over scale**e[c].  A letter
     moves its unit and permutation columns with their exponents; a mixed
@@ -409,7 +406,7 @@ def lk_numeric(word: BraidWord, point: EvaluationPoint, width: int) -> list[int]
     is multiplied up to scale**len(word).
     """
     n = word.strands
-    scale, _, letters = _lk_scaled_generators(n, point)
+    scale, _, letters = table
     dim = n * (n - 1) // 2
     state = [1 << (width * r) for r in range(dim)]
     exps = [0] * dim
@@ -440,12 +437,12 @@ def _lk_scaled_equal(u: BraidWord, v: BraidWord, point: EvaluationPoint) -> bool
     gap in scale powers, both packed in the slots of the longer one."""
     if len(u.letters) > len(v.letters):
         u, v = v, u
-    n, length = u.strands, len(v.letters)
-    width = lk_width(n, point, length)
-    mu, mv = lk_numeric(u, point, width), lk_numeric(v, point, width)
-    gap = length - len(u.letters)
+    table = _lk_scaled_generators(u.strands, point)
+    width = lk_width(table, len(v.letters))
+    mu, mv = lk_numeric(u, table, width), lk_numeric(v, table, width)
+    gap = len(v.letters) - len(u.letters)
     if gap:
-        factor = lk_scale(n, point) ** gap
+        factor = table[0] ** gap
         mu = [x * factor for x in mu]
     return mu == mv
 

@@ -22,9 +22,10 @@ contribution stores that polynomial itself.  Identity, permutation and
 0/1 selection blocks (stabilizations, splittings, routers) therefore cost
 no ring multiplication.
 
-One fraction-free elimination, _montante, yields determinants and
+One sparse fraction-free elimination, _montante, yields determinants and
 inverses, and one completion, complete_inverse, extends the inverse of a
-pivot block to PolyMatrix.inverse and to every certified split.
+pivot block to PolyMatrix.inverse and to every certified split.  Ranks at
+a point are read mod a prime: rank mod p <= rank over Q <= generic rank.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ def _fr(x) -> int | Fraction:
 
 
 def _quo(a, b) -> int | Fraction:
-    """The exact quotient a / b of two coefficients, normalised."""
-    return _fr(Fraction(a, b))
+    """The exact quotient a / b of two coefficients, normalised; b = ±1,
+    as in a division by a unit pivot ±t^a q^b, builds no Fraction."""
+    return _fr(a * b if b in (1, -1) else Fraction(a, b))
 
 
 class LaurentPoly:
@@ -212,10 +214,12 @@ def _wrap(terms: dict) -> LaurentPoly:
     return p
 
 
-def _matrix(rows: int, cols: int, entries: dict) -> "PolyMatrix":
-    """A PolyMatrix over entries known to be nonzero and in range, unchecked."""
+def _matrix(rows: int, cols: int, entries: dict, is_identity: bool = False) -> "PolyMatrix":
+    """A PolyMatrix over entries known to be nonzero and in range."""
+    if rows < 0 or cols < 0:
+        raise LaurentError("negative matrix dimension")
     m = PolyMatrix.__new__(PolyMatrix)
-    m.rows, m.cols, m.entries = rows, cols, entries
+    m.rows, m.cols, m.entries, m.is_identity = rows, cols, entries, is_identity
     return m
 
 
@@ -237,6 +241,8 @@ def _coerce(x) -> LaurentPoly:
         return LaurentPoly.const(x) if x else ZERO
     raise LaurentError(f"cannot coerce {x!r} to LaurentPoly")
 
+
+_PRIME = 2**61 - 1  # the modulus of pivot_rows_at
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly.const(1)
@@ -453,16 +459,17 @@ class PolyMatrix:
 
     Zero-sized matrices (0×0, 0×k, k×0) are legal and represent maps to or
     from the zero module.  The dense row-major entry list is available via
-    to_rows() for serialization.
+    to_rows() for serialization.  is_identity marks what identity() makes.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "is_identity")
 
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         if rows < 0 or cols < 0:
             raise LaurentError("negative matrix dimension")
         self.rows = rows
         self.cols = cols
+        self.is_identity = False
         clean = {}
         if entries:
             for (r, c), p in entries.items():
@@ -491,11 +498,11 @@ class PolyMatrix:
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix(n, n, {(i, i): ONE for i in range(n)})
+        return _matrix(n, n, {(i, i): ONE for i in range(n)}, is_identity=True)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "PolyMatrix":
-        return PolyMatrix(rows, cols, {})
+        return _matrix(rows, cols, {})
 
     # -- access ------------------------------------------------------
 
@@ -613,7 +620,10 @@ class PolyMatrix:
         if self.rows != self.cols:
             raise LaurentError("determinant of a non-square matrix")
         moved = self._moved_columns()
-        return _montante(self.submatrix(moved, moved).to_rows(), len(moved))
+        rows: list[dict] = [{} for _ in moved]
+        for (r, c), p in self.submatrix(moved, moved).entries.items():
+            rows[r][c] = p
+        return _montante(rows, len(moved), complete=False)
 
     def inverse(self) -> "PolyMatrix":
         """Inverse over the ring; exists iff det is a unit.
@@ -644,34 +654,44 @@ class PolyMatrix:
         return out
 
     def rank_at(self, point: EvaluationPoint) -> int:
-        """Rank of the evaluated matrix: the pivot count of its column
-        reduction."""
+        """The rank at the point mod _PRIME: rank mod p <= rank over Q at
+        the point <= generic rank."""
         return len(self.pivot_rows_at(point))
 
     def pivot_rows_at(self, point: EvaluationPoint) -> list[int]:
-        """Row indices carrying pivots when the evaluated matrix is reduced
-        by columns; used to guess a complement of the column span.  A column
-        pivots on a row whose entry in it is a unit when it can, so that
-        the seeded points do not all repeat one non-unit pivot.
-
-        Each basis vector is zero on the earlier pivot rows, so a reduced
-        column is zero on every row already used."""
-        m = self.eval(point)
-        rows = range(self.rows)
-        basis: list[tuple[int, list[Fraction]]] = []
-        for c in range(self.cols):
-            v = [m[r][c] for r in rows]
+        """Row indices carrying pivots when the matrix at the point mod
+        _PRIME is reduced by columns, or none when a denominator vanishes
+        mod p; a guess of a complement of the column span, which callers
+        certify.  A column pivots on a row whose entry in it is a unit when
+        it can, so that the seeded points do not all repeat one non-unit
+        pivot.  Each basis vector is zero on the earlier pivot rows, so a
+        reduced column is zero on every row already used."""
+        p = _PRIME
+        columns: dict[int, dict[int, int]] = {}
+        try:
+            t, q = (x.numerator * pow(x.denominator, -1, p) for x in (point.t_value, point.q_value))
+            for (r, c), poly in self.entries.items():
+                value = sum(
+                    x.numerator * pow(x.denominator, -1, p) * pow(t, a, p) * pow(q, b, p)
+                    for (a, b), x in poly.terms.items()
+                ) % p
+                if value:
+                    columns.setdefault(c, {})[r] = value
+        except ValueError:  # a denominator, or t or q, vanishes mod p
+            return []
+        basis: list[tuple[int, dict[int, int]]] = []
+        for c in sorted(columns):
+            v = columns[c]
             for bp, bv in basis:
-                factor = v[bp]
+                factor = v.get(bp)
                 if factor:
-                    for r in rows:
-                        v[r] -= factor * bv[r]
-            live = [r for r in rows if v[r]]
-            if not live:
-                continue
-            piv = next((r for r in live if self.entries.get((r, c), ZERO).is_unit()), live[0])
-            scale = v[piv]
-            basis.append((piv, [x / scale for x in v]))
+                    for r, x in bv.items():
+                        v[r] = (v.get(r, 0) - factor * x) % p
+            live = [r for r in sorted(v) if v[r]]
+            if live:
+                piv = next((r for r in live if self.entries.get((r, c), ZERO).is_unit()), live[0])
+                scale = pow(v[piv], -1, p)
+                basis.append((piv, {r: v[r] * scale % p for r in live}))
         return sorted(bp for bp, _ in basis)
 
 
@@ -680,10 +700,15 @@ def _product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     apart from PolyMatrix.matmul so that the product in complete_inverse is
     not one of the matmul calls that perfbench's per-layer trace counts.
 
+    A factor made by PolyMatrix.identity is the unit: the other factor is
+    returned itself, which is safe because values are never mutated.
+
     An entry's first contribution is stored as it is, with no addition; it
     is nonzero, since the ring is an integral domain and stored entries are
     nonzero.  Later contributions are added, and a sum that cancels is
     dropped, as a later contribution may start the entry afresh."""
+    if a.is_identity or b.is_identity:
+        return b if a.is_identity else a
     by_row: dict[int, list] = {}
     for (k, c), p in b.entries.items():
         by_row.setdefault(k, []).append((c, p))
@@ -731,45 +756,64 @@ def complete_inverse(cols: PolyMatrix, pivots: list[int], a_inv: PolyMatrix):
     )
 
 
-def _montante(m: list[list[LaurentPoly]], n: int) -> LaurentPoly:
-    """Fraction-free complete (Montante) elimination of the first n columns
-    of the rows m, in place; returns the signed last pivot, or ZERO when a
-    column has no pivot.
+def _rescaled(row: dict, level: LaurentPoly, old: LaurentPoly) -> dict:
+    """row * level / old, exactly; the row itself when the two agree."""
+    if level == old:
+        return row
+    return {j: exact_div(_mul(x, level), old) for j, x in row.items()}
 
-    Each step clears a pivot column in every other row, dividing exactly
-    by the previous pivot.  By Sylvester's identity the pivot of step k is
-    the leading (k+1)-minor of the row-swapped matrix, so the signed last
-    pivot is det m[:, :n]; at the end every diagonal entry is the last
-    pivot d, and the columns past n hold d times their solution.
 
-    With no columns past n only that determinant is wanted; the pivots
-    depend only on the rows below them, so each step then updates only
-    those, right of the pivot column (Bareiss order).
+def _montante(rows: list[dict], n: int, complete: bool) -> LaurentPoly:
+    """Fraction-free (Montante) elimination of the first n columns of the
+    sparse rows {column: nonzero entry}, in place; returns the signed last
+    pivot, or ZERO when a column has no pivot.
+
+    Each step clears a pivot column, dividing exactly by the previous pivot.
+    By Sylvester's identity the pivot of step k is the leading (k+1)-minor
+    of the row-swapped matrix, so the signed last pivot is the determinant.
+    The complete pass clears every other row, leaving the last pivot d on
+    the diagonal and d times the solution past column n; otherwise only
+    the rows below each pivot are updated (Bareiss order).
+
+    Only a row with an entry in the pivot column is rewritten, over the
+    union of its support and the pivot row's.  A row with none would just
+    be scaled by the pivot over the previous one; it keeps its level, the
+    pivot it was last brought to, and is brought to the current pivot
+    (each quotient a minor, so exact) when it becomes the pivot row and at
+    the end of the complete pass; an update divides by the row's level.
     """
     sign = 1
     prev = ONE
+    level = [ONE] * n
     for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k].terms), None)
+        pivot_row = next((i for i in range(k, n) if k in rows[i]), None)
         if pivot_row is None:
             return ZERO
         if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            level[k], level[pivot_row] = level[pivot_row], level[k]
             sign = -sign
-        p = m[k][k]
-        first = k + 1 if len(m[k]) == n else 0
-        for i in range(first, n):
-            if i == k:
+        top = rows[k] = _rescaled(rows[k], prev, level[k])
+        p = top[k]
+        rest = [(j, y) for j, y in top.items() if j != k]
+        for i in range(n) if complete else range(k + 1, n):
+            row = rows[i]
+            coef = row.get(k)
+            if coef is None or i == k:
                 continue
-            coef = m[i][k]
-            for j in range(first, len(m[k])):
-                if j == k:
-                    continue
-                num = p * m[i][j]
-                if coef.terms:
-                    num = num - coef * m[k][j]
-                m[i][j] = exact_div(num, prev) if num.terms else ZERO
-            m[i][k] = ZERO
+            new = {j: _mul(p, x) for j, x in row.items() if j != k}
+            for j, y in rest:
+                s = new.get(j, ZERO) - _mul(coef, y)
+                if s.terms:
+                    new[j] = s
+                else:
+                    del new[j]
+            rows[i] = _rescaled(new, ONE, level[i])
+            level[i] = p
+        level[k] = p
         prev = p
+    if complete:
+        rows[:] = [_rescaled(row, prev, old) for row, old in zip(rows, level)]
     return prev if sign == 1 else -prev
 
 
@@ -779,31 +823,30 @@ def _montante_inverse(a: PolyMatrix) -> PolyMatrix:
     n = a.rows
     if n == 0:
         return a
-    m = [row + [ONE if r == c else ZERO for c in range(n)] for r, row in enumerate(a.to_rows())]
-    det = _montante(m, n)
+    rows = [{n + r: ONE} for r in range(n)]  # [A | I]
+    for (r, c), p in a.entries.items():
+        rows[r][c] = p
+    det = _montante(rows, n, complete=True)
     if not det:
         raise LaurentError("matrix is singular")
     if not det.is_unit():
         raise LaurentError(f"determinant {det} is not a unit; no inverse over the ring")
-    d = m[n - 1][n - 1]
+    d = rows[n - 1][n - 1]
     d_inv = d.unit_inverse()
     entries = {}
-    for r in range(n):
-        if m[r][r] != d:
+    for r, row in enumerate(rows):
+        if row.get(r) != d:
             raise LaurentError("elimination failed to reach scalar form")
-        for c in range(n):
-            v = m[r][n + c]
-            if v.terms:
-                entries[(r, c)] = v * d_inv
-    return PolyMatrix(n, n, entries)
+        entries.update(((r, c - n), _mul(v, d_inv)) for c, v in row.items() if c >= n)
+    return _matrix(n, n, entries)
 
 
 def rank_probabilistic(a: PolyMatrix, points: list[EvaluationPoint]) -> int:
-    """Max rational rank over the given points.
+    """Max of rank_at over the given points.
 
-    This is a lower bound for the rank over the fraction field, and equals
-    it except when every point happens to lie on the vanishing locus of all
-    top-size minors; adding points drives that probability to zero.
+    As rank mod p <= rank over Q at a point <= generic rank, this bounds the
+    generic rank from below, and equals it unless at every point all top
+    minors vanish mod p; adding points drives that probability to zero.
     """
     if not points:
         raise LaurentError("at least one evaluation point required")

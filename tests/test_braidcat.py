@@ -23,7 +23,6 @@ from lmkit.braidcat import (
     burau_symbolic,
     enumerate_words,
     lk_numeric,
-    lk_scale,
     lk_width,
     local_system,
     pure_braid_system,
@@ -235,7 +234,7 @@ class TestEqualityOracle:
                 )
                 sym = lk.word_matrix(word).eval(point)
                 cols = _lk_columns(word, point)
-                scale = Fraction(lk_scale(strands, point)) ** len(word.letters)
+                scale = Fraction(_lk_scaled_generators(strands, point)[0]) ** len(word.letters)
                 dim = strands * (strands - 1) // 2
                 for c in range(dim):
                     for r in range(dim):
@@ -263,12 +262,13 @@ class TestEqualityOracle:
         ]
         cases += [(word(strands, 30), point) for point in seeded_points(2, 1) for strands in (6, 7)]
         for word, point in cases:
-            width = lk_width(word.strands, point, len(word.letters))
-            packed = lk_numeric(word, point, width)
+            table = _lk_scaled_generators(word.strands, point)
+            width = lk_width(table, len(word.letters))
+            packed = lk_numeric(word, table, width)
             assert all(type(x) is int for x in packed)
             cols = _unpack(packed, width, len(packed))
             assert all(type(v) is int for col in cols for v in col.values())
-            scale = Fraction(lk_scale(word.strands, point)) ** len(word.letters)
+            scale = Fraction(table[0]) ** len(word.letters)
             got = [{r: v / scale for r, v in col.items()} for col in cols]
             assert got == _lk_fraction_reference(word, point)
 
@@ -282,7 +282,8 @@ class TestEqualityOracle:
         length = 60
         for seed in (0, 1, 2):
             for point in seeded_points(3, seed):
-                scale, _, letters = _lk_scaled_generators(strands, point)
+                table = _lk_scaled_generators(strands, point)
+                scale, _, letters = table
 
                 def norm(letter):
                     return max(
@@ -301,7 +302,7 @@ class TestEqualityOracle:
                     )
                     for _ in range(2)
                 ]
-                width = lk_width(strands, point, length)
+                width = lk_width(table, length)
                 for word in words:
                     power = Fraction(scale) ** len(word.letters)
                     want = [
@@ -317,7 +318,7 @@ class TestEqualityOracle:
 
     def test_words_of_different_lengths_compare_equal(self):
         # s1 s2 s1 = s2 s1 s2, so s1 s2 s1 s2^-1 = s2 s1; the integer
-        # matrices differ by lk_scale**2 and must still compare equal.
+        # matrices differ by the scale squared and must still compare equal.
         long_word, short_word = bw([1, 2, 1, -2], 3), bw([2, 1], 3)
         assert braid_equal_witness(long_word, short_word) == (True, None)
         assert braid_equal_witness(short_word, long_word) == (True, None)
@@ -451,9 +452,10 @@ def _lk_columns(word, point, width=None):
     """lk_numeric's columns as {row: int}, packed at `width` (by default
     the least width for the word's length) and unpacked."""
     n = word.strands
+    table = _lk_scaled_generators(n, point)
     if width is None:
-        width = lk_width(n, point, len(word.letters))
-    return _unpack(lk_numeric(word, point, width), width, n * (n - 1) // 2)
+        width = lk_width(table, len(word.letters))
+    return _unpack(lk_numeric(word, table, width), width, n * (n - 1) // 2)
 
 
 def _burau_reference(word):
@@ -618,6 +620,29 @@ def test_benchmark_oracle_pairs_make_no_laurent_arithmetic(monkeypatch):
         u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
         assert braid_equal_witness(u, v, 3)[0] is pair.equal
     assert calls == {"__mul__": 0, "__add__": 0}
+
+
+def test_oracle_reads_the_letter_table_once_per_point(monkeypatch):
+    # Each LK comparison of the benchmark's pairs looks the scaled letter
+    # table up once per seeded point it evaluates: its width, both words
+    # and the scale of the gap all come from that one read.
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    points = []
+    compare = braidcat._lk_scaled_equal
+
+    def counting(u, v, point):
+        points.append(point)
+        return compare(u, v, point)
+
+    monkeypatch.setattr(braidcat, "_lk_scaled_equal", counting)
+    for pair in workloads.oracle_pairs(11):
+        u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
+        points.clear()
+        before = _lk_scaled_generators.cache_info()
+        assert braid_equal_witness(u, v, 3)[0] is pair.equal
+        after = _lk_scaled_generators.cache_info()
+        lookups = after.hits + after.misses - before.hits - before.misses
+        assert points and lookups == len(points), pair
 
 
 def test_benchmark_tracer_ops_resolve(monkeypatch):

@@ -23,7 +23,9 @@ from lmkit.laurent import (
     rank_probabilistic,
     seeded_points,
 )
+from lmkit import laurent
 from lmkit.repfun import lk_functor
+from reference_kernels import dense_det, dense_inverse, dense_montante, fraction_pivot_rows
 
 
 def lp(text):
@@ -418,6 +420,30 @@ class TestRank:
         with pytest.raises(LaurentError):
             rank_probabilistic(PolyMatrix.identity(1), [])
 
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 9), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pivots_mod_p_are_the_pivots_over_fraction(self, rows, cols, seed, data):
+        # Entries with Fraction coefficients and negative exponents; some
+        # columns repeat a combination of others, so ranks fall short.
+        row = st.lists(st.sampled_from(UNIT_POOL) | polys, min_size=cols, max_size=cols)
+        body = data.draw(st.lists(row, min_size=rows, max_size=rows))
+        for c in data.draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+            weight = data.draw(st.sampled_from(UNIT_POOL))
+            for r in body:
+                r[c] = r[c] + weight * r[(c + 1) % cols]
+        m = PolyMatrix.from_rows(body)
+        for point in seeded_points(2, seed):
+            assert m.pivot_rows_at(point) == fraction_pivot_rows(m, point)
+
+    def test_a_point_with_no_image_mod_p_gives_no_pivots(self, monkeypatch):
+        m = PolyMatrix.from_rows([[ONE, T], [Q, ONE - Q], [T * Q, ONE]])
+        point = EvaluationPoint(Fraction(3, 7), Fraction(2))
+        assert m.pivot_rows_at(point) == fraction_pivot_rows(m, point) == [0, 2]
+        monkeypatch.setattr(laurent, "_PRIME", 7)
+        assert m.pivot_rows_at(point) == [] and m.rank_at(point) == 0
+        other = EvaluationPoint(Fraction(2), Fraction(3))
+        assert m.pivot_rows_at(other) == fraction_pivot_rows(m, other) == [0, 2]
+
     def test_seeded_points_are_stored(self):
         # One tuple per (count, seed), returned again by every call, so no
         # caller can change another's points; the values stay those of
@@ -473,6 +499,23 @@ class TestIntegerFirstCoefficients:
         quotient = exact_div(a * b, b)
         assert quotient == a
         assert_int_first(quotient)
+
+    def test_division_by_a_signed_unit_builds_no_fraction(self, monkeypatch):
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        num = lp("3*t^2*q - 6*t^-1 + 9*q^4")
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        quotient = exact_div(num, -(T**2) * Q)
+        assert built == []
+        assert quotient.terms == {(0, 0): -3, (-3, -1): 6, (-2, 3): -9}
+        assert all(type(c) is int for c in quotient.terms.values())
+        # An unnormalised 3 over 1 comes out as an int all the same.
+        assert type(exact_div(LaurentPoly({(1, 0): Fraction(3)}) * ONE_AS_FRACTION, -T).terms[(0, 0)]) is int
 
     def test_integral_fraction_normalised(self):
         assert type(LaurentPoly.const(Fraction(6, 3)).terms[(0, 0)]) is int
@@ -646,21 +689,30 @@ def _outcome(routine, m):
         return str(exc)
 
 
+def _sparse_rows(m, extra=0):
+    """The rows of m as {column: entry}, followed by the unit vector e_r
+    past column `extra` when extra is set ([A | I] for extra = n)."""
+    rows = [{extra + r: ONE} if extra else {} for r in range(m.rows)]
+    for (r, c), p in m.entries.items():
+        rows[r][c] = p
+    return rows
+
+
 def _full_det(m):
-    """The last pivot of the Montante pass over the whole matrix."""
-    return _montante(m.to_rows(), m.rows)
+    """The last pivot of the sparse Montante pass over the whole matrix."""
+    return _montante(_sparse_rows(m), m.rows, complete=False)
 
 
 class TestLocalSupportElimination:
-    """inverse() and det() eliminate only the moved columns; the Montante
-    elimination of the whole matrix is the reference."""
+    """inverse() and det() eliminate only the moved columns, on sparse rows;
+    the dense Montante elimination of the whole matrix is the reference."""
 
     @given(local_support_matrices())
     @settings(max_examples=150, deadline=None)
     def test_matches_full_elimination(self, m):
-        assert m.det() == _full_det(m)
+        assert m.det() == _full_det(m) == dense_det(m)
         inverse = _outcome(PolyMatrix.inverse, m)
-        assert inverse == _outcome(_montante_inverse, m)
+        assert inverse == _outcome(_montante_inverse, m) == _outcome(dense_inverse, m)
         if isinstance(inverse, PolyMatrix):
             assert m.matmul(inverse) == PolyMatrix.identity(m.rows)
 
@@ -694,18 +746,65 @@ class TestLocalSupportElimination:
                     m = lk.gen_matrix(n, letter)
                     assert m.matmul(m.inverse()) == PolyMatrix.identity(m.rows)
                     if n <= 5:
-                        assert m.inverse() == _montante_inverse(m)
-                        assert m.det() == _full_det(m)
+                        assert m.inverse() == _montante_inverse(m) == dense_inverse(m)
+                        assert m.det() == _full_det(m) == dense_det(m)
+
+
+def _block_diagonal(k):
+    """k invertible 2×2 blocks down the diagonal, cycling through a block
+    with a non-unit leading entry, one that needs a row swap and one with
+    a zero below its diagonal."""
+    blocks = [[[ONE + T, T], [ONE, ONE]], [[ZERO, T], [Q, ONE]], [[T * Q, ONE - T], [ZERO, -T]]]
+    entries = {}
+    for b in range(k):
+        for r, row in enumerate(blocks[b % 3]):
+            for c, v in enumerate(row):
+                entries[(2 * b + r, 2 * b + c)] = v
+    return PolyMatrix(2 * k, 2 * k, entries)
 
 
 class TestDeterminantPass:
+    def test_block_diagonal_costs_linear_ring_multiplications(self, monkeypatch):
+        # A row with no entry in the pivot column is not rewritten, so each
+        # block adds the same number of products to inverse() and det():
+        # the counts are affine in the number of blocks, not quadratic.
+        calls = []
+        mul = LaurentPoly.__mul__
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+        counts = {}
+        for k in (6, 12, 24):
+            m = _block_diagonal(k)
+            calls.clear()
+            inverse = m.inverse()
+            det = m.det()
+            counts[k] = len(calls)
+            assert m.matmul(inverse) == PolyMatrix.identity(2 * k)
+            assert det == dense_det(m)
+        assert counts[24] - counts[12] == 2 * (counts[12] - counts[6]) > 0
+
     @given(local_support_matrices())
     @settings(max_examples=100, deadline=None)
     def test_rows_below_give_the_complete_pass_determinant(self, m):
-        # A zero column past n makes _montante clear every other row; with
-        # none it updates only the rows below each pivot.  Same determinant.
+        # The complete pass clears every other row, the determinant pass
+        # only the rows below each pivot: the same determinant, sparse or
+        # dense (where a zero column past n selects the complete pass).
+        below = _montante(_sparse_rows(m), m.rows, complete=False)
+        assert below == _montante(_sparse_rows(m), m.rows, complete=True)
         padded = [row + [ZERO] for row in m.to_rows()]
-        assert _montante(m.to_rows(), m.rows) == _montante(padded, m.rows)
+        assert below == dense_montante(m.to_rows(), m.rows) == dense_montante(padded, m.rows)
+
+    @given(local_support_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_complete_pass_rows_match_the_dense_pass(self, m):
+        # Every row of [A | I] after the complete pass, rows left behind by
+        # the sparse one brought up to the last pivot included.
+        n = m.rows
+        rows = _sparse_rows(m, n)
+        dense = [row + [ONE if r == c else ZERO for c in range(n)] for r, row in enumerate(m.to_rows())]
+        det = _montante(rows, n, complete=True)
+        assert det == dense_montante(dense, n)
+        if det:
+            assert [{c: v for c, v in enumerate(row) if v} for row in dense] == rows
 
 
 # 1 stored with a Fraction coefficient, as unnormalised products leave it.
@@ -802,9 +901,32 @@ class TestUnitAwareKernels:
 
         monkeypatch.setattr(LaurentPoly, "__mul__", counting)
         assert type(ONE_AS_FRACTION.terms[(0, 0)]) is Fraction
-        assert PolyMatrix.identity(4).matmul(m) == m
-        assert m.matmul(PolyMatrix.identity(4)) == m
         assert m.scale(ONE) is m and m.scale(ONE_AS_FRACTION) is m
         assert PolyMatrix.identity(2).kron(m) == m.direct_sum(m)
         assert calls == []
         assert m.matmul(m).to_rows() == _dense_product(m, m) and calls
+
+    def test_a_product_with_the_identity_is_the_other_factor(self, monkeypatch):
+        m = random_matrix(random.Random(3), 4, 3, ENTRY_POOL)
+        calls = []
+        for op in ("__mul__", "__add__"):
+            original = getattr(LaurentPoly, op)
+            monkeypatch.setattr(
+                LaurentPoly, op, lambda p, q, _op=op, _f=original: calls.append(_op) or _f(p, q)
+            )
+        assert PolyMatrix.identity(4).matmul(m) is m
+        assert m.matmul(PolyMatrix.identity(3)) is m
+        assert PolyMatrix.identity(4).matmul(PolyMatrix.identity(4)).is_identity
+        assert calls == []
+        # A matrix equal to the identity but not made by identity() is
+        # multiplied out: no factor is scanned for the unit.
+        eye = PolyMatrix(4, 4, {(i, i): ONE for i in range(4)})
+        assert eye == PolyMatrix.identity(4) and not eye.is_identity
+        product = eye.matmul(m)
+        assert product == m and product is not m
+
+    def test_identity_and_zeros_check_their_dimensions(self):
+        for make in (PolyMatrix.identity, lambda n: PolyMatrix.zeros(n, 2), lambda n: PolyMatrix.zeros(2, n)):
+            with pytest.raises(LaurentError, match="negative matrix dimension"):
+                make(-1)
+        assert PolyMatrix.zeros(0, 3).entries == {} and PolyMatrix.identity(0).is_identity

@@ -1,9 +1,10 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from lmkit import laurent, polyfun
-from lmkit.laurent import ONE, PolyMatrix, T, seeded_points
+from lmkit.laurent import ONE, EvaluationPoint, PolyMatrix, T, seeded_points
 from lmkit.braidcat import BraidWord, braiding
 from lmkit.repfun import (
     BraidFunctor,
@@ -38,6 +39,7 @@ from lmkit.polyfun import (
 )
 
 from display_fixtures import oriented
+from reference_kernels import fraction_pivot_rows
 
 
 def non_split_functor():
@@ -195,6 +197,50 @@ class TestSplitBuilder:
         assert res.retraction.rows == l2_difference.dim(4) and res.certify(incl)
         # The full square [incl | complement] would be incl.rows (126) wide.
         assert sizes and max(sizes) <= incl.cols < incl.rows
+
+
+class TestPivotGuess:
+    """pivot_rows_at reads the pivots mod a prime; the column reduction over
+    Fraction is the reference."""
+
+    def test_every_pivot_call_of_l2_at_6_matches_fraction(self, monkeypatch):
+        calls = []
+        guess = PolyMatrix.pivot_rows_at
+
+        def recording(m, point):
+            pivots = guess(m, point)
+            calls.append((m, point, pivots))
+            return pivots
+
+        monkeypatch.setattr(PolyMatrix, "pivot_rows_at", recording)
+        l2 = long_moody_power(standard_config(), burau_functor(), 2)
+        assert estimate_strong_degree(l2, 6).strong_degree == 3
+        assert calls
+        for m, point, pivots in calls:
+            assert pivots == fraction_pivot_rows(m, point)
+
+    def test_a_point_with_no_image_mod_p_moves_on_to_the_next(self, monkeypatch):
+        # With the prime 10007, a point with denominator 10007 has no image:
+        # its guess has too few rows, and the search takes the next point.
+        f = conjugated_burau()
+        expected = resolve_inclusion(f, 2)
+        planted = EvaluationPoint(Fraction(2, 10007), Fraction(3))
+        seeded = seeded_points
+
+        def points(count, seed):
+            return (planted, *seeded(count - 1, seed))
+
+        guesses = []
+        guess = PolyMatrix.pivot_rows_at
+        monkeypatch.setattr(laurent, "_PRIME", 10007)
+        monkeypatch.setattr(polyfun, "seeded_points", points)
+        monkeypatch.setattr(
+            PolyMatrix, "pivot_rows_at", lambda m, point: guesses.append(point) or guess(m, point)
+        )
+        assert guess(f.stab(2, 3), planted) == []
+        guesses.clear()
+        assert resolve_inclusion(f, 2) == expected
+        assert guesses == [planted, seeded(1, 0)[0]]
 
 
 class TestInclusionCache:
