@@ -214,12 +214,10 @@ def _wrap(terms: dict) -> LaurentPoly:
     return p
 
 
-def _matrix(rows: int, cols: int, entries: dict, is_identity: bool = False) -> "PolyMatrix":
+def _matrix(rows: int, cols: int, entries: dict) -> "PolyMatrix":
     """A PolyMatrix over entries known to be nonzero and in range."""
-    if rows < 0 or cols < 0:
-        raise LaurentError("negative matrix dimension")
     m = PolyMatrix.__new__(PolyMatrix)
-    m.rows, m.cols, m.entries, m.is_identity = rows, cols, entries, is_identity
+    m.rows, m.cols, m.entries, m.is_identity = rows, cols, entries, False
     return m
 
 
@@ -498,10 +496,16 @@ class PolyMatrix:
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
-        return _matrix(n, n, {(i, i): ONE for i in range(n)}, is_identity=True)
+        if n < 0:
+            raise LaurentError("negative matrix dimension")
+        m = _matrix(n, n, {(i, i): ONE for i in range(n)})
+        m.is_identity = True
+        return m
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "PolyMatrix":
+        if rows < 0 or cols < 0:
+            raise LaurentError("negative matrix dimension")
         return _matrix(rows, cols, {})
 
     # -- access ------------------------------------------------------
@@ -646,12 +650,6 @@ class PolyMatrix:
         return PolyMatrix(self.rows, self.rows, entries)
 
     # -- numeric evaluation ---------------------------------------------
-
-    def eval(self, point: EvaluationPoint) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), p in self.entries.items():
-            out[r][c] = p.eval(point)
-        return out
 
     def rank_at(self, point: EvaluationPoint) -> int:
         """The rank at the point mod _PRIME: rank mod p <= rank over Q at

@@ -1,6 +1,7 @@
 """Reference versions of the exact kernels of lmkit.laurent, kept for the
 tests to compare against: the dense-row Montante elimination, the inverse
-built on it, and the pivot guess over Fraction."""
+built on it, the evaluation of a matrix over Fraction and the pivot guess
+over Fraction."""
 
 from fractions import Fraction
 
@@ -74,11 +75,19 @@ def dense_inverse(a):
     return PolyMatrix(n, n, entries)
 
 
+def evaluated(a, point):
+    """The dense rows of the matrix a evaluated at the point, over Fraction."""
+    out = [[Fraction(0)] * a.cols for _ in range(a.rows)]
+    for (r, c), p in a.entries.items():
+        out[r][c] = p.eval(point)
+    return out
+
+
 def fraction_pivot_rows(a, point):
     """Row indices carrying pivots when the matrix evaluated over Fraction
     at the point is reduced by columns, a column pivoting on a row whose
     entry in it is a unit when it can."""
-    m = a.eval(point)
+    m = evaluated(a, point)
     rows = range(a.rows)
     basis: list[tuple[int, list[Fraction]]] = []
     for c in range(a.cols):

@@ -32,6 +32,7 @@ from lmkit.braidcat import (
 )
 from lmkit import braidcat
 from lmkit.laurent import ONE, LaurentPoly, PolyMatrix, Q, T, T_INV, ZERO
+from reference_kernels import evaluated
 
 
 def bw(letters, strands):
@@ -232,7 +233,7 @@ class TestEqualityOracle:
                         for _ in range(rng.randint(0, 6))
                     ),
                 )
-                sym = lk.word_matrix(word).eval(point)
+                sym = evaluated(lk.word_matrix(word), point)
                 cols = _lk_columns(word, point)
                 scale = Fraction(_lk_scaled_generators(strands, point)[0]) ** len(word.letters)
                 dim = strands * (strands - 1) // 2

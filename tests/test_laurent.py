@@ -25,7 +25,7 @@ from lmkit.laurent import (
 )
 from lmkit import laurent
 from lmkit.repfun import lk_functor
-from reference_kernels import dense_det, dense_inverse, dense_montante, fraction_pivot_rows
+from reference_kernels import dense_det, dense_inverse, dense_montante, evaluated, fraction_pivot_rows
 
 
 def lp(text):
@@ -347,8 +347,8 @@ class TestMatrices:
         point = seeded_points(1, 11)[0]
         a = random_matrix(rng, 3, 4, ENTRY_POOL)
         b = random_matrix(rng, 4, 2, ENTRY_POOL)
-        ea, eb = a.eval(point), b.eval(point)
-        product = a.matmul(b).eval(point)
+        ea, eb = evaluated(a, point), evaluated(b, point)
+        product = evaluated(a.matmul(b), point)
         for r in range(3):
             for c in range(2):
                 assert product[r][c] == sum(ea[r][k] * eb[k][c] for k in range(4))
@@ -901,6 +901,8 @@ class TestUnitAwareKernels:
 
         monkeypatch.setattr(LaurentPoly, "__mul__", counting)
         assert type(ONE_AS_FRACTION.terms[(0, 0)]) is Fraction
+        assert PolyMatrix.identity(4).matmul(m) == m
+        assert m.matmul(PolyMatrix.identity(4)) == m
         assert m.scale(ONE) is m and m.scale(ONE_AS_FRACTION) is m
         assert PolyMatrix.identity(2).kron(m) == m.direct_sum(m)
         assert calls == []
@@ -919,11 +921,15 @@ class TestUnitAwareKernels:
         assert PolyMatrix.identity(4).matmul(PolyMatrix.identity(4)).is_identity
         assert calls == []
         # A matrix equal to the identity but not made by identity() is
-        # multiplied out: no factor is scanned for the unit.
-        eye = PolyMatrix(4, 4, {(i, i): ONE for i in range(4)})
-        assert eye == PolyMatrix.identity(4) and not eye.is_identity
-        product = eye.matmul(m)
-        assert product == m and product is not m
+        # multiplied out, as no factor is scanned for the unit; each product
+        # entry is an entry of m times a stored ONE, reused with no ring
+        # multiplication or addition.
+        left, right = (PolyMatrix(n, n, {(i, i): ONE for i in range(n)}) for n in (4, 3))
+        assert left == PolyMatrix.identity(4) and not left.is_identity
+        for product in (left.matmul(m), m.matmul(right)):
+            assert product == m and product is not m
+            assert all(product.entries[k] is p for k, p in m.entries.items())
+        assert calls == []
 
     def test_identity_and_zeros_check_their_dimensions(self):
         for make in (PolyMatrix.identity, lambda n: PolyMatrix.zeros(n, 2), lambda n: PolyMatrix.zeros(2, n)):
