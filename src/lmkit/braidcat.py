@@ -156,9 +156,10 @@ def braiding(n: int, m: int) -> BraidWord:
     return BraidWord(n + m, tuple(letters))
 
 
+@lru_cache(maxsize=256)
 def router(k: int, n: int, n2: int) -> BraidWord:
     """The word of id_k ♮ [n2-n, id] on k + n2 strands: the inverse braiding
-    routing k fixed strands past the n2-n added ones, then id_n."""
+    routing k fixed strands past the n2-n added ones, then id_n; stored."""
     return braiding(k, n2 - n).inverse().monoidal(BraidWord.identity(n))
 
 

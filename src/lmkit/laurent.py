@@ -748,8 +748,8 @@ def complete_inverse(cols: PolyMatrix, pivots: list[int], a_inv: PolyMatrix):
         for (i, j), p in _product(lower, a_inv).entries.items():
             bottom[(i, pivots[j])] = -p
     return (
-        PolyMatrix(a_inv.rows, cols.rows, top),
-        PolyMatrix(len(missing), cols.rows, bottom),
+        _matrix(a_inv.rows, cols.rows, top),
+        _matrix(len(missing), cols.rows, bottom),
         missing,
     )
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .laurent import LaurentPoly, PolyMatrix, ONE
+from .laurent import LaurentPoly, PolyMatrix, ONE, _matrix
 from .freegroup import (
     FreeGroupMap,
     FreeWord,
@@ -141,7 +141,8 @@ def action_family(name: str) -> ActionFamily:
 
 
 # Fox Jacobians memoized per configuration, keyed by (level, signed letter);
-# the splitting and degree-growth checks at N=5 read 29 of them.
+# the splitting and degree-growth checks at N=5 read 29 of them.  Only moved
+# columns are expanded (two per letter for Artin); a fixed one is the unit.
 @dataclass(frozen=True)
 class LongMoodyConfig:
     """Parameters of one Long-Moody application.
@@ -165,19 +166,24 @@ class LongMoodyConfig:
 
     def fox_jacobian(self, n: int, letter: int) -> tuple:
         """The nonzero (r, c, fox_r(action(letter)(g_c))) at level n, with c
-        outer and r inner, memoized per instance."""
+        outer and r inner, memoized per instance.  Column c is fixed when the
+        action maps g_c to g_c itself: by the free calculus fox_r(g_c) is 1
+        for r = c and 0 otherwise, so the column is (c, c, 1) with no
+        expansion.  fox_derivatives runs on the moved columns only."""
         key = (n, letter)
         hit = self._fox.get(key)
         if hit is None:
-            amap = self.action.generator_map(n, letter)
-            hit = tuple(
-                (r, c, coeff)
-                for c in range(1, n + 1)
-                for r, coeff in enumerate(
-                    fox_derivatives(amap.apply_word(FreeWord.generator(n, c))).coords, 1
-                )
-                if not coeff.is_zero()
-            )
+            images = self.action.generator_map(n, letter).images
+            unit = GroupRingElement.one(n)
+            entries = []
+            for c, image in enumerate(images, 1):
+                if image.syllables == ((c, 1),):
+                    entries.append((c, c, unit))
+                    continue
+                for r, coeff in enumerate(fox_derivatives(image).coords, 1):
+                    if not coeff.is_zero():
+                        entries.append((r, c, coeff))
+            hit = tuple(entries)
             remember(self._fox, key, hit)
         return hit
 
@@ -232,7 +238,7 @@ def long_moody(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
                 block = group_ring_matrix(base, n, cfg.system, coeff).matmul(right).scale(scale)
             for (br, bc), val in block.entries.items():
                 entries[((r - 1) * d + br, (c - 1) * d + bc)] = val
-        return PolyMatrix(n * d, n * d, entries)
+        return _matrix(n * d, n * d, entries)
 
     def stab(n, n2):
         blocks = PolyMatrix.identity(n).kron(tau.stab(n, n2))
@@ -490,7 +496,7 @@ def splitting_maps(cfg: LongMoodyConfig, f: BraidFunctor, n: int):
     """
     d2 = f.dim(n + 2)
     rows = (n + 1) * d2
-    new_block = PolyMatrix(rows, d2, {(r, r): ONE for r in range(d2)})
+    new_block = _matrix(rows, d2, {(r, r): ONE for r in range(d2)})
     q_mat = _pretwisted(cfg, f).word_matrix(router(1, n, n + 1))
     old_blocks = PolyMatrix.zeros(d2, 0).direct_sum(PolyMatrix.identity(n).kron(q_mat))
     return new_block, old_blocks

@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .laurent import LaurentError, LaurentPoly, PolyMatrix, ONE, ZERO, complete_inverse
+from .laurent import LaurentError, LaurentPoly, PolyMatrix, ONE, ZERO, _matrix, complete_inverse
 from .laurent import T as VAR_T, Q as VAR_Q
 from .freegroup import GroupRingElement
 from .memo import remember
@@ -106,7 +106,7 @@ def split_at_rows(incl: PolyMatrix, pivots: list[int], a_inv: PolyMatrix) -> Spl
     retraction, coprojection, missing = complete_inverse(incl, pivots, a_inv)
     complement = {(r, i): ONE for i, r in enumerate(missing)}
     return SplitData(
-        retraction, PolyMatrix(incl.rows, len(missing), complement), coprojection
+        retraction, _matrix(incl.rows, len(missing), complement), coprojection
     )
 
 
@@ -124,7 +124,7 @@ def partial_permutation_split(incl: PolyMatrix) -> SplitData | None:
         return None
     index = {r: i for i, r in enumerate(pivots)}
     a_inv = {(c, index[r]): p.unit_inverse() for c, (r, p) in placed.items()}
-    return split_at_rows(incl, pivots, PolyMatrix(incl.cols, incl.cols, a_inv))
+    return split_at_rows(incl, pivots, _matrix(incl.cols, incl.cols, a_inv))
 
 
 class BraidFunctor:
@@ -165,15 +165,18 @@ class BraidFunctor:
     # -- core data ------------------------------------------------------
 
     def dim(self, n: int) -> int:
+        hit = self._dims.get(n)
+        if hit is not None:
+            return hit
         if n < 0:
             raise FunctorError("negative level")
         if n > self.eval_range:
             raise FunctorError(
                 f"{self.name}: level {n} beyond evaluation range {self.eval_range}"
             )
-        if n not in self._dims:
-            remember(self._dims, n, int(self._dim_rule(n)))
-        return self._dims[n]
+        d = int(self._dim_rule(n))
+        remember(self._dims, n, d)
+        return d
 
     def gen_matrix(self, n: int, letter: int) -> PolyMatrix:
         """The matrix of a signed letter.  A rule that raises LaurentError

@@ -26,6 +26,7 @@ from lmkit.braidcat import (
     lk_width,
     local_system,
     pure_braid_system,
+    router,
     trivial_system,
     _lk_scaled_generators,
     lk_generator_columns,
@@ -89,6 +90,29 @@ class TestBraiding:
                 both = braiding(m, n).compose(braiding(n, m))
                 assert both.permutation() == tuple(range(1, n + m + 1))
         assert not braid_equal(braiding(1, 1).compose(braiding(1, 1)), BraidWord.identity(2))
+
+
+class TestRouter:
+    def test_router_is_a_stored_word(self):
+        for k in range(0, 4):
+            for n2 in range(0, 9):
+                for n in range(0, n2 + 1):
+                    word = router(k, n, n2)
+                    assert word is router(k, n, n2)
+                    assert word == braiding(k, n2 - n).inverse().monoidal(BraidWord.identity(n))
+                    assert word.strands == k + n2
+
+    def test_negative_range_still_raises(self):
+        # A failed call stores nothing, so the second call raises too.
+        for _ in range(2):
+            with pytest.raises(BraidError, match="negative strand counts"):
+                router(1, 3, 2)
+        with pytest.raises(BraidError):
+            router(-1, 0, 1)
+
+    def test_router_table_is_bounded(self):
+        maxsize = router.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10_000
 
 
 class TestBracketCategory:

@@ -324,6 +324,14 @@ PINNED_STDOUT = [
      "3a73fd5557c06cb3cdd0f66da90afcbc7469ad3583a786462ce457fe0e0d666d"),
     (["verify", "splitting", "--base", "tym", "--N", "6"], 0,
      "97321131f4b9ce258c0950578bef8abaf8767d164acb119d62a3d419a0fe26bd"),
+    (["verify", "splitting", "--base", "constant", "--N", "5"], 0,
+     "e02b8b9edd1f8b50d1c4af3ed1d28bc243a078f4da6ccb381efca563b6c2fb30"),
+    # Long-Moody images over Wada actions: fixed Fox columns and unchecked
+    # matrices, on a pass and on a fail (witness {kind: inverse, n: 2, i: 1}).
+    (["check", "functor", "--functor", "lm(wada5,trivial;burau)", "--N", "4"], 0,
+     "89b4db5f595ddaa55ecf9bffbba24127f281d17dd7071d90caabde7769055ab7"),
+    (["check", "functor", "--functor", "lm(wada3,pure-braid;burau)", "--N", "5", "--L", "1"], 1,
+     "b68f81219408789468c24ecce89ebb307441c8dac415f13c9850769778b75236"),
     (["verify", "factorization", "--base", "burau", "--N", "4"], 0,
      "2abeaa38a5c1fa26687cfc91d5f322f1031091241d1f0b0aff7a571511f8ad29"),
     (["verify", "xi-lemma", "--base", "burau", "--N", "4"], 0,

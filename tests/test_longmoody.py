@@ -3,8 +3,14 @@ import random
 import pytest
 
 from lmkit.laurent import LaurentPoly, ONE, PolyMatrix, T, ZERO
-from lmkit.freegroup import FreeGroupMap, FreeWord, fox_derivatives, artin_generator_map
-from lmkit import longmoody, memo
+from lmkit.freegroup import (
+    FreeGroupMap,
+    FreeWord,
+    GroupRingElement,
+    artin_generator_map,
+    fox_derivatives,
+)
+from lmkit import laurent, longmoody, memo, polyfun, repfun
 from lmkit.braidcat import (
     BraidWord,
     LocalSystem,
@@ -564,8 +570,41 @@ class TestFoxTable:
             image = long_moody(cfg, f)
             for n, letter in keys:
                 image.gen_matrix(n, letter)
-        # One expansion per column of each (level, letter), for both images.
-        assert len(calls) == sum(n for n, _ in keys)
+        # One expansion per moved column of each (level, letter), for both
+        # images together: s_i^{±1} moves g_i and g_{i+1} and fixes the other
+        # generators, whose columns need no expansion.
+        moved = [
+            image
+            for n, letter in keys
+            for c, image in enumerate(artin_generator_map(n, letter).images, 1)
+            if image != FreeWord.generator(n, c)
+        ]
+        assert len(moved) == 2 * len(keys)
+        assert calls == moved
+
+    @pytest.mark.parametrize("action", ["artin"] + [f"wada{k}" for k in range(1, 8)])
+    def test_fixed_columns_are_the_unit(self, action):
+        family = action_family(action)
+        cfg = LongMoodyConfig(family, pure_braid_system())
+        fixed_seen = 0
+        for n in range(2, 6):
+            for letter in signed_letters(n):
+                amap = family.generator_map(n, letter)
+                images = [amap.apply_word(FreeWord.generator(n, c)) for c in range(1, n + 1)]
+                table = cfg.fox_jacobian(n, letter)
+                full = tuple(
+                    (r, c, coeff)
+                    for c, image in enumerate(images, 1)
+                    for r, coeff in enumerate(fox_derivatives(image).coords, 1)
+                    if not coeff.is_zero()
+                )
+                assert table == full, (n, letter)
+                for c, image in enumerate(images, 1):
+                    if image == FreeWord.generator(n, c):
+                        fixed_seen += 1
+                        column = [(r, coeff) for r, cc, coeff in table if cc == c]
+                        assert column == [(c, GroupRingElement.one(n))], (n, letter, c)
+        assert fixed_seen
 
     def test_same_name_systems_share_nothing(self):
         good = pure_braid_system()
@@ -647,3 +686,55 @@ class TestFoxTable:
             wada_family(1, m)
             assert len(longmoody._verified_families) <= 3
         assert list(longmoody._verified_families) == [f"wada1(m={m})" for m in range(3, 6)]
+
+
+class TestUncheckedMatrices:
+    """long_moody's generator matrices and new_block, split_at_rows,
+    partial_permutation_split and complete_inverse build their matrices
+    without the validating PolyMatrix constructor; each must be what that
+    constructor gives: LaurentPoly entries, in range, none of them zero."""
+
+    @pytest.mark.parametrize("action", ["artin"] + [f"wada{k}" for k in range(1, 8)])
+    def test_built_matrices_are_what_the_constructor_gives(self, action, monkeypatch):
+        made = {}
+
+        def record(module, name, pieces):
+            inner = getattr(module, name)
+
+            def recording(*args):
+                out = inner(*args)
+                if out is not None:
+                    made.setdefault(name, []).extend(pieces(out))
+                return out
+
+            monkeypatch.setattr(module, name, recording)
+
+        def split_pieces(data):
+            return data.retraction, data.complement, data.coprojection
+
+        for module in (repfun, longmoody, polyfun):
+            record(module, "split_at_rows", split_pieces)
+        record(repfun, "partial_permutation_split", split_pieces)
+        for module in (repfun, laurent):
+            record(module, "complete_inverse", lambda out: out[:2])
+
+        for system in (trivial_system(), pure_braid_system()):
+            cfg = LongMoodyConfig(action_family(action), system)
+            for f in (constant_functor(), burau_functor(), tym_functor(), lk_functor()):
+                image = long_moody(cfg, f)
+                for n in range(0, 5):
+                    for letter in signed_letters(n):
+                        made.setdefault("gen", []).append(image.gen_matrix(n, letter))
+                    for n2 in range(n, 5):
+                        image.split(n, n2)
+                    if n < 4:
+                        resolution(image, n)
+                    if n + 2 <= 4:
+                        made.setdefault("new_block", []).append(splitting_maps(cfg, f, n)[0])
+
+        names = {"gen", "new_block", "split_at_rows", "partial_permutation_split", "complete_inverse"}
+        assert set(made) == names
+        for name, matrices in made.items():
+            for m in matrices:
+                assert all(isinstance(p, LaurentPoly) and p.terms for p in m.entries.values()), name
+                assert m == PolyMatrix(m.rows, m.cols, m.entries), name
