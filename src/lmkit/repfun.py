@@ -138,7 +138,10 @@ class BraidFunctor:
     each stores through memo.remember.
     gen_rule(n, letter) takes a signed letter, ±i for s_i^{±1}, and is
     called once per (n, letter); check_functor tests that the two signs
-    are inverse to each other.
+    are inverse to each other.  stab_rule is called for one step only,
+    stab_rule(n, n + 1); a longer stabilization is the memoized composite
+    stab(n2 - 1, n2) * stab(n, n2 - 1), so stabilizations compose by
+    construction.
     """
 
     def __init__(
@@ -209,8 +212,10 @@ class BraidFunctor:
         if key not in self._stabs:
             if n == n2:
                 m = PolyMatrix.identity(self.dim(n))
-            else:
+            elif n2 == n + 1:
                 m = self._stab_rule(n, n2)
+            else:
+                m = self.stab(n2 - 1, n2).matmul(self.stab(n, n2 - 1))
             if (m.rows, m.cols) != (self.dim(n2), self.dim(n)):
                 raise FunctorError(
                     f"{self.name}: stabilization {n}->{n2} has wrong shape"
@@ -635,7 +640,10 @@ def check_functor(f: BraidFunctor, big_n: int, word_len: int = 3) -> CheckReport
     stab * mat(w) = stab * mat(w) holds for all w iff it holds for w empty,
     an identity multiplicative in psi, so it is checked for w empty only.
     Breadth-first order puts the empty word and the letters first, so the
-    witness is the all-words one.
+    witness is the all-words one.  Stabilization composition holds by
+    construction (BraidFunctor.stab); its checks stay so that `checked` and
+    the JSON do not change.  The psi checks at n' - n >= 2 are still needed:
+    a braid of the added strands is not a one-step datum.
 
     A letter whose matrix has no inverse over the ring is an inverse
     failure whose witness carries the error naming the determinant; the
@@ -713,7 +721,8 @@ def check_natural(
 ) -> CheckReport:
     """Exact intertwining of components with generators and, optionally,
     with stabilizations.  Groupoid-level equivalences (components that only
-    intertwine the braid actions) are checked with include_stab=False."""
+    intertwine the braid actions) are checked with include_stab=False; the
+    checks at n' > n + 1 follow from the one-step ones by composition."""
     report = CheckReport(
         "natural-transformation",
         {"N": big_n, "map": eta.name, "stab": include_stab},

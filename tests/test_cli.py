@@ -332,6 +332,14 @@ PINNED_STDOUT = [
      "89b4db5f595ddaa55ecf9bffbba24127f281d17dd7071d90caabde7769055ab7"),
     (["check", "functor", "--functor", "lm(wada3,pure-braid;burau)", "--N", "5", "--L", "1"], 1,
      "b68f81219408789468c24ecce89ebb307441c8dac415f13c9850769778b75236"),
+    # Translations of Long-Moody images: multi-step stabilizations of a
+    # compound functor, on an emit, a pass and a fail (a non-functor image).
+    (["emit", "--functor", "tau(2;lm(artin,pure-braid;burau))", "--n", "3"], 0,
+     "197e456a6ba52f9bc48cb2e1ebb94bcc7663cbbaa8c2e2f64a3dbf6b6ef2fdf9"),
+    (["check", "functor", "--functor", "tau(1;lm(artin,pure-braid;tym))", "--N", "5"], 0,
+     "8816bd2df3d895e87dd0f392cc87defeb9c92158b53c7755b12c3a4574dd26e6"),
+    (["check", "functor", "--functor", "tau(1;lm(wada3,pure-braid;burau))", "--N", "5", "--L", "1"], 1,
+     "4b65b9ba6fa442171a80300772c214105aef1b74e6fff8748288460f857082a8"),
     (["verify", "factorization", "--base", "burau", "--N", "4"], 0,
      "2abeaa38a5c1fa26687cfc91d5f322f1031091241d1f0b0aff7a571511f8ad29"),
     (["verify", "xi-lemma", "--base", "burau", "--N", "4"], 0,

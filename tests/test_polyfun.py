@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from lmkit import laurent, polyfun
+from lmkit.cli import parse_functor
 from lmkit.laurent import ONE, EvaluationPoint, PolyMatrix, T, seeded_points
 from lmkit.braidcat import BraidWord, braiding
 from lmkit.repfun import (
+    BUILTINS,
     BraidFunctor,
     NaturalMap,
     SplitData,
@@ -43,7 +45,9 @@ from reference_kernels import fraction_pivot_rows
 
 
 def non_split_functor():
-    """Stabilizations multiply by 1 + t, which has no retraction."""
+    """Stabilizations multiply by 1 + t, which has no retraction.  The rule
+    also states (1 + t) for n' > n + 1; BraidFunctor.stab no longer reads
+    it there and composes the one-step maps, (1 + t)^(n' - n)."""
     return BraidFunctor(
         "non-split",
         lambda n: 1,
@@ -57,7 +61,9 @@ def conjugated_burau():
     """Burau with the stabilization 2 -> 3 composed with s2, so it is no
     longer monomial, the declared coordinate split no longer applies there
     and the evaluation search must run.  (Composing with s1 keeps it
-    monomial.)"""
+    monomial.)  The rule's multi-step values are no longer read:
+    BraidFunctor.stab composes the one-step maps, so stab(2, 4) carries s2
+    too."""
     f = burau_functor()
     q = f.gen_matrix(3, 2)
     return BraidFunctor(
@@ -479,3 +485,56 @@ class TestTheorems:
         result = translation_degree_checks(burau_functor(), 6)
         assert result["verdict"] == "pass"
         assert result["shifted"][1]["strong_degree_at_range"] == 1
+
+
+def _builtin_spec(name, key):
+    return f"{name}(2)" if key in ("k", "l") else name
+
+
+ACTIONS = ["artin"] + [f"wada{k}" for k in range(1, 8)]
+COMPOSED_SPECS = (
+    [_builtin_spec(name, key) for name, (_, key) in BUILTINS.items()]
+    + ["sum(burau;lk)", "tensor(burau;tym)", "twist(t;burau)"]
+    + [f"tau({k};{f})" for k in (1, 2) for f in ("lk", "lm(artin,pure-braid;burau)")]
+    + [f"lm({a},{s};burau)" for a in ACTIONS for s in ("trivial", "pure-braid")]
+)
+
+
+class TestComposedStabilizations:
+    """A stabilization n -> n' with n' > n + 1 is the composite
+    stab(n'-1, n') * stab(n, n'-1); a family's rule is asked for one step
+    only.  The composite must be what the rule states for every step."""
+
+    @staticmethod
+    def assert_rule_is_the_composite(f):
+        top = min(6, f.eval_range)
+        for n in range(top + 1):
+            for n2 in range(n + 1, top + 1):
+                assert f._stab_rule(n, n2) == f.stab(n, n2), (f.name, n, n2)
+
+    @pytest.mark.parametrize("spec", COMPOSED_SPECS)
+    def test_rule_equals_the_composite(self, spec):
+        self.assert_rule_is_the_composite(parse_functor(spec))
+
+    @pytest.mark.parametrize("base", ["burau", "lk", "atomic(2)"])
+    def test_derived_rule_equals_the_composite(self, base):
+        for derived in (difference, evanescence):
+            self.assert_rule_is_the_composite(derived(parse_functor(base), 6))
+
+    def test_checks_call_the_rule_for_one_step_only(self, monkeypatch):
+        calls, made = [], []
+        init = BraidFunctor.__init__
+
+        def counting(self, name, dim_rule, gen_rule, stab_rule, *args, **kwargs):
+            def rule(n, n2):
+                calls.append((n, n2))
+                return stab_rule(n, n2)
+
+            init(self, name, dim_rule, gen_rule, rule, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(BraidFunctor, "__init__", counting)
+        assert check_functor(parse_functor("lm(artin,pure-braid;burau)"), 4, 3).passed
+        assert verify_difference_splitting(standard_config(), burau_functor(), 4).passed
+        assert calls and all(n2 == n + 1 for n, n2 in calls)
+        assert any(n2 > n + 1 for f in made for n, n2 in f._stabs)
