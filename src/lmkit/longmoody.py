@@ -84,8 +84,8 @@ class ActionFamily:
     def word_map(self, n: int, word: BraidWord) -> FreeGroupMap:
         if word.strands != n:
             raise CoherenceError("word strand count must match the level")
-        acc = FreeGroupMap.identity(n)
-        for letter in word.letters:
+        acc = self.rule(n, word.letters[0]) if word.letters else FreeGroupMap.identity(n)
+        for letter in word.letters[1:]:
             acc = acc.compose(self.rule(n, letter))
         return acc
 

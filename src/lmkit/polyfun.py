@@ -262,7 +262,7 @@ def unit_line_equivalence(
 ) -> NaturalMap | None:
     """An explicit natural equivalence between functors whose levels are all
     zero- or one-dimensional, found by propagating unit components along
-    stabilizations and then certified by the full naturality check."""
+    stabilizations and then certified by the naturality check."""
     dims = [(f.dim(n), g.dim(n)) for n in range(big_n + 1)]
     if any(df != dg or df > 1 for df, dg in dims):
         return None

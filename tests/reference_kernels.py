@@ -1,11 +1,14 @@
 """Reference versions of the exact kernels of lmkit.laurent, kept for the
 tests to compare against: the dense-row Montante elimination, the inverse
 built on it, the evaluation of a matrix over Fraction and the pivot guess
-over Fraction."""
+over Fraction; and the functor and naturality checks of lmkit.repfun on
+every identity, before they were reduced to one-step data."""
 
 from fractions import Fraction
 
+from lmkit.braidcat import BraidWord, enumerate_words
 from lmkit.laurent import ONE, ZERO, LaurentError, PolyMatrix, exact_div
+from lmkit.repfun import CheckReport
 
 
 def dense_montante(m, n):
@@ -104,3 +107,81 @@ def fraction_pivot_rows(a, point):
         scale = v[piv]
         basis.append((piv, [x / scale for x in v]))
     return sorted(bp for bp, _ in basis)
+
+
+def full_check_functor(f, big_n, word_len=3):
+    """check_functor as it was before it decided on one-step data: the
+    stab-composition loop, the intertwining of every signed letter and the
+    empty word at every n <= n', and the psi checks at every n' - n.  The
+    reduced check gives the same verdict by proof; the tests hold its first
+    witness to this one's on a grid of functors."""
+    report = CheckReport("functor-criterion", {"N": big_n, "L": word_len, "functor": f.name})
+    for n in range(2, big_n + 1):
+        for i in range(1, n - 1):
+            a, b = f.gen_matrix(n, i), f.gen_matrix(n, i + 1)
+            report.expect(
+                a.matmul(b).matmul(a) == b.matmul(a).matmul(b),
+                kind="braid-relation", n=n, i=i,
+            )
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                a, b = f.gen_matrix(n, i), f.gen_matrix(n, j)
+                report.expect(a.matmul(b) == b.matmul(a), kind="commutation", n=n, i=i, j=j)
+            try:
+                inverse = f.gen_matrix(n, -i)
+            except LaurentError as exc:
+                report.expect(False, kind="inverse", n=n, i=i, error=str(exc))
+            else:
+                ok = f.gen_matrix(n, i).matmul(inverse) == PolyMatrix.identity(f.dim(n))
+                report.expect(ok, kind="inverse", n=n, i=i)
+    for n in range(0, big_n + 1):
+        for n1 in range(n, big_n + 1):
+            for n2 in range(n1, big_n + 1):
+                report.expect(
+                    f.stab(n1, n2).matmul(f.stab(n, n1)) == f.stab(n, n2),
+                    kind="stab-composition", n=n, mid=n1, top=n2,
+                )
+    for n in range(0, big_n + 1):
+        for n2 in range(n, big_n + 1):
+            stab = f.stab(n, n2)
+            k = n2 - n
+            for sigma in enumerate_words(n, min(word_len, 1)):
+                try:
+                    lhs = stab.matmul(f.word_matrix(sigma))
+                    rhs = f.word_matrix(sigma.shift(k, n2)).matmul(stab)
+                except LaurentError:
+                    continue  # a singular letter, already an inverse failure
+                report.expect(
+                    lhs == rhs, kind="intertwining", n=n, n2=n2, word=list(sigma.letters), psi=[]
+                )
+            for psi in enumerate_words(k, min(word_len, 1))[1:]:
+                try:
+                    m_psi = f.word_matrix(psi.monoidal(BraidWord.identity(n)))
+                except LaurentError:
+                    continue
+                report.expect(
+                    m_psi.matmul(stab) == stab,
+                    kind="intertwining", n=n, n2=n2, word=[], psi=list(psi.letters),
+                )
+    return report
+
+
+def full_check_natural(eta, big_n, include_stab=True):
+    """check_natural as it was before it kept only the one-step
+    stabilization squares: every n <= n' <= big_n."""
+    report = CheckReport(
+        "natural-transformation",
+        {"N": big_n, "map": eta.name, "stab": include_stab},
+    )
+    for n in range(0, big_n + 1):
+        comp = eta.component(n)
+        for i in range(1, n):
+            lhs = comp.matmul(eta.source.gen_matrix(n, i))
+            rhs = eta.target.gen_matrix(n, i).matmul(comp)
+            report.expect(lhs == rhs, kind="generator", n=n, i=i)
+        if include_stab:
+            for n2 in range(n, big_n + 1):
+                lhs = eta.component(n2).matmul(eta.source.stab(n, n2))
+                rhs = eta.target.stab(n, n2).matmul(comp)
+                report.expect(lhs == rhs, kind="stabilization", n=n, n2=n2)
+    return report

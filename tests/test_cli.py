@@ -287,19 +287,19 @@ class TestFunctorGrammar:
 # an intended change of output, and record it in CHANGES.md.
 PINNED_STDOUT = [
     (["check", "functor", "--functor", "burau"], 0,
-     "e0e6bf45e38468fef19e27db5d8ddb43fc2f299f15ac0d3a53a832809bf9f5eb"),
+     "47b88ff34be721a2d6ab5a994ca718c13c18818f9b2d84832404072cce93a57f"),
     (["check", "functor", "--functor", "reduced-burau"], 0,
-     "657df047f0d13dc3f59cc19dfbe050dac49a526b0fc244f4e80479acf7fb0d01"),
+     "ba75fa24e7b420fefdda7638c16f142a3f1be5825bcf44271b549c53fa3fdf20"),
     (["check", "functor", "--functor", "lk"], 0,
-     "d63de482d2ee600ae32e7894a6ce3e1765e44d015126d7d5ceb46186648a258f"),
+     "dff17d4ae2d2418cb0617f8b253093bcb745d850f86c298f156b725e4965272d"),
     (["check", "functor", "--functor", "tensor(burau;tym)"], 0,
-     "aa10ea714146173b63d67f6cdc7eacedaee4b6d14729978bcb9ac4c9ab9ff90a"),
+     "3078433be6e042bae7272949aeced932964701bb77f96ce786ee73da1be569d4"),
     (["check", "functor", "--functor", "lm(artin,pure-braid;burau)"], 0,
-     "a2634b610b8bc77acd61d7d33e193fc1a0917af86e5b6f34cef427ad0fd20adb"),
+     "3b4182ac9d9cb24d4d283458a0e964761f6fa9b4df3c8c85de92179c177a5f8b"),
     (["emit", "--functor", "lm(artin,pure-braid,t,t^-1;constant)", "--n", "4"], 0,
      "b2017840567aa89ea35b4f85e5c35a8286ba4728403cfb790708870056aa99c6"),
     (["verify", "splitting", "--base", "burau", "--N", "4"], 0,
-     "3289a80c41df7ebb487972f41983f0d75fc6dd4c5833e805b155932d9d3be7a7"),
+     "a01c5ec1af6e1b05bf3383d0f7e2112640968a000b65edf443a84ae044234234"),
     (["check", "natural", "--map", "burau-reversal", "--N", "6"], 0,
      "222c2792aa553b7474d09fa0128d0c447922252250a99ef37c90c2540f5a34e2"),
     (["check", "coherence", "--N", "5", "--L", "4"], 0,
@@ -319,27 +319,27 @@ PINNED_STDOUT = [
     (["verify", "degree", "--base", "tym", "--N", "5"], 0,
      "2e50b86a2ffbc138045e72ef53173b89770842ef90fa5b238a3054576c5d5d59"),
     (["verify", "splitting", "--base", "atomic(2)", "--N", "5"], 0,
-     "f6fd96e7600a4236e0b190fc300b8ce0d64a6e5c67d4cb2486b34565a7e5a91a"),
+     "15e2dabd00dcc2209f9f7415324cca02d6521db4cb4d4e24f5c17f550a004e76"),
     (["verify", "splitting", "--base", "lk", "--N", "4"], 0,
-     "3a73fd5557c06cb3cdd0f66da90afcbc7469ad3583a786462ce457fe0e0d666d"),
+     "2b6b732a105d4aa4b4485227cea1cd34deaa756401f7e57a45eb3b4764a7f787"),
     (["verify", "splitting", "--base", "tym", "--N", "6"], 0,
-     "97321131f4b9ce258c0950578bef8abaf8767d164acb119d62a3d419a0fe26bd"),
+     "0b858e6938eb1c55153e99cd9fea0c105c093389b8f0a1e35b8497513f3861c1"),
     (["verify", "splitting", "--base", "constant", "--N", "5"], 0,
-     "e02b8b9edd1f8b50d1c4af3ed1d28bc243a078f4da6ccb381efca563b6c2fb30"),
+     "3ce49ae81cee78c1fb34496bb65bad4c70dd9d5c361d79180759db367d681042"),
     # Long-Moody images over Wada actions: fixed Fox columns and unchecked
     # matrices, on a pass and on a fail (witness {kind: inverse, n: 2, i: 1}).
     (["check", "functor", "--functor", "lm(wada5,trivial;burau)", "--N", "4"], 0,
-     "89b4db5f595ddaa55ecf9bffbba24127f281d17dd7071d90caabde7769055ab7"),
+     "60793b10a5b5937b893430d3a859b72967c17739d94b756d89aa4f39c1156ab3"),
     (["check", "functor", "--functor", "lm(wada3,pure-braid;burau)", "--N", "5", "--L", "1"], 1,
-     "b68f81219408789468c24ecce89ebb307441c8dac415f13c9850769778b75236"),
+     "8baa5e32d1dd58241500baa76fb7ad5167957d2f013151bf304092ff4315f4f6"),
     # Translations of Long-Moody images: multi-step stabilizations of a
     # compound functor, on an emit, a pass and a fail (a non-functor image).
     (["emit", "--functor", "tau(2;lm(artin,pure-braid;burau))", "--n", "3"], 0,
      "197e456a6ba52f9bc48cb2e1ebb94bcc7663cbbaa8c2e2f64a3dbf6b6ef2fdf9"),
     (["check", "functor", "--functor", "tau(1;lm(artin,pure-braid;tym))", "--N", "5"], 0,
-     "8816bd2df3d895e87dd0f392cc87defeb9c92158b53c7755b12c3a4574dd26e6"),
+     "2a3a10ab465ac04adca34f96f161778e88251efad5087a8bd623b192fc7daa0f"),
     (["check", "functor", "--functor", "tau(1;lm(wada3,pure-braid;burau))", "--N", "5", "--L", "1"], 1,
-     "4b65b9ba6fa442171a80300772c214105aef1b74e6fff8748288460f857082a8"),
+     "b9a7b1e579680c2a168c0a1fc14d40c7e3a2c8826d24984c4d013802c6e8ace6"),
     (["verify", "factorization", "--base", "burau", "--N", "4"], 0,
      "2abeaa38a5c1fa26687cfc91d5f322f1031091241d1f0b0aff7a571511f8ad29"),
     (["verify", "xi-lemma", "--base", "burau", "--N", "4"], 0,

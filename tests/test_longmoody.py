@@ -496,6 +496,16 @@ class TestActionFamilies:
         composed = family.generator_map(3, 1).compose(family.generator_map(3, 2))
         assert direct == composed
 
+    @pytest.mark.parametrize("action", ["artin"] + [f"wada{k}" for k in range(1, 8)])
+    def test_word_map_equals_the_identity_started_fold(self, action):
+        family = action_family(action)
+        for n in (1, 2, 3, 4):
+            for word in enumerate_words(n, 3):
+                fold = FreeGroupMap.identity(n)
+                for letter in word.letters:
+                    fold = fold.compose(family.rule(n, letter))
+                assert family.word_map(n, word) == fold, (action, n, word.letters)
+
     def test_kind_one_large_parameter(self):
         # The inverse of the kind-1 pair sends g1 to g1^m g2 g1^-m, of
         # length 2|m| + 1; construction verifies the relations with it.

@@ -20,6 +20,7 @@ from lmkit.braidcat import (
     trivial_system,
 )
 from lmkit.memo import MEMO_CAP
+from lmkit.polyfun import difference, unit_line_equivalence
 from lmkit.repfun import (
     BraidFunctor,
     FunctorError,
@@ -36,13 +37,16 @@ from lmkit.repfun import (
     group_ring_matrix,
     partial_permutation_split,
     power_functor,
+    reduced_burau_functor,
     scalar_twist,
     split_at_rows,
+    t1_functor,
     tensor,
     translate,
 )
 
 from display_fixtures import oriented
+from reference_kernels import full_check_functor, full_check_natural
 
 
 ALL_BUILTINS = [
@@ -210,9 +214,9 @@ class TestCriterion:
 
 
 def all_words_functor_failures(f, big_n, word_len):
-    """Reference for check_functor: the same checks in the same order, with
-    the intertwining identities on every word up to word_len and the psi
-    identity on every passing word.  A letter with no inverse over the ring
+    """Reference for check_functor: the loop over every n <= n' in the same
+    order, with the intertwining identities on every word up to word_len
+    and the psi identity on every passing word.  A letter with no inverse over the ring
     is an inverse failure, and words that need that inverse are skipped."""
     for n in range(2, big_n + 1):
         for i in range(1, n - 1):
@@ -314,9 +318,9 @@ class TestCriterionOnLetters:
 
     @pytest.mark.parametrize("word_len", [1, 2, 3])
     def test_corrupted_burau_count_is_pinned(self, word_len):
-        # Criterion 2's corruption: the letters-only count does not grow with L.
+        # Criterion 2's corruption: the one-step count does not grow with L.
         report = check_functor(corrupted(builtin("burau"), 4, 2, 1, 1, T), 5, word_len)
-        assert report.checked == 177
+        assert report.checked == 40
         assert report.failures[0] == {"kind": "braid-relation", "n": 4, "i": 1}
 
     def test_singular_letter_is_an_inverse_failure(self):
@@ -331,7 +335,7 @@ class TestCriterionOnLetters:
             "i": 1,
             "error": "determinant 1 - t - t^2 is not a unit; no inverse over the ring",
         }
-        assert report.to_json()["checked"] == 96
+        assert report.to_json()["checked"] == 20
 
     def test_singular_letter_is_eliminated_once(self, monkeypatch):
         # The failed inversion of s1 at level 2 is memoized like a success
@@ -344,8 +348,8 @@ class TestCriterionOnLetters:
         error = "determinant 1 - t - t^2 is not a unit; no inverse over the ring"
         assert report == {
             "check": "functor-criterion",
-            "checked": 172,
-            "failure_count": 4,
+            "checked": 38,
+            "failure_count": 2,
             "range": {"L": 1, "N": 5, "functor": "corrupted(burau)"},
             "verdict": "fail",
             "witness": {"error": error, "i": 1, "kind": "inverse", "n": 2},
@@ -355,6 +359,106 @@ class TestCriterionOnLetters:
         with pytest.raises(LaurentError, match=re.escape(error)):
             bad.gen_matrix(2, -1)
         assert sum(m == bad.gen_matrix(2, 1) for m in inverted) == 1
+
+
+def swapped_stabilization(f, m):
+    """f with its one-step stabilization m -> m+1 followed by swapping
+    coordinates 0 and 1 of level m + 1."""
+    d = f.dim(m + 1)
+    swap = PolyMatrix(d, d, {(r, {0: 1, 1: 0}.get(r, r)): ONE for r in range(d)})
+    return BraidFunctor(
+        f"swapped({m}; {f.name})",
+        f.dim,
+        f.gen_matrix,
+        lambda n, n2: swap.matmul(f.stab(n, n2)) if n == m else f.stab(n, n2),
+    )
+
+
+def assert_reduced_matches_full(reduced, full):
+    """Same verdict and first witness; the reduced checks are a subsequence
+    of the full ones, run in the same order, so their failures are too."""
+    assert (reduced.passed, reduced.failures[:1]) == (full.passed, full.failures[:1])
+    rest = iter(full.failures)
+    assert all(w in rest for w in reduced.failures)
+    assert reduced.checked <= full.checked
+
+
+REDUCED_GRID = (
+    [(spec, reference_functor(spec)) for spec in (
+        "burau", "reduced-burau", "tym", "lk", "constant", "t1", "atomic(2)", "e(2)", "zero",
+        "twist(t;burau)",
+        "lm(wada3,pure-braid;burau)",
+        "tau(1;lm(wada3,pure-braid;burau))",
+        "lm(wada5,pure-braid;tym)",
+    )]
+    + [
+        (f"corrupted({base}) at {level}", corrupted(reference_functor(base), level, 1, 0, 0, T))
+        for base in ("burau", "tym", "lk")
+        for level in (2, 3, 4, 5)
+    ]
+    + [
+        (f"swapped({base}) at {m}", swapped_stabilization(reference_functor(base), m))
+        for base in ("burau", "tym", "reduced-burau")
+        for m in (1, 2, 3, 4)
+        if reference_functor(base).dim(m + 1) >= 2
+    ]
+)
+
+
+class TestReducedCriterion:
+    """check_functor decides on one-step letters and two-strand psi; the
+    full loop over every n <= n' is tests/reference_kernels.py's."""
+
+    @pytest.mark.parametrize("word_len", [0, 1])
+    @pytest.mark.parametrize("name,f", REDUCED_GRID, ids=[name for name, _ in REDUCED_GRID])
+    def test_reduced_matches_full(self, name, f, word_len):
+        assert_reduced_matches_full(check_functor(f, 5, word_len), full_check_functor(f, 5, word_len))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        base=st.sampled_from(["burau", "tym", "lk"]),
+        level=st.integers(2, 4),
+        data=st.data(),
+        delta=st.sampled_from([ONE, -ONE, T, T.unit_inverse(), Q, ONE + T]),
+    )
+    def test_corruptions_match_full(self, base, level, data, delta):
+        f = reference_functor(base)
+        i = data.draw(st.integers(1, level - 1), label="generator")
+        r = data.draw(st.integers(0, f.dim(level) - 1), label="row")
+        c = data.draw(st.integers(0, f.dim(level) - 1), label="column")
+        bad = corrupted(f, level, i, r, c, delta)
+        assert_reduced_matches_full(check_functor(bad, 4, 2), full_check_functor(bad, 4, 2))
+
+    def test_two_strand_psi_check_is_needed(self):
+        # Swapping after stab(1, 2) leaves every one-step letter square
+        # intact (level 1 has no letters); only s1^{±1} on the two added
+        # strands of stab(1, 3) sees it.  Without the k = 2 checks this
+        # would pass.
+        report = check_functor(swapped_stabilization(builtin("burau"), 1), 5, 1)
+        assert report.failures == [
+            {"kind": "intertwining", "n": 1, "n2": 3, "word": [], "psi": [letter]}
+            for letter in (1, -1)
+        ]
+
+    def test_word_length_zero_checks_relations_only(self):
+        report = check_functor(swapped_stabilization(builtin("burau"), 1), 5, 0)
+        assert report.passed and report.checked == 20
+
+    def test_builds_no_long_stabilization_and_pins_the_products(self, monkeypatch):
+        # A re-added loop over n' - n >= 3, or over the identities the
+        # composition proves, shows up here as a longer stabilization or
+        # more products.
+        products = []
+        matmul = PolyMatrix.matmul
+        monkeypatch.setattr(PolyMatrix, "matmul", lambda a, b: products.append(1) or matmul(a, b))
+        f = burau_functor()
+        assert check_functor(f, 5, 3).checked == 40
+        assert max(n2 - n for n, n2 in f._stabs) == 2
+        # 42 for the relations (6 braid relations of 4 products, 4
+        # commutations of 2, 10 inverses of 1), 24 for the 12 one-step
+        # letter squares, 8 for the psi checks and 4 for the composites
+        # stab(n, n + 2).
+        assert len(products) == 78
 
 
 SIGNED_LETTER_SPECS = [
@@ -411,6 +515,52 @@ class TestNatural:
         )
         report = check_natural(eta, 3)
         assert not report.passed and report.failures
+
+    @staticmethod
+    def unit_line_maps():
+        d1 = difference(reduced_burau_functor(), 8)
+        yield unit_line_equivalence(d1, t1_functor(), 6), 6
+        yield unit_line_equivalence(difference(d1, 6), atomic_functor(0), 5), 5
+        yield unit_line_equivalence(difference(atomic_functor(3), 5), atomic_functor(2), 4), 4
+        for k, j in ((1, 2), (1, 3), (2, 3)):
+            yield unit_line_equivalence(translate(atomic_functor(j), k), atomic_functor(j - k), 4), 4
+
+    def test_unit_line_equivalences_match_full(self):
+        for eta, big_n in self.unit_line_maps():
+            assert eta is not None
+            reduced, full = check_natural(eta, big_n), full_check_natural(eta, big_n)
+            assert reduced.passed
+            assert_reduced_matches_full(reduced, full)
+            assert reduced.checked == full.checked - big_n * (big_n + 1) // 2 - 1
+
+    @pytest.mark.parametrize("big_n", [3, 5])
+    def test_scaled_coordinate_matches_full(self, big_n):
+        # Not natural: coordinate 0 scaled by t at every level.
+        f = builtin("burau")
+
+        def component(n):
+            return PolyMatrix(f.dim(n), f.dim(n), {(r, r): T if r == 0 else ONE for r in range(f.dim(n))})
+
+        eta = NaturalMap(f, f, component, "scale-coordinate-0")
+        reduced = check_natural(eta, big_n)
+        assert reduced.failures[0] == {"kind": "stabilization", "n": 1, "n2": 2}
+        assert_reduced_matches_full(reduced, full_check_natural(eta, big_n))
+
+    def test_scaled_level_fails_on_the_one_step_square(self):
+        # Level 3 scaled by t: the verdict is the same, but the full loop's
+        # first witness is the composite square 1 -> 3, which the reduced
+        # check decides through the one-step square 2 -> 3 it pastes from.
+        f = builtin("burau")
+        eta = NaturalMap(
+            f, f, lambda n: PolyMatrix.identity(f.dim(n)).scale(T if n == 3 else ONE), "scale-level-3"
+        )
+        reduced, full = check_natural(eta, 5), full_check_natural(eta, 5)
+        assert reduced.failures == [
+            {"kind": "stabilization", "n": 2, "n2": 3},
+            {"kind": "stabilization", "n": 3, "n2": 4},
+        ]
+        assert full.failures[0] == {"kind": "stabilization", "n": 1, "n2": 3}
+        assert all(w in full.failures for w in reduced.failures)
 
 
 class TestCombinators:
