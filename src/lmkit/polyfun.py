@@ -62,7 +62,7 @@ def resolve_inclusion(f: BraidFunctor, n: int, seed: int = 0) -> SplitData:
     incl = f.stab(n, n + 1)
     if incl.is_zero():
         return split_at_rows(PolyMatrix.zeros(incl.rows, 0), [], PolyMatrix.zeros(0, 0))
-    declared = f.split(n, n + 1)
+    declared = f.split(n)
     if declared is not None and declared.certify(incl):
         return declared
     # Guess the pivot rows at random points, eliminate only the pivot block,
@@ -106,7 +106,8 @@ def evanescence(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
 
     On the certified range every inclusion is either split injective
     (kernel zero) or the zero map (kernel everything); intermediate cases
-    raise rather than guess.
+    raise rather than guess.  A kernel vector at n is one the inclusion
+    sends to zero, so every stabilization of the kernel is zero.
     """
     def dim(n):
         return f.dim(n) - resolution(f, n, seed).retraction.rows
@@ -116,16 +117,11 @@ def evanescence(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
             return PolyMatrix.zeros(0, 0)
         return f.gen_matrix(n, letter)
 
-    def stab(n, n2):
-        if dim(n) and dim(n2):
-            return f.stab(n, n2)
-        return PolyMatrix.zeros(dim(n2), dim(n))
-
     return BraidFunctor(
         f"kappa({f.name})",
         dim,
         gen,
-        stab,
+        lambda n: PolyMatrix.zeros(dim(n + 1), dim(n)),
         eval_range=min(big_n, f.eval_range - 1),
     )
 
@@ -134,9 +130,9 @@ def difference(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
     """The cokernel of the canonical inclusion into the translate, realized
     on the certified complements.
 
-    Generator matrices and stabilizations are the compressions of the
-    translated ones; compression is exact because the translated morphisms
-    preserve the image of the inclusion (the functor criterion).
+    Generator matrices and one-step stabilizations compress the translated
+    ones; compressing is exact, and commutes with composing, because the
+    translated morphisms preserve the image of the inclusion (functor criterion).
     """
     tau = translate(f, 1)
 
@@ -147,9 +143,9 @@ def difference(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
         res = resolution(f, n, seed)
         return res.coprojection.matmul(tau.gen_matrix(n, letter)).matmul(res.complement)
 
-    def stab(n, n2):
-        lo, hi = resolution(f, n, seed), resolution(f, n2, seed)
-        return hi.coprojection.matmul(tau.stab(n, n2)).matmul(lo.complement)
+    def stab(n):
+        lo, hi = resolution(f, n, seed), resolution(f, n + 1, seed)
+        return hi.coprojection.matmul(tau.stab(n, n + 1)).matmul(lo.complement)
 
     return BraidFunctor(
         f"delta({f.name})",

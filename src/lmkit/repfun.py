@@ -3,11 +3,12 @@ Laurent ring.
 
 A BraidFunctor packages the data that determines such a functor on a
 finite range of objects: a dimension per level n, a matrix per signed
-letter s_i^{±1} per level, stabilization matrices for the canonical
-morphisms n -> n', and (optionally) splitting data for those
-stabilizations.  Every family and combinator below states the matrices of
-both letter signs; none inverts a letter at run time.  The package's
-evaluation rule for a general morphism [n'-n, w] is
+letter s_i^{±1} per level, the one-step stabilization n -> n+1 and
+(optionally) splitting data for it; on Quillen's bracket construction that
+data fixes the functor (Randal-Williams–Wahl).  Every family and
+combinator below states one step and the matrices of both letter signs;
+none inverts a letter at run time.  With stab(n, n') the composite of the
+one-step maps, the package's evaluation rule for a morphism [n'-n, w] is
 
     mat(w at level n') * stab(n, n'),
 
@@ -137,10 +138,10 @@ class BraidFunctor:
     memo.remember.
     gen_rule(n, letter) takes a signed letter, ±i for s_i^{±1}, and is
     called once per (n, letter); check_functor tests that the two signs
-    are inverse to each other.  stab_rule is called for one step only,
-    stab_rule(n, n + 1); a longer stabilization is the memoized composite
-    stab(n2 - 1, n2) * stab(n, n2 - 1), so stabilizations compose by
-    construction.
+    are inverse to each other.  stab_rule(n) is the map n -> n+1, and
+    split_rule(n) its SplitData or None; a longer stabilization is the
+    memoized composite stab(n2 - 1, n2) * stab(n, n2 - 1), so
+    stabilizations compose by construction.
     """
 
     def __init__(
@@ -156,7 +157,7 @@ class BraidFunctor:
         self._dim_rule = dim_rule
         self._gen_rule = gen_rule
         self._stab_rule = stab_rule
-        self._split_rule = split_rule or (lambda n, n2: None)
+        self._split_rule = split_rule or (lambda n: None)
         self.eval_range = eval_range
         self._dims: dict = {}
         self._gens: dict = {}
@@ -212,7 +213,7 @@ class BraidFunctor:
             if n == n2:
                 m = PolyMatrix.identity(self.dim(n))
             elif n2 == n + 1:
-                m = self._stab_rule(n, n2)
+                m = self._stab_rule(n)
             else:
                 m = self.stab(n2 - 1, n2).matmul(self.stab(n, n2 - 1))
             if (m.rows, m.cols) != (self.dim(n2), self.dim(n)):
@@ -222,10 +223,11 @@ class BraidFunctor:
             remember(self._stabs, key, m)
         return self._stabs[key]
 
-    def split(self, n: int, n2: int) -> SplitData | None:
-        data = self._split_rule(n, n2)
+    def split(self, n: int) -> SplitData | None:
+        """SplitData for stab(n, n+1): the family's, else the monomial one."""
+        data = self._split_rule(n)
         if data is None:
-            data = partial_permutation_split(self.stab(n, n2))
+            data = partial_permutation_split(self.stab(n, n + 1))
         return data
 
     # -- evaluation -------------------------------------------------------
@@ -279,12 +281,12 @@ def _block_gen(dim: int, offset: int, block: PolyMatrix) -> PolyMatrix:
 
 
 def _coordinate_family(name: str, dim, eval_range: int, gen=None) -> BraidFunctor:
-    """A family whose stabilization n -> n' includes level n as the last
-    dim(n) coordinates of level n'.  Letters act by gen(n, letter), or by
+    """A family whose stabilization n -> n+1 includes level n as the last
+    dim(n) coordinates of level n+1.  Letters act by gen(n, letter), or by
     the identity when no rule is given."""
 
-    def stab(n, n2):
-        d, d2 = dim(n), dim(n2)
+    def stab(n):
+        d, d2 = dim(n), dim(n + 1)
         return PolyMatrix(d2, d, {(d2 - d + i, i): ONE for i in range(d)})
 
     return BraidFunctor(
@@ -391,13 +393,10 @@ def lk_functor() -> BraidFunctor:
         entries = {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
         return PolyMatrix(dim(n), dim(n), entries)
 
-    def stab(n, n2):
-        d = n2 - n
-        idx2 = lk_index(n2)[1]
-        entries = {
-            (idx2[(j + d, k + d)], c): ONE for c, (j, k) in enumerate(lk_index(n)[0])
-        }
-        return PolyMatrix(dim(n2), dim(n), entries)
+    def stab(n):
+        idx2 = lk_index(n + 1)[1]
+        entries = {(idx2[(j + 1, k + 1)], c): ONE for c, (j, k) in enumerate(lk_index(n)[0])}
+        return PolyMatrix(dim(n + 1), dim(n), entries)
 
     return BraidFunctor("lk", dim, gen, stab, eval_range=14)
 
@@ -411,14 +410,11 @@ def atomic_functor(k: int) -> BraidFunctor:
     def dim(n):
         return 1 if n == k else 0
 
-    def stab(n, n2):
-        return PolyMatrix.zeros(dim(n2), dim(n))
-
     return BraidFunctor(
         f"atomic({k})",
         dim,
         lambda n, i: PolyMatrix.identity(dim(n)),
-        stab,
+        lambda n: PolyMatrix.zeros(dim(n + 1), dim(n)),
         eval_range=24,
     )
 
@@ -447,21 +443,21 @@ def zero_functor() -> BraidFunctor:
 
 def _blockwise(name: str, f: BraidFunctor, g: BraidFunctor, size, op, split) -> BraidFunctor:
     """f and g combined level by level: dimensions by size, letters and
-    stabilizations by the matrix operation op, and the splits of both sides
-    by split(n, n', split of f, split of g); there is no split when one
-    side has none."""
+    one-step stabilizations by the matrix operation op, and the splits of
+    both sides by split(n, split of f, split of g); there is no split when
+    one side has none."""
 
-    def split_rule(n, n2):
-        sf, sg = f.split(n, n2), g.split(n, n2)
+    def split_rule(n):
+        sf, sg = f.split(n), g.split(n)
         if sf is None or sg is None:
             return None
-        return split(n, n2, sf, sg)
+        return split(n, sf, sg)
 
     return BraidFunctor(
         name,
         lambda n: size(f.dim(n), g.dim(n)),
         lambda n, i: op(f.gen_matrix(n, i), g.gen_matrix(n, i)),
-        lambda n, n2: op(f.stab(n, n2), g.stab(n, n2)),
+        lambda n: op(f.stab(n, n + 1), g.stab(n, n + 1)),
         split_rule=split_rule,
         eval_range=min(f.eval_range, g.eval_range),
     )
@@ -470,19 +466,17 @@ def _blockwise(name: str, f: BraidFunctor, g: BraidFunctor, size, op, split) -> 
 def direct_sum(f: BraidFunctor, g: BraidFunctor) -> BraidFunctor:
     return _blockwise(
         f"({f.name})+({g.name})", f, g, operator.add, PolyMatrix.direct_sum,
-        lambda n, n2, sf, sg: sf.direct_sum(sg),
+        lambda n, sf, sg: sf.direct_sum(sg),
     )
 
 
 def tensor(f: BraidFunctor, g: BraidFunctor) -> BraidFunctor:
-    def split(n, n2, sf, sg):
-        inc_f = f.stab(n, n2)
+    def split(n, sf, sg):
+        inc_f, id_g = f.stab(n, n + 1), PolyMatrix.identity(g.dim(n + 1))
         # Complement of (s⊗s): columns [s_f ⊗ c_g | c_f ⊗ Id].
-        comp = inc_f.kron(sg.complement).hstack(
-            sf.complement.kron(PolyMatrix.identity(g.dim(n2)))
-        )
+        comp = inc_f.kron(sg.complement).hstack(sf.complement.kron(id_g))
         copr_top = sf.retraction.kron(sg.coprojection)
-        copr_bot = sf.coprojection.kron(PolyMatrix.identity(g.dim(n2)))
+        copr_bot = sf.coprojection.kron(id_g)
         copr = copr_top.transpose().hstack(copr_bot.transpose()).transpose()
         return SplitData(sf.retraction.kron(sg.retraction), comp, copr)
 
@@ -493,7 +487,8 @@ def _relettered(name: str, f: BraidFunctor, gen) -> BraidFunctor:
     """f's levels, stabilizations and splits, with the letter matrices
     gen(n, letter) in place of f's."""
     return BraidFunctor(
-        name, f.dim, gen, f.stab, split_rule=f.split, eval_range=f.eval_range
+        name, f.dim, gen, lambda n: f.stab(n, n + 1), split_rule=f.split,
+        eval_range=f.eval_range,
     )
 
 
@@ -514,22 +509,23 @@ def scalar_twist(f: BraidFunctor, y: LaurentPoly) -> BraidFunctor:
 def translate(f: BraidFunctor, k: int) -> BraidFunctor:
     """Precompose with juxtaposition by k: level n sees level k+n of f.
 
-    Letter s_i^{±1} becomes f(s_{k+i}^{±1}); the stabilization picks up
-    the inverse braiding routing the k fixed strands past the added ones.
+    Letter s_i^{±1} becomes f(s_{k+i}^{±1}); the stabilization n -> n+1,
+    and f's split at k+n, pick up the inverse braiding router(k, n, n+1)
+    that routes the k fixed strands past the added one.
     """
     if k < 0:
         raise FunctorError("translation amount must be >= 0")
     if k == 0:
         return f
 
-    def stab(n, n2):
-        return f.word_matrix(router(k, n, n2)).matmul(f.stab(k + n, k + n2))
+    def stab(n):
+        return f.word_matrix(router(k, n, n + 1)).matmul(f.stab(k + n, k + n + 1))
 
-    def split(n, n2):
-        base = f.split(k + n, k + n2)
+    def split(n):
+        base = f.split(k + n)
         if base is None:
             return None
-        word = router(k, n, n2)
+        word = router(k, n, n + 1)
         q_mat = f.word_matrix(word)
         q_inv = f.word_matrix(word.inverse())
         return SplitData(

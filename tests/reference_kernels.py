@@ -1,14 +1,17 @@
 """Reference versions of the exact kernels of lmkit.laurent, kept for the
 tests to compare against: the dense-row Montante elimination, the inverse
 built on it, the evaluation of a matrix over Fraction and the pivot guess
-over Fraction; and the functor and naturality checks of lmkit.repfun on
-every identity, before they were reduced to one-step data."""
+over Fraction; the functor and naturality checks of lmkit.repfun, and the
+action-compatibility and factorization checks of lmkit.longmoody, on every
+identity, before they were reduced to one-step data."""
 
 from fractions import Fraction
 
-from lmkit.braidcat import BraidWord, enumerate_words
+from lmkit.braidcat import BraidWord, enumerate_words, trivial_system
+from lmkit.freegroup import FreeWord
 from lmkit.laurent import ONE, ZERO, LaurentError, PolyMatrix, exact_div
-from lmkit.repfun import CheckReport
+from lmkit.longmoody import LongMoodyConfig, long_moody
+from lmkit.repfun import CheckReport, constant_functor, translate
 
 
 def dense_montante(m, n):
@@ -184,4 +187,54 @@ def full_check_natural(eta, big_n, include_stab=True):
                 lhs = eta.component(n2).matmul(eta.source.stab(n, n2))
                 rhs = eta.target.stab(n, n2).matmul(comp)
                 report.expect(lhs == rhs, kind="stabilization", n=n, n2=n2)
+    return report
+
+
+def full_action_compatibility(action, big_n, word_len):
+    """The witnesses of action compatibility as check_coherence found them
+    before it kept only the one-step (sigma, id) and two-step (id, s1^±1)
+    pairs: (id, psi) and (sigma, id) for every n < n' <= big_n, the empty
+    words included, in enumeration order."""
+    for n in range(0, big_n + 1):
+        sigma_words = enumerate_words(n, min(word_len, 1))
+        sigma_maps = [(w, action.word_map(n, w)) for w in sigma_words]
+        for n2 in range(n + 1, big_n + 1):
+            k = n2 - n
+            psi_words = enumerate_words(k, min(word_len, 1))
+            for sigma, sigma_map in sigma_maps:
+                shifted_images = [
+                    sigma_map.apply_word(FreeWord.generator(n, i)).shifted(k, n2)
+                    for i in range(1, n + 1)
+                ]
+                for psi in psi_words if not sigma.letters else psi_words[:1]:
+                    full_map = action.word_map(n2, psi.monoidal(sigma))
+                    for i in range(1, n + 1):
+                        got = full_map.apply_word(FreeWord.generator(n2, i + k))
+                        if got != shifted_images[i - 1]:
+                            yield {
+                                "n": n,
+                                "n2": n2,
+                                "word": list(sigma.letters),
+                                "psi": list(psi.letters),
+                                "generator": f"g{i}",
+                            }
+
+
+def full_check_factorization(action, f, big_n):
+    """check_factorization as it was before it kept only the one-step
+    stabilizations: every n <= n' <= big_n."""
+    cfg = LongMoodyConfig(action, trivial_system())
+    lm_f = long_moody(cfg, f)
+    lm_x = long_moody(cfg, constant_functor())
+    tau_f = translate(f, 1)
+    report = CheckReport(
+        "trivial-system-factorization", {"N": big_n, "functor": f.name, "action": action.name}
+    )
+    for n in range(0, big_n + 1):
+        for i in list(range(1, n)) + [-i for i in range(1, n)]:
+            ok = lm_f.gen_matrix(n, i) == lm_x.gen_matrix(n, i).kron(tau_f.gen_matrix(n, i))
+            report.expect(ok, kind="generator", n=n, i=i)
+        for n2 in range(n, big_n + 1):
+            ok = lm_f.stab(n, n2) == lm_x.stab(n, n2).kron(tau_f.stab(n, n2))
+            report.expect(ok, kind="stabilization", n=n, n2=n2)
     return report

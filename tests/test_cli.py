@@ -341,7 +341,7 @@ PINNED_STDOUT = [
     (["check", "functor", "--functor", "tau(1;lm(wada3,pure-braid;burau))", "--N", "5", "--L", "1"], 1,
      "b9a7b1e579680c2a168c0a1fc14d40c7e3a2c8826d24984c4d013802c6e8ace6"),
     (["verify", "factorization", "--base", "burau", "--N", "4"], 0,
-     "2abeaa38a5c1fa26687cfc91d5f322f1031091241d1f0b0aff7a571511f8ad29"),
+     "40200b04653e3d0630ba8e01307f2ee5d0369dfa08af01b18aab96183da0b6e5"),
     (["verify", "xi-lemma", "--base", "burau", "--N", "4"], 0,
      "aa9cc426b29b29da97f838625f885da3df9f2ff4bf79202eea34420e63ab0ba8"),
     # One emit per built-in family and combinator, so a rewrite of the

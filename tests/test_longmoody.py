@@ -21,6 +21,7 @@ from lmkit.braidcat import (
     trivial_system,
 )
 from lmkit.repfun import (
+    BraidFunctor,
     SplitData,
     atomic_functor,
     burau_functor,
@@ -55,7 +56,9 @@ from lmkit.longmoody import (
 )
 from lmkit.polyfun import resolution
 
+import reference_kernels
 from display_fixtures import oriented
+from reference_kernels import full_action_compatibility, full_check_factorization
 
 T_INV = T.unit_inverse()
 T2 = T * T
@@ -137,17 +140,17 @@ def all_words_semidirect(cfg, big_n, word_len):
     return None
 
 
-def reference_lm_split(cfg, f, n, n2):
-    """The image's split of stab(n, n2) as the construction assembled it
+def reference_lm_split(cfg, f, n):
+    """The image's split of stab(n, n+1) as the construction assembled it
     inline: no retraction rows and identity complement and coprojection on
-    the n2-n new blocks, then I_n ⊗ each piece of tau's split; the
-    monomial split when tau declares none."""
+    the new block, then I_n ⊗ each piece of tau's split; the monomial split
+    when tau declares none."""
     base = scalar_twist(f, cfg.pre_twist) if cfg.pre_twist is not None else f
-    tau_split = translate(base, 1).split(n, n2)
+    tau_split = translate(base, 1).split(n)
     if tau_split is None:
-        return partial_permutation_split(long_moody(cfg, f).stab(n, n2))
+        return partial_permutation_split(long_moody(cfg, f).stab(n, n + 1))
     blocks = PolyMatrix.identity(n).kron
-    lead = (n2 - n) * f.dim(n2 + 1)
+    lead = f.dim(n + 2)
     return SplitData(
         PolyMatrix.zeros(0, lead).direct_sum(blocks(tau_split.retraction)),
         PolyMatrix.identity(lead).direct_sum(blocks(tau_split.complement)),
@@ -181,9 +184,7 @@ class TestConstruction:
         for base in (burau_functor(), tym_functor(), lk_functor()):
             image = long_moody(standard_config(pre, post), base)
             for n in range(0, 5):
-                for n2 in range(n, 5):
-                    split = image.split(n, n2)
-                    assert split.certify(image.stab(n, n2)), (base.name, n, n2)
+                assert image.split(n).certify(image.stab(n, n + 1)), (base.name, n)
 
     def test_negative_letter_is_inverse(self):
         m = twisted_constant_image()
@@ -316,9 +317,7 @@ class TestConstruction:
         for base in (burau_functor(), tym_functor(), atomic_functor(2)):
             image = long_moody(cfg, base)
             for n in range(0, 5):
-                for n2 in range(n, 5):
-                    want = reference_lm_split(cfg, base, n, n2)
-                    assert image.split(n, n2) == want, (base.name, n, n2)
+                assert image.split(n) == reference_lm_split(cfg, base, n), (base.name, n)
 
 
 class TestCoherence:
@@ -424,6 +423,76 @@ class TestCoherence:
     def test_twists_must_be_units(self):
         with pytest.raises(CoherenceError):
             LongMoodyConfig(artin_family(), pure_braid_system(), pre_twist=ONE + T)
+
+
+def compatibility_families():
+    return [artin_family()] + [wada_family(kind) for kind in range(1, 8)] + [
+        conjugated_artin("artin-conjugated-first", lambda n: 1),
+        conjugated_artin("artin-conjugated", lambda n: n),
+    ]
+
+
+class TestOneStepCoherenceChecks:
+    """Action compatibility and the factorization check decide on one-step
+    data (two steps for s1 in compatibility); each is held to the loop over
+    every n < n' it replaced, in tests/reference_kernels.py."""
+
+    @pytest.mark.parametrize("word_len", [0, 1, 3])
+    @pytest.mark.parametrize("big_n", [3, 4, 5])
+    @pytest.mark.parametrize(
+        "system", [trivial_system(), pure_braid_system()], ids=lambda s: s.name
+    )
+    def test_action_compatibility_matches_full(self, system, big_n, word_len):
+        failing = 0
+        for family in compatibility_families():
+            cfg = LongMoodyConfig(family, system)
+            got = check_coherence(cfg, big_n, word_len).by_name("action-compatibility").witness
+            assert got == next(full_action_compatibility(family, big_n, word_len), None), family.name
+            failing += got is not None
+        assert failing == (word_len > 0)  # artin-conjugated-first, at n=1, n'=3
+
+    def test_pasted_compatibility_witness_moves(self):
+        # Conjugating by g1 at level 4 only: the full loop fails first on
+        # s1 over three added strands at n=1, which the one-step data
+        # decides through s1 over two added strands at n=2.
+        family = conjugated_artin("artin-conjugated-first-at-4", lambda n: 1 if n == 4 else n)
+        cfg = LongMoodyConfig(family, trivial_system())
+        got = check_coherence(cfg, 5, 1).by_name("action-compatibility").witness
+        full = list(full_action_compatibility(family, 5, 1))
+        assert got == {"n": 2, "n2": 4, "word": [], "psi": [1], "generator": "g1"}
+        assert full[0] == {"n": 1, "n2": 4, "word": [], "psi": [1], "generator": "g1"}
+        assert got in full
+
+    @pytest.mark.parametrize("big_n", [3, 4, 5])
+    def test_factorization_matches_full(self, big_n):
+        # One stabilization per level below big_n, not one per n <= n'.
+        dropped = (big_n + 1) * (big_n + 2) // 2 - big_n
+        for family in compatibility_families():
+            for f in (burau_functor(), lk_functor()):
+                reduced = check_factorization(family, f, big_n)
+                full = full_check_factorization(family, f, big_n)
+                assert (reduced.passed, reduced.failures[:1]) == (full.passed, full.failures[:1])
+                assert reduced.checked == full.checked - dropped
+
+    def test_pasted_factorization_witness_moves(self, monkeypatch):
+        # LM(constant) replaced by LM of a constant whose stabilization
+        # 3 -> 4 is -1: the image's one-step map 2 -> 3 changes sign, which
+        # the full loop sees first in the composite 1 -> 3.
+        def flipped():
+            return BraidFunctor(
+                "flipped-constant",
+                lambda n: 1,
+                lambda n, i: PolyMatrix.identity(1),
+                lambda n: PolyMatrix.identity(1).scale(-ONE if n == 3 else ONE),
+            )
+
+        for module in (longmoody, reference_kernels):
+            monkeypatch.setattr(module, "constant_functor", flipped)
+        reduced = check_factorization(artin_family(), burau_functor(), 5)
+        full = full_check_factorization(artin_family(), burau_functor(), 5)
+        assert reduced.failures == [{"kind": "stabilization", "n": 2, "n2": 3}]
+        assert full.failures[0] == {"kind": "stabilization", "n": 1, "n2": 3}
+        assert reduced.failures[0] in full.failures
 
 
 class TestSplittingMaps:
@@ -735,8 +804,7 @@ class TestUncheckedMatrices:
                 for n in range(0, 5):
                     for letter in signed_letters(n):
                         made.setdefault("gen", []).append(image.gen_matrix(n, letter))
-                    for n2 in range(n, 5):
-                        image.split(n, n2)
+                    image.split(n)
                     if n < 4:
                         resolution(image, n)
                     if n + 2 <= 4:

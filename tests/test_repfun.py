@@ -370,7 +370,7 @@ def swapped_stabilization(f, m):
         f"swapped({m}; {f.name})",
         f.dim,
         f.gen_matrix,
-        lambda n, n2: swap.matmul(f.stab(n, n2)) if n == m else f.stab(n, n2),
+        lambda n: swap.matmul(f.stab(n, n + 1)) if n == m else f.stab(n, n + 1),
     )
 
 
@@ -494,7 +494,10 @@ class TestSignedLetterRules:
     def test_wrong_inverse_letter_is_a_witness(self):
         f = builtin("burau")
         wrong = BraidFunctor(
-            "wrong-inverse", f.dim, lambda n, i: f.gen_matrix(n, 1 if i == -1 else i), f.stab
+            "wrong-inverse",
+            f.dim,
+            lambda n, i: f.gen_matrix(n, 1 if i == -1 else i),
+            lambda n: f.stab(n, n + 1),
         )
         failures = check_functor(wrong, 4, 1).failures
         assert failures[0] == {"kind": "inverse", "n": 2, "i": 1}
@@ -613,7 +616,7 @@ class TestCombinators:
             direct_sum(builtin("burau"), builtin("tym")),
             tensor(builtin("burau"), builtin("tym")),
         ):
-            sd = f.split(2, 3)
+            sd = f.split(2)
             assert sd is not None and sd.certify(f.stab(2, 3))
 
 
@@ -622,7 +625,7 @@ class TestSplitData:
     def test_builtin_split_certifies(self, name, kw):
         f = builtin(name, **kw)
         for n in range(0, 4):
-            sd = f.split(n, n + 1)
+            sd = f.split(n)
             assert sd is not None
             assert sd.certify(f.stab(n, n + 1))
 
@@ -630,7 +633,7 @@ class TestSplitData:
         # The four block identities still hold, but [incl | complement] is
         # not square, so it cannot be invertible.
         f = builtin("burau")
-        incl, sd = f.stab(3, 4), f.split(3, 4)
+        incl, sd = f.stab(3, 4), f.split(3)
         keep = range(sd.complement.cols - 1)
         short = SplitData(
             sd.retraction,
@@ -738,20 +741,15 @@ def reference_partial_permutation_split(incl):
     )
 
 
-def reference_atomic_split(k, n, n2):
-    """The split rule atomic_functor declared before the default covered it."""
+def reference_atomic_split(k, n):
+    """The split of stab(n, n+1) that atomic_functor declared before the
+    default covered it."""
 
     def dim(m):
         return 1 if m == k else 0
 
-    if n == n2:
-        return SplitData(
-            PolyMatrix.identity(dim(n)),
-            PolyMatrix.zeros(dim(n), 0),
-            PolyMatrix.zeros(0, dim(n)),
-        )
     # The inclusion is the zero map; the whole target is the cokernel.
-    d2 = dim(n2)
+    d2 = dim(n + 1)
     return SplitData(
         PolyMatrix.zeros(dim(n), d2),
         PolyMatrix.identity(d2),
@@ -806,6 +804,5 @@ class TestSplitBuilder:
     def test_atomic_default_split_matches_the_deleted_rule(self):
         for k in range(4):
             f = atomic_functor(k)
-            for n2 in range(7):
-                for n in range(n2 + 1):
-                    assert f.split(n, n2) == reference_atomic_split(k, n, n2), (k, n, n2)
+            for n in range(7):
+                assert f.split(n) == reference_atomic_split(k, n), (k, n)
