@@ -75,6 +75,11 @@ def _free_cancel(letters):
     return tuple(out)
 
 
+def shift_letter(letter: int, k: int) -> int:
+    """The signed letter of id_k ♮ s, for s the signed letter `letter`."""
+    return letter + k if letter > 0 else letter - k
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the Artin generators of the braid group on `strands` strands."""
@@ -110,16 +115,14 @@ class BraidWord:
     def monoidal(self, other: "BraidWord") -> "BraidWord":
         """self ♮ other: lay other to the right, shifting its indices."""
         m = self.strands
-        shifted = tuple(l + m if l > 0 else l - m for l in other.letters)
+        shifted = tuple(shift_letter(l, m) for l in other.letters)
         return BraidWord(m + other.strands, self.letters + shifted)
 
     def shift(self, k: int, strands: int) -> "BraidWord":
         """id_k ♮ self, on the given total strand count."""
         if strands < self.strands + k:
             raise BraidError("shift target too small")
-        return BraidWord(
-            strands, tuple(l + k if l > 0 else l - k for l in self.letters)
-        )
+        return BraidWord(strands, tuple(shift_letter(l, k) for l in self.letters))
 
     def writhe(self) -> int:
         return sum(1 if l > 0 else -1 for l in self.letters)
@@ -161,6 +164,12 @@ def router(k: int, n: int, n2: int) -> BraidWord:
     """The word of id_k ♮ [n2-n, id] on k + n2 strands: the inverse braiding
     routing k fixed strands past the n2-n added ones, then id_n; stored."""
     return braiding(k, n2 - n).inverse().monoidal(BraidWord.identity(n))
+
+
+def signed_letters(strands: int) -> tuple[int, ...]:
+    """The signed Artin letters on `strands` strands, 1, -1, 2, -2, ...: the
+    order of the length-one words of freegroup.reduced_words."""
+    return tuple(l for i in range(1, strands) for l in (i, -i))
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +261,6 @@ def bracket_equal(
         if braid_equal(g.word, candidate, seed):
             return True
     return None
-
-
-def enumerate_words(strands: int, max_len: int) -> list[BraidWord]:
-    """All freely reduced braid words of length at most max_len."""
-    return [BraidWord(strands, w) for w in reduced_words(strands - 1, max_len)]
 
 
 # ---------------------------------------------------------------------------

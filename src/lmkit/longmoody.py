@@ -43,9 +43,10 @@ from .braidcat import (
     BraidWord,
     LocalSystem,
     braid_equal_witness,
-    enumerate_words,
     pure_braid_system,
     router,
+    shift_letter,
+    signed_letters,
     trivial_system,
 )
 from .repfun import (
@@ -327,8 +328,9 @@ def check_coherence(
     free-group identities are exact word comparisons.  Each condition
     reports its first failure in enumeration order as the witness.
 
-    Both braid-word conditions are decided on words of length
-    <= min(word_len, 1), which proves them for every length.
+    Both braid-word conditions are decided on signed letters, whose maps
+    the action stores, which proves them for every word; word_len 0 checks
+    neither, and every word_len >= 1 checks the same letters.
 
     Action compatibility, a(psi ♮ sigma)(g_{k+i}) = shift_k a(sigma)(g_i) on
     k = n' - n added strands, is checked like repfun.check_functor: at
@@ -345,12 +347,15 @@ def check_coherence(
     kept are a subsequence of those over every n < n', so the first witness
     may be a later one: the one-step square a failing composite pastes from.
     Semidirect: for a fixed sigma both sides are homomorphisms
-    F_n -> B_{n+1} in g, and the identity composes in sigma because
-    word_map multiplies letter maps in the same order as shift.  The
-    enumeration is breadth first with the empty word first, so the first
-    failure, and with it the witness, is the one all words would give.
+    F_n -> B_{n+1} in g, and the identity composes in sigma because a word
+    acts by its letters' maps multiplied in the order of shift.  Letters
+    lead the nonempty words breadth first, so the first failure, and with
+    it the witness, is the one all words would give.
     """
     action, system = cfg.action, cfg.system
+
+    def letters(n):
+        return signed_letters(n) if word_len >= 1 else ()
 
     def stability():
         # Routing the new strand past one added strand commutes with the
@@ -366,54 +371,40 @@ def check_coherence(
 
     def action_compatibility():
         # (sigma, id) one step up and (id, s1^±1) two steps up decide all.
-        one = min(word_len, 1)
         for n in range(0, big_n):
-            pairs = [(w, BraidWord.identity(1)) for w in enumerate_words(n, one)[1:]]
-            if n + 2 <= big_n:
-                pairs += [(BraidWord.identity(n), w) for w in enumerate_words(2, one)[1:]]
-            for sigma, psi in pairs:
-                k = psi.strands
-                full_map = action.word_map(n + k, psi.monoidal(sigma))
-                sigma_map = action.word_map(n, sigma)
+            for letter in letters(n):
+                up = action.generator_map(n + 1, shift_letter(letter, 1)).images
+                images = action.generator_map(n, letter).images
                 for i in range(1, n + 1):
-                    want = sigma_map.apply_word(FreeWord.generator(n, i)).shifted(k, n + k)
-                    if full_map.apply_word(FreeWord.generator(n + k, i + k)) != want:
-                        yield {"n": n, "n2": n + k, "word": list(sigma.letters),
-                               "psi": list(psi.letters), "generator": f"g{i}"}
+                    if up[i] != images[i - 1].shifted(1, n + 1):
+                        yield {"n": n, "n2": n + 1, "word": [letter], "psi": [],
+                               "generator": f"g{i}"}
+            for letter in letters(2) if n + 2 <= big_n else ():
+                up = action.generator_map(n + 2, letter).images
+                for i in range(1, n + 1):
+                    if up[i + 1] != FreeWord.generator(n + 2, i + 2):
+                        yield {"n": n, "n2": n + 2, "word": [], "psi": [letter],
+                               "generator": f"g{i}"}
 
     def semidirect():
-        # Conjugating the system through the shifted braid equals the system
-        # of the acted generator, decided on letters (see the docstring).
+        # Conjugating the system through the shifted letter equals the
+        # system of the acted generator (see the docstring).
         for n in range(0, big_n):
-            for sigma in enumerate_words(n, min(word_len, 1))[1:]:
-                shifted = sigma.shift(1, n + 1)
-                amap = action.word_map(n, sigma)
+            for letter in letters(n):
+                shifted = BraidWord(n + 1, (shift_letter(letter, 1),))
+                images = action.generator_map(n, letter).images
                 for i in range(1, n + 1):
                     lhs = shifted.compose(system.generator_image(n, i))
-                    acted = system.evaluate(amap.apply_word(FreeWord.generator(n, i)))
+                    acted = system.evaluate(images[i - 1])
                     ok, why = braid_equal_witness(lhs, acted.compose(shifted), seed=seed)
                     if not ok:
-                        yield {
-                            "n": n,
-                            "word": list(sigma.letters),
-                            "generator": f"g{i}",
-                            "detail": why,
-                        }
+                        yield {"n": n, "word": [letter], "generator": f"g{i}", "detail": why}
 
     return CoherenceReport([
         ConditionResult("stability", {"N": big_n}, next(stability(), None), seed),
-        ConditionResult(
-            "action-compatibility",
-            {"N": big_n, "L": word_len},
-            next(action_compatibility(), None),
-            seed,
-        ),
-        ConditionResult(
-            "semidirect",
-            {"N": big_n, "L": word_len},
-            next(semidirect(), None),
-            seed,
-        ),
+        ConditionResult("action-compatibility", {"N": big_n, "L": word_len},
+                        next(action_compatibility(), None), seed),
+        ConditionResult("semidirect", {"N": big_n, "L": word_len}, next(semidirect(), None), seed),
     ])
 
 
@@ -424,11 +415,14 @@ def check_reliability(
     free-group word identities: the routed first generator returns to g1,
     and juxtaposed braids fix the first generators.
 
-    The second is checked on words of length <= min(word_len, 1) only: the
-    action of a shifted word is the product of its letters' maps, and maps
-    fixing g1..gk compose to one that fixes them.  The empty word fixes
-    every generator and is skipped; letters come before longer words, so
-    the first failing word, the witness, is a letter.
+    The second, for sigma on n strands shifted past k = n' - n added ones,
+    is decided on signed letters (word_len 0 checks nothing): a shifted
+    word acts by the product of its letters' maps, and maps fixing g1..gk
+    compose to one that fixes them; the empty word fixes every generator.
+    Only s_1^{±1} is read: the identity for (s_j, k) at n, "a(n', ±(j+k))
+    fixes g1..gk", is part of the one for (s_1, j+k-1) at n-j+1 < n, which
+    the loop visits first.  So the verdict and the first witness are those
+    of every letter.
     """
     action = cfg.action
 
@@ -443,32 +437,21 @@ def check_reliability(
                     yield {"n": n, "n2": n2, "image": str(got)}
 
     def first_generators_fixed():
-        for n in range(0, big_n + 1):
-            words = enumerate_words(n, min(word_len, 1))
+        for n in range(2, big_n + 1) if word_len >= 1 else ():
             for n2 in range(n + 1, big_n + 1):
                 k = n2 - n
-                for sigma in words[1:]:
-                    amap = action.word_map(n2, sigma.shift(k, n2))
+                for letter in signed_letters(2):
+                    images = action.generator_map(n2, shift_letter(letter, k)).images
                     for p in range(1, k + 1):
-                        g = FreeWord.generator(n2, p)
-                        if amap.apply_word(g) != g:
-                            yield {
-                                "n": n,
-                                "n2": n2,
-                                "word": list(sigma.letters),
-                                "generator": f"g{p}",
-                            }
+                        if images[p - 1] != FreeWord.generator(n2, p):
+                            yield {"n": n, "n2": n2, "word": [letter], "generator": f"g{p}"}
 
     return CoherenceReport([
         ConditionResult(
             "first-generator-return", {"N": big_n}, next(first_generator_return(), None), seed
         ),
-        ConditionResult(
-            "first-generators-fixed",
-            {"N": big_n, "L": word_len},
-            next(first_generators_fixed(), None),
-            seed,
-        ),
+        ConditionResult("first-generators-fixed", {"N": big_n, "L": word_len},
+                        next(first_generators_fixed(), None), seed),
     ])
 
 

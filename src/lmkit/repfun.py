@@ -40,6 +40,8 @@ from .braidcat import (
     lk_generator_columns,
     lk_index,
     router,
+    shift_letter,
+    signed_letters,
 )
 
 
@@ -670,17 +672,16 @@ def check_functor(f: BraidFunctor, big_n: int, word_len: int = 3) -> CheckReport
         return report
     for n in range(0, big_n):
         stab = f.stab(n, n + 1)
-        for i in range(1, n):
-            for sign in (1, -1):
-                try:
-                    lhs = stab.matmul(f.gen_matrix(n, sign * i))
-                    rhs = f.gen_matrix(n + 1, sign * (i + 1)).matmul(stab)
-                except LaurentError:
-                    continue  # a singular letter, already an inverse failure
-                report.expect(
-                    lhs == rhs, kind="intertwining", n=n, n2=n + 1, word=[sign * i], psi=[]
-                )
-        for letter in (1, -1) if n + 2 <= big_n else ():
+        for letter in signed_letters(n):
+            try:
+                lhs = stab.matmul(f.gen_matrix(n, letter))
+                rhs = f.gen_matrix(n + 1, shift_letter(letter, 1)).matmul(stab)
+            except LaurentError:
+                continue  # a singular letter, already an inverse failure
+            report.expect(
+                lhs == rhs, kind="intertwining", n=n, n2=n + 1, word=[letter], psi=[]
+            )
+        for letter in signed_letters(2) if n + 2 <= big_n else ():
             try:
                 m_psi = f.gen_matrix(n + 2, letter)
             except LaurentError:

@@ -3,15 +3,22 @@ tests to compare against: the dense-row Montante elimination, the inverse
 built on it, the evaluation of a matrix over Fraction and the pivot guess
 over Fraction; the functor and naturality checks of lmkit.repfun, and the
 action-compatibility and factorization checks of lmkit.longmoody, on every
-identity, before they were reduced to one-step data."""
+identity, before they were reduced to one-step data; and enumerate_words,
+the all-words enumeration those loops and the all-words references run on."""
 
 from fractions import Fraction
 
-from lmkit.braidcat import BraidWord, enumerate_words, trivial_system
-from lmkit.freegroup import FreeWord
+from lmkit.braidcat import BraidWord, trivial_system
+from lmkit.freegroup import FreeWord, reduced_words
 from lmkit.laurent import ONE, ZERO, LaurentError, PolyMatrix, exact_div
 from lmkit.longmoody import LongMoodyConfig, long_moody
 from lmkit.repfun import CheckReport, constant_functor, translate
+
+
+def enumerate_words(strands, max_len):
+    """All freely reduced braid words of length at most max_len, breadth
+    first in the letter order of lmkit.braidcat.signed_letters."""
+    return [BraidWord(strands, w) for w in reduced_words(strands - 1, max_len)]
 
 
 def dense_montante(m, n):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmkit.laurent import seeded_points
-from lmkit.freegroup import FreeWord, parse_word
+from lmkit.freegroup import FreeWord, parse_word, reduced_words
 from lmkit.braidcat import (
     BracketMorphism,
     BraidError,
@@ -21,19 +21,19 @@ from lmkit.braidcat import (
     braid_equal_witness,
     braiding,
     burau_symbolic,
-    enumerate_words,
     lk_numeric,
     lk_width,
     local_system,
     pure_braid_system,
     router,
+    signed_letters,
     trivial_system,
     _lk_scaled_generators,
     lk_generator_columns,
 )
 from lmkit import braidcat
 from lmkit.laurent import ONE, LaurentPoly, PolyMatrix, Q, T, T_INV, ZERO
-from reference_kernels import evaluated
+from reference_kernels import enumerate_words, evaluated
 
 
 def bw(letters, strands):
@@ -764,6 +764,12 @@ class TestLocalSystems:
         assert local_system("trivial").name == "trivial"
         with pytest.raises(BraidError):
             local_system("nope")
+
+
+def test_signed_letters_are_the_words_of_length_one():
+    assert signed_letters(3) == (1, -1, 2, -2)
+    for n in range(6):
+        assert signed_letters(n) == tuple(w[0] for w in reduced_words(n - 1, 1) if w)
 
 
 def test_enumerate_words_counts():

@@ -15,9 +15,9 @@ from lmkit.braidcat import (
     BraidWord,
     LocalSystem,
     braid_equal_witness,
-    enumerate_words,
     local_system,
     pure_braid_system,
+    router,
     trivial_system,
 )
 from lmkit.repfun import (
@@ -58,7 +58,11 @@ from lmkit.polyfun import resolution
 
 import reference_kernels
 from display_fixtures import oriented
-from reference_kernels import full_action_compatibility, full_check_factorization
+from reference_kernels import (
+    enumerate_words,
+    full_action_compatibility,
+    full_check_factorization,
+)
 
 T_INV = T.unit_inverse()
 T2 = T * T
@@ -82,6 +86,21 @@ def conjugated_artin(name, pick):
         return conj.compose(artin_generator_map(n, letter)).compose(conj_inv)
 
     family = ActionFamily(name, rule)
+    family.verify_relations(4)
+    return family
+
+
+def planted_s3_fault():
+    """The classical action, except that s3^{±1} on 5 strands also inverts
+    g1; relations are verified on levels up to 4 only, which it passes."""
+
+    def rule(n, letter):
+        amap = artin_generator_map(n, letter)
+        if n == 5 and abs(letter) == 3:
+            amap = FreeGroupMap(5, 5, [amap.images[0].inverse(), *amap.images[1:]])
+        return amap
+
+    family = ActionFamily("artin-s3-moves-g1-at-5", rule)
     family.verify_relations(4)
     return family
 
@@ -362,27 +381,51 @@ class TestCoherence:
             "n": 1, "n2": 3, "word": [], "psi": [1], "generator": "g1",
         }
 
-    def test_compatibility_checks_no_pair_of_letters(self, monkeypatch):
-        # psi ♮ sigma = (psi ♮ id)(id ♮ sigma), so no word the check builds
-        # has letters of psi (below k) and of the shifted sigma (above k).
-        seen = []
-        word_map = ActionFamily.word_map
+    def test_letter_checks_read_stored_generator_maps(self, monkeypatch):
+        # The letter conditions read one stored generator map per letter and
+        # multiply out no word map; first-generator-return's routers do, and
+        # first-generators-fixed reads s1^{±1} shifted past k strands only.
+        words, letters = [], []
+        word_map, generator_map = ActionFamily.word_map, ActionFamily.generator_map
 
-        def recording(self, n, word):
-            seen.append((n, word.letters))
+        def recording_word_map(self, n, word):
+            words.append((n, word))
             return word_map(self, n, word)
 
-        monkeypatch.setattr(ActionFamily, "word_map", recording)
+        def recording_generator_map(self, n, letter):
+            letters.append((n, letter))
+            return generator_map(self, n, letter)
+
+        monkeypatch.setattr(ActionFamily, "word_map", recording_word_map)
+        monkeypatch.setattr(ActionFamily, "generator_map", recording_generator_map)
         assert check_coherence(standard_config(), 5, 4).passed
-        assert any(len(letters) == 1 for _, letters in seen)
-        for n2, letters in seen:
-            for k in range(1, n2):
-                below = any(abs(l) < k for l in letters)
-                above = any(abs(l) > k for l in letters)
-                assert not (below and above), (n2, k, letters)
+        assert words == []
+        # Compatibility: two maps per letter on 2..4 strands and per s1^{±1}
+        # two steps up from 0..3; semidirect: one per letter on 2..4 strands.
+        assert len(letters) == 2 * 12 + 8 + 12
+        words.clear()
+        letters.clear()
+        assert check_reliability(standard_config(), 5, 4).passed
+        assert words == [
+            (n2 + 1, router(1, n, n2)) for n in range(6) for n2 in range(n + 1, 6)
+        ]
+        assert letters == [
+            (n2, sign * (n2 - n + 1))
+            for n in range(2, 6) for n2 in range(n + 1, 6) for sign in (1, -1)
+        ]
+
+    def test_first_generators_fixed_planted_fault(self):
+        # a(5, s3) is s1 on 3 strands shifted past two added ones, so both
+        # loops fail first at n=3, n'=5 on g1; at N=4 nothing reads that map.
+        family = planted_s3_fault()
+        cfg = LongMoodyConfig(family, trivial_system())
+        witness = {"n": 3, "n2": 5, "word": [1], "generator": "g1"}
+        assert check_reliability(cfg, 5, 1).by_name("first-generators-fixed").witness == witness
+        assert all_words_first_generators_fixed(family, 5, 1) == witness
+        assert check_reliability(cfg, 4, 1).by_name("first-generators-fixed").verdict
 
     @pytest.mark.parametrize("word_len", [0, 1, 2, 3])
-    @pytest.mark.parametrize("big_n", [3, 4])
+    @pytest.mark.parametrize("big_n", [3, 4, 5])
     def test_letter_checks_match_all_words(self, big_n, word_len):
         # Conditions (ii) and (v) run on letters; an all-words enumeration
         # must give the same verdict and the same witness.
@@ -390,6 +433,7 @@ class TestCoherence:
         families += [
             conjugated_artin("artin-conjugated-first", lambda n: 1),
             conjugated_artin("artin-conjugated", lambda n: n),
+            planted_s3_fault(),
         ]
         for family in families:
             cfg = LongMoodyConfig(family, trivial_system())

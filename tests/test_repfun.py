@@ -15,7 +15,6 @@ from lmkit.braidcat import (
     BracketMorphism,
     BraidWord,
     bracket_monoidal,
-    enumerate_words,
     pure_braid_system,
     trivial_system,
 )
@@ -46,7 +45,7 @@ from lmkit.repfun import (
 )
 
 from display_fixtures import oriented
-from reference_kernels import full_check_functor, full_check_natural
+from reference_kernels import enumerate_words, full_check_functor, full_check_natural
 
 
 ALL_BUILTINS = [
