@@ -368,9 +368,7 @@ def _lk_scaled_generators(n: int, point: EvaluationPoint):
     """
     t, q = point.t_value, point.q_value
     rational = {
-        letter: lk_generator_columns(n, letter, t, q, Fraction(1))
-        for i in range(1, n)
-        for letter in (i, -i)
+        letter: lk_generator_columns(n, letter, t, q, Fraction(1)) for letter in signed_letters(n)
     }
     scale = lcm(
         *(v.denominator for cols in rational.values() for col in cols for v in col.values())

@@ -168,7 +168,7 @@ class GroupRingElement:
 
     @staticmethod
     def one(rank: int) -> "GroupRingElement":
-        return GroupRingElement(rank, {FreeWord.identity(rank): ONE})
+        return GroupRingElement.from_word(FreeWord.identity(rank))
 
     @staticmethod
     def from_word(word: FreeWord, coeff: LaurentPoly = ONE) -> "GroupRingElement":
@@ -208,12 +208,6 @@ class GroupRingElement:
 
     def right_mul_word(self, word: FreeWord) -> "GroupRingElement":
         return GroupRingElement(self.rank, {w * word: c for w, c in self.terms.items()})
-
-    def augmentation(self) -> LaurentPoly:
-        total = ZERO
-        for c in self.terms.values():
-            total = total + c
-        return total
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -255,14 +249,6 @@ class AugIdealElement:
                 raise FreeGroupError("coordinate rank mismatch")
         self.rank = rank
         self.coords = coords
-
-    def expand(self) -> GroupRingElement:
-        """The group-ring element  sum_i (gi - 1)·coords[i]."""
-        total = GroupRingElement.zero(self.rank)
-        for i, c in enumerate(self.coords, start=1):
-            gi = GroupRingElement.from_word(FreeWord.generator(self.rank, i))
-            total = total + (gi - GroupRingElement.one(self.rank)) * c
-        return total
 
     def __eq__(self, other):
         return (
@@ -354,34 +340,6 @@ class FreeGroupMap:
             out.extend(img * abs(exp))
         return _word(self.target_rank, _reduce(out))
 
-    def apply_ring(self, x: GroupRingElement) -> GroupRingElement:
-        if x.rank != self.source_rank:
-            raise FreeGroupError("rank mismatch in apply")
-        out = GroupRingElement.zero(self.target_rank)
-        for w, c in x.terms.items():
-            out = out + GroupRingElement.from_word(self.apply_word(w), c)
-        return out
-
-    def apply_aug(self, x: AugIdealElement) -> AugIdealElement:
-        """Push forward sum (gi-1)·ci and re-expand in the target basis.
-
-        The image of (gi - 1) is phi(gi) - 1, whose Fox coordinates give the
-        re-expansion; coefficients travel through phi as ring elements.
-        """
-        if x.rank != self.source_rank:
-            raise FreeGroupError("rank mismatch in apply")
-        out = [GroupRingElement.zero(self.target_rank) for _ in range(self.target_rank)]
-        for i, ci in enumerate(x.coords, start=1):
-            if ci.is_zero():
-                continue
-            img_coords = fox_derivatives(self.apply_word(FreeWord.generator(x.rank, i)))
-            phi_ci = self.apply_ring(ci)
-            for j in range(self.target_rank):
-                d = img_coords.coords[j]
-                if not d.is_zero():
-                    out[j] = out[j] + d * phi_ci
-        return AugIdealElement(self.target_rank, out)
-
     def compose(self, other: "FreeGroupMap") -> "FreeGroupMap":
         """self ∘ other (other applied first)."""
         if other.target_rank != self.source_rank:
@@ -436,9 +394,6 @@ class WadaPair:
         if self.w.rank != 2 or self.v.rank != 2:
             raise FreeGroupError("Wada pair words must have rank 2")
 
-    def as_map(self) -> FreeGroupMap:
-        return FreeGroupMap(2, 2, [self.w, self.v])
-
 
 def _w2(text: str) -> FreeWord:
     return parse_word(text, 2)
@@ -492,24 +447,6 @@ def wada_pair(kind: int, m: int = 1) -> WadaPair:
     lists the pair only up to duality, which flips that sign).
     """
     return _wada_pairs(kind, m)[0]
-
-
-def wada_dual(pair: WadaPair, kind: str) -> WadaPair:
-    """The swap-, backward-, or inverse-dual of a local action pair."""
-    g1 = FreeWord.generator(2, 1)
-    g2 = FreeWord.generator(2, 2)
-    swap_map = FreeGroupMap(2, 2, [g2, g1])
-    if kind == "swap":
-        return WadaPair(swap_map.apply_word(pair.v), swap_map.apply_word(pair.w))
-    if kind == "backward":
-        flip = FreeGroupMap(2, 2, [g1.inverse(), g2.inverse()])
-        return WadaPair(flip.apply_word(pair.w).inverse(), flip.apply_word(pair.v).inverse())
-    if kind == "inverse":
-        inv = invert_map(pair.as_map())
-        if inv is None:
-            raise FreeGroupError("inverse certificate not found")
-        return WadaPair(inv.images[0], inv.images[1])
-    raise FreeGroupError(f"unknown duality {kind!r}")
 
 
 def reduced_words(rank: int, max_len: int):

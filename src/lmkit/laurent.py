@@ -183,13 +183,6 @@ class LaurentPoly:
         ((a, b), c), = self.terms.items()
         return LaurentPoly({(-a, -b): _quo(1, c)})
 
-    def eval(self, point: "EvaluationPoint") -> Fraction:
-        """Exact value at t = point.t_value, q = point.q_value."""
-        total = Fraction(0)
-        for (a, b), c in self.terms.items():
-            total += c * point.t_value**a * point.q_value**b
-        return total
-
     def exponent_bounds(self):
         """Componentwise (min, max) of the exponent vectors; None if zero."""
         if not self.terms:

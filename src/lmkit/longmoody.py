@@ -303,12 +303,6 @@ class CoherenceReport:
     def passed(self) -> bool:
         return all(r.verdict for r in self.results)
 
-    def by_name(self, name: str) -> ConditionResult:
-        for r in self.results:
-            if r.condition == name:
-                return r
-        raise KeyError(name)
-
     def to_json(self) -> list:
         return [r.to_json() for r in self.results]
 
@@ -525,7 +519,7 @@ def check_factorization(action: ActionFamily, f: BraidFunctor, big_n: int):
         "trivial-system-factorization", {"N": big_n, "functor": f.name, "action": action.name}
     )
     for n in range(0, big_n + 1):
-        for i in list(range(1, n)) + [-i for i in range(1, n)]:
+        for i in signed_letters(n):
             ok = lm_f.gen_matrix(n, i) == lm_x.gen_matrix(n, i).kron(tau_f.gen_matrix(n, i))
             report.expect(ok, kind="generator", n=n, i=i)
         if n < big_n:

@@ -539,7 +539,7 @@ def translate(f: BraidFunctor, k: int) -> BraidFunctor:
     return BraidFunctor(
         f"tau({k};{f.name})",
         lambda n: f.dim(k + n),
-        lambda n, i: f.gen_matrix(k + n, i + k if i > 0 else i - k),
+        lambda n, i: f.gen_matrix(k + n, shift_letter(i, k)),
         stab,
         split_rule=split,
         eval_range=f.eval_range - k,

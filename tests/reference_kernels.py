@@ -1,15 +1,20 @@
 """Reference versions of the exact kernels of lmkit.laurent, kept for the
 tests to compare against: the dense-row Montante elimination, the inverse
-built on it, the evaluation of a matrix over Fraction and the pivot guess
-over Fraction; the functor and naturality checks of lmkit.repfun, and the
-action-compatibility and factorization checks of lmkit.longmoody, on every
-identity, before they were reduced to one-step data; and enumerate_words,
-the all-words enumeration those loops and the all-words references run on."""
+built on it, the evaluation of a polynomial and of a matrix over Fraction and
+the pivot guess over Fraction; the functor and naturality checks of
+lmkit.repfun, and the action-compatibility and factorization checks of
+lmkit.longmoody, on every identity, before they were reduced to one-step
+data; enumerate_words, the all-words enumeration those loops and the
+all-words references run on; and the free-group oracles: Fox's formula
+expanded back into the group ring, and a free-group map pushed forward on
+the group ring and on the augmentation ideal."""
 
 from fractions import Fraction
 
-from lmkit.braidcat import BraidWord, trivial_system
-from lmkit.freegroup import FreeWord, reduced_words
+from lmkit.braidcat import BraidWord, signed_letters, trivial_system
+from lmkit.freegroup import (
+    AugIdealElement, FreeWord, GroupRingElement, fox_derivatives, reduced_words,
+)
 from lmkit.laurent import ONE, ZERO, LaurentError, PolyMatrix, exact_div
 from lmkit.longmoody import LongMoodyConfig, long_moody
 from lmkit.repfun import CheckReport, constant_functor, translate
@@ -88,11 +93,17 @@ def dense_inverse(a):
     return PolyMatrix(n, n, entries)
 
 
+def value_at(p, point):
+    """The exact value of the Laurent polynomial p at the point."""
+    t, q = point.t_value, point.q_value
+    return sum((c * t**a * q**b for (a, b), c in p.terms.items()), Fraction(0))
+
+
 def evaluated(a, point):
     """The dense rows of the matrix a evaluated at the point, over Fraction."""
     out = [[Fraction(0)] * a.cols for _ in range(a.rows)]
     for (r, c), p in a.entries.items():
-        out[r][c] = p.eval(point)
+        out[r][c] = value_at(p, point)
     return out
 
 
@@ -238,10 +249,40 @@ def full_check_factorization(action, f, big_n):
         "trivial-system-factorization", {"N": big_n, "functor": f.name, "action": action.name}
     )
     for n in range(0, big_n + 1):
-        for i in list(range(1, n)) + [-i for i in range(1, n)]:
+        for i in signed_letters(n):
             ok = lm_f.gen_matrix(n, i) == lm_x.gen_matrix(n, i).kron(tau_f.gen_matrix(n, i))
             report.expect(ok, kind="generator", n=n, i=i)
         for n2 in range(n, big_n + 1):
             ok = lm_f.stab(n, n2) == lm_x.stab(n, n2).kron(tau_f.stab(n, n2))
             report.expect(ok, kind="stabilization", n=n, n2=n2)
     return report
+
+
+def expand(x):
+    """The group-ring element sum_i (gi - 1)·coords[i] of the
+    augmentation-ideal element x: Fox's formula read backwards."""
+    one = GroupRingElement.one(x.rank)
+    total = GroupRingElement.zero(x.rank)
+    for i, c in enumerate(x.coords, start=1):
+        total = total + (GroupRingElement.from_word(FreeWord.generator(x.rank, i)) - one) * c
+    return total
+
+
+def apply_ring(phi, x):
+    """The free-group map phi extended linearly to the group ring."""
+    out = GroupRingElement.zero(phi.target_rank)
+    for w, c in x.terms.items():
+        out = out + GroupRingElement.from_word(phi.apply_word(w), c)
+    return out
+
+
+def apply_aug(phi, x):
+    """phi pushed forward on the augmentation ideal: the image phi(gi) - 1
+    of (gi - 1) is re-expanded on the target basis by its Fox coordinates,
+    and the coefficients travel through phi as ring elements."""
+    out = [GroupRingElement.zero(phi.target_rank)] * phi.target_rank
+    for image, ci in zip(phi.images, x.coords):
+        pushed = apply_ring(phi, ci)
+        for j, d in enumerate(fox_derivatives(image).coords):
+            out[j] = out[j] + d * pushed
+    return AugIdealElement(phi.target_rank, out)

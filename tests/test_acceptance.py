@@ -57,6 +57,7 @@ from lmkit.polyfun import (
 )
 
 from display_fixtures import oriented
+from reference_kernels import expand
 
 T2 = T * T
 T_INV = T.unit_inverse()
@@ -116,7 +117,7 @@ def test_criterion_3_fox_oracle():
             (rng.randint(1, rank), rng.choice([1, -1])) for _ in range(rng.randint(0, 8))
         )
         word = FreeWord(rank, letters)
-        expanded = fox_derivatives(word).expand() + GroupRingElement.one(rank)
+        expanded = expand(fox_derivatives(word)) + GroupRingElement.one(rank)
         ok &= expanded == GroupRingElement.from_word(word)
     verdict(3, ok, "1000 seeded words: sum (gi-1) d_i(w) + 1 = w exactly")
 

@@ -679,6 +679,15 @@ def test_benchmark_tracer_ops_resolve(monkeypatch):
         assert callable(tracer._resolve(module, path)[2]), prefix
 
 
+def test_benchmark_jobs_run_and_score(monkeypatch):
+    # Every job of every benchmark workload builds, runs and gets its
+    # expected verdict, so that what perfbench reads of lmkit stays callable.
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    for name in workloads.WORKLOADS:
+        for job in workloads.setup(name, 11):
+            assert workloads.score(job, *job.run()) is None, (name, job.id)
+
+
 def _canonical_table(table):
     """A scaled letter table with each mixed column's entries as a dict, so
     that tables listing the same entries in another order compare equal."""

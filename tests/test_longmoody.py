@@ -18,6 +18,8 @@ from lmkit.braidcat import (
     local_system,
     pure_braid_system,
     router,
+    shift_letter,
+    signed_letters,
     trivial_system,
 )
 from lmkit.repfun import (
@@ -59,6 +61,7 @@ from lmkit.polyfun import resolution
 import reference_kernels
 from display_fixtures import oriented
 from reference_kernels import (
+    apply_aug,
     enumerate_words,
     full_action_compatibility,
     full_check_factorization,
@@ -175,6 +178,11 @@ def reference_lm_split(cfg, f, n):
         PolyMatrix.identity(lead).direct_sum(blocks(tau_split.complement)),
         PolyMatrix.identity(lead).direct_sum(blocks(tau_split.coprojection)),
     )
+
+
+def condition(report, name):
+    """The result of the named condition in a coherence report."""
+    return next(r for r in report.results if r.condition == name)
 
 
 class TestConstruction:
@@ -326,8 +334,8 @@ class TestConstruction:
                 x = type(x)(n, [c - fox_derivatives(word).coords[idx] for idx, c in enumerate(x.coords)])
                 # x now holds the coordinates of (g_j - 1) * word.
                 lhs = image.gen_matrix(n, letter).matmul(vec_matrix(x))
-                shifted = BraidWord(n + 1, (letter + 1 if letter > 0 else letter - 1,))
-                rhs = vec_matrix(amap.apply_aug(x)).matmul(f.word_matrix(shifted))
+                shifted = BraidWord(n + 1, (shift_letter(letter, 1),))
+                rhs = vec_matrix(apply_aug(amap, x)).matmul(f.word_matrix(shifted))
                 assert lhs == rhs
 
     @pytest.mark.parametrize("pre,post", [(None, None), (T, None), (None, T_INV)])
@@ -361,7 +369,7 @@ class TestCoherence:
     def test_corrupted_system_fails_semidirect(self):
         cfg = LongMoodyConfig(artin_family(), local_system("corrupted-demo"))
         report = check_coherence(cfg, 3, 2)
-        semidirect = report.by_name("semidirect")
+        semidirect = condition(report, "semidirect")
         assert not semidirect.verdict
         assert semidirect.witness["n"] == 2
         assert semidirect.witness["word"] == [1]
@@ -372,12 +380,12 @@ class TestCoherence:
         cfg = LongMoodyConfig(family, pure_braid_system())
         report = check_reliability(cfg, 4, 2)
         assert not report.passed
-        assert report.by_name("first-generators-fixed").witness is not None
+        assert condition(report, "first-generators-fixed").witness is not None
 
     def test_conjugated_action_fails_compatibility(self):
         family = conjugated_artin("artin-conjugated-first", lambda n: 1)
         report = check_coherence(LongMoodyConfig(family, trivial_system()), 4, 2)
-        assert report.by_name("action-compatibility").witness == {
+        assert condition(report, "action-compatibility").witness == {
             "n": 1, "n2": 3, "word": [], "psi": [1], "generator": "g1",
         }
 
@@ -420,9 +428,9 @@ class TestCoherence:
         family = planted_s3_fault()
         cfg = LongMoodyConfig(family, trivial_system())
         witness = {"n": 3, "n2": 5, "word": [1], "generator": "g1"}
-        assert check_reliability(cfg, 5, 1).by_name("first-generators-fixed").witness == witness
+        assert condition(check_reliability(cfg, 5, 1), "first-generators-fixed").witness == witness
         assert all_words_first_generators_fixed(family, 5, 1) == witness
-        assert check_reliability(cfg, 4, 1).by_name("first-generators-fixed").verdict
+        assert condition(check_reliability(cfg, 4, 1), "first-generators-fixed").verdict
 
     @pytest.mark.parametrize("word_len", [0, 1, 2, 3])
     @pytest.mark.parametrize("big_n", [3, 4, 5])
@@ -437,8 +445,8 @@ class TestCoherence:
         ]
         for family in families:
             cfg = LongMoodyConfig(family, trivial_system())
-            compat = check_coherence(cfg, big_n, word_len).by_name("action-compatibility")
-            fixed = check_reliability(cfg, big_n, word_len).by_name("first-generators-fixed")
+            compat = condition(check_coherence(cfg, big_n, word_len), "action-compatibility")
+            fixed = condition(check_reliability(cfg, big_n, word_len), "first-generators-fixed")
             assert compat.witness == all_words_compatibility(family, big_n, word_len), family.name
             assert fixed.witness == all_words_first_generators_fixed(
                 family, big_n, word_len
@@ -460,7 +468,7 @@ class TestCoherence:
         ]
         for family in families:
             cfg = LongMoodyConfig(family, system)
-            report = check_coherence(cfg, big_n, word_len).by_name("semidirect")
+            report = condition(check_coherence(cfg, big_n, word_len), "semidirect")
             assert report.params == {"N": big_n, "L": word_len}
             assert report.witness == all_words_semidirect(cfg, big_n, word_len), family.name
 
@@ -490,7 +498,7 @@ class TestOneStepCoherenceChecks:
         failing = 0
         for family in compatibility_families():
             cfg = LongMoodyConfig(family, system)
-            got = check_coherence(cfg, big_n, word_len).by_name("action-compatibility").witness
+            got = condition(check_coherence(cfg, big_n, word_len), "action-compatibility").witness
             assert got == next(full_action_compatibility(family, big_n, word_len), None), family.name
             failing += got is not None
         assert failing == (word_len > 0)  # artin-conjugated-first, at n=1, n'=3
@@ -501,7 +509,7 @@ class TestOneStepCoherenceChecks:
         # decides through s1 over two added strands at n=2.
         family = conjugated_artin("artin-conjugated-first-at-4", lambda n: 1 if n == 4 else n)
         cfg = LongMoodyConfig(family, trivial_system())
-        got = check_coherence(cfg, 5, 1).by_name("action-compatibility").witness
+        got = condition(check_coherence(cfg, 5, 1), "action-compatibility").witness
         full = list(full_action_compatibility(family, 5, 1))
         assert got == {"n": 2, "n2": 4, "word": [], "psi": [1], "generator": "g1"}
         assert full[0] == {"n": 1, "n2": 4, "word": [], "psi": [1], "generator": "g1"}
@@ -657,10 +665,6 @@ def reference_gen_matrix(cfg, f, n, letter):
             for (br, bc), val in block.entries.items():
                 entries[((r - 1) * d + br, (c - 1) * d + bc)] = val
     return PolyMatrix(n * d, n * d, entries)
-
-
-def signed_letters(n):
-    return [i for i in range(1, n)] + [-i for i in range(1, n)]
 
 
 class TestFoxTable:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lmkit.cli import parse_functor
 from lmkit import laurent
-from lmkit.laurent import ONE, LaurentError, PolyMatrix, Q, T, seeded_points
+from lmkit.laurent import ONE, ZERO, LaurentError, PolyMatrix, Q, T, seeded_points
 from lmkit.freegroup import FreeWord, GroupRingElement, parse_word
 from lmkit.braidcat import (
     BracketMorphism,
@@ -681,7 +681,7 @@ class TestGroupRingMatrix:
             },
         )
         got = group_ring_matrix(f, 3, trivial_system(), c)
-        assert got == PolyMatrix.identity(4).scale(c.augmentation())
+        assert got == PolyMatrix.identity(4).scale(sum(c.terms.values(), ZERO))
 
     def test_multiplicative_on_words(self):
         f = builtin("burau")

@@ -7,36 +7,30 @@ import lmkit
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lmkit"
 
-# Functions and methods that nothing in src calls, each with why it stays.
-# Names exported by lmkit.__all__ are allowed as well.
+# Functions and methods that nothing in src calls, each with the non-test
+# consumer or the ROADMAP item that keeps it.  Names exported by
+# lmkit.__all__ are allowed as well.
 NO_SRC_CALLER = {
-    # Bound by the per-layer tracer's OPS table in perfbench/tracer.py.
-    "rank_at": "traced as laurent.rank_eval; reached from rank_probabilistic only",
-    "rank_probabilistic": "traced as laurent.rank_eval; tests compare ranks with it",
-    "invert_map": "traced as freegroup.invert_map; reached from wada_dual only",
-    "burau_symbolic": "traced as braidcat.burau_symbolic; tests compare Burau with it",
-    # Reached only from tests or perfbench; ROADMAP item 9 gives each a
-    # verdict path in src or moves it to tests/reference_kernels.py.
-    "writhe": "perfbench's oracle self-check reads it",
-    "wada_pair": "the public name of a stored Wada pair",
-    "bracket_compose": "composition in Quillen's bracket category",
-    "bracket_monoidal": "the monoidal product of the bracket category",
-    "bracket_equal": "equality of bracket-category morphisms",
-    "from_braid": "a braid as a bracket-category automorphism",
-    "check_coherent_reliable": "all five input conditions in one report",
-    "unit_line_equivalence": "criterion 7's chain from reduced-burau to atomic(0)",
-    "translation_degree_checks": "translation keeps the very strong degree",
-    "wada_dual": "the swap-, backward- and inverse-duals of a Wada pair, for tests",
-    "apply_aug": "push-forward on the augmentation ideal, which tests check",
-    "by_name": "looks a condition up in a coherence report, for tests",
-    # Reached only from tests, and not yet on ROADMAP item 9's list.
-    "apply": "a functor evaluated on a bracket-category morphism",
-    "stabilization": "the canonical bracket-category morphism n -> n'",
-    "permutation": "the permutation of a braid word, for tests",
-    "corrupted": "the negative-control functor of the acceptance tests",
-    "eval": "a Laurent polynomial's value at a point, for tests",
-    "augmentation": "the augmentation of a group-ring element, for tests",
-    "expand": "Fox's fundamental formula, which tests check",
+    # perfbench/ reads these; they leave src only with a benchmark change
+    # (ROADMAP item 8).
+    "rank_probabilistic": "perfbench/tracer.py binds it in OPS as laurent.rank_eval",
+    "invert_map": "perfbench/tracer.py binds it in OPS as freegroup.invert_map",
+    "writhe": "perfbench/selfcheck.py reads it in oracle-invariants",
+    "permutation": "perfbench/selfcheck.py reads it in oracle-invariants",
+    "corrupted": "perfbench/workloads.py builds the functor workload's negative control",
+    # Quillen's bracket category UB, which acceptance criterion 11 exercises
+    # and ROADMAP item 9 gives a verdict path.
+    "bracket_compose": "acceptance criterion 11: composition in UB",
+    "bracket_monoidal": "acceptance criterion 11: the monoidal product of UB",
+    "bracket_equal": "acceptance criterion 11: equality of UB morphisms",
+    "from_braid": "acceptance criterion 11: a braid as a UB automorphism",
+    "stabilization": "acceptance criterion 11: the canonical UB morphism n -> n'",
+    "apply": "ROADMAP item 9: a functor on UB evaluated on a morphism",
+    # Checks that open items will call.
+    "check_coherent_reliable": "acceptance criterion 4; ROADMAP item 1 runs it in verify degree",
+    "unit_line_equivalence": "acceptance criterion 7; ROADMAP item 2",
+    "translation_degree_checks": "ROADMAP item 2: translation keeps the very strong degree",
+    "wada_pair": "ROADMAP item 9: the public name of a stored Wada pair",
 }
 
 
@@ -70,20 +64,22 @@ class _References(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _src_references():
+def _orphans():
+    """The functions and methods, dunders aside, that nothing in src reads."""
     refs = _References()
     for path in sorted(SRC.glob("*.py")):
         refs.visit(ast.parse(path.read_text(), str(path)))
-    return refs
-
-
-def test_every_function_has_a_src_caller_or_a_reason():
-    refs = _src_references()
-    allowed = set(lmkit.__all__) | set(NO_SRC_CALLER)
-    orphans = {
+    return {
         name for name in refs.defined - refs.read
         if not (name.startswith("__") and name.endswith("__"))
     }
-    assert sorted(orphans - allowed) == []
-    # An entry outlives its function only by mistake.
-    assert sorted(set(NO_SRC_CALLER) - refs.defined) == []
+
+
+def test_every_function_has_a_src_caller_or_a_reason():
+    assert sorted(_orphans() - set(lmkit.__all__) - set(NO_SRC_CALLER)) == []
+
+
+def test_every_allowlisted_name_is_an_orphan():
+    # An entry outlives its function, or its reason once src calls it, only
+    # by mistake.
+    assert sorted(set(NO_SRC_CALLER) - _orphans()) == []
