@@ -310,6 +310,11 @@ PINNED_STDOUT = [
      "35ee40ec438e2470898a223c498fa6bd07af78538dfacadf425991a440d20512"),
     (["check", "reliability", "--N", "5", "--L", "4"], 0,
      "3911523606d20ac60c6b0cc9b579db25b53e2c9e65c304a711fdfa374dee9166"),
+    # A reliability fail (first-generator-return), in JSON and as text.
+    (["check", "reliability", "--action", "wada5", "--N", "4", "--L", "1"], 1,
+     "fa77079ad3520af2f2eb1193a9595b4cceb2725367b58813eaf12ca9c0b4cb38"),
+    (["check", "reliability", "--action", "wada5", "--N", "4", "--L", "1", "--format", "text"], 1,
+     "53de9513c6fedf071a0227d6cc0e4d432ba91369985ab87bae4146a67cd45da6"),
     (["degree", "--functor", "lk", "--N", "10"], 0,
      "907e4a3d9ba6624a0c1804d433df25b87a0b27c08f83caa754e90d4ad63b5fbd"),
     (["degree", "--functor", "atomic(2)", "--N", "6"], 0,
