@@ -82,14 +82,6 @@ class ActionFamily:
     def generator_map(self, n: int, letter: int) -> FreeGroupMap:
         return self.rule(n, letter)
 
-    def word_map(self, n: int, word: BraidWord) -> FreeGroupMap:
-        if word.strands != n:
-            raise CoherenceError("word strand count must match the level")
-        acc = self.rule(n, word.letters[0]) if word.letters else FreeGroupMap.identity(n)
-        for letter in word.letters[1:]:
-            acc = acc.compose(self.rule(n, letter))
-        return acc
-
     def verify_relations(self, max_n: int = 5) -> None:
         for n in range(2, max_n + 1):
             for i in range(1, n - 1):
@@ -409,6 +401,15 @@ def check_reliability(
     free-group word identities: the routed first generator returns to g1,
     and juxtaposed braids fix the first generators.
 
+    The first, a(router(1, n, n'))(g_{n'-n+1}) = g1 in F_{n'+1} for n < n',
+    is decided on stored letter maps.  The router is s1^-1 ... sm^-1, m =
+    n' - n, and its last letter acts first, so every identity holds when,
+    at each rank r = 2..N+1, a(r, -i) sends g_{i+1} to g_i for all i < r.
+    Conversely, at the least failing i of the least failing r the letters
+    s1^-1 .. s_{i-1}^-1 act by an automorphism sending g_i to g1, so not
+    a(r, -i)(g_{i+1}) != g_i: the identity for (n' - i, n'), n' = r - 1,
+    fails.  Only that router's image is computed, for the witness.
+
     The second, for sigma on n strands shifted past k = n' - n added ones,
     is decided on signed letters (word_len 0 checks nothing): a shifted
     word acts by the product of its letters' maps, and maps fixing g1..gk
@@ -422,13 +423,13 @@ def check_reliability(
 
     def first_generator_return():
         # n2 = n is the empty router, which returns g1 itself.
-        for n in range(0, big_n + 1):
-            for n2 in range(n + 1, big_n + 1):
-                got = action.word_map(n2 + 1, router(1, n, n2)).apply_word(
-                    FreeWord.generator(n2 + 1, n2 - n + 1)
-                )
-                if got != FreeWord.generator(n2 + 1, 1):
-                    yield {"n": n, "n2": n2, "image": str(got)}
+        for n2 in range(1, big_n + 1):
+            for i in range(1, n2 + 1):
+                got = action.generator_map(n2 + 1, -i).images[i]
+                if got != FreeWord.generator(n2 + 1, i):
+                    for j in range(i - 1, 0, -1):
+                        got = action.generator_map(n2 + 1, -j).apply_word(got)
+                    yield {"n": n2 - i, "n2": n2, "image": str(got)}
 
     def first_generators_fixed():
         for n in range(2, big_n + 1) if word_len >= 1 else ():
@@ -464,29 +465,22 @@ def check_coherent_reliable(
 # ---------------------------------------------------------------------------
 
 
-def splitting_maps(cfg: LongMoodyConfig, f: BraidFunctor, n: int):
-    """The two inclusions that decompose the translate of the image functor.
+def router_blocks(cfg: LongMoodyConfig, f: BraidFunctor, n: int):
+    """F(r) and F(r^-1), for F the pre-twisted input and r = router(1, n,
+    n+1) the inverse braiding on n+2 strands: the blocks of the two
+    inclusions that decompose the translate of the image functor.
 
     new_block : F(n+2) -> translate(LM F)(n), hitting the first block
                 (the basis difference of the added generator);
     old_blocks: LM(translate F)(n) -> translate(LM F)(n), shifting block j
-                to block j+1 and twisting by F of the inverse braiding.
+                to block j+1 and twisting by F(r).
 
-    Their concatenation is square with unit determinant.
+    So with d = F(n+2) their concatenation [new_block | old_blocks] is
+    I_d ⊕ (I_n ⊗ F(r)), with inverse I_d ⊕ (I_n ⊗ F(r^-1)) exactly when
+    F(r) F(r^-1) = I.
     """
-    d2 = f.dim(n + 2)
-    rows = (n + 1) * d2
-    new_block = _matrix(rows, d2, {(r, r): ONE for r in range(d2)})
-    q_mat = _pretwisted(cfg, f).word_matrix(router(1, n, n + 1))
-    old_blocks = PolyMatrix.zeros(d2, 0).direct_sum(PolyMatrix.identity(n).kron(q_mat))
-    return new_block, old_blocks
-
-
-def splitting_concat_inverse(cfg: LongMoodyConfig, f: BraidFunctor, n: int) -> PolyMatrix:
-    """Exact inverse of [new_block | old_blocks], assembled blockwise from
-    F of the inverse router word."""
-    q_inv = _pretwisted(cfg, f).word_matrix(router(1, n, n + 1).inverse())
-    return PolyMatrix.identity(f.dim(n + 2)).direct_sum(PolyMatrix.identity(n).kron(q_inv))
+    base, word = _pretwisted(cfg, f), router(1, n, n + 1)
+    return base.word_matrix(word), base.word_matrix(word.inverse())
 
 
 def check_inclusion_lemma(cfg: LongMoodyConfig, f: BraidFunctor, big_n: int):
@@ -498,8 +492,8 @@ def check_inclusion_lemma(cfg: LongMoodyConfig, f: BraidFunctor, big_n: int):
     )
     lm_f = long_moody(cfg, f)
     for n in range(0, big_n + 1):
-        _, old_blocks = splitting_maps(cfg, f, n)
-        lhs = old_blocks.matmul(PolyMatrix.identity(n).kron(f.stab(n + 1, n + 2)))
+        q_mat = router_blocks(cfg, f, n)[0].matmul(f.stab(n + 1, n + 2))
+        lhs = PolyMatrix.zeros(f.dim(n + 2), 0).direct_sum(PolyMatrix.identity(n).kron(q_mat))
         report.expect(lhs == lm_f.stab(n, n + 1), n=n)
     return report
 

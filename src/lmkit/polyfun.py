@@ -37,8 +37,7 @@ from .longmoody import (
     LongMoodyConfig,
     check_inclusion_lemma,
     long_moody,
-    splitting_concat_inverse,
-    splitting_maps,
+    router_blocks,
 )
 
 
@@ -223,9 +222,10 @@ def estimate_strong_degree(
             evidence.append((d, 0, True))
             break
         kappa_zero, uncertified = True, None
+        kappa = evanescence(current, window, seed)
         for n in range(0, window):
             try:
-                if current.dim(n) - resolution(current, n, seed).retraction.rows:
+                if kappa.dim(n):
                     kappa_zero = False
                     break
             except SplitCertificationError as exc:
@@ -339,22 +339,22 @@ def verify_difference_splitting(
     )
     lm_f = long_moody(cfg, f)
 
-    # (i) unit determinant, explicit inverse, and naturality.
-    concat_components = {}
+    # (i) unit determinant, explicit inverse, and naturality.  [new | old]
+    # is I_d ⊕ (I_n ⊗ F(r)), inverse to I_d ⊕ (I_n ⊗ F(r^-1)) when the one
+    # block product is I (both are I_d at n = 0); then det(concat) is a unit.
+    blocks = {n: router_blocks(cfg, f, n) for n in range(big_n + 1)}
+    concat_components = {
+        n: PolyMatrix.identity(f.dim(n + 2)).direct_sum(PolyMatrix.identity(n).kron(q))
+        for n, (q, _) in blocks.items()
+    }
     unit_check = CheckReport("concat-invertible", {"N": big_n})
-    for n in range(big_n + 1):
-        new_block, old_blocks = splitting_maps(cfg, f, n)
-        concat = new_block.hstack(old_blocks)
-        concat_components[n] = concat
-        inv = splitting_concat_inverse(cfg, f, n)
+    for n, (q, q_inv) in blocks.items():
         unit_check.checked += 2
-        if concat.matmul(inv) != PolyMatrix.identity(concat.rows):
+        if n and q.matmul(q_inv) != PolyMatrix.identity(q.rows):
             unit_check.record(kind="inverse", n=n)
-        elif concat.rows == concat.cols:
-            continue  # det(concat) * det(inv) = det(I) = 1: a unit determinant
-        det = concat.det()
-        if not det.is_unit():
-            unit_check.record(kind="determinant", n=n, det=str(det))
+            det = concat_components[n].det()
+            if not det.is_unit():
+                unit_check.record(kind="determinant", n=n, det=str(det))
     report.add(unit_check)
 
     side = direct_sum(translate(f, 2), long_moody(cfg, translate(f, 1)))
@@ -372,13 +372,11 @@ def verify_difference_splitting(
     target = direct_sum(translate(f, 2), long_moody(cfg, delta_f))
 
     def identification(n: int) -> PolyMatrix:
+        # The projector I_d ⊕ (I_n ⊗ P) times the inverse of [new | old].
         res_v = resolution(lm_f, n, seed)
-        p_inv = splitting_concat_inverse(cfg, f, n)
-        p_block = resolution(f, n + 1, seed).coprojection
-        projector = PolyMatrix.identity(f.dim(n + 2)).direct_sum(
-            PolyMatrix.identity(n).kron(p_block)
-        )
-        return projector.matmul(p_inv).matmul(res_v.complement)
+        p_block = resolution(f, n + 1, seed).coprojection.matmul(blocks[n][1])
+        lead = PolyMatrix.identity(f.dim(n + 2))
+        return lead.direct_sum(PolyMatrix.identity(n).kron(p_block)).matmul(res_v.complement)
 
     psi_components = {n: identification(n) for n in range(big_n + 1)}
     unit_psi = CheckReport("identification-invertible", {"N": big_n})

@@ -517,6 +517,8 @@ def translate(f: BraidFunctor, k: int) -> BraidFunctor:
     """
     if k < 0:
         raise FunctorError("translation amount must be >= 0")
+    if k > f.eval_range:
+        raise FunctorError(f"{f.name} has evaluation range {f.eval_range}, below the shift {k}")
     if k == 0:
         return f
 

@@ -4,18 +4,22 @@ built on it, the evaluation of a polynomial and of a matrix over Fraction and
 the pivot guess over Fraction; the functor and naturality checks of
 lmkit.repfun, and the action-compatibility and factorization checks of
 lmkit.longmoody, on every identity, before they were reduced to one-step
-data; enumerate_words, the all-words enumeration those loops and the
-all-words references run on; and the free-group oracles: Fox's formula
-expanded back into the group ring, and a free-group map pushed forward on
-the group ring and on the augmentation ideal."""
+data; first-generator-return on every router, before it was decided on
+stored letter maps, and the splitting maps of the Long-Moody image as the
+two matrices they were before one router block decided them;
+enumerate_words and word_map, the all-words enumeration and the action of
+a word that those loops and the all-words references run on; and the
+free-group oracles: Fox's formula expanded back into the group ring, and a
+free-group map pushed forward on the group ring and on the augmentation
+ideal."""
 
 from fractions import Fraction
 
-from lmkit.braidcat import BraidWord, signed_letters, trivial_system
+from lmkit.braidcat import BraidWord, router, signed_letters, trivial_system
 from lmkit.freegroup import (
-    AugIdealElement, FreeWord, GroupRingElement, fox_derivatives, reduced_words,
+    AugIdealElement, FreeGroupMap, FreeWord, GroupRingElement, fox_derivatives, reduced_words,
 )
-from lmkit.laurent import ONE, ZERO, LaurentError, PolyMatrix, exact_div
+from lmkit.laurent import ONE, ZERO, LaurentError, PolyMatrix, _matrix, exact_div
 from lmkit.longmoody import LongMoodyConfig, long_moody
 from lmkit.repfun import CheckReport, constant_functor, translate
 
@@ -24,6 +28,16 @@ def enumerate_words(strands, max_len):
     """All freely reduced braid words of length at most max_len, breadth
     first in the letter order of lmkit.braidcat.signed_letters."""
     return [BraidWord(strands, w) for w in reduced_words(strands - 1, max_len)]
+
+
+def word_map(action, n, word):
+    """The automorphism of F_n by which a braid word on n strands acts: its
+    letters' stored maps composed in list order, the first outermost."""
+    assert word.strands == n, "word strand count must match the level"
+    acc = action.generator_map(n, word.letters[0]) if word.letters else FreeGroupMap.identity(n)
+    for letter in word.letters[1:]:
+        acc = acc.compose(action.generator_map(n, letter))
+    return acc
 
 
 def dense_montante(m, n):
@@ -215,7 +229,7 @@ def full_action_compatibility(action, big_n, word_len):
     words included, in enumeration order."""
     for n in range(0, big_n + 1):
         sigma_words = enumerate_words(n, min(word_len, 1))
-        sigma_maps = [(w, action.word_map(n, w)) for w in sigma_words]
+        sigma_maps = [(w, word_map(action, n, w)) for w in sigma_words]
         for n2 in range(n + 1, big_n + 1):
             k = n2 - n
             psi_words = enumerate_words(k, min(word_len, 1))
@@ -225,7 +239,7 @@ def full_action_compatibility(action, big_n, word_len):
                     for i in range(1, n + 1)
                 ]
                 for psi in psi_words if not sigma.letters else psi_words[:1]:
-                    full_map = action.word_map(n2, psi.monoidal(sigma))
+                    full_map = word_map(action, n2, psi.monoidal(sigma))
                     for i in range(1, n + 1):
                         got = full_map.apply_word(FreeWord.generator(n2, i + k))
                         if got != shifted_images[i - 1]:
@@ -236,6 +250,37 @@ def full_action_compatibility(action, big_n, word_len):
                                 "psi": list(psi.letters),
                                 "generator": f"g{i}",
                             }
+
+
+def full_first_generator_return(action, big_n):
+    """The witnesses of first-generator-return as check_reliability found
+    them before it read one stored letter image per (rank, index): the
+    action of every router(1, n, n') on g_{n'-n+1}, 0 <= n < n' <= big_n, in
+    that order."""
+    for n in range(0, big_n + 1):
+        for n2 in range(n + 1, big_n + 1):
+            got = word_map(action, n2 + 1, router(1, n, n2)).apply_word(
+                FreeWord.generator(n2 + 1, n2 - n + 1)
+            )
+            if got != FreeWord.generator(n2 + 1, 1):
+                yield {"n": n, "n2": n2, "image": str(got)}
+
+
+def two_block_splitting(f, n):
+    """[new_block | old_blocks] and its inverse as verify_difference_splitting
+    assembled them before they were read off the router blocks: new_block
+    hits the first of the n+1 blocks of size f.dim(n+2), old_blocks shifts
+    block j to j+1 and twists it by f of router(1, n, n+1) (an untwisted
+    configuration), and the inverse is assembled from f of the inverse
+    router."""
+    d2 = f.dim(n + 2)
+    new_block = _matrix((n + 1) * d2, d2, {(r, r): ONE for r in range(d2)})
+    word = router(1, n, n + 1)
+    old_blocks = PolyMatrix.zeros(d2, 0).direct_sum(PolyMatrix.identity(n).kron(f.word_matrix(word)))
+    inverse = PolyMatrix.identity(d2).direct_sum(
+        PolyMatrix.identity(n).kron(f.word_matrix(word.inverse()))
+    )
+    return new_block.hstack(old_blocks), inverse
 
 
 def full_check_factorization(action, f, big_n):

@@ -264,6 +264,24 @@ class TestFunctorGrammar:
         assert captured.out == ""
         assert "must be >= 0" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["emit", "--functor", "tau(30;constant)", "--n", "0"],
+             "constant has evaluation range 24, below the shift 30"),
+            # lk's range is 14; the fifteenth application translates by one
+            # an image whose range is 0.
+            (["lm", "--base", "lk", "--iterations", "20", "--n", "0"],
+             "has evaluation range 0, below the shift 1"),
+        ],
+    )
+    def test_translation_beyond_the_range_is_refused_when_built(self, capsys, argv, refused):
+        # These exit 2 either way; built, they used to report a negative range.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert refused in captured.err and "range -" not in captured.err
+
     def test_zero_ranges_are_accepted(self, capsys):
         code, out = run(capsys, "check", "functor", "--functor", "burau", "--N", "0", "--L", "0")
         assert code == 0 and json.loads(out)["verdict"] == "pass"

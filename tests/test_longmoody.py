@@ -17,7 +17,6 @@ from lmkit.braidcat import (
     braid_equal_witness,
     local_system,
     pure_braid_system,
-    router,
     shift_letter,
     signed_letters,
     trivial_system,
@@ -51,8 +50,7 @@ from lmkit.longmoody import (
     check_reliability,
     long_moody,
     long_moody_power,
-    splitting_concat_inverse,
-    splitting_maps,
+    router_blocks,
     standard_config,
     wada_family,
 )
@@ -65,6 +63,9 @@ from reference_kernels import (
     enumerate_words,
     full_action_compatibility,
     full_check_factorization,
+    full_first_generator_return,
+    two_block_splitting,
+    word_map,
 )
 
 T_INV = T.unit_inverse()
@@ -108,6 +109,21 @@ def planted_s3_fault():
     return family
 
 
+def planted_router_fault(rank, i=1):
+    """The classical action, except that s_i^-1 on `rank` strands is the
+    identity, so it sends g_{i+1} to itself and not to g_i; relations are
+    verified below that rank only."""
+
+    def rule(n, letter):
+        if (n, letter) == (rank, -i):
+            return FreeGroupMap.identity(n)
+        return artin_generator_map(n, letter)
+
+    family = ActionFamily(f"artin-s{i}-inverse-is-the-identity-at-{rank}", rule)
+    family.verify_relations(rank - 1)
+    return family
+
+
 def all_words_compatibility(action, big_n, word_len):
     """Reference for action compatibility: every pair of words, no letter
     argument."""
@@ -115,9 +131,9 @@ def all_words_compatibility(action, big_n, word_len):
         for n2 in range(n + 1, big_n + 1):
             k = n2 - n
             for sigma in enumerate_words(n, word_len):
-                sigma_map = action.word_map(n, sigma)
+                sigma_map = word_map(action, n, sigma)
                 for psi in enumerate_words(k, word_len):
-                    full_map = action.word_map(n2, psi.monoidal(sigma))
+                    full_map = word_map(action, n2, psi.monoidal(sigma))
                     for i in range(1, n + 1):
                         want = sigma_map.apply_word(FreeWord.generator(n, i)).shifted(k, n2)
                         if full_map.apply_word(FreeWord.generator(n2, i + k)) != want:
@@ -137,7 +153,7 @@ def all_words_first_generators_fixed(action, big_n, word_len):
         for n2 in range(n + 1, big_n + 1):
             k = n2 - n
             for sigma in enumerate_words(n, word_len):
-                amap = action.word_map(n2, sigma.shift(k, n2))
+                amap = word_map(action, n2, sigma.shift(k, n2))
                 for p in range(1, k + 1):
                     if amap.apply_word(FreeWord.generator(n2, p)) != FreeWord.generator(n2, p):
                         return {"n": n, "n2": n2, "word": list(sigma.letters), "generator": f"g{p}"}
@@ -151,7 +167,7 @@ def all_words_semidirect(cfg, big_n, word_len):
     for n in range(big_n):
         for sigma in enumerate_words(n, word_len)[1:]:
             shifted = sigma.shift(1, n + 1)
-            amap = action.word_map(n, sigma)
+            amap = word_map(action, n, sigma)
             for i in range(1, n + 1):
                 lhs = shifted.compose(system.generator_image(n, i))
                 acted = system.evaluate(amap.apply_word(FreeWord.generator(n, i)))
@@ -390,37 +406,35 @@ class TestCoherence:
         }
 
     def test_letter_checks_read_stored_generator_maps(self, monkeypatch):
-        # The letter conditions read one stored generator map per letter and
-        # multiply out no word map; first-generator-return's routers do, and
-        # first-generators-fixed reads s1^{±1} shifted past k strands only.
-        words, letters = [], []
-        word_map, generator_map = ActionFamily.word_map, ActionFamily.generator_map
-
-        def recording_word_map(self, n, word):
-            words.append((n, word))
-            return word_map(self, n, word)
+        # Every condition reads stored generator maps and composes none:
+        # first-generator-return reads s_i^-1 on r strands, i < r, and
+        # first-generators-fixed s1^{±1} shifted past k strands only.
+        letters, composed = [], []
+        generator_map, compose = ActionFamily.generator_map, FreeGroupMap.compose
 
         def recording_generator_map(self, n, letter):
             letters.append((n, letter))
             return generator_map(self, n, letter)
 
-        monkeypatch.setattr(ActionFamily, "word_map", recording_word_map)
+        def recording_compose(self, other):
+            composed.append((self, other))
+            return compose(self, other)
+
+        cfg = standard_config()
+        assert not hasattr(ActionFamily, "word_map")
         monkeypatch.setattr(ActionFamily, "generator_map", recording_generator_map)
-        assert check_coherence(standard_config(), 5, 4).passed
-        assert words == []
+        monkeypatch.setattr(FreeGroupMap, "compose", recording_compose)
+        assert check_coherence(cfg, 5, 4).passed
         # Compatibility: two maps per letter on 2..4 strands and per s1^{±1}
         # two steps up from 0..3; semidirect: one per letter on 2..4 strands.
         assert len(letters) == 2 * 12 + 8 + 12
-        words.clear()
         letters.clear()
-        assert check_reliability(standard_config(), 5, 4).passed
-        assert words == [
-            (n2 + 1, router(1, n, n2)) for n in range(6) for n2 in range(n + 1, 6)
-        ]
-        assert letters == [
+        assert check_reliability(cfg, 5, 4).passed
+        assert letters == [(r, -i) for r in range(2, 7) for i in range(1, r)] + [
             (n2, sign * (n2 - n + 1))
             for n in range(2, 6) for n2 in range(n + 1, 6) for sign in (1, -1)
         ]
+        assert composed == []
 
     def test_first_generators_fixed_planted_fault(self):
         # a(5, s3) is s1 on 3 strands shifted past two added ones, so both
@@ -431,6 +445,50 @@ class TestCoherence:
         assert condition(check_reliability(cfg, 5, 1), "first-generators-fixed").witness == witness
         assert all_words_first_generators_fixed(family, 5, 1) == witness
         assert condition(check_reliability(cfg, 4, 1), "first-generators-fixed").verdict
+
+    @pytest.mark.parametrize(
+        "system", [trivial_system(), pure_braid_system()], ids=lambda s: s.name
+    )
+    def test_first_generator_return_matches_every_router(self, system):
+        # One stored image per (rank, index) gives the verdict and the first
+        # witness of the loop over every router, for families that fail
+        # uniformly in the level or not at all.
+        families = [action_family(a) for a in ["artin", "wada1:2"]]
+        families += [wada_family(kind) for kind in range(1, 8)]
+        families += [
+            conjugated_artin("artin-conjugated-first", lambda n: 1),
+            conjugated_artin("artin-conjugated", lambda n: n),
+        ]
+        failing = set()
+        for family in families:
+            cfg = LongMoodyConfig(family, system)
+            for big_n in range(0, 7):
+                got = condition(check_reliability(cfg, big_n, 1), "first-generator-return")
+                full = next(full_first_generator_return(family, big_n), None)
+                assert (got.verdict, got.witness) == (full is None, full), (family.name, big_n)
+                if full is not None:
+                    failing.add(family.name)
+        assert failing  # the comparison covers failing families as well
+
+    @pytest.mark.parametrize(
+        "rank, i, witness, first",
+        [
+            (3, 1, {"n": 1, "n2": 2, "image": "g2"}, {"n": 0, "n2": 2, "image": "g2"}),
+            (4, 1, {"n": 2, "n2": 3, "image": "g2"}, {"n": 0, "n2": 3, "image": "g2"}),
+            (4, 2, {"n": 1, "n2": 3, "image": "g3"}, {"n": 0, "n2": 3, "image": "g3"}),
+        ],
+    )
+    def test_first_generator_return_planted_fault(self, rank, i, witness, first):
+        # s_i^-1 fixes g_{i+1} on `rank` strands only: the letter check
+        # reports the router of i letters there, while the loop over every
+        # router meets the fault first on the longest router into that rank.
+        family = planted_router_fault(rank, i)
+        cfg = LongMoodyConfig(family, trivial_system())
+        full = list(full_first_generator_return(family, 5))
+        assert condition(check_reliability(cfg, 5, 1), "first-generator-return").witness == witness
+        assert full[0] == first
+        assert witness in full
+        assert condition(check_reliability(cfg, rank - 2, 1), "first-generator-return").verdict
 
     @pytest.mark.parametrize("word_len", [0, 1, 2, 3])
     @pytest.mark.parametrize("big_n", [3, 4, 5])
@@ -549,28 +607,30 @@ class TestOneStepCoherenceChecks:
 
 class TestSplittingMaps:
     def test_constant_base_gives_permutation(self):
+        # For the constant base the router matrix is trivial, so the
+        # concatenation is a permutation matrix: here the identity.
         cfg = standard_config()
         x = constant_functor()
         for n in range(0, 4):
-            new_block, old_blocks = splitting_maps(cfg, x, n)
-            concat = new_block.hstack(old_blocks)
-            # For the constant base the router matrix is trivial, so the
-            # concatenation is a permutation matrix.
-            assert concat.det().is_unit()
-            assert all(v == ONE for v in concat.entries.values())
-            assert len(concat.entries) == concat.rows
+            assert router_blocks(cfg, x, n) == (PolyMatrix.identity(1),) * 2
+            concat, _ = two_block_splitting(x, n)
+            assert concat == PolyMatrix.identity(n + 1)
 
     def test_concat_square_and_unit_det(self):
+        # [new_block | old_blocks] is I_d ⊕ (I_n ⊗ F(r)) and its inverse
+        # I_d ⊕ (I_n ⊗ F(r^-1)), so F(r) F(r^-1) = I decides it.
         cfg = standard_config()
-        f = burau_functor()
-        for n in range(0, 4):
-            new_block, old_blocks = splitting_maps(cfg, f, n)
-            assert new_block.cols == f.dim(n + 2)
-            concat = new_block.hstack(old_blocks)
-            assert concat.rows == concat.cols == (n + 1) * f.dim(n + 2)
-            assert concat.det().is_unit()
-            inv = splitting_concat_inverse(cfg, f, n)
-            assert concat.matmul(inv) == PolyMatrix.identity(concat.rows)
+        for f in (burau_functor(), lk_functor(), tym_functor()):
+            for n in range(0, 4):
+                q, q_inv = router_blocks(cfg, f, n)
+                concat, inv = two_block_splitting(f, n)
+                lead, blocks = PolyMatrix.identity(f.dim(n + 2)), PolyMatrix.identity(n).kron
+                assert concat == lead.direct_sum(blocks(q))
+                assert inv == lead.direct_sum(blocks(q_inv))
+                assert q.matmul(q_inv) == PolyMatrix.identity(f.dim(n + 2))
+                assert concat.rows == concat.cols == (n + 1) * f.dim(n + 2)
+                assert concat.det().is_unit()
+                assert concat.matmul(inv) == PolyMatrix.identity(concat.rows)
 
     def test_inclusion_lemma(self):
         cfg = standard_config()
@@ -613,7 +673,7 @@ class TestActionFamilies:
     def test_word_map_composition_order(self):
         family = artin_family()
         word = BraidWord(3, (1, 2))
-        direct = family.word_map(3, word)
+        direct = word_map(family, 3, word)
         composed = family.generator_map(3, 1).compose(family.generator_map(3, 2))
         assert direct == composed
 
@@ -625,7 +685,7 @@ class TestActionFamilies:
                 fold = FreeGroupMap.identity(n)
                 for letter in word.letters:
                     fold = fold.compose(family.rule(n, letter))
-                assert family.word_map(n, word) == fold, (action, n, word.letters)
+                assert word_map(family, n, word) == fold, (action, n, word.letters)
 
     def test_kind_one_large_parameter(self):
         # The inverse of the kind-1 pair sends g1 to g1^m g2 g1^-m, of
@@ -816,7 +876,7 @@ class TestFoxTable:
 
 
 class TestUncheckedMatrices:
-    """long_moody's generator matrices and new_block, split_at_rows,
+    """long_moody's generator matrices, split_at_rows,
     partial_permutation_split and complete_inverse build their matrices
     without the validating PolyMatrix constructor; each must be what that
     constructor gives: LaurentPoly entries, in range, none of them zero."""
@@ -855,10 +915,8 @@ class TestUncheckedMatrices:
                     image.split(n)
                     if n < 4:
                         resolution(image, n)
-                    if n + 2 <= 4:
-                        made.setdefault("new_block", []).append(splitting_maps(cfg, f, n)[0])
 
-        names = {"gen", "new_block", "split_at_rows", "partial_permutation_split", "complete_inverse"}
+        names = {"gen", "split_at_rows", "partial_permutation_split", "complete_inverse"}
         assert set(made) == names
         for name, matrices in made.items():
             for m in matrices:

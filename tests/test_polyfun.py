@@ -469,6 +469,46 @@ class TestTheorems:
         k = evanescence(image, 3)
         assert k.dim(1) == 1  # the nonzero level is genuinely exercised
 
+    @staticmethod
+    def _burau_with_scaled_inverse(level, scale):
+        """Burau, except that s1^-1 at `level` is scaled, so it is no longer
+        the inverse of s1 there."""
+        b = burau_functor()
+
+        def gen(n, i):
+            m = b.gen_matrix(n, i)
+            return m.scale(scale) if (n, i) == (level, -1) else m
+
+        return BraidFunctor("burau-scaled-inverse", b.dim, gen, lambda n: b.stab(n, n + 1))
+
+    def test_splitting_fails_on_a_router_without_inverse(self, monkeypatch):
+        # The router of level n is s1^-1 on n+2 strands.  Scaled by the unit
+        # 2t at 3 strands, [new | old] at n = 1 has no inverse but a unit
+        # determinant; scaled by 1 + t at 4 strands, the determinant at
+        # n = 2 is (1 + t)^8 t^-2, and the difference at that level has no
+        # certified complement, so the sections are read as they are added.
+        report = verify_difference_splitting(
+            standard_config(), self._burau_with_scaled_inverse(3, T + T), 4
+        )
+        unit = report.sections[0]
+        assert (unit.name, unit.checked, unit.failures) == (
+            "concat-invertible", 10, [{"kind": "inverse", "n": 1}]
+        )
+        added = []
+        add = polyfun.TheoremReport.add
+        monkeypatch.setattr(
+            polyfun.TheoremReport, "add", lambda self, r: (added.append(r), add(self, r))
+        )
+        with pytest.raises(SplitCertificationError, match="inclusion at level 2"):
+            verify_difference_splitting(
+                standard_config(), self._burau_with_scaled_inverse(4, ONE + T), 4
+            )
+        det = "t^-2 + 8*t^-1 + 28 + 56*t + 70*t^2 + 56*t^3 + 28*t^4 + 8*t^5 + t^6"
+        assert (added[0].name, added[0].checked, added[0].failures) == (
+            "concat-invertible", 10,
+            [{"kind": "inverse", "n": 2}, {"kind": "determinant", "n": 2, "det": det}],
+        )
+
     def test_degree_growth(self):
         cfg = standard_config()
         for f in (constant_functor(), tym_functor()):

@@ -1,4 +1,4 @@
-"""Structural checks on the source tree of lmkit itself."""
+"""Structural checks on the source tree of lmkit itself and on its test references."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import lmkit
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lmkit"
+TESTS = Path(__file__).resolve().parent
 
 # Functions and methods that nothing in src calls, each with the non-test
 # consumer or the ROADMAP item that keeps it.  Names exported by
@@ -83,3 +84,13 @@ def test_every_allowlisted_name_is_an_orphan():
     # An entry outlives its function, or its reason once src calls it, only
     # by mistake.
     assert sorted(set(NO_SRC_CALLER) - _orphans()) == []
+
+
+def test_every_reference_kernel_is_read_by_a_test():
+    # A reference that no test compares against checks nothing.
+    kernels = ast.parse((TESTS / "reference_kernels.py").read_text())
+    defined = {node.name for node in kernels.body if isinstance(node, ast.FunctionDef)}
+    refs = _References()
+    for path in sorted(TESTS.glob("test_*.py")):
+        refs.visit(ast.parse(path.read_text(), str(path)))
+    assert sorted(defined - refs.read) == []
