@@ -322,6 +322,8 @@ PINNED_STDOUT = [
      "222c2792aa553b7474d09fa0128d0c447922252250a99ef37c90c2540f5a34e2"),
     (["check", "coherence", "--N", "5", "--L", "4"], 0,
      "02dbceb948d58196f1d34153c2e275dc3412328dc067fc02f79423f024c158e2"),
+    (["check", "coherence", "--N", "10", "--L", "1"], 0,
+     "2ad4ea61119c6c9d727d699b22fa49d3a837296cd20dbf22a40858ff610c8bce"),
     (["check", "coherence", "--action", "wada3", "--sigma", "pure-braid", "--N", "4", "--L", "3"], 1,
      "383bcfa716150c07ec19ed883003636ffc3ead956654ff9f0f843ab651cf1e30"),
     (["check", "coherence", "--action", "wada1:2", "--sigma", "pure-braid", "--N", "4", "--L", "2"], 1,
