@@ -20,6 +20,16 @@ concrete witness; a positive answer is exact on the Burau side and
 probabilistic (faithfulness of Lawrence-Krammer plus random evaluation) on
 the Lawrence-Krammer side.
 
+The coherence checks decide their braid identities exactly instead, on the
+Artin action (artin_images).  Artin's theorem (1925): B_n -> Aut(F_n) is
+faithful.  The letter s_i acts as the standard sigma_i^-1 (g_i -> g_(i+1)),
+and the mirror sigma_i -> sigma_i^-1 is an automorphism of B_n, so
+faithfulness carries over: two words are equal braids exactly when their
+images of g1..gn agree.  Those images can grow exponentially with the
+length of a word (on 4 strands, about 9·10^5 letters in all for 40-letter
+random words), so the general oracle stays on the representations; the
+coherence words, a shifted letter times local-system images, stay short.
+
 Before either representation is evaluated, the longest common prefix and
 then the longest common suffix of what is left are cancelled: in a group
 p x s = p y s exactly when x = y, and since every letter matrix is
@@ -57,7 +67,7 @@ from functools import lru_cache
 from math import lcm
 
 from .laurent import EvaluationPoint, seeded_points
-from .freegroup import FreeWord, reduced_words
+from .freegroup import FreeWord, artin_generator_map, reduced_words
 from .memo import remember
 
 
@@ -499,6 +509,36 @@ def braid_equal_witness(
     if burau_symbolic(u) != burau_symbolic(v):
         return False, {"reason": "symbolic burau matrices differ"}
     return True, None
+
+
+def _substituted(word: FreeWord, images) -> tuple[int, ...]:
+    """word with each gj replaced by images[j-1], freely reduced."""
+    letters = []
+    for gen, exp in word.syllables:
+        image = images[gen - 1]
+        if exp < 0:
+            image = tuple(-x for x in reversed(image))
+        letters.extend(image * abs(exp))
+    return _free_cancel(letters)
+
+
+def artin_images(word: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """The images of g1..gn under the Artin automorphism of a braid word on
+    n strands, each a freely reduced tuple of signed generators (-j for
+    gj^-1).
+
+    A word acts by its letters' maps composed in list order, so the fold
+    runs left to right: appending a letter substitutes the current images
+    into that letter's rule, read from freegroup.artin_generator_map.  The
+    letter s_i^±1 moves g_i and g_(i+1) only, so only those are rewritten.
+    """
+    n = word.strands
+    images = [(j,) for j in range(1, n + 1)]
+    for letter in word.letters:
+        i = abs(letter)
+        rule = artin_generator_map(n, letter).images
+        images[i - 1], images[i] = _substituted(rule[i - 1], images), _substituted(rule[i], images)
+    return tuple(images)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every run is fully determined by its arguments plus the seed (--seed flag,
-LMKIT_SEED environment variable, default 0); output is deterministic JSON
-(sorted keys) or plain text.  Exit codes: 0 = pass, 1 = a check failed
-(the witness is in the output), 2 = usage or configuration error, 3 =
-internal fault (traceback on stderr).
+LMKIT_SEED environment variable, default 0); `check coherence` and `check
+reliability` decide exactly and only report the seed.  Output is
+deterministic JSON (sorted keys) or plain text.  Exit codes: 0 = pass,
+1 = a check failed (the witness is in the output), 2 = usage or
+configuration error, 3 = internal fault (traceback on stderr).
 
 Functors are named by a small prefix grammar, nestable via ';':
 

@@ -42,7 +42,8 @@ from .freegroup import (
 from .braidcat import (
     BraidWord,
     LocalSystem,
-    braid_equal_witness,
+    _cores,
+    artin_images,
     pure_braid_system,
     router,
     shift_letter,
@@ -299,6 +300,28 @@ class CoherenceReport:
         return [r.to_json() for r in self.results]
 
 
+def _artin_witness(lhs: BraidWord, rhs: BraidWord) -> dict | None:
+    """None when lhs = rhs in the braid group; otherwise the first gj whose
+    images under the two words' Artin automorphisms differ, and both images.
+    Equal letters are equal braids, and the cores decide the rest: a common
+    prefix and suffix act by automorphisms, so p x s = p y s exactly when
+    x = y."""
+    if lhs.letters == rhs.letters:
+        return None
+    u, v = _cores(lhs, rhs)
+    images = artin_images(u), artin_images(v)
+    if images[0] == images[1]:
+        return None
+    if (u, v) != (lhs, rhs):
+        images = artin_images(lhs), artin_images(rhs)
+
+    def text(image):
+        return str(FreeWord(lhs.strands, tuple((abs(x), 1 if x > 0 else -1) for x in image)))
+
+    j, (a, b) = next((j, pair) for j, pair in enumerate(zip(*images), 1) if pair[0] != pair[1])
+    return {"reason": "artin action differs", "image_of": f"g{j}", "lhs": text(a), "rhs": text(b)}
+
+
 def check_coherence(
     cfg: LongMoodyConfig,
     big_n: int,
@@ -309,10 +332,15 @@ def check_coherence(
     functorial: stability of the local system, compatibility of the action
     with the level inclusions, and the semidirect-product factorization.
 
-    Braid-word identities are certified through the word-equality oracle
-    (Lawrence-Krammer at three seeded points plus symbolic Burau);
-    free-group identities are exact word comparisons.  Each condition
-    reports its first failure in enumeration order as the witness.
+    Every identity is decided exactly.  Free-group identities are word
+    comparisons; braid-word identities compare Artin automorphisms
+    (_artin_witness).  Artin's theorem (1925): B_n -> Aut(F_n) is
+    faithful.  Here s_i acts as the standard sigma_i^-1, and the mirror
+    sigma_i -> sigma_i^-1 is an automorphism of B_n, so faithfulness
+    carries over: two words are equal braids exactly when their images of
+    g1..gn agree.  No verdict depends on the seed, which is only reported.
+    Each condition reports its first failure in enumeration order as the
+    witness.
 
     Both braid-word conditions are decided on signed letters, whose maps
     the action stores, which proves them for every word; word_len 0 checks
@@ -351,8 +379,8 @@ def check_coherence(
             for i in range(1, n + 1):
                 lhs = cross.compose(system.generator_image(n, i).shift(1, n + 2))
                 rhs = system.generator_image(n + 1, i + 1).compose(cross)
-                ok, why = braid_equal_witness(lhs, rhs, seed=seed)
-                if not ok:
+                why = _artin_witness(lhs, rhs)
+                if why:
                     yield {"n": n, "generator": f"g{i}", "detail": why}
 
     def action_compatibility():
@@ -382,8 +410,8 @@ def check_coherence(
                 for i in range(1, n + 1):
                     lhs = shifted.compose(system.generator_image(n, i))
                     acted = system.evaluate(images[i - 1])
-                    ok, why = braid_equal_witness(lhs, acted.compose(shifted), seed=seed)
-                    if not ok:
+                    why = _artin_witness(lhs, acted.compose(shifted))
+                    if why:
                         yield {"n": n, "word": [letter], "generator": f"g{i}", "detail": why}
 
     return CoherenceReport([

@@ -8,7 +8,9 @@ data; first-generator-return on every router, before it was decided on
 stored letter maps, and the splitting maps of the Long-Moody image as the
 two matrices they were before one router block decided them;
 enumerate_words and word_map, the all-words enumeration and the action of
-a word that those loops and the all-words references run on; and the
+a word that those loops and the all-words references run on;
+artin_images_by_compose, the Artin action of a braid word as the composite
+of its letters' free-group maps; and the
 free-group oracles: Fox's formula expanded back into the group ring, and a
 free-group map pushed forward on the group ring and on the augmentation
 ideal."""
@@ -20,7 +22,7 @@ from lmkit.freegroup import (
     AugIdealElement, FreeGroupMap, FreeWord, GroupRingElement, fox_derivatives, reduced_words,
 )
 from lmkit.laurent import ONE, ZERO, LaurentError, PolyMatrix, _matrix, exact_div
-from lmkit.longmoody import LongMoodyConfig, long_moody
+from lmkit.longmoody import LongMoodyConfig, artin_family, long_moody
 from lmkit.repfun import CheckReport, constant_functor, translate
 
 
@@ -38,6 +40,17 @@ def word_map(action, n, word):
     for letter in word.letters[1:]:
         acc = acc.compose(action.generator_map(n, letter))
     return acc
+
+
+def artin_images_by_compose(word):
+    """The images of g1..gn under a braid word on n strands, as
+    lmkit.braidcat.artin_images returns them (signed-generator tuples), from
+    word_map: artin_generator_map of each letter, composed in list order."""
+    images = word_map(artin_family(), word.strands, word).images
+    return tuple(
+        tuple(gen if exp > 0 else -gen for gen, exp in image.syllables for _ in range(abs(exp)))
+        for image in images
+    )
 
 
 def dense_montante(m, n):

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmkit.laurent import seeded_points
-from lmkit.freegroup import FreeWord, parse_word, reduced_words
+from lmkit.freegroup import FreeGroupMap, FreeWord, parse_word, reduced_words
 from lmkit.braidcat import (
     BracketMorphism,
     BraidError,
     BraidWord,
+    _cores,
+    artin_images,
     bracket_compose,
     bracket_equal,
     bracket_monoidal,
@@ -33,7 +35,7 @@ from lmkit.braidcat import (
 )
 from lmkit import braidcat
 from lmkit.laurent import ONE, LaurentPoly, PolyMatrix, Q, T, T_INV, ZERO
-from reference_kernels import enumerate_words, evaluated
+from reference_kernels import artin_images_by_compose, enumerate_words, evaluated
 
 
 def bw(letters, strands):
@@ -601,6 +603,44 @@ class TestAffixCancellation:
         assert braid_equal_witness(b, a) == dense_braid_equal_witness(b, a)
 
 
+def _as_map(images):
+    """The automorphism of F_n with the given signed-generator images."""
+    n = len(images)
+    words = [FreeWord(n, tuple((abs(x), 1 if x > 0 else -1) for x in w)) for w in images]
+    return FreeGroupMap(n, n, words)
+
+
+class TestArtinImages:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_braid_relations_hold(self, n):
+        for i in range(1, n - 1):
+            for a, b in ((i, i + 1), (-i, -(i + 1)), (i + 1, i)):
+                assert artin_images(bw([a, b, a], n)) == artin_images(bw([b, a, b], n))
+            # s_i s_(i+1) s_i^-1 = s_(i+1)^-1 s_i s_(i+1)
+            assert artin_images(bw([i, i + 1, -i], n)) == artin_images(bw([-(i + 1), i, i + 1], n))
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                for a, b in ((i, j), (-i, j), (i, -j), (-i, -j)):
+                    assert artin_images(bw([a, b], n)) == artin_images(bw([b, a], n))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_inverse_letters_invert(self, n):
+        identity = FreeGroupMap.identity(n)
+        for i in range(1, n):
+            pos, neg = _as_map(artin_images(bw([i], n))), _as_map(artin_images(bw([-i], n)))
+            assert pos.compose(neg) == identity and neg.compose(pos) == identity
+            assert pos != identity
+            # s_i^2 is a nontrivial pure braid.
+            assert artin_images(bw([i, i], n)) != artin_images(BraidWord.identity(n))
+
+    def test_equals_the_composed_letter_maps(self):
+        rng = random.Random("artin-images")
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            word = bw([rng.choice(signed_letters(n)) for _ in range(rng.randint(0, 10))], n)
+            assert artin_images(word) == artin_images_by_compose(word), word
+
+
 def _load_perfbench(monkeypatch, name):
     """A module of perfbench/, loaded without writing anything beside it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -622,6 +662,18 @@ def test_benchmark_oracle_pairs_keep_their_verdicts(monkeypatch):
             ok, witness = braid_equal_witness(u, v, 3)
             assert ok is pair.equal, (seed, pair)
             assert ok or witness
+
+
+def test_artin_action_decides_the_benchmark_oracle_pairs(monkeypatch):
+    # Equal Artin images of the cores, the exact decision, give every pair
+    # the verdict of the oracle and of its construction.
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    for seed in (0, 1, 2):
+        for pair in workloads.oracle_pairs(seed):
+            u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
+            a, b = _cores(u, v)
+            exact = artin_images(a) == artin_images(b)
+            assert exact is braid_equal_witness(u, v, 3)[0] is pair.equal, (seed, pair)
 
 
 def test_benchmark_oracle_pairs_make_no_laurent_arithmetic(monkeypatch):

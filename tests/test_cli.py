@@ -325,9 +325,9 @@ PINNED_STDOUT = [
     (["check", "coherence", "--N", "10", "--L", "1"], 0,
      "2ad4ea61119c6c9d727d699b22fa49d3a837296cd20dbf22a40858ff610c8bce"),
     (["check", "coherence", "--action", "wada3", "--sigma", "pure-braid", "--N", "4", "--L", "3"], 1,
-     "383bcfa716150c07ec19ed883003636ffc3ead956654ff9f0f843ab651cf1e30"),
+     "741815f18db56ec9821e82cbd4f9ba93f40035b03b8e4bf6f9a77375cc9f64dd"),
     (["check", "coherence", "--action", "wada1:2", "--sigma", "pure-braid", "--N", "4", "--L", "2"], 1,
-     "35ee40ec438e2470898a223c498fa6bd07af78538dfacadf425991a440d20512"),
+     "d4819fd20f00c3b3c0785268ab96cbca202dac6107679b1054b5791378eb78f0"),
     (["check", "reliability", "--N", "5", "--L", "4"], 0,
      "3911523606d20ac60c6b0cc9b579db25b53e2c9e65c304a711fdfa374dee9166"),
     # A reliability fail (first-generator-return), in JSON and as text.

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,6 @@ from lmkit import laurent, longmoody, memo, polyfun, repfun
 from lmkit.braidcat import (
     BraidWord,
     LocalSystem,
-    braid_equal_witness,
     local_system,
     pure_braid_system,
     shift_letter,
@@ -162,7 +162,7 @@ def all_words_first_generators_fixed(action, big_n, word_len):
 
 def all_words_semidirect(cfg, big_n, word_len):
     """Reference for the semidirect condition over every word, no letter
-    argument and no sampling."""
+    argument, decided on the Artin action as the check decides it."""
     action, system = cfg.action, cfg.system
     for n in range(big_n):
         for sigma in enumerate_words(n, word_len)[1:]:
@@ -171,8 +171,8 @@ def all_words_semidirect(cfg, big_n, word_len):
             for i in range(1, n + 1):
                 lhs = shifted.compose(system.generator_image(n, i))
                 acted = system.evaluate(amap.apply_word(FreeWord.generator(n, i)))
-                ok, why = braid_equal_witness(lhs, acted.compose(shifted))
-                if not ok:
+                why = longmoody._artin_witness(lhs, acted.compose(shifted))
+                if why:
                     return {"n": n, "word": list(sigma.letters), "generator": f"g{i}",
                             "detail": why}
     return None
@@ -529,6 +529,59 @@ class TestCoherence:
             report = condition(check_coherence(cfg, big_n, word_len), "semidirect")
             assert report.params == {"N": big_n, "L": word_len}
             assert report.witness == all_words_semidirect(cfg, big_n, word_len), family.name
+
+    @pytest.mark.parametrize(
+        "action, verdicts, witness",
+        [
+            ("artin", [True, True, True], None),
+            ("wada3", [True, True, False], {"n": 2, "word": [1], "generator": "g2"}),
+        ],
+    )
+    def test_braid_identities_reach_no_oracle(self, monkeypatch, action, verdicts, witness):
+        # Stability and semidirect are decided on the Artin action: with the
+        # word oracle and its representations made to raise, every verdict
+        # stands, and with an oracle that calls every pair equal, wada3 still
+        # fails semidirect where the exact decision says it does.
+        cfg = LongMoodyConfig(action_family(action), pure_braid_system())
+
+        def patch(name, replacement):
+            for module_name, module in list(sys.modules.items()):
+                if module_name.partition(".")[0] == "lmkit" and hasattr(module, name):
+                    monkeypatch.setattr(module, name, replacement)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("coherence reached the word oracle")
+
+        def positions(report):
+            semidirect = condition(report, "semidirect").witness
+            return [r.verdict for r in report.results], semidirect and {
+                k: v for k, v in semidirect.items() if k != "detail"
+            }
+
+        for name in ("lk_numeric", "burau_symbolic", "braid_equal_witness", "seeded_points"):
+            patch(name, refuse)
+        assert positions(check_coherence(cfg, 5, 1)) == (verdicts, witness)
+        patch("braid_equal_witness", lambda *args, **kwargs: (True, None))
+        assert positions(check_coherence(cfg, 5, 1)) == (verdicts, witness)
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [((3, 1, 3), (3, -1, 3)), ((2, 1, 1), (1, 1, 2)), ((1, 2, 1, 3), (1, 2, 2, 3))],
+    )
+    def test_artin_witness_names_the_images_of_the_whole_words(self, u, v):
+        # The cores decide, but a miss reports the first generator whose
+        # images under the whole words differ, as the composed letter maps
+        # give them; equal braids with a common affix have no witness.
+        lhs, rhs = BraidWord(4, u), BraidWord(4, v)
+        left, right = (word_map(artin_family(), 4, w).images for w in (lhs, rhs))
+        j = next(j for j in range(4) if left[j] != right[j])
+        assert longmoody._artin_witness(lhs, rhs) == {
+            "reason": "artin action differs", "image_of": f"g{j + 1}",
+            "lhs": str(left[j]), "rhs": str(right[j]),
+        }
+        assert longmoody._artin_witness(lhs, lhs) is None
+        braid_relation = BraidWord(4, (3, 1, 2, 1, 3)), BraidWord(4, (3, 2, 1, 2, 3))
+        assert longmoody._artin_witness(*braid_relation) is None
 
     def test_twists_must_be_units(self):
         with pytest.raises(CoherenceError):

@@ -1,9 +1,10 @@
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from lmkit import laurent, polyfun
+from lmkit import cli, laurent, polyfun
 from lmkit.cli import parse_functor
 from lmkit.laurent import ONE, EvaluationPoint, PolyMatrix, T, seeded_points
 from lmkit.braidcat import BraidWord, braiding, lk_index, router
@@ -481,12 +482,13 @@ class TestTheorems:
 
         return BraidFunctor("burau-scaled-inverse", b.dim, gen, lambda n: b.stab(n, n + 1))
 
-    def test_splitting_fails_on_a_router_without_inverse(self, monkeypatch):
+    def test_splitting_fails_on_a_router_without_inverse(self, monkeypatch, capsys):
         # The router of level n is s1^-1 on n+2 strands.  Scaled by the unit
         # 2t at 3 strands, [new | old] at n = 1 has no inverse but a unit
         # determinant; scaled by 1 + t at 4 strands, the determinant at
         # n = 2 is (1 + t)^8 t^-2, and the difference at that level has no
-        # certified complement, so the sections are read as they are added.
+        # certified complement, so (iii) is not determined and the report
+        # fails on (i) with a note.
         report = verify_difference_splitting(
             standard_config(), self._burau_with_scaled_inverse(3, T + T), 4
         )
@@ -494,20 +496,38 @@ class TestTheorems:
         assert (unit.name, unit.checked, unit.failures) == (
             "concat-invertible", 10, [{"kind": "inverse", "n": 1}]
         )
-        added = []
-        add = polyfun.TheoremReport.add
-        monkeypatch.setattr(
-            polyfun.TheoremReport, "add", lambda self, r: (added.append(r), add(self, r))
-        )
-        with pytest.raises(SplitCertificationError, match="inclusion at level 2"):
-            verify_difference_splitting(
-                standard_config(), self._burau_with_scaled_inverse(4, ONE + T), 4
-            )
+        assert report.note is None
+        scaled = self._burau_with_scaled_inverse(4, ONE + T)
+        report = verify_difference_splitting(standard_config(), scaled, 4)
         det = "t^-2 + 8*t^-1 + 28 + 56*t + 70*t^2 + 56*t^3 + 28*t^4 + 8*t^5 + t^6"
-        assert (added[0].name, added[0].checked, added[0].failures) == (
-            "concat-invertible", 10,
-            [{"kind": "inverse", "n": 2}, {"kind": "determinant", "n": 2, "det": det}],
-        )
+        assert [(r.name, r.checked, r.failures) for r in report.sections] == [
+            ("concat-invertible", 10,
+             [{"kind": "inverse", "n": 2}, {"kind": "determinant", "n": 2, "det": det}]),
+            ("concat-natural", 10, [
+                {"kind": "stabilization", "n": 1, "n2": 2},
+                {"kind": "generator", "n": 2, "i": 1},
+                {"kind": "stabilization", "n": 2, "n2": 3},
+            ]),
+            ("inclusion-lemma", 5, []),
+        ]
+        assert report.note.startswith("section (iii) is not determined: ")
+        assert report.note.endswith("no certified complement for the inclusion at level 2")
+        # The command line reports it as a failure (exit 1), note included.
+        monkeypatch.setattr(cli, "parse_functor", lambda spec: scaled)
+        code = cli.main(["verify", "splitting", "--base", "scaled", "--N", "4"])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["verdict"], out["note"]) == (1, "fail", report.note)
+
+    def test_uncertified_splitting_without_a_failure_raises(self, monkeypatch):
+        # With no section failed, a complement left uncertified in (iii) is
+        # an error (exit 2), never a failing verdict.
+        def uncertified(f, n, seed=0):
+            raise SplitCertificationError(f"{f.name}: no certified complement at level {n}")
+
+        monkeypatch.setattr(polyfun, "resolve_inclusion", uncertified)
+        with pytest.raises(SplitCertificationError, match="no certified complement"):
+            verify_difference_splitting(standard_config(), burau_functor(), 3)
+        assert cli.main(["verify", "splitting", "--base", "burau", "--N", "3"]) == 2
 
     def test_degree_growth(self):
         cfg = standard_config()
