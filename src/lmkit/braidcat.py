@@ -53,10 +53,28 @@ value.  With w = L_max·bitlen(S) + 1 (L_max >= 1), S**L_max < 2**(w-1):
 every entry is a balanced digit of its slot, so packing is injective and
 the comparison is as exact as one over Fraction.
 
-The Burau side runs on integer coefficients: a column is a dict
-{e·n + r: c} for the term c·t^e in row r.  (e, r) -> e·n + r is a
-bijection from Z x [0, n) to Z, so the dicts are canonical whatever the
-word's length, and multiplying by t^±1 adds ±n to every key.
+The Burau side runs on plain integers by the same substitution, t = 2**w
+with the rows in the low slots.  burau_symbolic(word, neg, pos) returns
+the columns of t**neg times the unreduced Burau matrix, for neg and pos
+at least the word's counts of inverse and of positive letters; a
+comparison gives both cores the larger count of each.  The term c·t^e in
+row r is the balanced digit of slot (e + neg)·n + r of its column's int,
+with w = bitlen(3**(neg+pos)) + 1, so t^±1 is a shift by step = n·w
+bits.  A letter s_i sets (c_i, c_(i+1)) to
+(c_i - (c_i << step) + c_(i+1), c_i << step), and s_i^-1 sets them to
+(c_(i+1) >> step, c_(i+1) - (c_(i+1) >> step) + c_i).
+
+* The arithmetic is exact: sums and << are integer arithmetic, the image
+  of the Laurent one under t -> 2**step.
+* >> is an exact division.  Before the k-th inverse letter (k <= neg) the
+  word so far has k-1 inverse letters, so every exponent of t**neg times
+  its matrix is at least neg - k + 1 >= 1: the lowest n slots are empty.
+* The comparison is injective.  Every letter column has 1-norm at most 3
+  (the sum of the absolute coefficients over its rows and powers of t),
+  and the 1-norm is submultiplicative, so every coefficient of a word of
+  at most neg + pos letters is at most 3**(neg+pos) < 2**(w-1) in
+  absolute value: a balanced digit of its slot.  Equal ints are equal
+  matrices.
 """
 
 from __future__ import annotations
@@ -152,6 +170,14 @@ class BraidWord:
 
     def __repr__(self):
         return f"BraidWord({self.strands}, {str(self)!r})"
+
+
+def _braid(strands: int, letters: tuple[int, ...]) -> BraidWord:
+    """A BraidWord from letters known to be reduced and in range."""
+    word = object.__new__(BraidWord)
+    object.__setattr__(word, "strands", strands)
+    object.__setattr__(word, "letters", letters)
+    return word
 
 
 def braiding(n: int, m: int) -> BraidWord:
@@ -277,34 +303,26 @@ def bracket_equal(
 # Word-equality oracle
 # ---------------------------------------------------------------------------
 
-def _burau_mix(a: dict, b: dict, shift: int) -> dict:
-    """a - t^±1·a + b on integer-keyed columns, t^±1 adding shift = ±n to a
-    key; zero coefficients are dropped, so equal columns are equal dicts."""
-    out = dict(a)
-    for k, v in a.items():
-        out[k + shift] = out.get(k + shift, 0) - v
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def burau_symbolic(word: BraidWord) -> list[dict]:
-    """Unreduced Burau matrix of a word as sparse columns {e·n + r: c}, c
-    the coefficient of t^e in row r: the product of the letter matrices in
-    composition order, accumulated by right multiplication in letter order."""
+def burau_symbolic(word: BraidWord, neg: int, pos: int) -> list[int]:
+    """Columns of t**neg times the unreduced Burau matrix of a word, each
+    one int with the term c·t^e in row r in slot (e + neg)·n + r; neg and
+    pos bound the word's counts of inverse and positive letters (see the
+    module notes).  Letters multiply on the right, in letter order."""
     n = word.strands
-    state = [{r: 1} for r in range(n)]
+    width = (3 ** (neg + pos)).bit_length() + 1
+    step = n * width
+    state = [1 << (width * (neg * n + r)) for r in range(n)]
     for letter in word.letters:
         i = abs(letter) - 1
         ci, cj = state[i], state[i + 1]
         if letter > 0:
             # columns of the generator: e_i -> (1-t) e_i + e_{i+1},  e_{i+1} -> t e_i
-            state[i] = _burau_mix(ci, cj, n)
-            state[i + 1] = {k + n: v for k, v in ci.items()}
+            up = ci << step
+            state[i], state[i + 1] = ci - up + cj, up
         else:
             # e_i -> t^-1 e_{i+1},  e_{i+1} -> e_i + (1-t^-1) e_{i+1}
-            state[i] = {k - n: v for k, v in cj.items()}
-            state[i + 1] = _burau_mix(cj, ci, -n)
+            down = cj >> step
+            state[i], state[i + 1] = down, cj - down + ci
     return state
 
 
@@ -323,39 +341,41 @@ def lk_generator_columns(n: int, letter: int, t, q, one) -> list[dict]:
     This is the one copy of the table, for both signs: the oracle evaluates
     it at rational points and repfun.lk_functor builds it over the Laurent
     ring.  The columns of s_i^{-1} are the closed-form inverse of those of
-    s_i, written in ti = t^{-1} and qi = q^{-1}; tests check that the two
-    multiply to the identity both ways.
+    s_i, written in t^{-1} and q^{-1}; tests check that the two multiply
+    to the identity both ways.
     """
     pairs, idx = lk_index(n)
     i = abs(letter)
-    if letter < 0:
-        ti, qi = t**-1, q**-1
+    # t, q for s_i and t^-1, q^-1 for s_i^-1; each entry computed once.
+    x, y = (t, q) if letter > 0 else (t**-1, q**-1)
+    x2, one_x, corner = x * x - x, one - x, -y * x * x
+    x2y = -x2 * y
     cols = []
     for (j, k) in pairs:
         if letter > 0:
             if i == j and i == k - 1:
-                col = {(i, i + 1): -q * t * t}
+                col = {(i, i + 1): corner}
             elif i == j - 1:
-                col = {(i, k): t, (i, i + 1): t * t - t, (i + 1, k): one - t}
+                col = {(i, k): x, (i, i + 1): x2, (i + 1, k): one_x}
             elif i == j:  # here k > i + 1
                 col = {(i + 1, k): one}
             elif i == k - 1:  # here j < i
-                col = {(j, i): t, (j, i + 1): one - t, (i, i + 1): -(t * t - t) * q}
+                col = {(j, i): x, (j, i + 1): one_x, (i, i + 1): x2y}
             elif i == k:
                 col = {(j, i + 1): one}
             else:
                 col = {(j, k): one}
         else:
             if i == j and i == k - 1:
-                col = {(i, i + 1): -ti * ti * qi}
+                col = {(i, i + 1): corner}
             elif i == j - 1:
                 col = {(i, k): one}
             elif i == j:  # here k > i + 1
-                col = {(i, k): one - ti, (i + 1, k): ti, (i, i + 1): (ti - ti * ti) * qi}
+                col = {(i, k): one_x, (i + 1, k): x, (i, i + 1): x2y}
             elif i == k - 1:  # here j < i
                 col = {(j, i): one}
             elif i == k:
-                col = {(j, i): one - ti, (j, i + 1): ti, (i, i + 1): ti * ti - ti}
+                col = {(j, i): one_x, (j, i + 1): x, (i, i + 1): x2}
             else:
                 col = {(j, k): one}
         cols.append({idx[p]: v for p, v in col.items()})
@@ -472,7 +492,7 @@ def _cores(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
     while tail < short - head and a[-1 - tail] == b[-1 - tail]:
         tail += 1
     n = u.strands
-    return BraidWord(n, a[head : len(a) - tail]), BraidWord(n, b[head : len(b) - tail])
+    return _braid(n, a[head : len(a) - tail]), _braid(n, b[head : len(b) - tail])
 
 
 def braid_equal(
@@ -506,7 +526,9 @@ def braid_equal_witness(
                     "t": str(point.t_value),
                     "q": str(point.q_value),
                 }
-    if burau_symbolic(u) != burau_symbolic(v):
+    inverse = [sum(letter < 0 for letter in w.letters) for w in (u, v)]
+    neg, pos = max(inverse), max(len(u.letters) - inverse[0], len(v.letters) - inverse[1])
+    if burau_symbolic(u, neg, pos) != burau_symbolic(v, neg, pos):
         return False, {"reason": "symbolic burau matrices differ"}
     return True, None
 

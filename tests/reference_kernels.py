@@ -10,7 +10,9 @@ two matrices they were before one router block decided them;
 enumerate_words and word_map, the all-words enumeration and the action of
 a word that those loops and the all-words references run on;
 artin_images_by_compose, the Artin action of a braid word as the composite
-of its letters' free-group maps; and the
+of its letters' free-group maps; burau_dicts, the oracle's unreduced Burau
+matrix with each column a dict before the columns were packed into ints;
+and the
 free-group oracles: Fox's formula expanded back into the group ring, and a
 free-group map pushed forward on the group ring and on the augmentation
 ideal."""
@@ -51,6 +53,40 @@ def artin_images_by_compose(word):
         tuple(gen if exp > 0 else -gen for gen, exp in image.syllables for _ in range(abs(exp)))
         for image in images
     )
+
+
+def burau_dicts(word):
+    """Unreduced Burau matrix of a braid word as sparse columns
+    {e·n + r: c}, c the coefficient of t^e in row r, accumulated by right
+    multiplication in letter order.  (e, r) -> e·n + r is a bijection from
+    Z x [0, n) to Z, so the dicts are canonical, and t^±1 adds ±n to every
+    key; lmkit.braidcat.burau_symbolic keeps the same coefficient in slot
+    e·n + r + neg·n of an int."""
+    n = word.strands
+
+    def mix(a, b, shift):
+        # a - t^±1·a + b, t^±1 adding shift = ±n to a key; zero
+        # coefficients are dropped, so equal columns are equal dicts.
+        out = dict(a)
+        for k, v in a.items():
+            out[k + shift] = out.get(k + shift, 0) - v
+        for k, v in b.items():
+            out[k] = out.get(k, 0) + v
+        return {k: v for k, v in out.items() if v}
+
+    state = [{r: 1} for r in range(n)]
+    for letter in word.letters:
+        i = abs(letter) - 1
+        ci, cj = state[i], state[i + 1]
+        if letter > 0:
+            # columns of the generator: e_i -> (1-t) e_i + e_{i+1},  e_{i+1} -> t e_i
+            state[i] = mix(ci, cj, n)
+            state[i + 1] = {k + n: v for k, v in ci.items()}
+        else:
+            # e_i -> t^-1 e_{i+1},  e_{i+1} -> e_i + (1-t^-1) e_{i+1}
+            state[i] = {k - n: v for k, v in cj.items()}
+            state[i + 1] = mix(cj, ci, -n)
+    return state
 
 
 def dense_montante(m, n):

@@ -35,7 +35,7 @@ from lmkit.braidcat import (
 )
 from lmkit import braidcat
 from lmkit.laurent import ONE, LaurentPoly, PolyMatrix, Q, T, T_INV, ZERO
-from reference_kernels import artin_images_by_compose, enumerate_words, evaluated
+from reference_kernels import artin_images_by_compose, burau_dicts, enumerate_words, evaluated
 
 
 def bw(letters, strands):
@@ -363,23 +363,21 @@ class TestEqualityOracle:
 
     def test_burau_symbolic_homomorphism(self):
         u, v = bw([1, -2], 3), bw([2, 2, 1], 3)
-        prod = burau_symbolic(u.compose(v))
-        assert prod == burau_symbolic(u.compose(v))
-        assert burau_symbolic(u) != burau_symbolic(v)
+        neg, pos = _bounds(u.compose(v), u, v)
+        prod = burau_symbolic(u.compose(v), neg, pos)
+        assert prod == burau_symbolic(u.compose(v), neg, pos)
+        assert burau_symbolic(u, neg, pos) != burau_symbolic(v, neg, pos)
+        product = _ring_matrix(_burau_reference(u)).matmul(_ring_matrix(_burau_reference(v)))
+        assert _ring_matrix(_burau_decode(prod, 3, neg, pos)) == product
 
     def test_burau_symbolic_matches_laurent_reference(self):
-        # The integer-keyed columns decode to the product of the Burau
-        # letter matrices over the Laurent ring, on words of lengths 0-40.
-        rng = random.Random(21)
-        for strands in range(2, 8):
-            for length in (0, 1, 2, 5, 13, 40):
-                word = BraidWord(
-                    strands,
-                    tuple(
-                        rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(length)
-                    ),
-                )
-                assert _burau_decode(burau_symbolic(word), strands) == _burau_reference(word)
+        # The packed columns decode to the product of the Burau letter
+        # matrices over the Laurent ring, on 2-10 strands and words of
+        # lengths 0-100.
+        for word in _burau_words():
+            neg, pos = _bounds(word)
+            decoded = _burau_decode(burau_symbolic(word, neg, pos), word.strands, neg, pos)
+            assert decoded == _burau_reference(word), word
 
     def test_burau_leg_decides_when_lawrence_krammer_agrees(self, monkeypatch):
         # No benchmark pair reaches the Burau leg, so it is planted: with
@@ -391,6 +389,120 @@ class TestEqualityOracle:
         assert braid_equal_witness(bw([1, 2, 2, 1], 3), bw([2, 1, 1, 2], 3)) == differs
         assert braid_equal_witness(bw([1, 2, 1, -2], 3), bw([2, 1], 3)) == (True, None)
         assert braid_equal_witness(bw([2, 1], 3), bw([1, 2, 1, -2], 3)) == (True, None)
+
+
+def _burau_words():
+    """Seeded words on 2-10 strands of lengths 0-100: mixed signs, only
+    positive letters and only inverse letters (every shift then reaches
+    the bottom of the offset)."""
+    rng = random.Random(30)
+    for strands in range(2, 11):
+        for length in (0, 1, 2, 5, 13, 40, 100):
+            for signs in ((1, -1), (1,), (-1,)):
+                letters = (rng.choice(signs) * rng.randint(1, strands - 1) for _ in range(length))
+                yield BraidWord(strands, tuple(letters))
+
+
+def _flipped(rng, word):
+    """word with the sign of one seeded letter flipped (then reduced)."""
+    letters = list(word.letters)
+    k = rng.randrange(len(letters))
+    letters[k] = -letters[k]
+    return BraidWord(word.strands, tuple(letters))
+
+
+def _oracle_and_flipped_pairs(monkeypatch):
+    """The 360 benchmark oracle pairs of seeds 0-2, and each again with one
+    letter of one side sign-flipped."""
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    rng = random.Random(31)
+    pairs = []
+    for seed in (0, 1, 2):
+        for pair in workloads.oracle_pairs(seed):
+            u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
+            pairs.append((u, v))
+            pairs.append((u, _flipped(rng, v)) if rng.random() < 0.5 else (_flipped(rng, u), v))
+    return pairs
+
+
+class TestPackedBurau:
+    """burau_symbolic packs each column into one int; burau_dicts, the
+    dict kernel it replaced, and the product over the Laurent ring are the
+    references."""
+
+    def test_packed_columns_equal_the_dict_kernels(self):
+        for word in _burau_words():
+            neg, pos = _bounds(word)
+            assert _burau_keys(burau_symbolic(word, neg, pos), word.strands, neg, pos) == (
+                burau_dicts(word)
+            ), word
+            # More room than the word needs moves no coefficient.
+            cols = burau_symbolic(word, neg + 2, pos + 3)
+            assert _burau_keys(cols, word.strands, neg + 2, pos + 3) == burau_dicts(word), word
+
+    def test_an_empty_core_is_compared_at_the_offset(self):
+        # s1 (s1 s2 s1 s2^-1 s1^-1 s2^-1) s3 = s1 s3: u's core is empty, and
+        # t^neg times the identity must equal the other core's columns.
+        u, v = bw([1, 3], 4), bw([1, 1, 2, 1, -2, -1, -2, 3], 4)
+        a, b = _cores(u, v)
+        assert a.letters == () and b.letters == (1, 2, 1, -2, -1, -2)
+        neg, pos = _bounds(a, b)
+        assert burau_symbolic(a, neg, pos) == burau_symbolic(b, neg, pos)
+        assert braid_equal_witness(u, v) == (True, None)
+        # Dropping the last inverse letter leaves s2 in the core.
+        w = bw([1, 1, 2, 1, -2, -1, 3], 4)
+        a, b = _cores(u, w)
+        neg, pos = _bounds(a, b)
+        assert a.letters == () and burau_symbolic(a, neg, pos) != burau_symbolic(b, neg, pos)
+
+    def test_oracle_pairs_keep_the_dict_kernels_verdicts(self, monkeypatch):
+        # On the benchmark's pairs and their sign-flipped variants the packed
+        # leg returns what the dict kernel returned, verdict and witness,
+        # also when the Burau leg alone decides.
+        pairs = _oracle_and_flipped_pairs(monkeypatch)
+
+        def verdicts():
+            return [braid_equal_witness(u, v, 3) for u, v in pairs]
+
+        packed = verdicts()
+        with monkeypatch.context() as m:
+            m.setattr(braidcat, "burau_symbolic", lambda word, neg, pos: burau_dicts(word))
+            assert verdicts() == packed
+            m.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point: True)
+            by_dicts = verdicts()
+        monkeypatch.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point: True)
+        assert verdicts() == by_dicts
+        assert {ok for ok, _ in by_dicts} == {True, False}
+
+    def test_a_zero_offset_is_caught(self, monkeypatch):
+        # Planted fault: with neg = 0 the shift of an inverse letter drops
+        # the lowest slots instead of dividing exactly.
+        stored = braidcat.burau_symbolic
+
+        def unshifted(word, neg, pos):
+            return stored(word, 0, pos + neg)
+
+        for word in _burau_words():
+            neg, pos = _bounds(word)
+            keys = _burau_keys(unshifted(word, neg, pos), word.strands, 0, pos + neg)
+            if neg == 0:
+                assert keys == burau_dicts(word), word
+            elif pos == 0:
+                # The first letter already shifts a unit column out.
+                assert keys != burau_dicts(word), word
+        pairs = _oracle_and_flipped_pairs(monkeypatch)
+        monkeypatch.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point: True)
+        exact = [braid_equal_witness(u, v, 3)[0] for u, v in pairs]
+        monkeypatch.setattr(braidcat, "burau_symbolic", unshifted)
+        assert [braid_equal_witness(u, v, 3)[0] for u, v in pairs] != exact
+
+
+def test_cores_are_the_validated_slices(monkeypatch):
+    # _cores builds its slices unchecked: each equals the word the
+    # validating constructor makes of the same letters.
+    for u, v in _oracle_and_flipped_pairs(monkeypatch):
+        for core in _cores(u, v):
+            assert core == BraidWord(core.strands, core.letters), (u, v)
 
 
 def _frac_gauss_jordan(a):
@@ -517,10 +629,30 @@ def _burau_reference(word):
     return state
 
 
-def _burau_decode(cols, n):
-    """burau_symbolic's columns {e·n + r: c} as {row: LaurentPoly}."""
+def _bounds(*words):
+    """(neg, pos) for burau_symbolic: the largest count of inverse letters
+    and of positive letters among the words."""
+    return (
+        max(sum(l < 0 for l in w.letters) for w in words),
+        max(sum(l > 0 for l in w.letters) for w in words),
+    )
+
+
+def _burau_keys(cols, n, neg, pos):
+    """burau_symbolic's packed columns as burau_dicts keys them,
+    {e·n + r: c}: slot (e + neg)·n + r of a column's int is key e·n + r.
+    No slot may hold anything above exponent pos."""
+    width = (3 ** (neg + pos)).bit_length() + 1
+    return [
+        {slot - neg * n: c for slot, c in col.items()}
+        for col in _unpack(cols, width, (neg + pos + 1) * n)
+    ]
+
+
+def _burau_decode(cols, n, neg, pos):
+    """burau_symbolic's packed columns as {row: LaurentPoly}."""
     out = []
-    for col in cols:
+    for col in _burau_keys(cols, n, neg, pos):
         rows = {}
         for key, c in col.items():
             e, r = divmod(key, n)
