@@ -21,11 +21,11 @@ probabilistic (faithfulness of Lawrence-Krammer plus random evaluation) on
 the Lawrence-Krammer side.
 
 The coherence checks decide their braid identities exactly instead, on the
-Artin action (artin_images).  Artin's theorem (1925): B_n -> Aut(F_n) is
-faithful.  The letter s_i acts as the standard sigma_i^-1 (g_i -> g_(i+1)),
-and the mirror sigma_i -> sigma_i^-1 is an automorphism of B_n, so
-faithfulness carries over: two words are equal braids exactly when their
-images of g1..gn agree.  Those images can grow exponentially with the
+Artin action (artin_images, artin_witness).  Artin's theorem (1925):
+B_n -> Aut(F_n) is faithful.  The letter s_i acts as the standard
+sigma_i^-1 (g_i -> g_(i+1)), and the mirror sigma_i -> sigma_i^-1 is an
+automorphism of B_n, so faithfulness carries over: two words are equal
+braids exactly when their images of g1..gn agree.  Those images can grow exponentially with the
 length of a word (on 4 strands, about 9·10^5 letters in all for 40-letter
 random words), so the general oracle stays on the representations; the
 coherence words, a shifted letter times local-system images, stay short.
@@ -206,6 +206,19 @@ def signed_letters(strands: int) -> tuple[int, ...]:
     """The signed Artin letters on `strands` strands, 1, -1, 2, -2, ...: the
     order of the length-one words of freegroup.reduced_words."""
     return tuple(l for i in range(1, strands) for l in (i, -i))
+
+
+def artin_relations(n: int):
+    """The defining relations of B_n as (kind, where, lhs, rhs), lhs and rhs
+    signed-letter tuples, where {"i": i} or {"i": i, "j": j}: the braid
+    relations for i = 1..n-2, then per i the far commutations (j >= i+2)
+    and the inverse pair (i, -i) = (), which a check multiplies out."""
+    for i in range(1, n - 1):
+        yield "braid-relation", {"i": i}, (i, i + 1, i), (i + 1, i, i + 1)
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            yield "commutation", {"i": i, "j": j}, (i, j), (j, i)
+        yield "inverse", {"i": i}, (i, -i), ()
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +530,14 @@ def braid_equal_witness(
     if u.letters == v.letters:
         return True, None
     u, v = _cores(u, v)
-    n = u.strands
-    if n >= 2:
-        for point in seeded_points(max(1, certainty), seed):
-            if not _lk_scaled_equal(u, v, point):
-                return False, {
-                    "reason": "lawrence-krammer evaluation differs",
-                    "t": str(point.t_value),
-                    "q": str(point.q_value),
-                }
+    # Words with different letters have one, so n >= 2 here.
+    for point in seeded_points(max(1, certainty), seed):
+        if not _lk_scaled_equal(u, v, point):
+            return False, {
+                "reason": "lawrence-krammer evaluation differs",
+                "t": str(point.t_value),
+                "q": str(point.q_value),
+            }
     inverse = [sum(letter < 0 for letter in w.letters) for w in (u, v)]
     neg, pos = max(inverse), max(len(u.letters) - inverse[0], len(v.letters) - inverse[1])
     if burau_symbolic(u, neg, pos) != burau_symbolic(v, neg, pos):
@@ -561,6 +573,28 @@ def artin_images(word: BraidWord) -> tuple[tuple[int, ...], ...]:
         rule = artin_generator_map(n, letter).images
         images[i - 1], images[i] = _substituted(rule[i - 1], images), _substituted(rule[i], images)
     return tuple(images)
+
+
+def artin_witness(lhs: BraidWord, rhs: BraidWord) -> dict | None:
+    """None when lhs = rhs in the braid group; otherwise the first gj whose
+    images under the two words' Artin automorphisms differ, and both images
+    (see the module notes).  Equal letters are equal braids, and the cores
+    decide the rest: a common prefix and suffix act by automorphisms, so
+    p x s = p y s exactly when x = y."""
+    if lhs.letters == rhs.letters:
+        return None
+    u, v = _cores(lhs, rhs)
+    images = artin_images(u), artin_images(v)
+    if images[0] == images[1]:
+        return None
+    if (u, v) != (lhs, rhs):
+        images = artin_images(lhs), artin_images(rhs)
+
+    def text(image):
+        return str(FreeWord(lhs.strands, tuple((abs(x), 1 if x > 0 else -1) for x in image)))
+
+    j, (a, b) = next((j, pair) for j, pair in enumerate(zip(*images), 1) if pair[0] != pair[1])
+    return {"reason": "artin action differs", "image_of": f"g{j}", "lhs": text(a), "rhs": text(b)}
 
 
 # ---------------------------------------------------------------------------

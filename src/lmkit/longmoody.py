@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .laurent import LaurentPoly, PolyMatrix, ONE, _matrix
 from .freegroup import (
@@ -42,8 +43,8 @@ from .freegroup import (
 from .braidcat import (
     BraidWord,
     LocalSystem,
-    _cores,
-    artin_images,
+    artin_relations,
+    artin_witness,
     pure_braid_system,
     router,
     shift_letter,
@@ -73,8 +74,8 @@ class ActionFamily:
 
     rule(n, letter) must return the automorphism of F_n for the signed
     Artin letter; the extension to words is multiplicative.  Families are
-    spot-verified at construction: the braid and commutation relations must
-    hold as exact word identities on a small range.
+    spot-verified at construction: the relations of B_n, inverse pairs
+    included, must hold as exact word identities on a small range.
     """
 
     name: str
@@ -84,22 +85,24 @@ class ActionFamily:
         return self.rule(n, letter)
 
     def verify_relations(self, max_n: int = 5) -> None:
+        """Raise at the first relation of braidcat.artin_relations(n), n <=
+        max_n, that the letter maps break, each side composed uncancelled."""
         for n in range(2, max_n + 1):
-            for i in range(1, n - 1):
-                a, b = self.rule(n, i), self.rule(n, i + 1)
-                if a.compose(b).compose(a) != b.compose(a).compose(b):
-                    raise CoherenceError(
-                        f"{self.name}: braid relation fails at n={n}, i={i}"
-                    )
-            for i in range(1, n):
-                if not self.rule(n, i).compose(self.rule(n, -i)).is_identity():
-                    raise CoherenceError(f"{self.name}: inverse fails at n={n}, i={i}")
-                for j in range(i + 2, n):
-                    a, b = self.rule(n, i), self.rule(n, j)
-                    if a.compose(b) != b.compose(a):
-                        raise CoherenceError(
-                            f"{self.name}: commutation fails at n={n}, ({i},{j})"
-                        )
+            for kind, where, lhs, rhs in artin_relations(n):
+                if self._product(n, lhs) != self._product(n, rhs):
+                    fails = _RELATION_FAILS[kind].format(n=n, **where)
+                    raise CoherenceError(f"{self.name}: {fails}")
+
+    def _product(self, n: int, letters) -> FreeGroupMap:
+        maps = [self.rule(n, letter) for letter in letters]
+        return reduce(FreeGroupMap.compose, maps) if maps else FreeGroupMap.identity(n)
+
+
+_RELATION_FAILS = {
+    "braid-relation": "braid relation fails at n={n}, i={i}",
+    "commutation": "commutation fails at n={n}, ({i},{j})",
+    "inverse": "inverse fails at n={n}, i={i}",
+}
 
 
 _verified_families: dict = {}
@@ -300,28 +303,6 @@ class CoherenceReport:
         return [r.to_json() for r in self.results]
 
 
-def _artin_witness(lhs: BraidWord, rhs: BraidWord) -> dict | None:
-    """None when lhs = rhs in the braid group; otherwise the first gj whose
-    images under the two words' Artin automorphisms differ, and both images.
-    Equal letters are equal braids, and the cores decide the rest: a common
-    prefix and suffix act by automorphisms, so p x s = p y s exactly when
-    x = y."""
-    if lhs.letters == rhs.letters:
-        return None
-    u, v = _cores(lhs, rhs)
-    images = artin_images(u), artin_images(v)
-    if images[0] == images[1]:
-        return None
-    if (u, v) != (lhs, rhs):
-        images = artin_images(lhs), artin_images(rhs)
-
-    def text(image):
-        return str(FreeWord(lhs.strands, tuple((abs(x), 1 if x > 0 else -1) for x in image)))
-
-    j, (a, b) = next((j, pair) for j, pair in enumerate(zip(*images), 1) if pair[0] != pair[1])
-    return {"reason": "artin action differs", "image_of": f"g{j}", "lhs": text(a), "rhs": text(b)}
-
-
 def check_coherence(
     cfg: LongMoodyConfig,
     big_n: int,
@@ -334,7 +315,7 @@ def check_coherence(
 
     Every identity is decided exactly.  Free-group identities are word
     comparisons; braid-word identities compare Artin automorphisms
-    (_artin_witness).  Artin's theorem (1925): B_n -> Aut(F_n) is
+    (artin_witness).  Artin's theorem (1925): B_n -> Aut(F_n) is
     faithful.  Here s_i acts as the standard sigma_i^-1, and the mirror
     sigma_i -> sigma_i^-1 is an automorphism of B_n, so faithfulness
     carries over: two words are equal braids exactly when their images of
@@ -379,7 +360,7 @@ def check_coherence(
             for i in range(1, n + 1):
                 lhs = cross.compose(system.generator_image(n, i).shift(1, n + 2))
                 rhs = system.generator_image(n + 1, i + 1).compose(cross)
-                why = _artin_witness(lhs, rhs)
+                why = artin_witness(lhs, rhs)
                 if why:
                     yield {"n": n, "generator": f"g{i}", "detail": why}
 
@@ -410,7 +391,7 @@ def check_coherence(
                 for i in range(1, n + 1):
                     lhs = shifted.compose(system.generator_image(n, i))
                     acted = system.evaluate(images[i - 1])
-                    why = _artin_witness(lhs, acted.compose(shifted))
+                    why = artin_witness(lhs, acted.compose(shifted))
                     if why:
                         yield {"n": n, "word": [letter], "generator": f"g{i}", "detail": why}
 
@@ -514,7 +495,12 @@ def router_blocks(cfg: LongMoodyConfig, f: BraidFunctor, n: int):
 def check_inclusion_lemma(cfg: LongMoodyConfig, f: BraidFunctor, big_n: int):
     """Exact identity: old_blocks ∘ (LM of the inclusion) equals the image
     functor's own stabilization by one.  LM of the canonical inclusion of f
-    is I_n ⊗ f.stab(n+1, n+2), block diagonal copies of that stabilization."""
+    is I_n ⊗ f.stab(n+1, n+2), block diagonal copies of that stabilization.
+
+    This check cannot fail: long_moody builds LM(f).stab(n, n+1) as 0 ⊕
+    (I_n ⊗ tau.stab(n, n+1)), and tau = translate(F, 1), F the pre-twisted
+    f with f's stabilizations, has the one-step map F(router(1, n, n+1)) ·
+    F.stab(n+1, n+2): the product placed here, on every input."""
     report = CheckReport(
         "inclusion-lemma", {"N": big_n, "functor": f.name, "cfg": cfg.label()}
     )

@@ -37,8 +37,8 @@ from .braidcat import (
     BracketMorphism,
     BraidWord,
     LocalSystem,
+    artin_relations,
     lk_generator_columns,
-    lk_index,
     router,
     shift_letter,
     signed_letters,
@@ -187,22 +187,22 @@ class BraidFunctor:
         """The matrix of a signed letter.  A rule that raises LaurentError
         (a letter with no inverse over the ring) is memoized too: the error
         is raised again on later lookups, without calling the rule again."""
-        if letter == 0 or abs(letter) > n - 1:
-            raise FunctorError(f"s{letter} is not a generator on {n} strands")
         key = (n, letter)
-        if key not in self._gens:
+        hit = self._gens.get(key)
+        if hit is None:
+            if letter == 0 or abs(letter) > n - 1:
+                raise FunctorError(f"s{letter} is not a generator on {n} strands")
             try:
-                m = self._gen_rule(n, letter)
+                hit = self._gen_rule(n, letter)
             except LaurentError as exc:
-                m = exc
+                hit = exc
             else:
                 d = self.dim(n)
-                if (m.rows, m.cols) != (d, d):
+                if (hit.rows, hit.cols) != (d, d):
                     raise FunctorError(
                         f"{self.name}: generator matrix at level {n} has wrong shape"
                     )
-            remember(self._gens, key, m)
-        hit = self._gens[key]
+            remember(self._gens, key, hit)
         if isinstance(hit, LaurentError):
             raise hit.with_traceback(None)
         return hit
@@ -241,14 +241,19 @@ class BraidFunctor:
         key = (n, word.letters)
         m = self._words.get(key)
         if m is None:
-            d = self.dim(n)  # a level out of range fails before any letter
-            if not word.letters:
-                m = PolyMatrix.identity(d)
-            else:
-                m = self.gen_matrix(n, word.letters[0])
-                for letter in word.letters[1:]:
-                    m = m.matmul(self.gen_matrix(n, letter))
+            self.dim(n)  # a level out of range fails before any letter
+            m = self._product(n, word.letters)
             remember(self._words, key, m)
+        return m
+
+    def _product(self, n: int, letters) -> PolyMatrix:
+        """The letter matrices at level n multiplied in list order, as given:
+        nothing cancels and nothing is memoized."""
+        if not letters:
+            return PolyMatrix.identity(self.dim(n))
+        m = self.gen_matrix(n, letters[0])
+        for letter in letters[1:]:
+            m = m.matmul(self.gen_matrix(n, letter))
         return m
 
     def apply(self, phi: BracketMorphism) -> PolyMatrix:
@@ -274,12 +279,6 @@ class BraidFunctor:
 # ---------------------------------------------------------------------------
 # Built-in functor families
 # ---------------------------------------------------------------------------
-
-
-def _block_gen(dim: int, offset: int, block: PolyMatrix) -> PolyMatrix:
-    """The identity of size dim with block on the diagonal at offset."""
-    rest = PolyMatrix.identity(dim - offset - block.rows)
-    return PolyMatrix.identity(offset).direct_sum(block).direct_sum(rest)
 
 
 def _coordinate_family(name: str, dim, eval_range: int, gen=None) -> BraidFunctor:
@@ -309,17 +308,28 @@ def _unit_parameter(stem: str, param: LaurentPoly):
     return name, param, param.unit_inverse()
 
 
-def _two_strand_family(stem: str, param: LaurentPoly, blocks) -> BraidFunctor:
-    """Level n on n coordinates, s_i^{±1} acting by a 2x2 block on
-    coordinates i-1 and i; blocks(y, y^-1) gives the blocks of s_i and of
-    s_i^-1, both in closed form."""
+def _block_family(stem: str, param: LaurentPoly, blocks, trim: int = 0) -> BraidFunctor:
+    """Level n on n - trim coordinates; s_i^{±1} acts by its sign's block of
+    blocks(y, y^-1), both in closed form, at coordinate i-1 of n + trim
+    padded coordinates cut to the middle n - trim: trim 0 for a 2x2 block
+    on coordinates i-1 and i, trim 1 for a 3x3 block cut at an end letter."""
     name, y, y_inv = _unit_parameter(stem, param)
     block, inv_block = blocks(y, y_inv)
 
-    def gen(n, i):
-        return _block_gen(n, abs(i) - 1, block if i > 0 else inv_block)
+    def dim(n):
+        return max(n - trim, 0)
 
-    return _coordinate_family(name, lambda n: n, 16, gen)
+    def gen(n, letter):
+        d, m = dim(n), block if letter > 0 else inv_block
+        offset = abs(letter) - 1 - trim
+        entries = {(k, k): ONE for k in range(offset)}
+        for (r, c), v in m.entries.items():
+            if 0 <= offset + r < d and 0 <= offset + c < d:
+                entries[(offset + r, offset + c)] = v
+        entries.update({(k, k): ONE for k in range(offset + m.rows, d)})
+        return _matrix(d, d, entries)
+
+    return _coordinate_family(name, dim, 16, gen)
 
 
 def constant_functor() -> BraidFunctor:
@@ -334,7 +344,7 @@ def burau_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
     inverse letter's block is stored in closed form:
     [[1-y, 1], [y, 0]]^-1 = [[0, y^-1], [1, 1-y^-1]].
     """
-    return _two_strand_family("burau", param, lambda y, y_inv: (
+    return _block_family("burau", param, lambda y, y_inv: (
         PolyMatrix.from_rows([[ONE - y, ONE], [y, ZERO]]),
         PolyMatrix.from_rows([[ZERO, y_inv], [ONE, ONE - y_inv]]),
     ))
@@ -342,50 +352,29 @@ def burau_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
 
 def tym_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
     """The other irreducible 2x2-block family: blocks [[0, y], [1, 0]]."""
-    return _two_strand_family("tym", param, lambda y, y_inv: (
+    return _block_family("tym", param, lambda y, y_inv: (
         PolyMatrix.from_rows([[ZERO, y], [ONE, ZERO]]),
         PolyMatrix.from_rows([[ZERO, ONE], [y_inv, ZERO]]),
     ))
 
 
 def reduced_burau_functor(param: LaurentPoly = VAR_T) -> BraidFunctor:
-    """Reduced Burau; stored blocks are transposes of the usual displays.
-
-    Each block moves one row, [y, -y, 1] for s_i; the blocks of s_i^-1 are
-    stored in closed form with moving row [1, -y^-1, y^-1], e.g.
-    [[-y, 1], [0, 1]]^-1 = [[-y^-1, y^-1], [0, 1]].
-    """
-    name, y, y_inv = _unit_parameter("reduced-burau", param)
-
-    def blocks(a, u, b):
-        """(single, bottom, middle, top) for the moving row [a, -u, b]."""
-        return (
-            PolyMatrix.from_rows([[-u]]),
-            PolyMatrix.from_rows([[-u, b], [ZERO, ONE]]),
-            PolyMatrix.from_rows([[ONE, ZERO, ZERO], [a, -u, b], [ZERO, ZERO, ONE]]),
-            PolyMatrix.from_rows([[ONE, ZERO], [a, -u]]),
-        )
-
-    pos, neg = blocks(y, y, ONE), blocks(ONE, y_inv, y_inv)
-
-    def gen(n, letter):
-        single, bottom, middle, top = pos if letter > 0 else neg
-        i = abs(letter)
-        if n == 2:
-            return single
-        if i == 1:
-            return _block_gen(n - 1, 0, bottom)
-        if i == n - 1:
-            return _block_gen(n - 1, n - 3, top)
-        return _block_gen(n - 1, i - 2, middle)
-
-    return _coordinate_family(name, lambda n: max(n - 1, 0), 16, gen)
+    """Reduced Burau; the stored blocks are transposes of the usual displays.
+    One 3x3 block per sign moves one row, [y, -y, 1] for s_i and, in closed
+    form, [1, -y^-1, y^-1] for s_i^-1, cut at an end letter (_block_family):
+    [[-y, 1], [0, 1]]^-1 = [[-y^-1, y^-1], [0, 1]] for s_1 on three strands."""
+    return _block_family("reduced-burau", param, lambda y, y_inv: (
+        PolyMatrix.from_rows([[ONE, ZERO, ZERO], [y, -y, ONE], [ZERO, ZERO, ONE]]),
+        PolyMatrix.from_rows([[ONE, ZERO, ZERO], [ONE, -y_inv, y_inv], [ZERO, ZERO, ONE]]),
+    ), trim=1)
 
 
 def lk_functor() -> BraidFunctor:
     """The two-variable family on the rank-one summands v_{j,k}, j < k,
     ordered lexicographically; generator action of both signs given
-    columnwise by the table in braidcat, so no letter is inverted here."""
+    columnwise by the table in braidcat, so no letter is inverted here.
+    The stabilization v_{j,k} -> v_{j+1,k+1} is the last-coordinates
+    inclusion: the pairs without strand 1 come last, in the same order."""
 
     def dim(n):
         return n * (n - 1) // 2
@@ -395,12 +384,7 @@ def lk_functor() -> BraidFunctor:
         entries = {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
         return PolyMatrix(dim(n), dim(n), entries)
 
-    def stab(n):
-        idx2 = lk_index(n + 1)[1]
-        entries = {(idx2[(j + 1, k + 1)], c): ONE for c, (j, k) in enumerate(lk_index(n)[0])}
-        return PolyMatrix(dim(n + 1), dim(n), entries)
-
-    return BraidFunctor("lk", dim, gen, stab, eval_range=14)
+    return _coordinate_family("lk", dim, 14, gen)
 
 
 def atomic_functor(k: int) -> BraidFunctor:
@@ -627,8 +611,10 @@ class CheckReport:
 def check_functor(f: BraidFunctor, big_n: int, word_len: int = 3) -> CheckReport:
     """Verify that f's data satisfies the functor criterion on levels <= big_n.
 
-    Checks, exactly: braid and commutation relations plus inverse letters
-    at every level; then, for word_len >= 1, (a) stab(n,n+1) * mat(s) =
+    Checks, exactly: the relations of B_n at every level n, in
+    braidcat.artin_relations order (braid relations, then per i the far
+    commutations and the inverse pair), each side multiplied out letter by
+    letter with no cancellation; then, for word_len >= 1, (a) stab(n,n+1) * mat(s) =
     mat(shift_1 s) * stab(n,n+1) for each signed letter s on n strands, and
     (b) mat(s_1^{±1} # id_n) * stab(n,n+2) = stab(n,n+2).
 
@@ -647,29 +633,20 @@ def check_functor(f: BraidFunctor, big_n: int, word_len: int = 3) -> CheckReport
     check.  The kept checks run in the order of the loop over every
     n <= n'; `checked` and `failure_count` count the identities computed.
 
-    A letter whose matrix has no inverse over the ring is an inverse
-    failure whose witness carries the error naming the determinant; the
-    intertwining checks that need that inverse are skipped.
+    A letter whose matrix has no inverse over the ring fails each relation
+    that reads it (its inverse pair), with a witness that carries the
+    error naming the determinant; the intertwining checks that need that
+    inverse are skipped.
     """
     report = CheckReport("functor-criterion", {"N": big_n, "L": word_len, "functor": f.name})
     for n in range(2, big_n + 1):
-        for i in range(1, n - 1):
-            a, b = f.gen_matrix(n, i), f.gen_matrix(n, i + 1)
-            report.expect(
-                a.matmul(b).matmul(a) == b.matmul(a).matmul(b),
-                kind="braid-relation", n=n, i=i,
-            )
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                a, b = f.gen_matrix(n, i), f.gen_matrix(n, j)
-                report.expect(a.matmul(b) == b.matmul(a), kind="commutation", n=n, i=i, j=j)
+        for kind, where, lhs, rhs in artin_relations(n):
             try:
-                inverse = f.gen_matrix(n, -i)
+                ok = f._product(n, lhs) == f._product(n, rhs)
             except LaurentError as exc:
-                report.expect(False, kind="inverse", n=n, i=i, error=str(exc))
+                report.expect(False, kind=kind, n=n, **where, error=str(exc))
             else:
-                ok = f.gen_matrix(n, i).matmul(inverse) == PolyMatrix.identity(f.dim(n))
-                report.expect(ok, kind="inverse", n=n, i=i)
+                report.expect(ok, kind=kind, n=n, **where)
     if word_len < 1:
         return report
     for n in range(0, big_n):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lmkit.laurent import seeded_points
-from lmkit.freegroup import FreeGroupMap, FreeWord, parse_word, reduced_words
+from lmkit.freegroup import FreeGroupMap, FreeWord, artin_generator_map, parse_word, reduced_words
 from lmkit.braidcat import (
     BracketMorphism,
     BraidError,
     BraidWord,
     _cores,
     artin_images,
+    artin_relations,
     bracket_compose,
     bracket_equal,
     bracket_monoidal,
@@ -34,6 +35,7 @@ from lmkit.braidcat import (
     lk_generator_columns,
 )
 from lmkit import braidcat
+from lmkit.repfun import burau_functor, lk_functor
 from lmkit.laurent import ONE, LaurentPoly, PolyMatrix, Q, T, T_INV, ZERO
 from reference_kernels import artin_images_by_compose, burau_dicts, enumerate_words, evaluated
 
@@ -771,6 +773,65 @@ class TestArtinImages:
             n = rng.randint(2, 6)
             word = bw([rng.choice(signed_letters(n)) for _ in range(rng.randint(0, 10))], n)
             assert artin_images(word) == artin_images_by_compose(word), word
+
+
+def _listed_relations(n):
+    """The relations of B_n in the order check_functor listed them by hand
+    before artin_relations: braid relations, then per i the far
+    commutations and the inverse pair."""
+    out = [("braid-relation", {"i": i}, (i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
+    for i in range(1, n):
+        out += [("commutation", {"i": i, "j": j}, (i, j), (j, i)) for j in range(i + 2, n)]
+        out.append(("inverse", {"i": i}, (i, -i), ()))
+    return out
+
+
+def _letter_product(letters, letter_map, identity, mul):
+    """The letters' maps multiplied in list order, with no cancellation."""
+    out = identity
+    for letter in letters:
+        out = mul(out, letter_map(letter))
+    return out
+
+
+class TestArtinRelations:
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_counts_and_order(self, n):
+        relations = list(artin_relations(n))
+        kinds = [kind for kind, *_ in relations]
+        top = max(n - 2, 0)
+        assert kinds.count("braid-relation") == top
+        assert kinds.count("commutation") == top * (top - 1) // 2
+        assert kinds.count("inverse") == max(n - 1, 0)
+        assert relations == _listed_relations(n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_relations_hold_for_artin_burau_and_lawrence_krammer(self, n):
+        # The inverse pair is multiplied out, not cancelled as a BraidWord
+        # would cancel it.
+        burau, lk = burau_functor(), lk_functor()
+        sides = [
+            (lambda l: artin_generator_map(n, l), FreeGroupMap.identity(n), FreeGroupMap.compose),
+            (lambda l: burau.gen_matrix(n, l), PolyMatrix.identity(n), PolyMatrix.matmul),
+            (lambda l: lk.gen_matrix(n, l), PolyMatrix.identity(lk.dim(n)), PolyMatrix.matmul),
+        ]
+        for kind, where, lhs, rhs in artin_relations(n):
+            for letter_map, identity, mul in sides:
+                left = _letter_product(lhs, letter_map, identity, mul)
+                right = _letter_product(rhs, letter_map, identity, mul)
+                assert left == right, (kind, where, identity)
+
+    def test_a_broken_relation_fails_its_fold(self):
+        # A positive letter in place of the inverse breaks only the inverse
+        # pairs, so the fold is not vacuous.
+        def product(letters):
+            return _letter_product(
+                letters, lambda l: artin_generator_map(4, abs(l)),
+                FreeGroupMap.identity(4), FreeGroupMap.compose,
+            )
+
+        broken = [kind for kind, _, lhs, rhs in artin_relations(4) if product(lhs) != product(rhs)]
+        assert broken == ["inverse"] * 3
 
 
 def _load_perfbench(monkeypatch, name):

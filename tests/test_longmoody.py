@@ -15,6 +15,7 @@ from lmkit import laurent, longmoody, memo, polyfun, repfun
 from lmkit.braidcat import (
     BraidWord,
     LocalSystem,
+    artin_witness,
     local_system,
     pure_braid_system,
     shift_letter,
@@ -171,7 +172,7 @@ def all_words_semidirect(cfg, big_n, word_len):
             for i in range(1, n + 1):
                 lhs = shifted.compose(system.generator_image(n, i))
                 acted = system.evaluate(amap.apply_word(FreeWord.generator(n, i)))
-                why = longmoody._artin_witness(lhs, acted.compose(shifted))
+                why = artin_witness(lhs, acted.compose(shifted))
                 if why:
                     return {"n": n, "word": list(sigma.letters), "generator": f"g{i}",
                             "detail": why}
@@ -575,13 +576,13 @@ class TestCoherence:
         lhs, rhs = BraidWord(4, u), BraidWord(4, v)
         left, right = (word_map(artin_family(), 4, w).images for w in (lhs, rhs))
         j = next(j for j in range(4) if left[j] != right[j])
-        assert longmoody._artin_witness(lhs, rhs) == {
+        assert artin_witness(lhs, rhs) == {
             "reason": "artin action differs", "image_of": f"g{j + 1}",
             "lhs": str(left[j]), "rhs": str(right[j]),
         }
-        assert longmoody._artin_witness(lhs, lhs) is None
+        assert artin_witness(lhs, lhs) is None
         braid_relation = BraidWord(4, (3, 1, 2, 1, 3)), BraidWord(4, (3, 2, 1, 2, 3))
-        assert longmoody._artin_witness(*braid_relation) is None
+        assert artin_witness(*braid_relation) is None
 
     def test_twists_must_be_units(self):
         with pytest.raises(CoherenceError):
@@ -722,6 +723,36 @@ class TestActionFamilies:
         family = ActionFamily("broken", broken)
         with pytest.raises(CoherenceError):
             family.verify_relations(3)
+
+    @staticmethod
+    def conjugated_s3(n, letter):
+        """Artin, with s3^{±1} on 4 strands conjugated by s2: the braid
+        relations and the inverse pairs hold, s1 s3 = s3 s1 does not."""
+        if n == 4 and abs(letter) == 3:
+            maps = [artin_generator_map(4, l) for l in (2, letter, -2)]
+            return maps[0].compose(maps[1]).compose(maps[2])
+        return artin_generator_map(n, letter)
+
+    def test_one_far_commutation_raises_its_message(self):
+        family = ActionFamily("conjugated", self.conjugated_s3)
+        family.verify_relations(3)
+        with pytest.raises(CoherenceError, match=r"^conjugated: commutation fails at n=4, \(1,3\)$"):
+            family.verify_relations(5)
+
+    def test_commutations_come_before_the_inverse_pair(self):
+        # Also s1^-1 acting as s1 at level 4: both relations of i = 1 fail,
+        # and the commutation is read first, as check_functor reads it.
+        def rule(n, letter):
+            return self.conjugated_s3(n, 1 if (n, letter) == (4, -1) else letter)
+
+        with pytest.raises(CoherenceError, match=r"commutation fails at n=4, \(1,3\)$"):
+            ActionFamily("both", rule).verify_relations(4)
+
+        def inverse_only(n, letter):
+            return artin_generator_map(n, 1 if (n, letter) == (4, -1) else letter)
+
+        with pytest.raises(CoherenceError, match=r"inverse fails at n=4, i=1$"):
+            ActionFamily("inverse", inverse_only).verify_relations(4)
 
     def test_word_map_composition_order(self):
         family = artin_family()

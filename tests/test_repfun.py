@@ -15,6 +15,7 @@ from lmkit.braidcat import (
     BracketMorphism,
     BraidWord,
     bracket_monoidal,
+    lk_index,
     pure_braid_system,
     trivial_system,
 )
@@ -34,6 +35,7 @@ from lmkit.repfun import (
     corrupted,
     direct_sum,
     group_ring_matrix,
+    lk_functor,
     partial_permutation_split,
     power_functor,
     reduced_burau_functor,
@@ -139,6 +141,47 @@ class TestStoredBlocks:
         pairs4 = [(j, k) for j in range(1, 5) for k in range(j + 1, 5)]
         assert s.entry(pairs4.index((3, 4)), 0) == ONE
         assert s.rows == 6 and s.cols == 1
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_lk_stab_is_the_last_coordinates_inclusion(self, n):
+        # v_{j,k} -> v_{j+1,k+1}, placed pair by pair, is the inclusion of
+        # level n as the last coordinates of level n+1.
+        idx2 = lk_index(n + 1)[1]
+        shifted = {(idx2[(j + 1, k + 1)], c): ONE for c, (j, k) in enumerate(lk_index(n)[0])}
+        d, d2 = n * (n - 1) // 2, (n + 1) * n // 2
+        last = {(d2 - d + c, c): ONE for c in range(d)}
+        assert shifted == last
+        assert lk_functor().stab(n, n + 1) == PolyMatrix(d2, d, shifted)
+
+
+def hand_placed_reduced_burau(param, n, letter):
+    """Reduced Burau's letter as four hand-placed blocks (single, bottom,
+    middle, top) for the moving row [a, -u, b], the reference for the one
+    cut 3x3 block."""
+    y, y_inv = param, param.unit_inverse()
+    a, u, b = (y, y, ONE) if letter > 0 else (ONE, y_inv, y_inv)
+    i = abs(letter)
+
+    def placed(offset, block):
+        rest = PolyMatrix.identity(n - 1 - offset - block.rows)
+        return PolyMatrix.identity(offset).direct_sum(block).direct_sum(rest)
+
+    if n == 2:
+        return PolyMatrix.from_rows([[-u]])
+    if i == 1:
+        return placed(0, PolyMatrix.from_rows([[-u, b], [ZERO, ONE]]))
+    if i == n - 1:
+        return placed(n - 3, PolyMatrix.from_rows([[ONE, ZERO], [a, -u]]))
+    return placed(i - 2, PolyMatrix.from_rows([[ONE, ZERO, ZERO], [a, -u, b], [ZERO, ZERO, ONE]]))
+
+
+@pytest.mark.parametrize("param", [T, T * T, -T.unit_inverse()], ids=["t", "t^2", "-t^-1"])
+def test_reduced_burau_letters_are_the_hand_placed_blocks(param):
+    f = reduced_burau_functor(param)
+    for n in range(2, 9):
+        for i in range(1, n):
+            for letter in (i, -i):
+                assert f.gen_matrix(n, letter) == hand_placed_reduced_burau(param, n, letter)
 
 
 class TestEvaluation:
@@ -335,6 +378,55 @@ class TestCriterionOnLetters:
             "error": "determinant 1 - t - t^2 is not a unit; no inverse over the ring",
         }
         assert report.to_json()["checked"] == 20
+
+    def test_singular_inverse_letter_keeps_its_witness(self):
+        # Burau with s1^-1 at level 3 alone singular: the inverse pair at
+        # (3, 1) is the one failure, and it carries the error.
+        b = burau_functor()
+
+        def gen(n, letter):
+            if (n, letter) == (3, -1):
+                return b.gen_matrix(3, 1).scale(ONE + T).inverse()
+            return b.gen_matrix(n, letter)
+
+        f = BraidFunctor("singular", b.dim, gen, lambda n: b.stab(n, n + 1))
+        report = check_functor(f, 5, 1).to_json()
+        assert (report["checked"], report["failure_count"]) == (38, 1)
+        assert report["witness"] == {
+            "kind": "inverse", "n": 3, "i": 1,
+            "error": "determinant -t - 3*t^2 - 3*t^3 - t^4 is not a unit; no inverse over the ring",
+        }
+
+    def test_singular_positive_letter_fails_its_first_relation(self):
+        # A LaurentError from any letter of a relation is that relation's
+        # failure: here s1 at level 3, read first by the braid relation.
+        b = burau_functor()
+
+        def gen(n, letter):
+            if (n, letter) == (3, 1):
+                raise LaurentError("no s1")
+            return b.gen_matrix(n, letter)
+
+        f = BraidFunctor("raising", b.dim, gen, lambda n: b.stab(n, n + 1))
+        failures = check_functor(f, 3, 0).failures
+        assert failures == [
+            {"kind": "braid-relation", "n": 3, "i": 1, "error": "no s1"},
+            {"kind": "inverse", "n": 3, "i": 1, "error": "no s1"},
+        ]
+
+    def test_one_far_commutation_fails_alone(self):
+        # s3^{±1} at level 4 conjugated by s2 keeps the braid relations and
+        # the inverse pairs but no longer commutes with s1.
+        b = burau_functor()
+
+        def gen(n, letter):
+            if n == 4 and abs(letter) == 3:
+                conj = b.gen_matrix(4, 2).matmul(b.gen_matrix(4, letter))
+                return conj.matmul(b.gen_matrix(4, -2))
+            return b.gen_matrix(n, letter)
+
+        f = BraidFunctor("conjugated", b.dim, gen, lambda n: b.stab(n, n + 1))
+        assert check_functor(f, 5, 0).failures == [{"kind": "commutation", "n": 4, "i": 1, "j": 3}]
 
     def test_singular_letter_is_eliminated_once(self, monkeypatch):
         # The failed inversion of s1 at level 2 is memoized like a success

@@ -1,6 +1,8 @@
 """Structural checks on the source tree of lmkit itself and on its test references."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import lmkit
@@ -94,3 +96,24 @@ def test_every_reference_kernel_is_read_by_a_test():
     for path in sorted(TESTS.glob("test_*.py")):
         refs.visit(ast.parse(path.read_text(), str(path)))
     assert sorted(defined - refs.read) == []
+
+
+def test_benchmark_bindings_check_passes(monkeypatch, capsys):
+    # perfbench/selfcheck.py's bindings check reads five names that lmkit
+    # modules bind by import (longmoody.fox_derivatives and
+    # .group_ring_matrix, polyfun.seeded_points, cli.check_coherence and
+    # .estimate_strong_degree); dropping one of those imports breaks it.
+    # Loaded with perfbench/ on the path, writing no bytecode beside it; the
+    # path and the perfbench modules are put back afterwards.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    names = ("selfcheck", "run", "tracer", "worker", "workloads")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", [str(perfbench)] + sys.path)
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        assert importlib.import_module("selfcheck").bindings_check()
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+    assert capsys.readouterr().out == "PASS bindings\n"
