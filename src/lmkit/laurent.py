@@ -561,9 +561,6 @@ class PolyMatrix:
             self.rows, self.cols, {key: _mul(v, p) for key, v in self.entries.items()}
         )
 
-    def transpose(self) -> "PolyMatrix":
-        return _matrix(self.cols, self.rows, {(c, r): p for (r, c), p in self.entries.items()})
-
     def direct_sum(self, other: "PolyMatrix") -> "PolyMatrix":
         entries = dict(self.entries)
         for (r, c), p in other.entries.items():
@@ -577,14 +574,6 @@ class PolyMatrix:
             for (r2, c2), p2 in other.entries.items():
                 entries[(r * other.rows + r2, c * other.cols + c2)] = _mul(p, p2)
         return _matrix(self.rows * other.rows, self.cols * other.cols, entries)
-
-    def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.rows != other.rows:
-            raise LaurentError("row mismatch in hstack")
-        entries = dict(self.entries)
-        for (r, c), p in other.entries.items():
-            entries[(r, c + self.cols)] = p
-        return _matrix(self.rows, self.cols + other.cols, entries)
 
     def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
         rmap = {r: i for i, r in enumerate(row_idx)}

@@ -1,6 +1,7 @@
 """The Long-Moody construction as an executable operation on braid
 functors, together with the coherence and reliability checks on the input
-data and the explicit splitting morphisms used by the degree calculus.
+data and the router blocks of the splitting morphisms that the degree
+calculus certifies.
 
 The construction consumes an action family a_n: B_n -> Aut(F_n) and a
 local system F_n -> B_{n+1}; coherent pairs produce a functor whose value
@@ -20,9 +21,8 @@ first).  A coefficient equal to the unit 1·[e] of the group ring contributes
 τ₁F(letter) itself, so that block is placed without a group-ring matrix or
 a product; the other blocks are multiplied out as above.  The
 stabilization from n to n+1 is τ₁F's own on each of the n blocks, which
-land after one wholly new block; τ₁F carries the inverse-braiding router,
-and its splitting data is placed the same way, so kernels and cokernels of
-the image functor stay computable.  Longer stabilizations compose these.
+land after one wholly new block; τ₁F carries the inverse-braiding router.
+Longer stabilizations compose these.
 """
 
 from __future__ import annotations
@@ -54,11 +54,9 @@ from .braidcat import (
 from .repfun import (
     BraidFunctor,
     CheckReport,
-    SplitData,
     constant_functor,
     group_ring_matrix,
     scalar_twist,
-    split_at_rows,
     translate,
 )
 from .memo import remember
@@ -211,8 +209,8 @@ def long_moody(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
     """Apply the construction once; requires f defined one level higher.
 
     Level n is n blocks of tau = translate(pre-twisted f, 1) at n.  The
-    stabilization n -> n+1 and its splitting data are tau's, one copy per
-    block, placed after the one new block of the target, of size f.dim(n+2).
+    stabilization n -> n+1 is tau's, one copy per block, placed after the
+    one new block of the target, of size f.dim(n+2).
     """
     base = _pretwisted(cfg, f)
     tau = translate(base, 1)
@@ -241,21 +239,8 @@ def long_moody(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
         blocks = PolyMatrix.identity(n).kron(tau.stab(n, n + 1))
         return PolyMatrix.zeros(f.dim(n + 2), 0).direct_sum(blocks)
 
-    def split(n):
-        tau_split = tau.split(n)
-        if tau_split is None:
-            return None
-        blocks = PolyMatrix.identity(n).kron
-        lead = f.dim(n + 2)
-        empty = split_at_rows(PolyMatrix.zeros(lead, 0), [], PolyMatrix.zeros(0, 0))
-        return empty.direct_sum(SplitData(
-            blocks(tau_split.retraction),
-            blocks(tau_split.complement),
-            blocks(tau_split.coprojection),
-        ))
-
     label = f"lm({cfg.label()};{f.name})"
-    return BraidFunctor(label, dim, gen, stab, split_rule=split, eval_range=f.eval_range - 1)
+    return BraidFunctor(label, dim, gen, stab, eval_range=f.eval_range - 1)
 
 
 def long_moody_power(cfg: LongMoodyConfig, f: BraidFunctor, iterations: int) -> BraidFunctor:

@@ -6,9 +6,9 @@ Long-Moody construction.
 Kernels and cokernels of the canonical inclusion F -> translate(F) are
 read off one certified SplitData of it on a complement of its kernel: the
 rank is the retraction's rows, the cokernel the complement's columns.  It
-is either data declared by the functor (all built-ins, and everything the
-construction propagates) or a complement found by evaluation pivoting and
-then certified symbolically.
+is the monomial split when the inclusion is a column monomial matrix, else
+a complement found by evaluation pivoting, and either way it is certified
+symbolically.
 Degree conclusions are therefore exact but range-relative: a report says
 "the (d+1)-st difference vanishes on levels <= N", never more.  Each
 resolution is stored on its functor (see resolution), so the evanescence,
@@ -29,6 +29,7 @@ from .repfun import (
     SplitData,
     check_natural,
     direct_sum,
+    partial_permutation_split,
     split_at_rows,
     translate,
 )
@@ -53,17 +54,17 @@ def resolve_inclusion(f: BraidFunctor, n: int, seed: int = 0) -> SplitData:
     uncached (see resolution).
 
     Resolution order: a zero map (kernel everything), split as the empty
-    inclusion; splitting data declared by the functor; complement search at
-    _PIVOT_POINTS seeded evaluation points followed by symbolic
-    certification.  An unresolvable inclusion raises
+    inclusion; the monomial split of a column monomial inclusion; complement
+    search at _PIVOT_POINTS seeded evaluation points.  Each split found is
+    certified symbolically.  An unresolvable inclusion raises
     SplitCertificationError rather than silently degrading.
     """
     incl = f.stab(n, n + 1)
     if incl.is_zero():
         return split_at_rows(PolyMatrix.zeros(incl.rows, 0), [], PolyMatrix.zeros(0, 0))
-    declared = f.split(n)
-    if declared is not None and declared.certify(incl):
-        return declared
+    monomial = partial_permutation_split(incl)
+    if monomial is not None and monomial.certify(incl):
+        return monomial
     # Guess the pivot rows at random points, eliminate only the pivot block,
     # then certify the split exactly.
     for point in seeded_points(_PIVOT_POINTS, seed):

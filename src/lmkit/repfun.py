@@ -3,12 +3,12 @@ Laurent ring.
 
 A BraidFunctor packages the data that determines such a functor on a
 finite range of objects: a dimension per level n, a matrix per signed
-letter s_i^{±1} per level, the one-step stabilization n -> n+1 and
-(optionally) splitting data for it; on Quillen's bracket construction that
-data fixes the functor (Randal-Williams–Wahl).  Every family and
-combinator below states one step and the matrices of both letter signs;
-none inverts a letter at run time.  With stab(n, n') the composite of the
-one-step maps, the package's evaluation rule for a morphism [n'-n, w] is
+letter s_i^{±1} per level and the one-step stabilization n -> n+1; on
+Quillen's bracket construction that data fixes the functor
+(Randal-Williams–Wahl).  Every family and combinator below states one
+step and the matrices of both letter signs; none inverts a letter at run
+time.  With stab(n, n') the composite of the one-step maps, the package's
+evaluation rule for a morphism [n'-n, w] is
 
     mat(w at level n') * stab(n, n'),
 
@@ -89,14 +89,6 @@ class SplitData:
             self.complement.cols
         )
 
-    def direct_sum(self, other: "SplitData") -> "SplitData":
-        """The split of a block-diagonal inclusion: each piece direct-sums."""
-        return SplitData(
-            self.retraction.direct_sum(other.retraction),
-            self.complement.direct_sum(other.complement),
-            self.coprojection.direct_sum(other.coprojection),
-        )
-
 
 def split_at_rows(incl: PolyMatrix, pivots: list[int], a_inv: PolyMatrix) -> SplitData:
     """The split of incl fixed by its pivot rows P, given A^{-1} for A = incl[P].
@@ -130,7 +122,7 @@ def partial_permutation_split(incl: PolyMatrix) -> SplitData | None:
 
 
 class BraidFunctor:
-    """Dimensions, generator matrices, and stabilization data on a range.
+    """Dimensions, generator matrices and stabilizations on a range.
 
     Rules are memoized; instances behave as immutable values and the memo
     tables are idempotent, so concurrent readers are safe.  The tables are
@@ -140,10 +132,11 @@ class BraidFunctor:
     memo.remember.
     gen_rule(n, letter) takes a signed letter, ±i for s_i^{±1}, and is
     called once per (n, letter); check_functor tests that the two signs
-    are inverse to each other.  stab_rule(n) is the map n -> n+1, and
-    split_rule(n) its SplitData or None; a longer stabilization is the
-    memoized composite stab(n2 - 1, n2) * stab(n, n2 - 1), so
-    stabilizations compose by construction.
+    are inverse to each other.  stab_rule(n) is the map n -> n+1; a longer
+    stabilization is the memoized composite stab(n2 - 1, n2) *
+    stab(n, n2 - 1), so stabilizations compose by construction.  The
+    functor carries no splitting data: polyfun.resolve_inclusion finds and
+    certifies every split.
     """
 
     def __init__(
@@ -152,14 +145,12 @@ class BraidFunctor:
         dim_rule,
         gen_rule,
         stab_rule,
-        split_rule=None,
         eval_range: int = 16,
     ):
         self.name = name
         self._dim_rule = dim_rule
         self._gen_rule = gen_rule
         self._stab_rule = stab_rule
-        self._split_rule = split_rule or (lambda n: None)
         self.eval_range = eval_range
         self._dims: dict = {}
         self._gens: dict = {}
@@ -192,12 +183,12 @@ class BraidFunctor:
         if hit is None:
             if letter == 0 or abs(letter) > n - 1:
                 raise FunctorError(f"s{letter} is not a generator on {n} strands")
+            d = self.dim(n)  # a level out of range fails here, not in a part's rule
             try:
                 hit = self._gen_rule(n, letter)
             except LaurentError as exc:
                 hit = exc
             else:
-                d = self.dim(n)
                 if (hit.rows, hit.cols) != (d, d):
                     raise FunctorError(
                         f"{self.name}: generator matrix at level {n} has wrong shape"
@@ -224,13 +215,6 @@ class BraidFunctor:
                 )
             remember(self._stabs, key, m)
         return self._stabs[key]
-
-    def split(self, n: int) -> SplitData | None:
-        """SplitData for stab(n, n+1): the family's, else the monomial one."""
-        data = self._split_rule(n)
-        if data is None:
-            data = partial_permutation_split(self.stab(n, n + 1))
-        return data
 
     # -- evaluation -------------------------------------------------------
 
@@ -427,55 +411,30 @@ def zero_functor() -> BraidFunctor:
 # ---------------------------------------------------------------------------
 
 
-def _blockwise(name: str, f: BraidFunctor, g: BraidFunctor, size, op, split) -> BraidFunctor:
+def _blockwise(name: str, f: BraidFunctor, g: BraidFunctor, size, op) -> BraidFunctor:
     """f and g combined level by level: dimensions by size, letters and
-    one-step stabilizations by the matrix operation op, and the splits of
-    both sides by split(n, split of f, split of g); there is no split when
-    one side has none."""
-
-    def split_rule(n):
-        sf, sg = f.split(n), g.split(n)
-        if sf is None or sg is None:
-            return None
-        return split(n, sf, sg)
-
+    one-step stabilizations by the matrix operation op."""
     return BraidFunctor(
         name,
         lambda n: size(f.dim(n), g.dim(n)),
         lambda n, i: op(f.gen_matrix(n, i), g.gen_matrix(n, i)),
         lambda n: op(f.stab(n, n + 1), g.stab(n, n + 1)),
-        split_rule=split_rule,
         eval_range=min(f.eval_range, g.eval_range),
     )
 
 
 def direct_sum(f: BraidFunctor, g: BraidFunctor) -> BraidFunctor:
-    return _blockwise(
-        f"({f.name})+({g.name})", f, g, operator.add, PolyMatrix.direct_sum,
-        lambda n, sf, sg: sf.direct_sum(sg),
-    )
+    return _blockwise(f"({f.name})+({g.name})", f, g, operator.add, PolyMatrix.direct_sum)
 
 
 def tensor(f: BraidFunctor, g: BraidFunctor) -> BraidFunctor:
-    def split(n, sf, sg):
-        inc_f, id_g = f.stab(n, n + 1), PolyMatrix.identity(g.dim(n + 1))
-        # Complement of (s⊗s): columns [s_f ⊗ c_g | c_f ⊗ Id].
-        comp = inc_f.kron(sg.complement).hstack(sf.complement.kron(id_g))
-        copr_top = sf.retraction.kron(sg.coprojection)
-        copr_bot = sf.coprojection.kron(id_g)
-        copr = copr_top.transpose().hstack(copr_bot.transpose()).transpose()
-        return SplitData(sf.retraction.kron(sg.retraction), comp, copr)
-
-    return _blockwise(f"({f.name})x({g.name})", f, g, operator.mul, PolyMatrix.kron, split)
+    return _blockwise(f"({f.name})x({g.name})", f, g, operator.mul, PolyMatrix.kron)
 
 
 def _relettered(name: str, f: BraidFunctor, gen) -> BraidFunctor:
-    """f's levels, stabilizations and splits, with the letter matrices
+    """f's levels and stabilizations, with the letter matrices
     gen(n, letter) in place of f's."""
-    return BraidFunctor(
-        name, f.dim, gen, lambda n: f.stab(n, n + 1), split_rule=f.split,
-        eval_range=f.eval_range,
-    )
+    return BraidFunctor(name, f.dim, gen, lambda n: f.stab(n, n + 1), eval_range=f.eval_range)
 
 
 def scalar_twist(f: BraidFunctor, y: LaurentPoly) -> BraidFunctor:
@@ -495,9 +454,9 @@ def scalar_twist(f: BraidFunctor, y: LaurentPoly) -> BraidFunctor:
 def translate(f: BraidFunctor, k: int) -> BraidFunctor:
     """Precompose with juxtaposition by k: level n sees level k+n of f.
 
-    Letter s_i^{±1} becomes f(s_{k+i}^{±1}); the stabilization n -> n+1,
-    and f's split at k+n, pick up the inverse braiding router(k, n, n+1)
-    that routes the k fixed strands past the added one.
+    Letter s_i^{±1} becomes f(s_{k+i}^{±1}); the stabilization n -> n+1
+    picks up the inverse braiding router(k, n, n+1) that routes the k fixed
+    strands past the added one.
     """
     if k < 0:
         raise FunctorError("translation amount must be >= 0")
@@ -509,25 +468,11 @@ def translate(f: BraidFunctor, k: int) -> BraidFunctor:
     def stab(n):
         return f.word_matrix(router(k, n, n + 1)).matmul(f.stab(k + n, k + n + 1))
 
-    def split(n):
-        base = f.split(k + n)
-        if base is None:
-            return None
-        word = router(k, n, n + 1)
-        q_mat = f.word_matrix(word)
-        q_inv = f.word_matrix(word.inverse())
-        return SplitData(
-            base.retraction.matmul(q_inv),
-            q_mat.matmul(base.complement),
-            base.coprojection.matmul(q_inv),
-        )
-
     return BraidFunctor(
         f"tau({k};{f.name})",
         lambda n: f.dim(k + n),
         lambda n, i: f.gen_matrix(k + n, shift_letter(i, k)),
         stab,
-        split_rule=split,
         eval_range=f.eval_range - k,
     )
 

@@ -31,5 +31,4 @@ DISPLAYS = {
 
 def oriented(name: str) -> PolyMatrix:
     rows, flag = DISPLAYS[name]
-    m = PolyMatrix.from_rows(rows)
-    return m.transpose() if flag == "transposed" else m
+    return PolyMatrix.from_rows([list(col) for col in zip(*rows)] if flag == "transposed" else rows)

@@ -12,7 +12,7 @@ a word that those loops and the all-words references run on;
 artin_images_by_compose, the Artin action of a braid word as the composite
 of its letters' free-group maps; burau_dicts, the oracle's unreduced Burau
 matrix with each column a dict before the columns were packed into ints;
-and the
+hstack, the side-by-side matrix that the split references assemble; and the
 free-group oracles: Fox's formula expanded back into the group ring, and a
 free-group map pushed forward on the group ring and on the augmentation
 ideal."""
@@ -329,7 +329,16 @@ def two_block_splitting(f, n):
     inverse = PolyMatrix.identity(d2).direct_sum(
         PolyMatrix.identity(n).kron(f.word_matrix(word.inverse()))
     )
-    return new_block.hstack(old_blocks), inverse
+    return hstack(new_block, old_blocks), inverse
+
+
+def hstack(a, b):
+    """The columns of a followed by those of b (PolyMatrix.hstack before it
+    left src)."""
+    assert a.rows == b.rows
+    entries = dict(a.entries)
+    entries.update({(r, c + a.cols): p for (r, c), p in b.entries.items()})
+    return _matrix(a.rows, a.cols + b.cols, entries)
 
 
 def full_check_factorization(action, f, big_n):

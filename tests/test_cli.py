@@ -282,6 +282,28 @@ class TestFunctorGrammar:
         assert captured.out == ""
         assert refused in captured.err and "range -" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["check", "functor", "--functor", "lm(artin,pure-braid;burau)", "--N", "17", "--L", "1"],
+             "lm(artin,pure-braid;burau): level 16 beyond evaluation range 15"),
+            (["check", "functor", "--functor", "tau(2;burau)", "--N", "16", "--L", "1"],
+             "tau(2;burau): level 15 beyond evaluation range 14"),
+            (["check", "functor", "--functor", "sum(burau;lk)", "--N", "15", "--L", "1"],
+             "(burau)+(lk): level 15 beyond evaluation range 14"),
+            (["emit", "--functor", "lm(artin,pure-braid;burau)", "--n", "16"],
+             "lm(artin,pure-braid;burau): level 16 beyond evaluation range 15"),
+        ],
+        ids=["check-lm", "check-tau", "check-sum", "emit-lm"],
+    )
+    def test_a_level_beyond_the_range_names_the_functor_asked_for(self, capsys, argv, refused):
+        # Its letter rule reads a part one level higher; the part's range
+        # error must not be the one reported.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {refused}\n"
+
     def test_zero_ranges_are_accepted(self, capsys):
         code, out = run(capsys, "check", "functor", "--functor", "burau", "--N", "0", "--L", "0")
         assert code == 0 and json.loads(out)["verdict"] == "pass"

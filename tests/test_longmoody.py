@@ -24,15 +24,12 @@ from lmkit.braidcat import (
 )
 from lmkit.repfun import (
     BraidFunctor,
-    SplitData,
-    atomic_functor,
     burau_functor,
     check_functor,
     constant_functor,
     direct_sum,
     group_ring_matrix,
     lk_functor,
-    partial_permutation_split,
     scalar_twist,
     translate,
     tym_functor,
@@ -179,24 +176,6 @@ def all_words_semidirect(cfg, big_n, word_len):
     return None
 
 
-def reference_lm_split(cfg, f, n):
-    """The image's split of stab(n, n+1) as the construction assembled it
-    inline: no retraction rows and identity complement and coprojection on
-    the new block, then I_n ⊗ each piece of tau's split; the monomial split
-    when tau declares none."""
-    base = scalar_twist(f, cfg.pre_twist) if cfg.pre_twist is not None else f
-    tau_split = translate(base, 1).split(n)
-    if tau_split is None:
-        return partial_permutation_split(long_moody(cfg, f).stab(n, n + 1))
-    blocks = PolyMatrix.identity(n).kron
-    lead = f.dim(n + 2)
-    return SplitData(
-        PolyMatrix.zeros(0, lead).direct_sum(blocks(tau_split.retraction)),
-        PolyMatrix.identity(lead).direct_sum(blocks(tau_split.complement)),
-        PolyMatrix.identity(lead).direct_sum(blocks(tau_split.coprojection)),
-    )
-
-
 def condition(report, name):
     """The result of the named condition in a coherence report."""
     return next(r for r in report.results if r.condition == name)
@@ -228,7 +207,7 @@ class TestConstruction:
         for base in (burau_functor(), tym_functor(), lk_functor()):
             image = long_moody(standard_config(pre, post), base)
             for n in range(0, 5):
-                assert image.split(n).certify(image.stab(n, n + 1)), (base.name, n)
+                assert resolution(image, n).certify(image.stab(n, n + 1)), (base.name, n)
 
     def test_negative_letter_is_inverse(self):
         m = twisted_constant_image()
@@ -354,14 +333,6 @@ class TestConstruction:
                 shifted = BraidWord(n + 1, (shift_letter(letter, 1),))
                 rhs = vec_matrix(apply_aug(amap, x)).matmul(f.word_matrix(shifted))
                 assert lhs == rhs
-
-    @pytest.mark.parametrize("pre,post", [(None, None), (T, None), (None, T_INV)])
-    def test_split_matches_inline_assembly(self, pre, post):
-        cfg = standard_config(pre, post)
-        for base in (burau_functor(), tym_functor(), atomic_functor(2)):
-            image = long_moody(cfg, base)
-            for n in range(0, 5):
-                assert image.split(n) == reference_lm_split(cfg, base, n), (base.name, n)
 
 
 class TestCoherence:
@@ -960,10 +931,11 @@ class TestFoxTable:
 
 
 class TestUncheckedMatrices:
-    """long_moody's generator matrices, split_at_rows,
-    partial_permutation_split and complete_inverse build their matrices
-    without the validating PolyMatrix constructor; each must be what that
-    constructor gives: LaurentPoly entries, in range, none of them zero."""
+    """long_moody's generator matrices, and split_at_rows,
+    partial_permutation_split and complete_inverse behind resolution, build
+    their matrices without the validating PolyMatrix constructor; each must
+    be what that constructor gives: LaurentPoly entries, in range, none of
+    them zero."""
 
     @pytest.mark.parametrize("action", ["artin"] + [f"wada{k}" for k in range(1, 8)])
     def test_built_matrices_are_what_the_constructor_gives(self, action, monkeypatch):
@@ -983,9 +955,9 @@ class TestUncheckedMatrices:
         def split_pieces(data):
             return data.retraction, data.complement, data.coprojection
 
-        for module in (repfun, longmoody, polyfun):
+        for module in (repfun, polyfun):
             record(module, "split_at_rows", split_pieces)
-        record(repfun, "partial_permutation_split", split_pieces)
+        record(polyfun, "partial_permutation_split", split_pieces)
         for module in (repfun, laurent):
             record(module, "complete_inverse", lambda out: out[:2])
 
@@ -996,9 +968,7 @@ class TestUncheckedMatrices:
                 for n in range(0, 5):
                     for letter in signed_letters(n):
                         made.setdefault("gen", []).append(image.gen_matrix(n, letter))
-                    image.split(n)
-                    if n < 4:
-                        resolution(image, n)
+                    resolution(image, n)
 
         names = {"gen", "split_at_rows", "partial_permutation_split", "complete_inverse"}
         assert set(made) == names

@@ -20,6 +20,7 @@ from lmkit.repfun import (
     check_natural,
     constant_functor,
     lk_functor,
+    partial_permutation_split,
     power_functor,
     reduced_burau_functor,
     split_at_rows,
@@ -42,7 +43,7 @@ from lmkit.polyfun import (
 )
 
 from display_fixtures import oriented
-from reference_kernels import fraction_pivot_rows
+from reference_kernels import fraction_pivot_rows, hstack
 
 
 def non_split_functor():
@@ -115,24 +116,77 @@ class TestResolution:
         assert res.retraction.rows == conjugated.dim(2)
         assert res.certify(conjugated.stab(2, 3))
 
-    def test_mis_shaped_declared_split_falls_back_to_the_search(self):
-        f = burau_functor()
-
-        def transposed(n):
-            s = f.split(n)
-            return SplitData(s.retraction.transpose(), s.complement, s.coprojection)
-
-        g = BraidFunctor(
-            "burau", f.dim, f.gen_matrix, lambda n: f.stab(n, n + 1), transposed, eval_range=8
-        )
-        incl = g.stab(3, 4)
-        assert not g.split(3).certify(incl)
-        res = resolve_inclusion(g, 3)
-        assert res.retraction.rows == g.dim(3) and res.certify(incl)
-
     def test_uncertified_raises(self):
         with pytest.raises(SplitCertificationError):
             resolve_inclusion(non_split_functor(), 2)
+
+
+GRID_WRAPPERS = ["{}", "tau(1;{})", "tau(2;{})", "twist(t;{})"]
+GRID_LM = [
+    f"lm({params};{{}})"
+    for params in (
+        "artin,pure-braid", "artin,trivial", "wada3,pure-braid", "wada5,trivial",
+        "wada1:2,pure-braid", "artin,pure-braid,t,t^-1",
+    )
+]
+# leaf: the complement dimensions at levels 0-4 of the leaf under each of
+# GRID_WRAPPERS, then under every one of GRID_LM (all six agree).
+GRID_LEAVES = {
+    "constant": [(0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (1, 1, 1, 1, 1)],
+    "burau": [(1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (2, 4, 6, 8, 10)],
+    "burau(t^2)": [(1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (2, 4, 6, 8, 10)],
+    "reduced-burau": [(0, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (0, 1, 1, 1, 1), (1, 3, 5, 7, 9)],
+    "tym": [(1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (2, 4, 6, 8, 10)],
+    "tym(q)": [(1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (2, 4, 6, 8, 10)],
+    "lk": [(0, 1, 2, 3, 4), (1, 2, 3, 4, 5), (2, 3, 4, 5, 6), (0, 1, 2, 3, 4), (1, 5, 12, 22, 35)],
+    "atomic(1)": [(1, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0, 0)],
+    "atomic(2)": [(0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)],
+    "t1": [(1, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (1, 1, 1, 1, 1)],
+    "e(1)": [(1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (2, 4, 6, 8, 10)],
+    "e(2)": [(1, 3, 5, 7, 9), (3, 5, 7, 9, 11), (5, 7, 9, 11, 13), (1, 3, 5, 7, 9), (4, 14, 30, 52, 80)],
+    "zero": [(0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0)],
+}
+# None: no certified complement (a proper, nonzero kernel; ROADMAP item 10).
+GRID_COMPOSITES = {
+    "sum(burau;lk)": (1, 2, 3, 4, 5),
+    "sum(atomic(2);lk)": (0, 2, None, 3, 4),
+    "sum(constant;atomic(1))": (1, None, 0, 0, 0),
+    "sum(t1;burau)": (2, 1, 1, 1, 1),
+    "tensor(burau;tym)": (1, 3, 5, 7, 9),
+    "tensor(burau;burau)": (1, 3, 5, 7, 9),
+    "tensor(lk;constant)": (0, 1, 2, 3, 4),
+    "tensor(t1;e(1))": (1, 1, 1, 1, 1),
+    "tau(1;tensor(burau;tym))": (3, 5, 7, 9, 11),
+    "tau(1;lm(artin,pure-braid;burau))": (4, 6, 8, 10, 12),
+    "lm(artin,pure-braid;sum(burau;lk))": (3, 9, 18, 30, 45),
+    "twist(t;tensor(lk;lk))": (0, 1, 8, 27, 64),
+    "lm(artin,pure-braid;tau(1;lk))": (3, 9, 18, 30, 45),
+    "tensor(lm(artin,pure-braid;constant);burau)": (1, 3, 5, 7, 9),
+}
+
+
+def grid_pins():
+    for leaf, (*plain, lm) in GRID_LEAVES.items():
+        yield from ((w.format(leaf), dims) for w, dims in zip(GRID_WRAPPERS, plain))
+        yield from ((w.format(leaf), lm) for w in GRID_LM)
+    yield from GRID_COMPOSITES.items()
+
+
+class TestResolutionGrid:
+    """The complement dimension of every resolution at levels 0-4, over the
+    leaves under each wrapper and over nested sums, tensors and
+    constructions, each one certified or refused."""
+
+    @pytest.mark.parametrize("spec,dims", list(grid_pins()))
+    def test_complement_dimensions(self, spec, dims):
+        f = parse_functor(spec)
+        got = []
+        for n in range(5):
+            try:
+                got.append(resolution(f, n).complement.cols)
+            except SplitCertificationError:
+                got.append(None)
+        assert tuple(got) == dims
 
 
 def reference_split(incl, pivots):
@@ -141,7 +195,7 @@ def reference_split(incl, pivots):
     d_src, d_tgt = incl.cols, incl.rows
     missing = [r for r in range(d_tgt) if r not in set(pivots)]
     complement = PolyMatrix(d_tgt, len(missing), {(r, i): ONE for i, r in enumerate(missing)})
-    inverse = incl.hstack(complement).inverse()
+    inverse = hstack(incl, complement).inverse()
     return SplitData(
         inverse.submatrix(range(d_src), range(d_tgt)),
         complement,
@@ -151,13 +205,13 @@ def reference_split(incl, pivots):
 
 def searched_levels(f, levels, seed=0):
     """(level, inclusion, pivot rows) for each level where resolve_inclusion
-    reaches the complement search, with the pivots of its first full-rank
-    point."""
+    reaches the complement search, past the zero map and the monomial split,
+    with the pivots of its first full-rank point."""
     out = []
     for n in levels:
         incl = f.stab(n, n + 1)
-        declared = f.split(n)
-        if incl.cols == 0 or incl.is_zero() or (declared and declared.certify(incl)):
+        monomial = partial_permutation_split(incl)
+        if incl.cols == 0 or incl.is_zero() or (monomial and monomial.certify(incl)):
             continue
         for point in seeded_points(polyfun._PIVOT_POINTS, seed):
             pivots = incl.pivot_rows_at(point)
@@ -601,7 +655,7 @@ class TestComposedStabilizations:
     """Every family and combinator states its stabilization n -> n+1 only;
     n -> n' is the composite stab(n'-1, n') * stab(n, n'-1).  The composite
     must be the closed form each construction states for n -> n', and each
-    one-step split that a functor gives must certify its map."""
+    one-step map must have a certified resolution."""
 
     @staticmethod
     def assert_closed_form_is_the_composite(f, closed):
@@ -636,7 +690,8 @@ class TestComposedStabilizations:
     @pytest.mark.parametrize("spec", COMPOSED_SPECS)
     def test_one_step_split_certifies(self, spec):
         f = parse_functor(spec)
-        splits = [(n, f.split(n)) for n in range(min(6, f.eval_range))]
-        for n, data in splits:
-            assert data is None or data.certify(f.stab(n, n + 1)), (spec, n)
-        assert any(data is not None for _, data in splits), spec
+        for n in range(min(6, f.eval_range)):
+            incl = f.stab(n, n + 1)
+            # A zero map is resolved on its kernel's complement, which is zero.
+            source = PolyMatrix.zeros(incl.rows, 0) if incl.is_zero() else incl
+            assert resolution(f, n).certify(source), (spec, n)

@@ -20,7 +20,7 @@ from lmkit.braidcat import (
     trivial_system,
 )
 from lmkit.memo import MEMO_CAP
-from lmkit.polyfun import difference, unit_line_equivalence
+from lmkit.polyfun import difference, resolution, unit_line_equivalence
 from lmkit.repfun import (
     BraidFunctor,
     FunctorError,
@@ -707,8 +707,7 @@ class TestCombinators:
             direct_sum(builtin("burau"), builtin("tym")),
             tensor(builtin("burau"), builtin("tym")),
         ):
-            sd = f.split(2)
-            assert sd is not None and sd.certify(f.stab(2, 3))
+            assert resolution(f, 2).certify(f.stab(2, 3)), f.name
 
 
 class TestSplitData:
@@ -716,15 +715,13 @@ class TestSplitData:
     def test_builtin_split_certifies(self, name, kw):
         f = builtin(name, **kw)
         for n in range(0, 4):
-            sd = f.split(n)
-            assert sd is not None
-            assert sd.certify(f.stab(n, n + 1))
+            assert resolution(f, n).certify(f.stab(n, n + 1)), (name, n)
 
     def test_complement_one_column_short_fails(self):
         # The four block identities still hold, but [incl | complement] is
         # not square, so it cannot be invertible.
         f = builtin("burau")
-        incl, sd = f.stab(3, 4), f.split(3)
+        incl, sd = f.stab(3, 4), resolution(f, 3)
         keep = range(sd.complement.cols - 1)
         short = SplitData(
             sd.retraction,
@@ -896,4 +893,5 @@ class TestSplitBuilder:
         for k in range(4):
             f = atomic_functor(k)
             for n in range(7):
-                assert f.split(n) == reference_atomic_split(k, n), (k, n)
+                got = partial_permutation_split(f.stab(n, n + 1))
+                assert got == reference_atomic_split(k, n), (k, n)
