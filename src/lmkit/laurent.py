@@ -180,6 +180,8 @@ class LaurentPoly:
     def unit_inverse(self) -> "LaurentPoly":
         if not self.is_unit():
             raise LaurentError(f"not invertible: {self}")
+        if self.terms == _ONE_TERMS:
+            return ONE
         ((a, b), c), = self.terms.items()
         return LaurentPoly({(-a, -b): _quo(1, c)})
 

@@ -5,9 +5,11 @@ Long-Moody construction.
 
 Kernels and cokernels of the canonical inclusion F -> translate(F) are
 read off one certified SplitData of it on a complement of its kernel: the
-rank is the retraction's rows, the cokernel the complement's columns.  It
-is the monomial split when the inclusion is a column monomial matrix, else
-a complement found by evaluation pivoting, and either way it is certified
+rank is the retraction's rows, the cokernel the complement's columns.  A
+zero inclusion, which incl.is_zero() decides exactly, gets the empty
+inclusion's split, correct by construction.  Any other split is the
+monomial split when the inclusion is a column monomial matrix, else a
+complement found by evaluation pivoting, and either way it is certified
 symbolically.
 Degree conclusions are therefore exact but range-relative: a report says
 "the (d+1)-st difference vanishes on levels <= N", never more.  Each
@@ -53,15 +55,21 @@ def resolve_inclusion(f: BraidFunctor, n: int, seed: int = 0) -> SplitData:
     """Split the inclusion at level n on a complement of its kernel,
     uncached (see resolution).
 
-    Resolution order: a zero map (kernel everything), split as the empty
-    inclusion; the monomial split of a column monomial inclusion; complement
-    search at _PIVOT_POINTS seeded evaluation points.  Each split found is
-    certified symbolically.  An unresolvable inclusion raises
-    SplitCertificationError rather than silently degrading.
+    Resolution order: a zero map (kernel everything), decided exactly by
+    incl.is_zero(); the monomial split of a column monomial inclusion;
+    complement search at _PIVOT_POINTS seeded evaluation points.  The zero
+    map's split (no retraction rows, the identity as complement and
+    coprojection) is correct by construction and is not passed to
+    SplitData.certify, whose shape check expects incl.cols retraction rows;
+    its identities are flagged, so the difference compresses through them
+    with no product.  Each of the other two splits is certified
+    symbolically.  An unresolvable inclusion raises SplitCertificationError
+    rather than silently degrading.
     """
     incl = f.stab(n, n + 1)
     if incl.is_zero():
-        return split_at_rows(PolyMatrix.zeros(incl.rows, 0), [], PolyMatrix.zeros(0, 0))
+        eye = PolyMatrix.identity(incl.rows)
+        return SplitData(PolyMatrix.zeros(0, incl.rows), eye, eye)
     monomial = partial_permutation_split(incl)
     if monomial is not None and monomial.certify(incl):
         return monomial

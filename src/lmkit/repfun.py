@@ -457,6 +457,12 @@ def translate(f: BraidFunctor, k: int) -> BraidFunctor:
     Letter s_i^{±1} becomes f(s_{k+i}^{±1}); the stabilization n -> n+1
     picks up the inverse braiding router(k, n, n+1) that routes the k fixed
     strands past the added one.
+
+    A zero one-step map f.stab(k+n, k+n+1) is returned itself: the router's
+    matrix is square of size dim f(k+n+1), so its product with the zero map
+    is that zero map.  The router's letters are then not read, so a letter
+    with no inverse over the ring (only `corrupted` makes one) is not met
+    here; check_functor still reports it on f's relations.
     """
     if k < 0:
         raise FunctorError("translation amount must be >= 0")
@@ -466,7 +472,10 @@ def translate(f: BraidFunctor, k: int) -> BraidFunctor:
         return f
 
     def stab(n):
-        return f.word_matrix(router(k, n, n + 1)).matmul(f.stab(k + n, k + n + 1))
+        step = f.stab(k + n, k + n + 1)
+        if step.is_zero():
+            return step
+        return f.word_matrix(router(k, n, n + 1)).matmul(step)
 
     return BraidFunctor(
         f"tau({k};{f.name})",

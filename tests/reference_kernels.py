@@ -15,17 +15,23 @@ matrix with each column a dict before the columns were packed into ints;
 hstack, the side-by-side matrix that the split references assemble; and the
 free-group oracles: Fox's formula expanded back into the group ring, and a
 free-group map pushed forward on the group ring and on the augmentation
-ideal."""
+ideal; and the zero-map rules of the degree calculus before zero maps cost
+nothing: router_first_translate, whose one-step map multiplies F(router)
+into F's one-step map even when that map is zero, resolve_with_rows_zero_split,
+which splits a zero inclusion through split_at_rows with unflagged
+identities, and allocating_unit_inverse, which builds a new polynomial for
+the inverse of 1."""
 
 from fractions import Fraction
 
-from lmkit.braidcat import BraidWord, router, signed_letters, trivial_system
+from lmkit.braidcat import BraidWord, router, shift_letter, signed_letters, trivial_system
 from lmkit.freegroup import (
     AugIdealElement, FreeGroupMap, FreeWord, GroupRingElement, fox_derivatives, reduced_words,
 )
-from lmkit.laurent import ONE, ZERO, LaurentError, PolyMatrix, _matrix, exact_div
+from lmkit.laurent import ONE, ZERO, LaurentError, LaurentPoly, PolyMatrix, _matrix, _quo, exact_div
 from lmkit.longmoody import LongMoodyConfig, artin_family, long_moody
-from lmkit.repfun import CheckReport, constant_functor, translate
+from lmkit.polyfun import resolve_inclusion
+from lmkit.repfun import BraidFunctor, CheckReport, constant_functor, split_at_rows, translate
 
 
 def enumerate_words(strands, max_len):
@@ -389,3 +395,38 @@ def apply_aug(phi, x):
         for j, d in enumerate(fox_derivatives(image).coords):
             out[j] = out[j] + d * pushed
     return AugIdealElement(phi.target_rank, out)
+
+
+def router_first_translate(f, k):
+    """repfun.translate as it was before a zero one-step map skipped its
+    router: every one-step map is F(router(k, n, n+1)) times F's one-step
+    map k+n -> k+n+1, the router's matrix built first."""
+    if k == 0:
+        return f
+    return BraidFunctor(
+        f"tau({k};{f.name})",
+        lambda n: f.dim(k + n),
+        lambda n, i: f.gen_matrix(k + n, shift_letter(i, k)),
+        lambda n: f.word_matrix(router(k, n, n + 1)).matmul(f.stab(k + n, k + n + 1)),
+        eval_range=f.eval_range - k,
+    )
+
+
+def resolve_with_rows_zero_split(f, n, seed=0):
+    """polyfun.resolve_inclusion as it was before a zero inclusion split on
+    flagged identities: the zero map gets split_at_rows of the empty
+    inclusion, whose complement and coprojection are identities by value
+    only, so every product through them is formed."""
+    incl = f.stab(n, n + 1)
+    if incl.is_zero():
+        return split_at_rows(PolyMatrix.zeros(incl.rows, 0), [], PolyMatrix.zeros(0, 0))
+    return resolve_inclusion(f, n, seed)
+
+
+def allocating_unit_inverse(p):
+    """LaurentPoly.unit_inverse as it was before the inverse of 1 was ONE
+    itself: a new polynomial for every unit."""
+    if not p.is_unit():
+        raise LaurentError(f"not invertible: {p}")
+    ((a, b), c), = p.terms.items()
+    return LaurentPoly({(-a, -b): _quo(1, c)})

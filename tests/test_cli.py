@@ -421,6 +421,21 @@ PINNED_STDOUT = [
      "c5aa68945a2a451bd22499d3d81a5064c9db57b28c383dc0304d0b6cf8e3946b"),
     (["emit", "--functor", "twist(t;burau)", "--n", "4"], 0,
      "0d71e039864336a6fcee6e0acf2ce83eaaa97f8981c4a35454803ee204429064"),
+    # Functors with zero transition maps, pinned before zero maps became
+    # free: a zero one-step map skips its router, and a zero inclusion
+    # splits on flagged identities.
+    (["degree", "--functor", "e(2)", "--N", "10"], 0,
+     "5b7f9c31e3755c46fd56158dfb4987a95f256c0631fcacc13980f5fc956f11c4"),
+    (["degree", "--functor", "e(3)", "--N", "8"], 0,
+     "1e1b8f8c4f4eca4b32b4351d0538cb311f8c824a51721c3f696f98a816dfea8c"),
+    (["degree", "--functor", "atomic(3)", "--N", "8"], 0,
+     "6e7d30e237aa5f48ce813400ec8691c76dd6ed674397c744401dd384aaa6cfe9"),
+    (["degree", "--functor", "tau(1;atomic(2))", "--N", "6"], 0,
+     "76399ff849e583a7400f81f17ee8900bacb8abf1ab0f59a82b61b7333d6fc0f6"),
+    (["verify", "splitting", "--base", "e(1)", "--N", "3"], 0,
+     "27073010810eacf5232db6e2418fd4d9b3e35d2fe4ed15e4b31555cd5ab6d849"),
+    (["verify", "degree", "--base", "atomic(2)", "--N", "5"], 1,
+     "965273be14692738112c67f724161bcab8765d83345d4b1993a2a3f60c0ca6b2"),
 ]
 
 

@@ -68,6 +68,13 @@ class TestArithmetic:
         assert not lp("1 + t").is_unit()
         assert not ZERO.is_unit()
 
+    def test_the_inverse_of_one_is_one_itself(self):
+        # No polynomial is built for it, as in the monomial split of a 0/1
+        # coordinate inclusion.
+        assert ONE.unit_inverse() is ONE
+        assert LaurentPoly.const(1).unit_inverse() is ONE
+        assert (-ONE).unit_inverse() == -ONE
+
     @given(st.integers(-6, 6), st.integers(-4, 4), coeffs.filter(lambda c: c != 0))
     @settings(max_examples=40, deadline=None)
     def test_unit_inverse_produces_inverse(self, a, b, c):

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from lmkit import cli, laurent, polyfun
+from lmkit import cli, laurent, longmoody, polyfun, repfun
 from lmkit.cli import parse_functor
-from lmkit.laurent import ONE, EvaluationPoint, PolyMatrix, T, seeded_points
+from lmkit.laurent import ONE, EvaluationPoint, LaurentPoly, PolyMatrix, T, seeded_points
 from lmkit.braidcat import BraidWord, braiding, lk_index, router
 from lmkit.repfun import (
     BUILTINS,
@@ -43,7 +43,13 @@ from lmkit.polyfun import (
 )
 
 from display_fixtures import oriented
-from reference_kernels import fraction_pivot_rows, hstack
+from reference_kernels import (
+    allocating_unit_inverse,
+    fraction_pivot_rows,
+    hstack,
+    resolve_with_rows_zero_split,
+    router_first_translate,
+)
 
 
 def non_split_functor():
@@ -100,15 +106,20 @@ class TestResolution:
         assert res.retraction.rows == f.dim(4) and res.complement.cols == 0
 
     def test_zero_maps_resolve_to_the_empty_split(self):
-        # The zero map at level 2 and the zero source at level 1: no
-        # retraction rows, identity complement and coprojection on F(n+1).
+        # The zero map at level 2 and the zero source at level 1 of
+        # atomic(2), and every zero map of the difference of e(1): no
+        # retraction rows, identity complement and coprojection on F(n+1),
+        # flagged so that products through them are not formed.
         a2 = atomic_functor(2)
-        for n in (1, 2):
-            rows = a2.dim(n + 1)
-            empty = split_at_rows(PolyMatrix.zeros(rows, 0), [], PolyMatrix.zeros(0, 0))
-            assert resolve_inclusion(a2, n) == empty, n
-            assert empty.retraction.rows == 0
-            assert empty.complement == empty.coprojection == PolyMatrix.identity(rows)
+        for f, levels in ((a2, (1, 2)), (difference(power_functor(1), 6), range(5))):
+            for n in levels:
+                rows = f.dim(n + 1)
+                empty = split_at_rows(PolyMatrix.zeros(rows, 0), [], PolyMatrix.zeros(0, 0))
+                res = resolution(f, n)
+                assert f.stab(n, n + 1).is_zero() and res == empty, (f.name, n)
+                assert res.retraction.rows == 0
+                assert res.complement == res.coprojection == PolyMatrix.identity(rows)
+                assert res.complement.is_identity and res.coprojection.is_identity
 
     def test_search_certifies_non_coordinate_complement(self):
         conjugated = conjugated_burau()
@@ -695,3 +706,94 @@ class TestComposedStabilizations:
             # A zero map is resolved on its kernel's complement, which is zero.
             source = PolyMatrix.zeros(incl.rows, 0) if incl.is_zero() else incl
             assert resolution(f, n).certify(source), (spec, n)
+
+
+def use_reference_rules(monkeypatch):
+    """Swap in the zero-map rules of tests/reference_kernels.py: every
+    translate's one-step map multiplies its router in, a zero inclusion
+    splits on unflagged identities and the inverse of 1 is a new
+    polynomial.  Functors parsed afterwards are built on these rules."""
+    for module in (repfun, longmoody, polyfun, cli):
+        monkeypatch.setattr(module, "translate", router_first_translate)
+    monkeypatch.setattr(polyfun, "resolve_inclusion", resolve_with_rows_zero_split)
+    monkeypatch.setattr(LaurentPoly, "unit_inverse", allocating_unit_inverse)
+
+
+def calculus_json(spec, big_n):
+    """The degree report of the functor at big_n, and the matrices of its
+    first two differences at every level their window keeps (or the error
+    of a level with no certified complement)."""
+    f = parse_functor(spec)
+    out = [estimate_strong_degree(f, big_n).to_json()]
+    for _ in range(2):
+        big_n -= 1
+        f = difference(f, big_n)
+        for n in range(big_n + 1):
+            try:
+                out.append(f.to_json(n))
+            except SplitCertificationError as exc:
+                out.append(str(exc))
+    return out
+
+
+def router_calls_into_zero_steps(monkeypatch, run):
+    """How many word_matrix calls `run` makes for a one-level router
+    router(1, n, n+1) of a functor whose one-step map n+1 -> n+2 is zero."""
+    calls = []
+    word_matrix = BraidFunctor.word_matrix
+
+    def recording(f, word):
+        calls.append((f, word))
+        return word_matrix(f, word)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(BraidFunctor, "word_matrix", recording)
+        run()
+    return sum(
+        1 for f, w in calls
+        if w.strands >= 2 and w == router(1, w.strands - 2, w.strands - 1)
+        and f.stab(w.strands - 1, w.strands).is_zero()
+    )
+
+
+ZERO_MAP_GRID = [
+    ("e(0)", 8), ("e(1)", 8), ("e(2)", 8), ("e(3)", 6),
+    ("atomic(0)", 8), ("atomic(1)", 8), ("atomic(2)", 8), ("atomic(3)", 8),
+    ("zero", 8), ("t1", 8), ("constant", 8), ("burau", 8), ("reduced-burau", 8), ("lk", 8),
+    ("sum(atomic(3);burau)", 8), ("tau(1;atomic(2))", 8),
+    ("lm(artin,pure-braid;e(1))", 6), ("lm(artin,pure-braid;atomic(2))", 6),
+]
+
+
+class TestZeroMaps:
+    """Zero maps cost no products: a translate whose one-step map is zero
+    skips its router, a zero inclusion splits on flagged identities and the
+    inverse of 1 is ONE.  Each agrees with the reference rule it replaced."""
+
+    def test_no_router_is_built_into_a_zero_step(self, monkeypatch):
+        def degree():
+            estimate_strong_degree(parse_functor("e(2)"), 10)
+
+        assert router_calls_into_zero_steps(monkeypatch, degree) == 0
+        # The reference rule builds them, so the count above is not vacuous.
+        use_reference_rules(monkeypatch)
+        assert router_calls_into_zero_steps(monkeypatch, degree) > 0
+
+    @pytest.mark.parametrize("spec,big_n", ZERO_MAP_GRID)
+    def test_degree_calculus_matches_the_reference_rules(self, monkeypatch, spec, big_n):
+        got = calculus_json(spec, big_n)
+        use_reference_rules(monkeypatch)
+        assert got == calculus_json(spec, big_n)
+
+    @pytest.mark.parametrize("spec", ["atomic(2)", "e(1)", "zero"])
+    def test_theorems_match_the_reference_rules(self, monkeypatch, spec):
+        def theorems():
+            cfg = standard_config()
+            return (
+                verify_difference_splitting(cfg, parse_functor(spec), 3).to_json(),
+                verify_degree_growth(cfg, parse_functor(spec), 4),
+            )
+
+        got = theorems()
+        use_reference_rules(monkeypatch)
+        assert got == theorems()
