@@ -13,29 +13,45 @@ Conventions fixed once here and relied on everywhere:
   braid on n' strands, two representatives being equal when they differ by
   precomposition with a braid of the first n'-n strands.
 
-Word equality is decided by evaluation in faithful representations: the
-Lawrence-Krammer matrices at seeded rational points combined with a fully
-symbolic unreduced Burau comparison.  A negative answer always carries a
-concrete witness; a positive answer is exact on the Burau side and
-probabilistic (faithfulness of Lawrence-Krammer plus random evaluation) on
-the Lawrence-Krammer side.
-
-The coherence checks decide their braid identities exactly instead, on the
-Artin action (artin_images, artin_witness).  Artin's theorem (1925):
+The coherence checks decide their braid identities exactly on the Artin
+action (artin_images, artin_witness).  Artin's theorem (1925):
 B_n -> Aut(F_n) is faithful.  The letter s_i acts as the standard
 sigma_i^-1 (g_i -> g_(i+1)), and the mirror sigma_i -> sigma_i^-1 is an
 automorphism of B_n, so faithfulness carries over: two words are equal
-braids exactly when their images of g1..gn agree.  Those images can grow exponentially with the
-length of a word (on 4 strands, about 9·10^5 letters in all for 40-letter
-random words), so the general oracle stays on the representations; the
-coherence words, a shifted letter times local-system images, stay short.
+braids exactly when their images of g1..gn agree.  Those images can grow
+exponentially with the length of a word: an l-letter word on n strands
+has at most n·3^l image letters in all (on 4 strands, about 9·10^5 for
+40-letter random words).  The coherence words, a shifted letter times
+local-system images, stay short.
 
-Before either representation is evaluated, the longest common prefix and
-then the longest common suffix of what is left are cancelled: in a group
-p x s = p y s exactly when x = y, and since every letter matrix is
+General word equality (braid_equal_witness) first cancels the longest
+common prefix and then the longest common suffix of what is left: in a
+group p x s = p y s exactly when x = y, and since every letter matrix is
 invertible (Lawrence-Krammer at every seeded point, Burau over Z[t^±1]),
 each comparison of the cores has the verdict of the full one, so the
 answer and its witness do not change.
+
+The run step then splits the cores into aligned run pairs.  Cores of
+equal length pair their maximal runs of differing positions, with equal
+letters between them; cores of different lengths are one run pair.  Write
+u = a0 x1 a1 ... xk ak and v = a0 y1 a1 ... yk ak.  If xi = yi in B_n for
+every i, then u = v, by substitution in a group.  When every run has at
+most _RUN_BOUND = 8 letters on each side (a measured bound, stated where
+it is set), the Artin action decides each
+xi = yi exactly, and equal images on every run return "equal", exact and
+with no point evaluated.  In every other case (a longer run, or a run
+whose images differ, since words can be equal although their runs are
+not) the step decides nothing and the representations below run.  The
+step cannot change an output: when it answers, u = v, and both
+representations are homomorphisms evaluated exactly, so they would have
+answered "equal" with no witness too.
+
+The representations are the Lawrence-Krammer matrices at seeded rational
+points (a faithful representation: Bigelow 2001, Krammer 2002) combined
+with a fully symbolic unreduced Burau comparison.  A negative answer
+always carries a concrete witness; a positive answer that reaches them is
+exact on the Burau side and probabilistic (faithfulness of
+Lawrence-Krammer plus random evaluation) on the Lawrence-Krammer side.
 
 The Lawrence-Krammer side runs on plain integers: at each point every
 signed generator is scaled by one common denominator, the scale, so a
@@ -282,8 +298,16 @@ def bracket_monoidal(g: BracketMorphism, f: BracketMorphism) -> BracketMorphism:
 
 
 _COSET_BOUND = 4
-# The certainty of every verdict: Lawrence-Krammer points per comparison.
+# The certainty of a verdict the run step leaves open: Lawrence-Krammer
+# points per comparison.  A run-decided "equal" is exact and evaluates none.
 _CERTAINTY = 3
+# The longest run the oracle decides on the Artin action.  An l-letter word
+# has at most n·3^l image letters in all; the worst signed word of 8 letters
+# on 3 and on 4 strands, alternating s1 s2^-1, has 347 and 348 (Intel Xeon,
+# 2 vCPUs, Python 3.11.7: 0.07 ms, against about 0.3 ms for one unequal
+# benchmark pair's Lawrence-Krammer point).  At 12 letters it has 2431
+# (0.47 ms), at 16 letters 16715 (2.8 ms).
+_RUN_BOUND = 8
 
 
 def bracket_equal(
@@ -298,6 +322,8 @@ def bracket_equal(
     or a trivial coset group (k <= 1, word equality), give a definite
     answer; otherwise coset representatives up to length _COSET_BOUND are
     searched, and a failed search is None ("not found within bound").
+    Each word comparison is braid_equal's: exact when the run step settles
+    it, else seeded Lawrence-Krammer points plus symbolic Burau.
     """
     if (g.source, g.target) != (f.source, f.target):
         return False
@@ -508,6 +534,33 @@ def _cores(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
     return _braid(n, a[head : len(a) - tail]), _braid(n, b[head : len(b) - tail])
 
 
+def _runs_equal(u: BraidWord, v: BraidWord) -> bool:
+    """True when u and v split into aligned run pairs, each side of at most
+    _RUN_BOUND letters, with equal Artin images (see the module notes).
+
+    Cores of equal length pair their maximal runs of differing positions,
+    the letters between runs being equal; cores of different lengths are
+    one run pair.  False means "not decided here", not "unequal".
+    """
+    a, b = u.letters, v.letters
+    if len(a) != len(b):
+        runs = [(a, b)]
+    else:
+        runs, lo = [], None
+        for k, (x, y) in enumerate(zip(a, b)):
+            if x != y and lo is None:
+                lo = k
+            elif x == y and lo is not None:
+                runs.append((a[lo:k], b[lo:k]))
+                lo = None
+        # The cores end in differing letters, so the last run is still open.
+        runs.append((a[lo:], b[lo:]))
+    n = u.strands
+    return all(len(x) <= _RUN_BOUND and len(y) <= _RUN_BOUND for x, y in runs) and all(
+        artin_images(_braid(n, x)) == artin_images(_braid(n, y)) for x, y in runs
+    )
+
+
 def braid_equal(
     u: BraidWord, v: BraidWord, seed: int = 0
 ) -> bool:
@@ -520,16 +573,20 @@ def braid_equal_witness(
 ):
     """Decide u = v in the braid group; on failure return a witness.
 
-    The test combines Lawrence-Krammer evaluation at `certainty` seeded
-    rational points (faithful representation, probabilistic detection) with
-    an exact symbolic unreduced Burau comparison, both on the cores left
-    after cancelling the common prefix and suffix (see the module notes).
+    Both words lose their common prefix and suffix.  When the cores' run
+    pairs are all short and have equal Artin images, the answer is an
+    exact "equal" (the run step of the module notes).  Otherwise the test
+    combines Lawrence-Krammer evaluation at `certainty` seeded rational
+    points (faithful representation, probabilistic detection) with an
+    exact symbolic unreduced Burau comparison of the cores.
     """
     if u.strands != v.strands:
         return False, {"reason": "strand mismatch"}
     if u.letters == v.letters:
         return True, None
     u, v = _cores(u, v)
+    if _runs_equal(u, v):
+        return True, None
     # Words with different letters have one, so n >= 2 here.
     for point in seeded_points(max(1, certainty), seed):
         if not _lk_scaled_equal(u, v, point):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from lmkit.laurent import seeded_points
 from lmkit.freegroup import FreeGroupMap, FreeWord, artin_generator_map, parse_word, reduced_words
@@ -737,6 +737,140 @@ class TestAffixCancellation:
         assert braid_equal_witness(b, a) == dense_braid_equal_witness(b, a)
 
 
+def _site(draw, n, letter):
+    """(x, y, kind) for one site: x = y by a braid relation or a far
+    commutation, or y is x's one letter changed; letter draws a signed
+    letter on n strands."""
+    kinds = ["relation", "change"] + (["commutation"] if n >= 4 else [])
+    kind = draw(st.sampled_from(kinds), label="kind")
+    sign = draw(st.sampled_from([1, -1]), label="sign")
+    if kind == "relation":
+        i = draw(st.integers(1, n - 2), label="i")
+        j = i + 1
+        x, y = draw(
+            st.sampled_from([((i, j, i), (j, i, j)), ((i, j, -i), (-j, i, j))]), label="relation"
+        )
+        x, y = tuple(sign * l for l in x), tuple(sign * l for l in y)
+    elif kind == "commutation":
+        i = draw(st.integers(1, n - 3), label="i")
+        j = draw(st.integers(i + 2, n - 1), label="j")
+        x, y = (sign * i, j), (j, sign * i)
+    else:
+        x = sign * draw(st.integers(1, n - 1), label="letter")
+        x, y = (x,), (draw(letter.filter(lambda l: l != x), label="changed"),)
+    return (x, y, kind) if draw(st.booleans(), label="swap") else (y, x, kind)
+
+
+@st.composite
+def site_pairs(draw):
+    """(u, v, changes): 1-4 sites between shared filler, the number of
+    one-letter changes among them.  Filler of zero letters joins sites
+    into runs longer than _RUN_BOUND."""
+    n = draw(st.integers(3, 7), label="strands")
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    u = draw(st.lists(letter, max_size=6), label="filler")
+    v, changes = list(u), 0
+    for _ in range(draw(st.integers(1, 4), label="sites")):
+        x, y, kind = _site(draw, n, letter)
+        changes += kind == "change"
+        filler = draw(st.lists(letter, max_size=3), label="filler")
+        u += list(x) + filler
+        v += list(y) + filler
+    return bw(u, n), bw(v, n), changes
+
+
+def _lk_calls(monkeypatch):
+    """A list that grows by one per Lawrence-Krammer point evaluated."""
+    calls, compare = [], braidcat._lk_scaled_equal
+
+    def counting(u, v, point):
+        calls.append(point)
+        return compare(u, v, point)
+
+    monkeypatch.setattr(braidcat, "_lk_scaled_equal", counting)
+    return calls
+
+
+# (u, v, strands, whether u = v, whether the run step decides the pair)
+RUN_EDGE_CASES = [
+    # Equal words whose every run is unequal: s2^-1 s1 s2 s1 = s1 s2 =
+    # s2 s1 s2 s1^-1, with runs s2^-1 | s2 and s1 | s1^-1.
+    ((-2, 1, 2, 1, -2), (2, 1, 2, -1, -2), 3, True, False),
+    # Three braid relations side by side: one equal run of 9 letters.
+    ((1, 2, 1, 1, 2, 1, 1, 2, 1), (2, 1, 2, 2, 1, 2, 2, 1, 2), 3, True, False),
+    # Short cores of different lengths, one run: s1 s2 s1 s2^-1 = s2 s1.
+    ((1, 2, 1, -2), (2, 1), 3, True, True),
+    # Short cores of different lengths that differ: s2 s1 != id.
+    ((1, 2, 1), (1,), 3, False, False),
+    # Two equal runs, a braid relation and a far commutation.
+    ((3, 1, 2, 1, 3, 1, 4, 2), (3, 2, 1, 2, 3, 4, 1, 2), 5, True, True),
+    # Two runs of which one is a changed letter.
+    ((3, 1, 2, 1, 3, 1, 4, 2), (3, 2, 1, 2, 3, 1, -4, 2), 5, False, False),
+]
+
+
+class TestRunStep:
+    """The run step of braid_equal_witness returns exactly what the
+    Lawrence-Krammer and Burau legs return on whole words."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=site_pairs())
+    def test_matches_dense_reference(self, pair):
+        u, v, changes = pair
+        for a, b in ((u, v), (v, u)):
+            got = braid_equal_witness(a, b)
+            assert got == dense_braid_equal_witness(a, b)
+            if changes == 0:
+                assert got == (True, None)
+            elif changes == 1:
+                assert got[0] is False
+
+    @pytest.mark.parametrize("u,v,strands,equal,decided", RUN_EDGE_CASES)
+    def test_edge_cases_match_dense_reference(self, monkeypatch, u, v, strands, equal, decided):
+        calls = _lk_calls(monkeypatch)
+        a, b = bw(u, strands), bw(v, strands)
+        assert braidcat._runs_equal(*_cores(a, b)) is decided
+        for x, y in ((a, b), (b, a)):
+            calls.clear()
+            got = braid_equal_witness(x, y)
+            assert got == dense_braid_equal_witness(x, y) and got[0] is equal
+            assert bool(calls) is not decided
+
+    def test_the_longest_decided_run_is_the_bound(self, monkeypatch):
+        # s1 s2 s1 = s2 s1 s2 repeated: a run of 3k letters is decided on
+        # the Artin action exactly when 3k <= _RUN_BOUND.
+        calls = _lk_calls(monkeypatch)
+        for k in range(1, 5):
+            calls.clear()
+            a, b = bw((1, 2, 1) * k, 3), bw((2, 1, 2) * k, 3)
+            assert braid_equal_witness(a, b) == (True, None)
+            assert bool(calls) is (3 * k > braidcat._RUN_BOUND), k
+
+    def test_a_run_decision_that_accepts_a_differing_run_is_caught(self, monkeypatch):
+        # Planted fault: the runs compared by their permutations, which a
+        # sign flip keeps, instead of their Artin images.
+        def cases():
+            for u, v, strands, _, _ in RUN_EDGE_CASES:
+                a, b = bw(u, strands), bw(v, strands)
+                yield a, b
+                yield b, a
+
+        def differs(a, b):
+            return braid_equal_witness(a, b) != dense_braid_equal_witness(a, b)
+
+        assert not any(differs(a, b) for a, b in cases())
+        monkeypatch.setattr(braidcat, "artin_images", BraidWord.permutation)
+        wrong = [(a, b) for a, b in cases() if differs(a, b)]
+        assert wrong
+        assert all(braid_equal_witness(a, b) == (True, None) for a, b in wrong)
+        found = find(
+            site_pairs(),
+            lambda pair: differs(pair[0], pair[1]),
+            settings=settings(max_examples=200, database=None, deadline=None, derandomize=True),
+        )
+        assert found[2] > 0
+
+
 def _as_map(images):
     """The automorphism of F_n with the given signed-generator images."""
     n = len(images)
@@ -895,24 +1029,47 @@ def test_benchmark_oracle_pairs_make_no_laurent_arithmetic(monkeypatch):
 def test_oracle_reads_the_letter_table_once_per_point(monkeypatch):
     # Each LK comparison of the benchmark's pairs looks the scaled letter
     # table up once per seeded point it evaluates: its width, both words
-    # and the scale of the gap all come from that one read.
+    # and the scale of the gap all come from that one read.  The unequal
+    # pairs reach Lawrence-Krammer and the equal ones are settled by their
+    # runs; with the run step declining, the equal pairs reach it too.
     workloads = _load_perfbench(monkeypatch, "workloads")
-    points = []
-    compare = braidcat._lk_scaled_equal
+    points = _lk_calls(monkeypatch)
 
-    def counting(u, v, point):
-        points.append(point)
-        return compare(u, v, point)
+    def check(reaches_lk):
+        for pair in workloads.oracle_pairs(11):
+            u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
+            points.clear()
+            before = _lk_scaled_generators.cache_info()
+            assert braid_equal_witness(u, v, 3)[0] is pair.equal
+            after = _lk_scaled_generators.cache_info()
+            lookups = after.hits + after.misses - before.hits - before.misses
+            assert bool(points) is reaches_lk(pair) and lookups == len(points), pair
 
-    monkeypatch.setattr(braidcat, "_lk_scaled_equal", counting)
-    for pair in workloads.oracle_pairs(11):
-        u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
-        points.clear()
-        before = _lk_scaled_generators.cache_info()
-        assert braid_equal_witness(u, v, 3)[0] is pair.equal
-        after = _lk_scaled_generators.cache_info()
-        lookups = after.hits + after.misses - before.hits - before.misses
-        assert points and lookups == len(points), pair
+    check(lambda pair: not pair.equal)
+    monkeypatch.setattr(braidcat, "_runs_equal", lambda u, v: False)
+    check(lambda pair: True)
+
+
+def test_equal_oracle_pairs_are_settled_by_their_runs(monkeypatch):
+    # Every equal benchmark pair differs only at short relation sites, so
+    # the Artin action decides it before any Lawrence-Krammer point or
+    # Burau column is computed.
+    workloads = _load_perfbench(monkeypatch, "workloads")
+
+    def unreachable(*args):
+        raise AssertionError("the run step should have decided this pair")
+
+    monkeypatch.setattr(braidcat, "_lk_scaled_equal", unreachable)
+    monkeypatch.setattr(braidcat, "burau_symbolic", unreachable)
+    settled = 0
+    for seed in (0, 1, 2):
+        for pair in workloads.oracle_pairs(seed):
+            if pair.equal:
+                u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
+                assert braid_equal_witness(u, v, 3) == (True, None), (seed, pair)
+                assert braid_equal_witness(v, u, 3) == (True, None), (seed, pair)
+                settled += 1
+    assert settled == 180
 
 
 def test_benchmark_tracer_ops_resolve(monkeypatch):
