@@ -659,39 +659,56 @@ def artin_witness(lhs: BraidWord, rhs: BraidWord) -> dict | None:
 # ---------------------------------------------------------------------------
 
 
-# Braid images memoized per local system; group-ring matrices evaluate the
-# same Fox-coefficient words for every functor built over one system (63
-# distinct words in the splitting and degree-growth checks at N=5).
+# Braid images stored per local-system rule: generator images under
+# (rule, n, i) and evaluated words under (rule, word), so every system,
+# configuration and nested image built on one rule evaluates each word once
+# (63 distinct Fox-coefficient words in the splitting and degree-growth
+# checks at N=5).  Rules are pure functions of their arguments, and a key
+# holds its rule, so a rule's identity is never reused while it has entries.
+_GENERATOR_IMAGES: dict = {}
+_EVALUATED: dict = {}
+
+
 @dataclass(frozen=True)
 class LocalSystem:
     """A family of homomorphisms F_n -> B_{n+1}, given per free generator.
 
     rule(n, i) is the image of gi; the extension to arbitrary words is the
-    unique multiplicative one, which exists by freeness.  evaluate memoizes
-    its images per instance, stored by memo.remember; equality ignores the
-    rule, so the memo is never shared.
+    unique multiplicative one, which exists by freeness.  Images are stored
+    in module tables keyed by the rule object itself (memo.remember, oldest
+    dropped first); equality ignores the rule, and two same-name systems
+    over different rules share no entry.
     """
 
     name: str
     rule: callable = field(compare=False)
-    _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def generator_image(self, n: int, i: int) -> BraidWord:
-        if not 1 <= i <= n:
-            raise BraidError(f"g{i} outside free group of rank {n}")
-        word = self.rule(n, i)
-        if word.strands != n + 1:
-            raise BraidError("local system rule must produce words on n+1 strands")
+        key = (self.rule, n, i)
+        word = _GENERATOR_IMAGES.get(key)
+        if word is None:
+            if not 1 <= i <= n:
+                raise BraidError(f"g{i} outside free group of rank {n}")
+            word = self.rule(n, i)
+            if word.strands != n + 1:
+                raise BraidError("local system rule must produce words on n+1 strands")
+            remember(_GENERATOR_IMAGES, key, word)
         return word
 
     def evaluate(self, w: FreeWord) -> BraidWord:
-        out = self._images.get(w)
+        """The braid image of w in one pass: the generator images, inverted
+        for negative exponents and repeated |exp| times, joined and freely
+        reduced once.  Free reduction is confluent, so this is the word a
+        fold of compose gives."""
+        key = (self.rule, w)
+        out = _EVALUATED.get(key)
         if out is None:
-            n = w.rank
-            out = BraidWord.identity(n + 1)
+            letters = []
             for gen, exp in w.syllables:
-                out = out.compose(self.generator_image(n, gen) ** exp)
-            remember(self._images, w, out)
+                image = self.generator_image(w.rank, gen)
+                letters.extend((image if exp > 0 else image.inverse()).letters * abs(exp))
+            out = _braid(w.rank + 1, _free_cancel(letters))
+            remember(_EVALUATED, key, out)
         return out
 
 
@@ -706,8 +723,12 @@ def pure_braid_system() -> LocalSystem:
     return LocalSystem("pure-braid", _pure_braid_rule)
 
 
+def _trivial_rule(n: int, i: int) -> BraidWord:
+    return BraidWord.identity(n + 1)
+
+
 def trivial_system() -> LocalSystem:
-    return LocalSystem("trivial", lambda n, i: BraidWord.identity(n + 1))
+    return LocalSystem("trivial", _trivial_rule)
 
 
 def local_system(name: str) -> LocalSystem:

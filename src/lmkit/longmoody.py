@@ -14,21 +14,23 @@ braid letter has block (r, c) equal to
 
 the Fox-coordinate expansion of the action on basis differences.  That
 Fox Jacobian depends on the action and the letter only, never on the input
-functor, so each LongMoodyConfig stores it per (level, signed letter): the
-nonzero (r, c, coefficient) triples, expanded once however many functors
-are built over the configuration (stored by memo.remember, oldest dropped
-first).  A coefficient equal to the unit 1·[e] of the group ring contributes
-τ₁F(letter) itself, so that block is placed without a group-ring matrix or
-a product; the other blocks are multiplied out as above.  The
-stabilization from n to n+1 is τ₁F's own on each of the n blocks, which
-land after one wholly new block; τ₁F carries the inverse-braiding router.
-Longer stabilizations compose these.
+functor or the configuration, so one module table stores it under (action
+rule, level, signed letter): the nonzero (r, c, coefficient, unit) entries,
+expanded once however many configurations, nested images and functors are
+built over that rule (stored by memo.remember, oldest dropped first).  Its
+image under the local system is stored the same way, per system rule
+(braidcat.LocalSystem).  A coefficient equal to the unit 1·[e] of the group
+ring, flagged once in the table, contributes τ₁F(letter) itself, so that
+block is placed without a group-ring matrix or a product; the other blocks
+are multiplied out as above.  The stabilization from n to n+1 is τ₁F's
+own on each of the n blocks, which land after one wholly new block; τ₁F
+carries the inverse-braiding router.  Longer stabilizations compose these.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 from .laurent import LaurentPoly, PolyMatrix, ONE, _matrix
@@ -135,24 +137,29 @@ def action_family(name: str) -> ActionFamily:
     raise CoherenceError(f"unknown action family {name!r}")
 
 
-# Fox Jacobians memoized per configuration, keyed by (level, signed letter),
-# so functors built on one configuration expand each once.  Only moved
-# columns are expanded (two per letter for Artin); a fixed one is the unit.
+# Fox Jacobians keyed by (action rule, level, signed letter), so every
+# configuration built on one rule expands each once.  Rules are pure, and a
+# key holds its rule, so a rule's identity is never reused while it has
+# entries.  Only moved columns are expanded (two per letter for Artin); a
+# fixed one is the unit.
+_FOX: dict = {}
+
+
 @dataclass(frozen=True)
 class LongMoodyConfig:
     """Parameters of one Long-Moody application.
 
     pre_twist scales the input functor's braid action by a unit before the
     construction; post_scale scales every generator matrix of the output.
-    Both are optional and must be units.  The Fox-Jacobian table belongs to
-    the instance, so two configurations never share entries.
+    Both are optional and must be units.  The Fox-Jacobian table is keyed
+    by the action's rule, so two same-name actions over different rules
+    never share entries.
     """
 
     action: ActionFamily
     system: LocalSystem
     pre_twist: LaurentPoly | None = None
     post_scale: LaurentPoly | None = None
-    _fox: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for twist in (self.pre_twist, self.post_scale):
@@ -160,26 +167,28 @@ class LongMoodyConfig:
                 raise CoherenceError("twists must be units of the coefficient ring")
 
     def fox_jacobian(self, n: int, letter: int) -> tuple:
-        """The nonzero (r, c, fox_r(action(letter)(g_c))) at level n, with c
-        outer and r inner, memoized per instance.  Column c is fixed when the
-        action maps g_c to g_c itself: by the free calculus fox_r(g_c) is 1
-        for r = c and 0 otherwise, so the column is (c, c, 1) with no
-        expansion.  fox_derivatives runs on the moved columns only."""
-        key = (n, letter)
-        hit = self._fox.get(key)
+        """The nonzero (r, c, fox_r(action(letter)(g_c)), unit) at level n,
+        with c outer and r inner, unit telling whether the coefficient is
+        1·[e]; stored under (action rule, n, letter).  Column c is fixed
+        when the action maps g_c to g_c itself: by the free calculus
+        fox_r(g_c) is 1 for r = c and 0 otherwise, so the column is
+        (c, c, 1, True) with no expansion.  fox_derivatives runs on the
+        moved columns only."""
+        key = (self.action.rule, n, letter)
+        hit = _FOX.get(key)
         if hit is None:
             images = self.action.generator_map(n, letter).images
             unit = GroupRingElement.one(n)
             entries = []
             for c, image in enumerate(images, 1):
                 if image.syllables == ((c, 1),):
-                    entries.append((c, c, unit))
+                    entries.append((c, c, unit, True))
                     continue
                 for r, coeff in enumerate(fox_derivatives(image).coords, 1):
                     if not coeff.is_zero():
-                        entries.append((r, c, coeff))
+                        entries.append((r, c, coeff, coeff == unit))
             hit = tuple(entries)
-            remember(self._fox, key, hit)
+            remember(_FOX, key, hit)
         return hit
 
     def label(self) -> str:
@@ -223,11 +232,10 @@ def long_moody(cfg: LongMoodyConfig, f: BraidFunctor) -> BraidFunctor:
         d = f.dim(n + 1)
         right = tau.gen_matrix(n, letter)
         scale = ONE if post is None else post if letter > 0 else post.unit_inverse()
-        unit = GroupRingElement.one(n)
         unit_block = right.scale(scale)
         entries = {}
-        for r, c, coeff in cfg.fox_jacobian(n, letter):
-            if coeff == unit:
+        for r, c, coeff, unit in cfg.fox_jacobian(n, letter):
+            if unit:
                 block = unit_block
             else:
                 block = group_ring_matrix(base, n, cfg.system, coeff).matmul(right).scale(scale)

@@ -514,14 +514,15 @@ def group_ring_matrix(
 ) -> PolyMatrix:
     """The linear extension of (f composed with the local system) at level
     n+1: each word w contributes its coefficient times f of the braid
-    image of w."""
+    image of w, summed from the first term."""
     if c.rank != n:
         raise FunctorError("group ring element rank must equal the level")
     d = f.dim(n + 1)
-    total = PolyMatrix.zeros(d, d)
+    total = None
     for w, coeff in c.terms.items():
-        total = total + f.word_matrix(system.evaluate(w)).scale(coeff)
-    return total
+        term = f.word_matrix(system.evaluate(w)).scale(coeff)
+        total = term if total is None else total + term
+    return PolyMatrix.zeros(d, d) if total is None else total
 
 
 # ---------------------------------------------------------------------------

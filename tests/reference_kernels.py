@@ -10,7 +10,9 @@ two matrices they were before one router block decided them;
 enumerate_words and word_map, the all-words enumeration and the action of
 a word that those loops and the all-words references run on;
 artin_images_by_compose, the Artin action of a braid word as the composite
-of its letters' free-group maps; burau_dicts, the oracle's unreduced Burau
+of its letters' free-group maps; evaluate_by_compose, a local system's
+image of a free word as the fold of compose over its syllables, before
+evaluate joined them in one pass; burau_dicts, the oracle's unreduced Burau
 matrix with each column a dict before the columns were packed into ints;
 hstack, the side-by-side matrix that the split references assemble; and the
 free-group oracles: Fox's formula expanded back into the group ring, and a
@@ -59,6 +61,16 @@ def artin_images_by_compose(word):
         tuple(gen if exp > 0 else -gen for gen, exp in image.syllables for _ in range(abs(exp)))
         for image in images
     )
+
+
+def evaluate_by_compose(system, w):
+    """system's braid image of the free word w, composed syllable by
+    syllable from the generator images raised to their exponents, each
+    composite freely reduced."""
+    out = BraidWord.identity(w.rank + 1)
+    for gen, exp in w.syllables:
+        out = out.compose(system.generator_image(w.rank, gen) ** exp)
+    return out
 
 
 def burau_dicts(word):

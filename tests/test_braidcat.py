@@ -14,6 +14,7 @@ from lmkit.braidcat import (
     BracketMorphism,
     BraidError,
     BraidWord,
+    LocalSystem,
     _cores,
     artin_images,
     artin_relations,
@@ -37,7 +38,9 @@ from lmkit.braidcat import (
 from lmkit import braidcat
 from lmkit.repfun import burau_functor, lk_functor
 from lmkit.laurent import ONE, LaurentPoly, PolyMatrix, Q, T, T_INV, ZERO
-from reference_kernels import artin_images_by_compose, burau_dicts, enumerate_words, evaluated
+from reference_kernels import (
+    artin_images_by_compose, burau_dicts, enumerate_words, evaluate_by_compose, evaluated,
+)
 
 
 def bw(letters, strands):
@@ -1157,6 +1160,8 @@ class TestLocalSystems:
         system = trivial_system()
         word = parse_word("g1*g2^-1", 2)
         assert system.evaluate(word) == BraidWord.identity(3)
+        # One rule for every trivial system, so they share stored images.
+        assert trivial_system().rule is system.rule
 
     def test_homomorphism_property(self):
         system = pure_braid_system()
@@ -1169,6 +1174,38 @@ class TestLocalSystems:
                 system.evaluate(u * v),
                 system.evaluate(u).compose(system.evaluate(v)),
             )
+
+    @pytest.mark.parametrize("name", ["trivial", "pure-braid", "corrupted-demo"])
+    def test_one_pass_evaluate_is_the_compose_fold(self, name):
+        # Seeded free words of ranks 1-5 with syllable exponents ±1 to ±3,
+        # the empty word included: joining the generator images and reducing
+        # once gives the word the fold of compose gives.
+        system = local_system(name)
+        rng = random.Random(2024)
+        words = [FreeWord.identity(rank) for rank in range(1, 6)]
+        for _ in range(200):
+            rank = rng.randint(1, 5)
+            syllables = tuple(
+                (rng.randint(1, rank), rng.choice([1, -1]) * rng.randint(1, 3))
+                for _ in range(rng.randint(1, 6))
+            )
+            words.append(FreeWord(rank, syllables))
+        for w in words:
+            assert system.evaluate(w) == evaluate_by_compose(system, w), w
+
+    def test_generator_image_refuses_on_every_call(self):
+        # Nothing is stored for a refused image, so a repeated call refuses
+        # again rather than reading a table entry.
+        system = pure_braid_system()
+        wrong_strands = LocalSystem("short", lambda n, i: BraidWord.identity(n))
+        for _ in range(2):
+            for i in (0, 4, -1):
+                with pytest.raises(BraidError, match="outside free group"):
+                    system.generator_image(3, i)
+            with pytest.raises(BraidError, match="n\\+1 strands"):
+                wrong_strands.generator_image(3, 1)
+            with pytest.raises(BraidError, match="n\\+1 strands"):
+                wrong_strands.evaluate(FreeWord.generator(3, 2))
 
     def test_named_lookup(self):
         assert local_system("pure-braid").name == "pure-braid"

@@ -11,7 +11,7 @@ from lmkit.freegroup import (
     artin_generator_map,
     fox_derivatives,
 )
-from lmkit import laurent, longmoody, memo, polyfun, repfun
+from lmkit import braidcat, laurent, longmoody, memo, polyfun, repfun
 from lmkit.braidcat import (
     BraidWord,
     LocalSystem,
@@ -52,6 +52,7 @@ from lmkit.longmoody import (
     standard_config,
     wada_family,
 )
+from lmkit.cli import parse_functor
 from lmkit.polyfun import resolution
 
 import reference_kernels
@@ -759,9 +760,11 @@ class TestActionFamilies:
 def reference_gen_matrix(cfg, f, n, letter):
     """The generator matrix of long_moody(cfg, f) assembled block by block:
     a Fox expansion per column and a group-ring matrix times τ₁F(letter)
-    per nonzero block, unit blocks included, over a fresh copy of the local
-    system so that no memo is shared with the code under test."""
-    system = LocalSystem(cfg.system.name, cfg.system.rule)
+    per nonzero block, unit blocks included, over a local system whose rule
+    wraps the configuration's, so that no stored image is shared with the
+    code under test (the tables are keyed by rule)."""
+    rule = cfg.system.rule
+    system = LocalSystem(cfg.system.name, lambda n, i: rule(n, i))
     base = f if cfg.pre_twist is None else scalar_twist(f, cfg.pre_twist)
     right = translate(base, 1).gen_matrix(n, letter)
     d = f.dim(n + 1)
@@ -782,6 +785,37 @@ def reference_gen_matrix(cfg, f, n, letter):
     return PolyMatrix(n * d, n * d, entries)
 
 
+@pytest.fixture
+def empty_tables(monkeypatch):
+    """Fresh module tables for the Fox Jacobians and the local-system images,
+    so that a test counting expansions does not depend on what ran before."""
+    monkeypatch.setattr(longmoody, "_FOX", {})
+    monkeypatch.setattr(braidcat, "_GENERATOR_IMAGES", {})
+    monkeypatch.setattr(braidcat, "_EVALUATED", {})
+
+
+def counting_fox(monkeypatch):
+    """The words longmoody expands, in call order."""
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return fox_derivatives(w)
+
+    monkeypatch.setattr(longmoody, "fox_derivatives", counting)
+    return calls
+
+
+def moved_images(action_rule, keys):
+    """The images of the generators that each (level, letter) moves."""
+    return [
+        image
+        for n, letter in keys
+        for c, image in enumerate(action_rule(n, letter).images, 1)
+        if image != FreeWord.generator(n, c)
+    ]
+
+
 class TestFoxTable:
     @pytest.mark.parametrize("action", ["artin"] + [f"wada{k}" for k in range(1, 8)])
     def test_matches_per_block_assembly(self, action):
@@ -798,14 +832,8 @@ class TestFoxTable:
                                 cfg.label(), f.name, n, letter
                             )
 
-    def test_one_expansion_per_letter(self, monkeypatch):
-        calls = []
-
-        def counting(w):
-            calls.append(w)
-            return fox_derivatives(w)
-
-        monkeypatch.setattr(longmoody, "fox_derivatives", counting)
+    def test_one_expansion_per_letter(self, monkeypatch, empty_tables):
+        calls = counting_fox(monkeypatch)
         cfg = standard_config()
         keys = [(n, letter) for n in range(2, 5) for letter in signed_letters(n)]
         for f in (burau_functor(), tym_functor()):
@@ -815,12 +843,7 @@ class TestFoxTable:
         # One expansion per moved column of each (level, letter), for both
         # images together: s_i^{±1} moves g_i and g_{i+1} and fixes the other
         # generators, whose columns need no expansion.
-        moved = [
-            image
-            for n, letter in keys
-            for c, image in enumerate(artin_generator_map(n, letter).images, 1)
-            if image != FreeWord.generator(n, c)
-        ]
+        moved = moved_images(artin_generator_map, keys)
         assert len(moved) == 2 * len(keys)
         assert calls == moved
 
@@ -834,8 +857,9 @@ class TestFoxTable:
                 amap = family.generator_map(n, letter)
                 images = [amap.apply_word(FreeWord.generator(n, c)) for c in range(1, n + 1)]
                 table = cfg.fox_jacobian(n, letter)
+                one = GroupRingElement.one(n)
                 full = tuple(
-                    (r, c, coeff)
+                    (r, c, coeff, coeff == one)
                     for c, image in enumerate(images, 1)
                     for r, coeff in enumerate(fox_derivatives(image).coords, 1)
                     if not coeff.is_zero()
@@ -844,8 +868,8 @@ class TestFoxTable:
                 for c, image in enumerate(images, 1):
                     if image == FreeWord.generator(n, c):
                         fixed_seen += 1
-                        column = [(r, coeff) for r, cc, coeff in table if cc == c]
-                        assert column == [(c, GroupRingElement.one(n))], (n, letter, c)
+                        column = [(r, coeff, unit) for r, cc, coeff, unit in table if cc == c]
+                        assert column == [(c, one, True)], (n, letter, c)
         assert fixed_seen
 
     def test_same_name_systems_share_nothing(self):
@@ -886,25 +910,112 @@ class TestFoxTable:
                     cfg, burau_functor(), 3, letter
                 )
 
-    def test_memos_stay_within_caps(self, monkeypatch):
+    @staticmethod
+    def counting_pure_braid_rule(monkeypatch):
+        """pure_braid_system's rule, replaced before any system is built by
+        a wrapper recording each (n, i) it is called on."""
+        calls, rule = [], braidcat._pure_braid_rule
+
+        def counting(n, i):
+            calls.append((n, i))
+            return rule(n, i)
+
+        monkeypatch.setattr(braidcat, "_pure_braid_rule", counting)
+        return calls
+
+    @staticmethod
+    def coefficient_generators(cfg, keys):
+        """The (n, i) of every g_i in a word of a Fox coefficient at n."""
+        return {
+            (n, gen)
+            for n, letter in keys
+            for _, _, coeff, _ in cfg.fox_jacobian(n, letter)
+            for w in coeff.terms
+            for gen, _ in w.syllables
+        }
+
+    def test_configurations_share_one_expansion(self, monkeypatch, empty_tables):
+        rule_calls = self.counting_pure_braid_rule(monkeypatch)
+        calls = counting_fox(monkeypatch)
+        first, second = standard_config(), standard_config()
+        assert first is not second and first.system.rule is second.system.rule
+        keys = [(n, letter) for n in range(2, 5) for letter in signed_letters(n)]
+        built = [
+            (cfg, f, n, letter, long_moody(cfg, f).gen_matrix(n, letter))
+            for cfg, f in ((first, burau_functor()), (second, tym_functor()), (second, burau_functor()))
+            for n, letter in keys
+        ]
+        # Each moved column of each (level, letter) is expanded once for the
+        # two configurations, and the rule runs once per (n, i) they read.
+        assert calls == moved_images(artin_generator_map, keys)
+        assert rule_calls and len(rule_calls) == len(set(rule_calls))
+        assert set(rule_calls) == self.coefficient_generators(first, keys)
+        for cfg, f, n, letter, matrix in built:
+            assert matrix == reference_gen_matrix(cfg, f, n, letter)
+
+    def test_nested_images_share_one_expansion(self, monkeypatch, empty_tables):
+        rule_calls = self.counting_pure_braid_rule(monkeypatch)
+        calls = counting_fox(monkeypatch)
+        image = parse_functor("lm(artin,pure-braid;lm(artin,pure-braid;constant))")
+        for n in range(2, 7):
+            for letter in signed_letters(n):
+                image.gen_matrix(n, letter)
+        # The outer configuration reads levels up to 6, the inner one up to
+        # 7; each (level, letter) of either is expanded once, for both.
+        keys = [(n, letter) for rule, n, letter in longmoody._FOX]
+        assert {rule for rule, _, _ in longmoody._FOX} == {artin_generator_map}
+        assert {n for n, _ in keys} == set(range(2, 8))
+        assert sorted(calls, key=str) == sorted(moved_images(artin_generator_map, keys), key=str)
+        assert rule_calls and len(rule_calls) == len(set(rule_calls))
+        assert set(rule_calls) == self.coefficient_generators(standard_config(), keys)
+
+    def test_distinct_rules_get_separate_entries(self, monkeypatch, empty_tables):
+        # Two wada_family(k) objects carry two lambdas: equal names, equal
+        # maps, yet neither reads the other's expansions.
+        calls = counting_fox(monkeypatch)
+        first, second = wada_family(2), wada_family(2)
+        assert first.name == second.name and first.rule is not second.rule
+        tables = [
+            LongMoodyConfig(family, pure_braid_system()).fox_jacobian(3, 1)
+            for family in (first, second)
+        ]
+        assert tables[0] == tables[1]
+        assert calls == 2 * moved_images(first.rule, [(3, 1)])
+        assert [rule for rule, _, _ in longmoody._FOX] == [first.rule, second.rule]
+        # A same-name system over the corrupted-demo rule: its own entries.
+        good = pure_braid_system()
+        bad = LocalSystem(good.name, local_system("corrupted-demo").rule)
+        g1 = FreeWord.generator(2, 1)
+        assert good.evaluate(g1) == BraidWord(3, (1, 1)) and bad.evaluate(g1) == BraidWord(3, (1,))
+        assert braidcat._GENERATOR_IMAGES == {
+            (good.rule, 2, 1): BraidWord(3, (1, 1)),
+            (bad.rule, 2, 1): BraidWord(3, (1,)),
+        }
+        assert list(braidcat._EVALUATED) == [(good.rule, g1), (bad.rule, g1)]
+
+    def test_memos_stay_within_caps(self, monkeypatch, empty_tables):
         monkeypatch.setattr(memo, "MEMO_CAP", 3)
         cfg = standard_config()
+        action_rule, system_rule = cfg.action.rule, cfg.system.rule
         keys = [(n, letter) for n in range(2, 6) for letter in signed_letters(n)]
         for n, letter in keys:
             cfg.fox_jacobian(n, letter)
-            assert len(cfg._fox) <= 3
-        assert list(cfg._fox) == keys[-3:]  # the oldest are dropped first
+            assert len(longmoody._FOX) <= 3
+        # The oldest are dropped first.
+        assert list(longmoody._FOX) == [(action_rule, *key) for key in keys[-3:]]
         image = long_moody(cfg, burau_functor())
         for n, letter in keys:
             assert image.gen_matrix(n, letter) == reference_gen_matrix(
                 cfg, burau_functor(), n, letter
             )
-            assert len(cfg._fox) <= 3
-            assert len(cfg.system._images) <= 3
+            assert len(longmoody._FOX) <= 3
+            assert len(braidcat._GENERATOR_IMAGES) <= 3
+            assert len(braidcat._EVALUATED) <= 3
         words = [FreeWord.generator(4, i, e) for i in range(1, 5) for e in (1, -1, 2)]
         for w in words:
             cfg.system.evaluate(w)
-        assert list(cfg.system._images) == words[-3:]
+        assert list(braidcat._EVALUATED) == [(system_rule, w) for w in words[-3:]]
+        assert list(braidcat._GENERATOR_IMAGES) == [(system_rule, 4, i) for i in (2, 3, 4)]
         # Every table of a functor stores through the same policy.
         steps = [(n, n + 1) for n in range(6)]
         word_keys = [(n, (1, 1)) for n in range(2, 8)]

@@ -5,6 +5,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import lmkit
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lmkit"
@@ -96,6 +98,82 @@ def test_every_reference_kernel_is_read_by_a_test():
     for path in sorted(TESTS.glob("test_*.py")):
         refs.visit(ast.parse(path.read_text(), str(path)))
     assert sorted(defined - refs.read) == []
+
+
+def _is_named(node, *names):
+    return getattr(node, "id", getattr(node, "attr", None)) in names
+
+
+def _unbounded_caches(source, filename="<planted>"):
+    """Each cache in source that could grow without bound (ROADMAP aim 3,
+    "Caches are bounded"): an lru_cache without an integer maxsize, a bare
+    functools.cache, and a store into a module-level dict, inside a
+    function, other than through memo.remember."""
+    tree = ast.parse(source, filename)
+    tables = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(node.value, ast.Dict)
+            or isinstance(node.value, ast.Call) and _is_named(node.value.func, "dict")
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            tables.update(t.id for t in targets if isinstance(t, ast.Name))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _is_named(node.func, "lru_cache"):
+            sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            if not (sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int):
+                found.add(f"{filename}:{node.lineno}: lru_cache without an integer maxsize")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                if _is_named(deco, "lru_cache", "cache"):
+                    found.add(f"{filename}:{deco.lineno}: unbounded cache on {node.name}")
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Subscript) and isinstance(inner.ctx, ast.Store):
+                    stored = inner.value
+                elif isinstance(inner, ast.AugAssign):
+                    stored = inner.target
+                elif isinstance(inner, ast.Call) and _is_named(
+                    inner.func, "update", "setdefault", "__setitem__", "__ior__"
+                ):
+                    stored = getattr(inner.func, "value", None)
+                else:
+                    continue
+                if isinstance(stored, ast.Name) and stored.id in tables:
+                    found.add(f"{filename}:{inner.lineno}: {stored.id} stored into not by remember")
+    return sorted(found)
+
+
+def test_every_cache_in_src_is_bounded():
+    # Module tables store through memo.remember, which caps them at
+    # MEMO_CAP; lru_caches name their maxsize.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _unbounded_caches(path.read_text(), path.name)
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x):\n    return x\n",
+        "import functools\n@functools.lru_cache\ndef f(x):\n    return x\n",
+        "from functools import cache\n@cache\ndef f(x):\n    return x\n",
+        "TABLE = {}\ndef f(key, v):\n    TABLE[key] = v\n",
+        "TABLE: dict = dict()\ndef f(key, v):\n    return TABLE.setdefault(key, v)\n",
+    ],
+)
+def test_the_cache_guard_rejects_an_unbounded_cache(source):
+    assert _unbounded_caches(source)
+
+
+def test_the_cache_guard_accepts_bounded_caches():
+    source = (
+        "from functools import lru_cache\nfrom .memo import remember\nTABLE: dict = {}\n"
+        "@lru_cache(maxsize=64)\ndef f(key):\n    hit = TABLE.get(key)\n"
+        "    if hit is None:\n        remember(TABLE, key, 1)\n    return hit\n"
+    )
+    assert _unbounded_caches(source) == []
 
 
 def test_benchmark_bindings_check_passes(monkeypatch, capsys):
