@@ -635,17 +635,14 @@ def artin_images(word: BraidWord) -> tuple[tuple[int, ...], ...]:
 def artin_witness(lhs: BraidWord, rhs: BraidWord) -> dict | None:
     """None when lhs = rhs in the braid group; otherwise the first gj whose
     images under the two words' Artin automorphisms differ, and both images
-    (see the module notes).  Equal letters are equal braids, and the cores
-    decide the rest: a common prefix and suffix act by automorphisms, so
-    p x s = p y s exactly when x = y."""
+    (see the module notes).  Each whole word is folded once: comparing the
+    cores instead would decide the same, as a common prefix and suffix act
+    by automorphisms, and the witness is read off the whole words."""
     if lhs.letters == rhs.letters:
         return None
-    u, v = _cores(lhs, rhs)
-    images = artin_images(u), artin_images(v)
+    images = artin_images(lhs), artin_images(rhs)
     if images[0] == images[1]:
         return None
-    if (u, v) != (lhs, rhs):
-        images = artin_images(lhs), artin_images(rhs)
 
     def text(image):
         return str(FreeWord(lhs.strands, tuple((abs(x), 1 if x > 0 else -1) for x in image)))
@@ -731,18 +728,18 @@ def trivial_system() -> LocalSystem:
     return LocalSystem("trivial", _trivial_rule)
 
 
+def _corrupted_rule(n: int, i: int) -> BraidWord:
+    # A deliberately broken pure-braid system: g1 goes to one positive crossing.
+    if i == 1:
+        return BraidWord(n + 1, (1,))
+    return _pure_braid_rule(n, i)
+
+
 def local_system(name: str) -> LocalSystem:
     if name in ("pure-braid", "pure_braid"):
         return pure_braid_system()
     if name == "trivial":
         return trivial_system()
     if name == "corrupted-demo":
-        # Deliberately broken variant for exercising failure reporting:
-        # sends g1 to a single positive crossing.
-        def rule(n, i):
-            if i == 1:
-                return BraidWord(n + 1, (1,))
-            return _pure_braid_rule(n, i)
-
-        return LocalSystem("corrupted-demo", rule)
+        return LocalSystem("corrupted-demo", _corrupted_rule)
     raise BraidError(f"unknown local system {name!r}")

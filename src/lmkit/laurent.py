@@ -24,7 +24,7 @@ no ring multiplication.
 
 One sparse fraction-free elimination, _montante, yields determinants and
 inverses, and one completion, complete_inverse, extends the inverse of a
-pivot block to PolyMatrix.inverse and to every certified split.  Ranks at
+pivot block to PolyMatrix.inverse and to every split.  Ranks at
 a point are read mod a prime: rank mod p <= rank over Q <= generic rank.
 """
 

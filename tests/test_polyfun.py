@@ -183,6 +183,24 @@ def grid_pins():
     yield from GRID_COMPOSITES.items()
 
 
+def grid_complements(f):
+    """The complement dimension of f's resolution at levels 0-4, None where
+    none is certified.  resolve_inclusion trusts a monomial split, exact by
+    construction; here each one is certified as well."""
+    got = []
+    for n in range(5):
+        try:
+            res = resolution(f, n)
+        except SplitCertificationError:
+            got.append(None)
+            continue
+        incl = f.stab(n, n + 1)
+        if not incl.is_zero() and partial_permutation_split(incl) is not None:
+            assert res.certify(incl), (f.name, n)
+        got.append(res.complement.cols)
+    return tuple(got)
+
+
 class TestResolutionGrid:
     """The complement dimension of every resolution at levels 0-4, over the
     leaves under each wrapper and over nested sums, tensors and
@@ -190,14 +208,22 @@ class TestResolutionGrid:
 
     @pytest.mark.parametrize("spec,dims", list(grid_pins()))
     def test_complement_dimensions(self, spec, dims):
-        f = parse_functor(spec)
-        got = []
-        for n in range(5):
-            try:
-                got.append(resolution(f, n).complement.cols)
-            except SplitCertificationError:
-                got.append(None)
-        assert tuple(got) == dims
+        assert grid_complements(parse_functor(spec)) == dims
+
+    def test_a_wrong_monomial_split_is_caught(self, monkeypatch):
+        # One entry of A^-1, placed in the retraction's pivot columns, bumped
+        # by 1 at every monomial split that resolve_inclusion takes.
+        def bumped(incl):
+            split = partial_permutation_split(incl)
+            if split is None:
+                return None
+            pivot = next(c for r, c in split.retraction.entries)
+            one = PolyMatrix(split.retraction.rows, incl.rows, {(0, pivot): ONE})
+            return SplitData(split.retraction + one, split.complement, split.coprojection)
+
+        monkeypatch.setattr(polyfun, "partial_permutation_split", bumped)
+        with pytest.raises(AssertionError, match="burau"):
+            grid_complements(parse_functor("burau"))
 
 
 def reference_split(incl, pivots):
@@ -216,13 +242,12 @@ def reference_split(incl, pivots):
 
 def searched_levels(f, levels, seed=0):
     """(level, inclusion, pivot rows) for each level where resolve_inclusion
-    reaches the complement search, past the zero map and the monomial split,
-    with the pivots of its first full-rank point."""
+    reaches the complement search, past the zero map and any column monomial
+    inclusion, with the pivots of its first full-rank point."""
     out = []
     for n in levels:
         incl = f.stab(n, n + 1)
-        monomial = partial_permutation_split(incl)
-        if incl.cols == 0 or incl.is_zero() or (monomial and monomial.certify(incl)):
+        if incl.is_zero() or partial_permutation_split(incl) is not None:
             continue
         for point in seeded_points(polyfun._PIVOT_POINTS, seed):
             pivots = incl.pivot_rows_at(point)
@@ -269,6 +294,37 @@ class TestSplitBuilder:
         assert res.retraction.rows == l2_difference.dim(4) and res.certify(incl)
         # The full square [incl | complement] would be incl.rows (126) wide.
         assert sizes and max(sizes) <= incl.cols < incl.rows
+
+
+def counting_certify(monkeypatch):
+    """The inclusions SplitData.certify is called on, in call order."""
+    calls, certify = [], SplitData.certify
+
+    def counting(self, incl):
+        calls.append(incl)
+        return certify(self, incl)
+
+    monkeypatch.setattr(SplitData, "certify", counting)
+    return calls
+
+
+class TestCertifiedOnlyWhenSearched:
+    """resolve_inclusion certifies the searched splits only: the zero map's
+    and the monomial split are exact by construction."""
+
+    @pytest.mark.parametrize("spec,big_n", [("burau", 10), ("e(3)", 12)])
+    def test_zero_and_monomial_levels_are_not_certified(self, spec, big_n, monkeypatch):
+        calls = counting_certify(monkeypatch)
+        estimate_strong_degree(parse_functor(spec), big_n)
+        assert calls == []
+
+    def test_a_searched_level_is_certified(self, l2_difference, monkeypatch):
+        found = searched_levels(l2_difference, range(5))
+        calls = counting_certify(monkeypatch)
+        for n, incl, _ in found:
+            resolve_inclusion(l2_difference, n)
+            assert calls and calls[-1] is incl, n
+        assert found
 
 
 class TestPivotGuess:

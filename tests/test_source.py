@@ -104,6 +104,14 @@ def _is_named(node, *names):
     return getattr(node, "id", getattr(node, "attr", None)) in names
 
 
+def _is_bounded_lru_cache(node):
+    """True for a call lru_cache(maxsize=k) or lru_cache(k), k an integer."""
+    if not (isinstance(node, ast.Call) and _is_named(node.func, "lru_cache")):
+        return False
+    sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+    return bool(sizes) and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+
+
 def _unbounded_caches(source, filename="<planted>"):
     """Each cache in source that could grow without bound (ROADMAP aim 3,
     "Caches are bounded"): an lru_cache without an integer maxsize, a bare
@@ -121,8 +129,7 @@ def _unbounded_caches(source, filename="<planted>"):
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and _is_named(node.func, "lru_cache"):
-            sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
-            if not (sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int):
+            if not _is_bounded_lru_cache(node):
                 found.add(f"{filename}:{node.lineno}: lru_cache without an integer maxsize")
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for deco in node.decorator_list:
@@ -174,6 +181,80 @@ def test_the_cache_guard_accepts_bounded_caches():
         "    if hit is None:\n        remember(TABLE, key, 1)\n    return hit\n"
     )
     assert _unbounded_caches(source) == []
+
+
+def _rules_built_per_call(source, filename="<planted>"):
+    """Each ActionFamily(...) or LocalSystem(...) made inside a function
+    that builds its rule on every call: a lambda, a call such as
+    partial(...), or a name that the function itself defines or assigns.
+    The module tables of Fox Jacobians and braid images are keyed by the
+    rule object, so such a rule shares no entry with the last call's.  A
+    module-level function passes, and so does any rule built in a function
+    carrying an lru_cache with an integer maxsize, once per key."""
+    found = []
+
+    def built_per_call(func, rule):
+        if any(_is_bounded_lru_cache(deco) for deco in func.decorator_list):
+            return False
+        if isinstance(rule, (ast.Lambda, ast.Call)):
+            return True
+        inner = list(ast.walk(func))[1:]
+        defined = {n.name for n in inner if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        assigned = {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        return isinstance(rule, ast.Name) and rule.id in defined | assigned
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child)
+                continue
+            if func and isinstance(child, ast.Call) and _is_named(
+                child.func, "ActionFamily", "LocalSystem"
+            ):
+                rules = child.args[1:2] + [kw.value for kw in child.keywords if kw.arg == "rule"]
+                if rules and built_per_call(func, rules[0]):
+                    found.append(f"{filename}:{child.lineno}: {func.name} builds a rule per call")
+            visit(child, func)
+
+    visit(ast.parse(source, filename), None)
+    return found
+
+
+def test_every_family_and_system_rule_is_built_once():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _rules_built_per_call(path.read_text(), path.name)
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def wada_family(kind):\n"
+        "    return ActionFamily('wada', lambda n, letter: wada_map(n, letter, kind))\n",
+        "def local_system(name):\n"
+        "    def rule(n, i):\n        return image(n, i)\n"
+        "    return LocalSystem(name, rule)\n",
+        "def wada_family(kind):\n"
+        "    return ActionFamily('wada', rule=partial(wada_map, kind=kind))\n",
+        "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef wada_family(kind):\n"
+        "    return ActionFamily('wada', partial(wada_map, kind=kind))\n",
+    ],
+)
+def test_the_rule_guard_rejects_a_rule_built_per_call(source):
+    assert _rules_built_per_call(source)
+
+
+def test_the_rule_guard_accepts_rules_built_once():
+    source = (
+        "from functools import lru_cache\n"
+        "def _rule(n, i):\n    return image(n, i)\n"
+        "def local_system(name):\n    return LocalSystem(name, _rule)\n"
+        "@lru_cache(maxsize=64)\ndef _wada_family(kind, m):\n"
+        "    return ActionFamily('wada', lambda n, letter: wada_map(n, letter, kind, m))\n"
+        "TRIVIAL = LocalSystem('trivial', lambda n, i: identity(n + 1))\n"
+    )
+    assert _rules_built_per_call(source) == []
 
 
 def test_benchmark_bindings_check_passes(monkeypatch, capsys):
