@@ -69,6 +69,16 @@ value.  With w = L_max·bitlen(S) + 1 (L_max >= 1), S**L_max < 2**(w-1):
 every entry is a balanced digit of its slot, so packing is injective and
 the comparison is as exact as one over Fraction.
 
+Before any packed matrix, a comparison folds one row through each side:
+x^T times the word's Lawrence-Krammer matrix mod p = _PRIME = 2**61 - 1,
+with x_r = _ROW_BASE**(r+1) mod p fixed.  The residue letters are the
+table's, each mixed entry times scale^-1 mod p, so a moved column copies
+one entry and a mixed column is one short sum.  When p does not divide
+the scale, reduction Z[1/scale] -> F_p is a ring homomorphism, so equal
+matrices give equal rows: rows that differ prove LK(u) != LK(v), the
+answer the packed comparison gives.  Rows that agree, or a scale that p
+divides, decide nothing, and the packed comparison runs.
+
 The Burau side runs on plain integers by the same substitution, t = 2**w
 with the rows in the low slots.  burau_symbolic(word, neg, pos) returns
 the columns of t**neg times the unreduced Burau matrix, for neg and pos
@@ -100,7 +110,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .laurent import EvaluationPoint, seeded_points
+from .laurent import _PRIME, EvaluationPoint, seeded_points
 from .freegroup import FreeWord, artin_generator_map, reduced_words
 from .memo import remember
 
@@ -304,9 +314,11 @@ _CERTAINTY = 3
 # The longest run the oracle decides on the Artin action.  An l-letter word
 # has at most n·3^l image letters in all; the worst signed word of 8 letters
 # on 3 and on 4 strands, alternating s1 s2^-1, has 347 and 348 (Intel Xeon,
-# 2 vCPUs, Python 3.11.7: 0.07 ms, against about 0.3 ms for one unequal
-# benchmark pair's Lawrence-Krammer point).  At 12 letters it has 2431
-# (0.47 ms), at 16 letters 16715 (2.8 ms).
+# 2 vCPUs, Python 3.11.7: 0.07 ms, against about 0.8 ms for the three
+# Lawrence-Krammer points and Burau that an equal benchmark pair's cores
+# cost, and about 0.09 ms for one unequal pair's point, decided on its
+# residue row).  At 12 letters it has 2431 (0.47 ms), at 16 letters 16715
+# (2.8 ms).
 _RUN_BOUND = 8
 
 
@@ -323,7 +335,8 @@ def bracket_equal(
     answer; otherwise coset representatives up to length _COSET_BOUND are
     searched, and a failed search is None ("not found within bound").
     Each word comparison is braid_equal's: exact when the run step settles
-    it, else seeded Lawrence-Krammer points plus symbolic Burau.
+    it, else seeded Lawrence-Krammer points, where a residue row that
+    differs proves "unequal" before any packed matrix, plus symbolic Burau.
     """
     if (g.source, g.target) != (f.source, f.target):
         return False
@@ -504,12 +517,65 @@ def lk_numeric(word: BraidWord, table, width: int) -> list[int]:
     return [col * scale ** (length - e) if e < length else col for col, e in zip(state, exps)]
 
 
+# The residue row of the module notes: x_r = _ROW_BASE**(r+1) mod _PRIME.
+_ROW_BASE = 3
+# Per (n, point), the row x and the residue letters (None when _PRIME
+# divides the scale), stored beside the letter table.
+_LK_RESIDUES: dict = {}
+
+
+def _lk_residues(n: int, table):
+    """The row x of the module notes on n strands, and per signed letter
+    the table's (moved, mixed) with each mixed entry times scale^-1 mod
+    _PRIME: the letters' Lawrence-Krammer columns mod _PRIME.  The letters
+    are None when _PRIME divides the scale."""
+    scale, _, letters = table
+    row = [pow(_ROW_BASE, r + 1, _PRIME) for r in range(n * (n - 1) // 2)]
+    if scale % _PRIME == 0:
+        return row, None
+    inv = pow(scale, -1, _PRIME)
+    return row, {
+        letter: (moved, tuple(
+            (c, tuple((r, v * inv % _PRIME) for r, v in entries)) for c, entries in mixed
+        ))
+        for letter, (moved, mixed) in letters.items()
+    }
+
+
+def _lk_row(word: BraidWord, row: list[int], residues) -> list[int]:
+    """row^T times the Lawrence-Krammer matrix of a word mod _PRIME, the
+    residue letters multiplied on the right in letter order."""
+    p = _PRIME
+    for letter in word.letters:
+        moved, mixed = residues[letter]
+        new_row = row[:]
+        for c, r in moved:
+            new_row[c] = row[r]
+        for c, entries in mixed:
+            acc = 0
+            for r, v in entries:
+                acc += v * row[r]
+            new_row[c] = acc % p
+        row = new_row
+    return row
+
+
 def _lk_scaled_equal(u: BraidWord, v: BraidWord, point: EvaluationPoint) -> bool:
-    """LK(u) == LK(v) at the point, exactly: the shorter side makes up the
-    gap in scale powers, both packed in the slots of the longer one."""
+    """LK(u) == LK(v) at the point, exactly.  Residue rows that differ
+    answer False (see the module notes); otherwise the shorter side makes
+    up the gap in scale powers, both packed in the slots of the longer
+    one."""
     if len(u.letters) > len(v.letters):
         u, v = v, u
-    table = _lk_scaled_generators(u.strands, point)
+    n = u.strands
+    table = _lk_scaled_generators(n, point)
+    residue = _LK_RESIDUES.get((n, point))
+    if residue is None:
+        residue = _lk_residues(n, table)
+        remember(_LK_RESIDUES, (n, point), residue)
+    row, residues = residue
+    if residues is not None and _lk_row(u, row, residues) != _lk_row(v, row, residues):
+        return False
     width = lk_width(table, len(v.letters))
     mu, mv = lk_numeric(u, table, width), lk_numeric(v, table, width)
     gap = len(v.letters) - len(u.letters)
@@ -578,7 +644,10 @@ def braid_equal_witness(
     exact "equal" (the run step of the module notes).  Otherwise the test
     combines Lawrence-Krammer evaluation at `certainty` seeded rational
     points (faithful representation, probabilistic detection) with an
-    exact symbolic unreduced Burau comparison of the cores.
+    exact symbolic unreduced Burau comparison of the cores.  At each point
+    one residue row mod _PRIME is compared first; rows that differ prove
+    the point's "unequal" exactly, so the witness is the one the packed
+    matrices would give.
     """
     if u.strands != v.strands:
         return False, {"reason": "strand mismatch"}

@@ -235,7 +235,7 @@ def _coerce(x) -> LaurentPoly:
     raise LaurentError(f"cannot coerce {x!r} to LaurentPoly")
 
 
-_PRIME = 2**61 - 1  # the modulus of pivot_rows_at
+_PRIME = 2**61 - 1  # the modulus of pivot_rows_at and of braidcat's residue row
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly.const(1)

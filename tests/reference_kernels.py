@@ -16,7 +16,9 @@ folded once; evaluate_by_compose, a local system's image of a free word
 as the fold of compose over its syllables, before
 evaluate joined them in one pass; burau_dicts, the oracle's unreduced Burau
 matrix with each column a dict before the columns were packed into ints;
-hstack, the side-by-side matrix that the split references assemble; and the
+lk_scaled_equal_packed, the oracle's Lawrence-Krammer comparison at one
+point on the packed matrices alone, before a residue row decided most of
+its "unequal" answers; hstack, the side-by-side matrix that the split references assemble; and the
 free-group oracles: Fox's formula expanded back into the group ring, and a
 free-group map pushed forward on the group ring and on the augmentation
 ideal; and the zero-map rules of the degree calculus before zero maps cost
@@ -29,7 +31,8 @@ the inverse of 1."""
 from fractions import Fraction
 
 from lmkit.braidcat import (
-    BraidWord, _cores, artin_images, router, shift_letter, signed_letters, trivial_system,
+    BraidWord, _cores, _lk_scaled_generators, artin_images, lk_numeric, lk_width, router,
+    shift_letter, signed_letters, trivial_system,
 )
 from lmkit.freegroup import (
     AugIdealElement, FreeGroupMap, FreeWord, GroupRingElement, fox_derivatives, reduced_words,
@@ -129,6 +132,23 @@ def burau_dicts(word):
             state[i] = {k - n: v for k, v in cj.items()}
             state[i + 1] = mix(cj, ci, -n)
     return state
+
+
+def lk_scaled_equal_packed(u, v, point):
+    """LK(u) == LK(v) at the point, exactly, as lmkit.braidcat's
+    _lk_scaled_equal decided it on the packed matrices alone: the shorter
+    side makes up the gap in scale powers, both packed in the slots of the
+    longer one."""
+    if len(u.letters) > len(v.letters):
+        u, v = v, u
+    table = _lk_scaled_generators(u.strands, point)
+    width = lk_width(table, len(v.letters))
+    mu, mv = lk_numeric(u, table, width), lk_numeric(v, table, width)
+    gap = len(v.letters) - len(u.letters)
+    if gap:
+        factor = table[0] ** gap
+        mu = [x * factor for x in mu]
+    return mu == mv
 
 
 def dense_montante(m, n):

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import math
 import random
 import sys
 from fractions import Fraction
@@ -41,7 +42,7 @@ from lmkit.repfun import burau_functor, lk_functor
 from lmkit.laurent import ONE, LaurentPoly, PolyMatrix, Q, T, T_INV, ZERO
 from reference_kernels import (
     artin_images_by_compose, artin_witness_by_cores, burau_dicts, enumerate_words,
-    evaluate_by_compose, evaluated,
+    evaluate_by_compose, evaluated, lk_scaled_equal_packed,
 )
 
 
@@ -418,13 +419,13 @@ def _flipped(rng, word):
     return BraidWord(word.strands, tuple(letters))
 
 
-def _oracle_and_flipped_pairs(monkeypatch):
-    """The 360 benchmark oracle pairs of seeds 0-2, and each again with one
-    letter of one side sign-flipped."""
+def _oracle_and_flipped_pairs(monkeypatch, seeds=(0, 1, 2)):
+    """The benchmark oracle pairs of the seeds (by default 0-2, 360 pairs),
+    and each again with one letter of one side sign-flipped."""
     workloads = _load_perfbench(monkeypatch, "workloads")
     rng = random.Random(31)
     pairs = []
-    for seed in (0, 1, 2):
+    for seed in seeds:
         for pair in workloads.oracle_pairs(seed):
             u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
             pairs.append((u, v))
@@ -874,6 +875,150 @@ class TestRunStep:
             settings=settings(max_examples=200, database=None, deadline=None, derandomize=True),
         )
         assert found[2] > 0
+
+
+@st.composite
+def strand_range_pairs(draw):
+    """(u, v) on 2-8 strands: 1-3 sites between shared filler.  On 2
+    strands a site is a flipped letter; on more it is a site of site_pairs
+    or a chain of 3-4 braid relations, an equal run of 9-12 letters that
+    the run step declines, so that equal pairs reach Lawrence-Krammer."""
+    n = draw(st.integers(2, 8), label="strands")
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    u = draw(st.lists(letter, max_size=6), label="filler")
+    v = list(u)
+    for _ in range(draw(st.integers(1, 3), label="sites")):
+        if n == 2:
+            x = draw(letter, label="letter")
+            x, y = (x,), (-x,)
+        elif draw(st.booleans(), label="chain"):
+            i = draw(st.integers(1, n - 2), label="i")
+            sign = draw(st.sampled_from([1, -1]), label="sign")
+            k = draw(st.integers(3, 4), label="links")
+            x = (sign * i, sign * (i + 1), sign * i) * k
+            y = (sign * (i + 1), sign * i, sign * (i + 1)) * k
+        else:
+            x, y, _ = _site(draw, n, letter)
+        filler = draw(st.lists(letter, max_size=3), label="filler")
+        u += list(x) + filler
+        v += list(y) + filler
+    return bw(u, n), bw(v, n)
+
+
+def _both_orders(pairs):
+    return [p for u, v in pairs for p in ((u, v), (v, u))]
+
+
+def _nine_letter_run():
+    """RUN_EDGE_CASES' equal 9-letter run, which reaches Lawrence-Krammer."""
+    (u, v, strands, equal, decided), = [c for c in RUN_EDGE_CASES if len(c[0]) == 9]
+    assert equal and not decided
+    return bw(u, strands), bw(v, strands)
+
+
+class TestResidueRow:
+    """_lk_scaled_equal answers "unequal" when one row mod _PRIME differs,
+    and otherwise on the packed matrices; every verdict and witness is the
+    one the packed comparison alone gives."""
+
+    def test_oracle_pairs_keep_the_packed_verdicts(self, monkeypatch):
+        # The oracle pairs of seeds 0-11, each also with one letter
+        # sign-flipped, and RUN_EDGE_CASES, in both orders.
+        pairs = _oracle_and_flipped_pairs(monkeypatch, range(12))
+        pairs += [(bw(u, n), bw(v, n)) for u, v, n, _, _ in RUN_EDGE_CASES]
+        pairs = _both_orders(pairs)
+        got = [braid_equal_witness(u, v) for u, v in pairs]
+        monkeypatch.setattr(braidcat, "_lk_scaled_equal", lk_scaled_equal_packed)
+        assert got == [braid_equal_witness(u, v) for u, v in pairs]
+        assert {ok for ok, _ in got} == {True, False}
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(pair=strand_range_pairs())
+    def test_generated_pairs_keep_the_packed_verdicts(self, pair):
+        # Each of the three seeded points decides as the packed comparison
+        # does, and so does the whole oracle, in both orders.
+        u, v = pair
+        for a, b in ((u, v), (v, u)):
+            for point in seeded_points(3, 0):
+                assert braidcat._lk_scaled_equal(a, b, point) is lk_scaled_equal_packed(a, b, point)
+            got = braid_equal_witness(a, b)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(braidcat, "_lk_scaled_equal", lk_scaled_equal_packed)
+                assert got == braid_equal_witness(a, b)
+
+    def test_the_row_decides_the_unequal_oracle_pairs(self, monkeypatch):
+        # Every unequal benchmark pair of seed 11 exits on the row: no
+        # packed matrix is built.
+        workloads = _load_perfbench(monkeypatch, "workloads")
+        packed = []
+        monkeypatch.setattr(braidcat, "lk_numeric", lambda *args: packed.append(args))
+        for pair in workloads.oracle_pairs(11):
+            if not pair.equal:
+                u, v = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
+                assert braid_equal_witness(u, v, 3)[0] is False
+        assert packed == []
+
+    def test_a_wrong_scale_inverse_is_caught(self, monkeypatch):
+        # Planted fault: residue letters built with the inverse of scale + 1
+        # are no longer a representation, so an equal pair that reaches
+        # Lawrence-Krammer gets a false "unequal".
+        u, v = _nine_letter_run()
+        assert braid_equal_witness(u, v) == (True, None)
+        build = braidcat._lk_residues
+        monkeypatch.setattr(braidcat, "_LK_RESIDUES", {})
+        monkeypatch.setattr(
+            braidcat, "_lk_residues", lambda n, table: build(n, (table[0] + 1,) + table[1:])
+        )
+        assert braid_equal_witness(u, v)[0] is False
+
+    def test_a_row_that_always_agrees_changes_nothing(self, monkeypatch):
+        # With x = 0 every row is zero, so the packed comparison decides
+        # every pair, with the same verdicts and witnesses.
+        pairs = _both_orders(_oracle_and_flipped_pairs(monkeypatch))
+        pairs.append(_nine_letter_run())
+        expected = [braid_equal_witness(u, v) for u, v in pairs]
+        rows, fold = [], braidcat._lk_row
+
+        def recording(word, row, residues):
+            rows.append(fold(word, row, residues))
+            return rows[-1]
+
+        monkeypatch.setattr(braidcat, "_ROW_BASE", 0)
+        monkeypatch.setattr(braidcat, "_LK_RESIDUES", {})
+        monkeypatch.setattr(braidcat, "_lk_row", recording)
+        assert [braid_equal_witness(u, v) for u, v in pairs] == expected
+        assert rows and not any(any(row) for row in rows)
+
+    def test_a_prime_dividing_the_scale_skips_the_row(self, monkeypatch):
+        # A prime dividing the scale at every point of seed 0 leaves no
+        # residue letters: the row is never folded, and nothing changes.
+        pairs = _both_orders(_oracle_and_flipped_pairs(monkeypatch))
+        pairs.append(_nine_letter_run())
+        expected = [braid_equal_witness(u, v) for u, v in pairs]
+        scales = [_lk_scaled_generators(n, p)[0] for n in range(3, 7) for p in seeded_points(3, 0)]
+        common = math.gcd(*scales)
+        prime = next(p for p in range(2, common + 1) if common % p == 0)
+
+        def unreachable(*args):
+            raise AssertionError("the row should have been skipped")
+
+        monkeypatch.setattr(braidcat, "_PRIME", prime)
+        monkeypatch.setattr(braidcat, "_LK_RESIDUES", {})
+        monkeypatch.setattr(braidcat, "_lk_row", unreachable)
+        assert [braid_equal_witness(u, v) for u, v in pairs] == expected
+        assert all(letters is None for _, letters in braidcat._LK_RESIDUES.values())
+
+    def test_residues_are_stored_beside_the_letter_table(self, monkeypatch):
+        # One bounded entry per (n, point); the letter table keeps its shape.
+        monkeypatch.setattr(braidcat, "_LK_RESIDUES", {})
+        u, v = _nine_letter_run()
+        braid_equal_witness(u, v)
+        points = seeded_points(3, 0)
+        assert list(braidcat._LK_RESIDUES) == [(3, point) for point in points]
+        for point in points:
+            letters = _lk_scaled_generators(3, point)[2]
+            row, residues = braidcat._LK_RESIDUES[3, point]
+            assert row == [3, 9, 27] and residues.keys() == letters.keys()
 
 
 def _as_map(images):
