@@ -69,15 +69,19 @@ value.  With w = L_max·bitlen(S) + 1 (L_max >= 1), S**L_max < 2**(w-1):
 every entry is a balanced digit of its slot, so packing is injective and
 the comparison is as exact as one over Fraction.
 
-Before any packed matrix, a comparison folds one row through each side:
-x^T times the word's Lawrence-Krammer matrix mod p = _PRIME = 2**61 - 1,
-with x_r = _ROW_BASE**(r+1) mod p fixed.  The residue letters are the
-table's, each mixed entry times scale^-1 mod p, so a moved column copies
+At the first seeded point, before any packed matrix, a comparison folds
+one row through each side: x^T times the word's Lawrence-Krammer matrix
+mod p = _PRIME = 2**61 - 1, with x_r = _ROW_BASE**(r+1) mod p fixed.  The
+row and the residue letters sit in the same table entry as the scaled
+letters: each mixed entry times scale^-1 mod p, so a moved column copies
 one entry and a mixed column is one short sum.  When p does not divide
 the scale, reduction Z[1/scale] -> F_p is a ring homomorphism, so equal
 matrices give equal rows: rows that differ prove LK(u) != LK(v), the
 answer the packed comparison gives.  Rows that agree, or a scale that p
-divides, decide nothing, and the packed comparison runs.
+divides, decide nothing, and the packed comparison runs.  At the later
+points the packed comparison decides alone: a row there could only reach
+the same answer sooner, and a pair whose first point agreed is almost
+always equal, so its rows would agree and be work for nothing.
 
 The Burau side runs on plain integers by the same substitution, t = 2**w
 with the rows in the low slots.  burau_symbolic(word, neg, pos) returns
@@ -314,7 +318,7 @@ _CERTAINTY = 3
 # The longest run the oracle decides on the Artin action.  An l-letter word
 # has at most n·3^l image letters in all; the worst signed word of 8 letters
 # on 3 and on 4 strands, alternating s1 s2^-1, has 347 and 348 (Intel Xeon,
-# 2 vCPUs, Python 3.11.7: 0.07 ms, against about 0.8 ms for the three
+# 2 vCPUs, Python 3.11.7: 0.07 ms, against about 0.65 ms for the three
 # Lawrence-Krammer points and Burau that an equal benchmark pair's cores
 # cost, and about 0.09 ms for one unequal pair's point, decided on its
 # residue row).  At 12 letters it has 2431 (0.47 ms), at 16 letters 16715
@@ -335,8 +339,9 @@ def bracket_equal(
     answer; otherwise coset representatives up to length _COSET_BOUND are
     searched, and a failed search is None ("not found within bound").
     Each word comparison is braid_equal's: exact when the run step settles
-    it, else seeded Lawrence-Krammer points, where a residue row that
-    differs proves "unequal" before any packed matrix, plus symbolic Burau.
+    it, else seeded Lawrence-Krammer points, where a residue row at the
+    first point that differs proves "unequal" before any packed matrix,
+    plus symbolic Burau.
     """
     if (g.source, g.target) != (f.source, f.target):
         return False
@@ -434,19 +439,27 @@ def lk_generator_columns(n: int, letter: int, t, q, one) -> list[dict]:
     return cols
 
 
+# The residue row of the module notes: x_r = _ROW_BASE**(r+1) mod _PRIME.
+_ROW_BASE = 3
+
+
 @lru_cache(maxsize=64)
 def _lk_scaled_generators(n: int, point: EvaluationPoint):
-    """The scale of the module notes, the least common denominator of the
-    Lawrence-Krammer columns of every signed generator s_i^{±1} on n
-    strands at the point; bitlen(S) for the bound S of the module notes;
-    and per signed letter its Lawrence-Krammer columns at the point
-    multiplied by the scale, as integers, split into (moved, mixed).
+    """The Lawrence-Krammer table of the oracle on n strands at a point:
+    (scale, bitlen(S), letters, row, residues).
 
-    moved lists (c, r) for each column c that is the unit vector e_r with
-    r != c, so the product's column c becomes its column r; mixed lists
-    (c, entries) for each column that is not a unit vector.  Columns e_c
-    are in neither list.  One entry per (n, point) holds every letter, as
-    the scale is the common denominator of all of them.
+    scale is the least common denominator of the columns of every signed
+    generator s_i^{±1} at the point, and S the bound of the module notes.
+    letters maps each signed letter to its columns at the point times the
+    scale, as integers, split into (moved, mixed).  moved lists (c, r) for
+    each column c that is the unit vector e_r with r != c, so the
+    product's column c becomes its column r; mixed lists (c, entries) for
+    each column that is not a unit vector.  Columns e_c are in neither
+    list.  row is the residue row x of the module notes, and residues the
+    same (moved, mixed) split with each mixed entry times scale^-1 mod
+    _PRIME, or None when _PRIME divides the scale.  One entry per
+    (n, point) holds every letter, as the scale is the common denominator
+    of all of them.
     """
     t, q = point.t_value, point.q_value
     rational = {
@@ -455,10 +468,11 @@ def _lk_scaled_generators(n: int, point: EvaluationPoint):
     scale = lcm(
         *(v.denominator for cols in rational.values() for col in cols for v in col.values())
     )
+    inv = pow(scale, -1, _PRIME) if scale % _PRIME else None
     norm = scale
-    letters = {}
+    letters, residues = {}, {}
     for letter, cols in rational.items():
-        moved, mixed = [], []
+        moved, mixed, reduced = [], [], []
         for c, col in enumerate(cols):
             if list(col.values()) == [1]:
                 (r,) = col
@@ -468,8 +482,12 @@ def _lk_scaled_generators(n: int, point: EvaluationPoint):
                 entries = tuple((r, v.numerator * (scale // v.denominator)) for r, v in col.items())
                 mixed.append((c, entries))
                 norm = max(norm, sum(abs(v) for _, v in entries))
+                if inv is not None:
+                    reduced.append((c, tuple((r, v * inv % _PRIME) for r, v in entries)))
         letters[letter] = (tuple(moved), tuple(mixed))
-    return scale, norm.bit_length(), letters
+        residues[letter] = (tuple(moved), tuple(reduced))
+    row = [pow(_ROW_BASE, r + 1, _PRIME) for r in range(n * (n - 1) // 2)]
+    return scale, norm.bit_length(), letters, row, residues if inv is not None else None
 
 
 def lk_width(table, length: int) -> int:
@@ -491,7 +509,7 @@ def lk_numeric(word: BraidWord, table, width: int) -> list[int]:
     is multiplied up to scale**len(word).
     """
     n = word.strands
-    scale, _, letters = table
+    scale, _, letters, _, _ = table
     dim = n * (n - 1) // 2
     state = [1 << (width * r) for r in range(dim)]
     exps = [0] * dim
@@ -517,31 +535,6 @@ def lk_numeric(word: BraidWord, table, width: int) -> list[int]:
     return [col * scale ** (length - e) if e < length else col for col, e in zip(state, exps)]
 
 
-# The residue row of the module notes: x_r = _ROW_BASE**(r+1) mod _PRIME.
-_ROW_BASE = 3
-# Per (n, point), the row x and the residue letters (None when _PRIME
-# divides the scale), stored beside the letter table.
-_LK_RESIDUES: dict = {}
-
-
-def _lk_residues(n: int, table):
-    """The row x of the module notes on n strands, and per signed letter
-    the table's (moved, mixed) with each mixed entry times scale^-1 mod
-    _PRIME: the letters' Lawrence-Krammer columns mod _PRIME.  The letters
-    are None when _PRIME divides the scale."""
-    scale, _, letters = table
-    row = [pow(_ROW_BASE, r + 1, _PRIME) for r in range(n * (n - 1) // 2)]
-    if scale % _PRIME == 0:
-        return row, None
-    inv = pow(scale, -1, _PRIME)
-    return row, {
-        letter: (moved, tuple(
-            (c, tuple((r, v * inv % _PRIME) for r, v in entries)) for c, entries in mixed
-        ))
-        for letter, (moved, mixed) in letters.items()
-    }
-
-
 def _lk_row(word: BraidWord, row: list[int], residues) -> list[int]:
     """row^T times the Lawrence-Krammer matrix of a word mod _PRIME, the
     residue letters multiplied on the right in letter order."""
@@ -560,27 +553,22 @@ def _lk_row(word: BraidWord, row: list[int], residues) -> list[int]:
     return row
 
 
-def _lk_scaled_equal(u: BraidWord, v: BraidWord, point: EvaluationPoint) -> bool:
-    """LK(u) == LK(v) at the point, exactly.  Residue rows that differ
-    answer False (see the module notes); otherwise the shorter side makes
-    up the gap in scale powers, both packed in the slots of the longer
-    one."""
+def _lk_scaled_equal(u: BraidWord, v: BraidWord, point: EvaluationPoint, fold_row: bool) -> bool:
+    """LK(u) == LK(v) at the point, exactly.  With fold_row, residue rows
+    that differ answer False (see the module notes); otherwise the shorter
+    side makes up the gap in scale powers, both packed in the slots of the
+    longer one."""
     if len(u.letters) > len(v.letters):
         u, v = v, u
-    n = u.strands
-    table = _lk_scaled_generators(n, point)
-    residue = _LK_RESIDUES.get((n, point))
-    if residue is None:
-        residue = _lk_residues(n, table)
-        remember(_LK_RESIDUES, (n, point), residue)
-    row, residues = residue
-    if residues is not None and _lk_row(u, row, residues) != _lk_row(v, row, residues):
+    table = _lk_scaled_generators(u.strands, point)
+    scale, _, _, row, residues = table
+    if fold_row and residues is not None and _lk_row(u, row, residues) != _lk_row(v, row, residues):
         return False
     width = lk_width(table, len(v.letters))
     mu, mv = lk_numeric(u, table, width), lk_numeric(v, table, width)
     gap = len(v.letters) - len(u.letters)
     if gap:
-        factor = table[0] ** gap
+        factor = scale ** gap
         mu = [x * factor for x in mu]
     return mu == mv
 
@@ -644,10 +632,11 @@ def braid_equal_witness(
     exact "equal" (the run step of the module notes).  Otherwise the test
     combines Lawrence-Krammer evaluation at `certainty` seeded rational
     points (faithful representation, probabilistic detection) with an
-    exact symbolic unreduced Burau comparison of the cores.  At each point
-    one residue row mod _PRIME is compared first; rows that differ prove
-    the point's "unequal" exactly, so the witness is the one the packed
-    matrices would give.
+    exact symbolic unreduced Burau comparison of the cores.  At the first
+    point one residue row mod _PRIME is compared first; rows that differ
+    prove that point's "unequal" exactly, so the witness is the one the
+    packed matrices would give.  Later points compare the packed matrices
+    only.
     """
     if u.strands != v.strands:
         return False, {"reason": "strand mismatch"}
@@ -657,8 +646,8 @@ def braid_equal_witness(
     if _runs_equal(u, v):
         return True, None
     # Words with different letters have one, so n >= 2 here.
-    for point in seeded_points(max(1, certainty), seed):
-        if not _lk_scaled_equal(u, v, point):
+    for k, point in enumerate(seeded_points(max(1, certainty), seed)):
+        if not _lk_scaled_equal(u, v, point, fold_row=k == 0):
             return False, {
                 "reason": "lawrence-krammer evaluation differs",
                 "t": str(point.t_value),

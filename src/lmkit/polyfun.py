@@ -216,10 +216,10 @@ def estimate_strong_degree(
     unknown = []
     degree: int | None = None
     note = None
-    for d in range(0, d_max + 2):
+    # The last order examined: the window big_n - d must stay >= 0.
+    last = min(d_max + 1, big_n)
+    for d in range(0, last + 1):
         window = big_n - d
-        if window < 0:
-            break
         try:
             dims = [current.dim(n) for n in range(0, window + 1)]
         except SplitCertificationError as exc:
@@ -243,7 +243,7 @@ def estimate_strong_degree(
             kappa_zero = None
             unknown.append(f"kappa of the order-{d} difference is unknown: {uncertified}")
         evidence.append((d, max_dim, kappa_zero))
-        if d == d_max + 1:
+        if d == last:
             break
         current = difference(current, window - 1, seed)
     very_strong = degree is not None and degree >= 0 and all(
@@ -252,7 +252,7 @@ def estimate_strong_degree(
     if note is None and degree is not None:
         note = f"differences iterated on shrinking windows from N={big_n}"
     elif note is None:
-        note = f"no vanishing difference up to order {d_max + 1} on N={big_n}"
+        note = f"no vanishing difference up to order {last} on N={big_n}"
     note = "; ".join([note] + unknown)
     return DegreeReport(f.name, big_n, degree, very_strong, evidence, note)
 

@@ -134,11 +134,12 @@ def burau_dicts(word):
     return state
 
 
-def lk_scaled_equal_packed(u, v, point):
+def lk_scaled_equal_packed(u, v, point, fold_row=False):
     """LK(u) == LK(v) at the point, exactly, as lmkit.braidcat's
     _lk_scaled_equal decided it on the packed matrices alone: the shorter
     side makes up the gap in scale powers, both packed in the slots of the
-    longer one."""
+    longer one.  fold_row is ignored, so that this can stand in for
+    _lk_scaled_equal: no row is ever folded."""
     if len(u.letters) > len(v.letters):
         u, v = v, u
     table = _lk_scaled_generators(u.strands, point)

@@ -318,7 +318,7 @@ class TestEqualityOracle:
         for seed in (0, 1, 2):
             for point in seeded_points(3, seed):
                 table = _lk_scaled_generators(strands, point)
-                scale, _, letters = table
+                scale, _, letters, _, _ = table
 
                 def norm(letter):
                     return max(
@@ -391,7 +391,7 @@ class TestEqualityOracle:
         # No benchmark pair reaches the Burau leg, so it is planted: with
         # every Lawrence-Krammer comparison forced to "equal", the symbolic
         # Burau comparison alone decides, with its own witness.
-        monkeypatch.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point: True)
+        monkeypatch.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point, fold_row: True)
         differs = (False, {"reason": "symbolic burau matrices differ"})
         assert braid_equal_witness(bw([1], 3), bw([2], 3)) == differs
         assert braid_equal_witness(bw([1, 2, 2, 1], 3), bw([2, 1, 1, 2], 3)) == differs
@@ -476,9 +476,9 @@ class TestPackedBurau:
         with monkeypatch.context() as m:
             m.setattr(braidcat, "burau_symbolic", lambda word, neg, pos: burau_dicts(word))
             assert verdicts() == packed
-            m.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point: True)
+            m.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point, fold_row: True)
             by_dicts = verdicts()
-        monkeypatch.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point: True)
+        monkeypatch.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point, fold_row: True)
         assert verdicts() == by_dicts
         assert {ok for ok, _ in by_dicts} == {True, False}
 
@@ -499,7 +499,7 @@ class TestPackedBurau:
                 # The first letter already shifts a unit column out.
                 assert keys != burau_dicts(word), word
         pairs = _oracle_and_flipped_pairs(monkeypatch)
-        monkeypatch.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point: True)
+        monkeypatch.setattr(braidcat, "_lk_scaled_equal", lambda u, v, point, fold_row: True)
         exact = [braid_equal_witness(u, v, 3)[0] for u, v in pairs]
         monkeypatch.setattr(braidcat, "burau_symbolic", unshifted)
         assert [braid_equal_witness(u, v, 3)[0] for u, v in pairs] != exact
@@ -789,9 +789,9 @@ def _lk_calls(monkeypatch):
     """A list that grows by one per Lawrence-Krammer point evaluated."""
     calls, compare = [], braidcat._lk_scaled_equal
 
-    def counting(u, v, point):
+    def counting(u, v, point, fold_row):
         calls.append(point)
-        return compare(u, v, point)
+        return compare(u, v, point, fold_row)
 
     monkeypatch.setattr(braidcat, "_lk_scaled_equal", counting)
     return calls
@@ -917,9 +917,19 @@ def _nine_letter_run():
 
 
 class TestResidueRow:
-    """_lk_scaled_equal answers "unequal" when one row mod _PRIME differs,
-    and otherwise on the packed matrices; every verdict and witness is the
-    one the packed comparison alone gives."""
+    """At the first seeded point _lk_scaled_equal answers "unequal" when one
+    row mod _PRIME differs, and otherwise, like every later point, on the
+    packed matrices; every verdict and witness is the one the packed
+    comparison alone gives.  The row and the residue letters live in the
+    one _lk_scaled_generators entry per (n, point)."""
+
+    @pytest.fixture
+    def fresh_table(self):
+        # A test that changes what the table is built from starts and ends
+        # on an empty table, so that no entry outlives its patch.
+        _lk_scaled_generators.cache_clear()
+        yield
+        _lk_scaled_generators.cache_clear()
 
     def test_oracle_pairs_keep_the_packed_verdicts(self, monkeypatch):
         # The oracle pairs of seeds 0-11, each also with one letter
@@ -932,15 +942,29 @@ class TestResidueRow:
         assert got == [braid_equal_witness(u, v) for u, v in pairs]
         assert {ok for ok, _ in got} == {True, False}
 
+    def test_declined_runs_keep_the_packed_verdicts(self, monkeypatch):
+        # With the run step declining, the equal pairs reach every point
+        # too, so the points after the first are compared without a row.
+        pairs = _both_orders(_oracle_and_flipped_pairs(monkeypatch))
+        pairs += _both_orders([_nine_letter_run()])
+        monkeypatch.setattr(braidcat, "_runs_equal", lambda u, v: False)
+        got = [braid_equal_witness(u, v) for u, v in pairs]
+        monkeypatch.setattr(braidcat, "_lk_scaled_equal", lk_scaled_equal_packed)
+        assert got == [braid_equal_witness(u, v) for u, v in pairs]
+        assert {ok for ok, _ in got} == {True, False}
+
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(pair=strand_range_pairs())
     def test_generated_pairs_keep_the_packed_verdicts(self, pair):
         # Each of the three seeded points decides as the packed comparison
-        # does, and so does the whole oracle, in both orders.
+        # does, with and without the row, and so does the whole oracle, in
+        # both orders.
         u, v = pair
         for a, b in ((u, v), (v, u)):
             for point in seeded_points(3, 0):
-                assert braidcat._lk_scaled_equal(a, b, point) is lk_scaled_equal_packed(a, b, point)
+                packed = lk_scaled_equal_packed(a, b, point)
+                assert braidcat._lk_scaled_equal(a, b, point, True) is packed
+                assert braidcat._lk_scaled_equal(a, b, point, False) is packed
             got = braid_equal_witness(a, b)
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(braidcat, "_lk_scaled_equal", lk_scaled_equal_packed)
@@ -958,20 +982,57 @@ class TestResidueRow:
                 assert braid_equal_witness(u, v, 3)[0] is False
         assert packed == []
 
+    def test_the_row_is_folded_at_the_first_point_only(self, monkeypatch):
+        # An equal pair that reaches Lawrence-Krammer folds one row per side
+        # at the first point, and the packed matrices of both sides at each
+        # of the three points.
+        workloads = _load_perfbench(monkeypatch, "workloads")
+        pair = next(pair for pair in workloads.oracle_pairs(11) if pair.equal)
+        oracle = BraidWord(pair.strands, pair.u), BraidWord(pair.strands, pair.v)
+        rows, fold = [], braidcat._lk_row
+        packed, numeric = [], braidcat.lk_numeric
+
+        def counting_rows(word, row, residues):
+            rows.append(word)
+            return fold(word, row, residues)
+
+        def counting_packed(word, table, width):
+            packed.append(word)
+            return numeric(word, table, width)
+
+        monkeypatch.setattr(braidcat, "_lk_row", counting_rows)
+        monkeypatch.setattr(braidcat, "lk_numeric", counting_packed)
+        monkeypatch.setattr(braidcat, "_runs_equal", lambda u, v: False)
+        for u, v in (_nine_letter_run(), oracle):
+            rows.clear()
+            packed.clear()
+            assert braid_equal_witness(u, v, 3) == (True, None)
+            assert len(rows) == 2 and len(packed) == 6
+
     def test_a_wrong_scale_inverse_is_caught(self, monkeypatch):
         # Planted fault: residue letters built with the inverse of scale + 1
         # are no longer a representation, so an equal pair that reaches
         # Lawrence-Krammer gets a false "unequal".
         u, v = _nine_letter_run()
         assert braid_equal_witness(u, v) == (True, None)
-        build = braidcat._lk_residues
-        monkeypatch.setattr(braidcat, "_LK_RESIDUES", {})
-        monkeypatch.setattr(
-            braidcat, "_lk_residues", lambda n, table: build(n, (table[0] + 1,) + table[1:])
-        )
+        table, p = _lk_scaled_generators, braidcat._PRIME
+
+        def wrong(n, point):
+            scale, bits, letters, row, residues = table(n, point)
+            # Each residue entry is v·scale^-1; this makes it v·(scale+1)^-1.
+            fix = scale * pow(scale + 1, -1, p) % p
+            residues = {
+                letter: (moved, tuple(
+                    (c, tuple((r, x * fix % p) for r, x in entries)) for c, entries in mixed
+                ))
+                for letter, (moved, mixed) in residues.items()
+            }
+            return scale, bits, letters, row, residues
+
+        monkeypatch.setattr(braidcat, "_lk_scaled_generators", wrong)
         assert braid_equal_witness(u, v)[0] is False
 
-    def test_a_row_that_always_agrees_changes_nothing(self, monkeypatch):
+    def test_a_row_that_always_agrees_changes_nothing(self, monkeypatch, fresh_table):
         # With x = 0 every row is zero, so the packed comparison decides
         # every pair, with the same verdicts and witnesses.
         pairs = _both_orders(_oracle_and_flipped_pairs(monkeypatch))
@@ -984,41 +1045,55 @@ class TestResidueRow:
             return rows[-1]
 
         monkeypatch.setattr(braidcat, "_ROW_BASE", 0)
-        monkeypatch.setattr(braidcat, "_LK_RESIDUES", {})
+        _lk_scaled_generators.cache_clear()
         monkeypatch.setattr(braidcat, "_lk_row", recording)
         assert [braid_equal_witness(u, v) for u, v in pairs] == expected
         assert rows and not any(any(row) for row in rows)
 
-    def test_a_prime_dividing_the_scale_skips_the_row(self, monkeypatch):
+    def test_a_prime_dividing_the_scale_skips_the_row(self, monkeypatch, fresh_table):
         # A prime dividing the scale at every point of seed 0 leaves no
         # residue letters: the row is never folded, and nothing changes.
         pairs = _both_orders(_oracle_and_flipped_pairs(monkeypatch))
         pairs.append(_nine_letter_run())
         expected = [braid_equal_witness(u, v) for u, v in pairs]
-        scales = [_lk_scaled_generators(n, p)[0] for n in range(3, 7) for p in seeded_points(3, 0)]
-        common = math.gcd(*scales)
+        keys = [(n, p) for n in range(3, 7) for p in seeded_points(3, 0)]
+        common = math.gcd(*(_lk_scaled_generators(*key)[0] for key in keys))
         prime = next(p for p in range(2, common + 1) if common % p == 0)
 
         def unreachable(*args):
             raise AssertionError("the row should have been skipped")
 
         monkeypatch.setattr(braidcat, "_PRIME", prime)
-        monkeypatch.setattr(braidcat, "_LK_RESIDUES", {})
+        _lk_scaled_generators.cache_clear()
         monkeypatch.setattr(braidcat, "_lk_row", unreachable)
         assert [braid_equal_witness(u, v) for u, v in pairs] == expected
-        assert all(letters is None for _, letters in braidcat._LK_RESIDUES.values())
+        assert all(_lk_scaled_generators(*key)[4] is None for key in keys)
 
-    def test_residues_are_stored_beside_the_letter_table(self, monkeypatch):
-        # One bounded entry per (n, point); the letter table keeps its shape.
-        monkeypatch.setattr(braidcat, "_LK_RESIDUES", {})
-        u, v = _nine_letter_run()
-        braid_equal_witness(u, v)
-        points = seeded_points(3, 0)
-        assert list(braidcat._LK_RESIDUES) == [(3, point) for point in points]
-        for point in points:
-            letters = _lk_scaled_generators(3, point)[2]
-            row, residues = braidcat._LK_RESIDUES[3, point]
-            assert row == [3, 9, 27] and residues.keys() == letters.keys()
+    def test_residues_are_stored_beside_the_letter_table(self):
+        # In the one table entry per (n, point), each residue letter moves
+        # the columns its scaled letter moves, and each mixed entry is the
+        # exact rational entry of lk_generator_columns mod _PRIME, that is
+        # the scaled entry times scale^-1.
+        p = braidcat._PRIME
+        for n in range(2, 9):
+            for point in seeded_points(3, 0):
+                scale, _, letters, row, residues = _lk_scaled_generators(n, point)
+                assert row == [pow(3, r + 1, p) for r in range(n * (n - 1) // 2)]
+                assert residues.keys() == letters.keys()
+                inv = pow(scale, -1, p)
+                for letter, (moved, mixed) in letters.items():
+                    exact = lk_generator_columns(
+                        n, letter, point.t_value, point.q_value, Fraction(1)
+                    )
+                    residue_moved, residue_mixed = residues[letter]
+                    assert residue_moved == moved
+                    assert [c for c, _ in residue_mixed] == [c for c, _ in mixed]
+                    for (c, entries), (_, scaled) in zip(residue_mixed, mixed):
+                        assert [r for r, _ in entries] == [r for r, _ in scaled]
+                        for (r, x), (_, y) in zip(entries, scaled):
+                            v = exact[c][r]
+                            assert x == v.numerator * pow(v.denominator, -1, p) % p
+                            assert x == y * inv % p
 
 
 def _as_map(images):
@@ -1268,13 +1343,18 @@ def test_benchmark_jobs_run_and_score(monkeypatch):
 
 
 def _canonical_table(table):
-    """A scaled letter table with each mixed column's entries as a dict, so
-    that tables listing the same entries in another order compare equal."""
-    scale, bits, letters = table
-    return scale, bits, {
-        letter: (moved, tuple((c, dict(entries)) for c, entries in mixed))
-        for letter, (moved, mixed) in letters.items()
-    }
+    """A scaled letter table with each mixed column's entries as a dict, in
+    the scaled letters and in the residue letters, so that tables listing
+    the same entries in another order compare equal."""
+    scale, bits, letters, row, residues = table
+
+    def canonical(letters):
+        return {
+            letter: (moved, tuple((c, dict(entries)) for c, entries in mixed))
+            for letter, (moved, mixed) in letters.items()
+        }
+
+    return scale, bits, canonical(letters), row, canonical(residues)
 
 
 def _ring_matrix(cols):

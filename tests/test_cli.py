@@ -230,6 +230,17 @@ class TestFunctorGrammar:
             with pytest.raises((UsageError, ValueError)):
                 parse_functor(text)
 
+    @pytest.mark.parametrize("spec,big_n", [("e(1)", 4), ("lk", 2)])
+    def test_degree_order_bound_past_the_range(self, capsys, spec, big_n):
+        # --d-max at or past --N stops at the N-th difference: exit 0, and
+        # the JSON of --d-max N-1.
+        code, expected = run(capsys, "degree", "--functor", spec, "--N", str(big_n),
+                             "--d-max", str(big_n - 1))
+        assert code == 0
+        for d_max in (big_n, big_n + 3):
+            assert run(capsys, "degree", "--functor", spec, "--N", str(big_n),
+                       "--d-max", str(d_max)) == (0, expected)
+
     def test_usage_exit_code(self):
         assert main(["degree", "--functor", "sum(burau)", "--N", "3"]) == 2
 

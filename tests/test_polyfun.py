@@ -524,6 +524,15 @@ class TestDegrees:
         report = estimate_strong_degree(power_functor(1), 6, d_max=4)
         assert report.strong_degree is None
 
+    def test_order_bound_past_the_range_changes_nothing(self):
+        # The N-th difference has an empty window, so no order past N is
+        # examined: a bound of N-1 and any larger one give the same report,
+        # and its note names the last order examined.
+        reports = [estimate_strong_degree(power_functor(1), 4, d_max=d) for d in (3, 4, 10)]
+        assert reports[0].strong_degree is None and reports[0].evidence[-1][0] == 4
+        assert reports[0].note == "no vanishing difference up to order 4 on N=4"
+        assert all(report == reports[0] for report in reports)
+
     def test_json_shape(self):
         payload = estimate_strong_degree(burau_functor(), 5).to_json()
         assert payload["strong_degree_at_range"] == 1
