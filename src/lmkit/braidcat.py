@@ -109,7 +109,6 @@ bits.  A letter s_i sets (c_i, c_(i+1)) to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -138,20 +137,25 @@ def shift_letter(letter: int, k: int) -> int:
     return letter + k if letter > 0 else letter - k
 
 
-@dataclass(frozen=True)
 class BraidWord:
     """A word in the Artin generators of the braid group on `strands` strands."""
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", _free_cancel(self.letters))
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()):
+        self.strands = strands
+        self.letters = _free_cancel(letters)
         for letter in self.letters:
-            if letter == 0 or abs(letter) > self.strands - 1:
-                raise BraidError(
-                    f"letter s{letter} not a generator on {self.strands} strands"
-                )
+            if letter == 0 or abs(letter) > strands - 1:
+                raise BraidError(f"letter s{letter} not a generator on {strands} strands")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.strands, self.letters) == (other.strands, other.letters)
+
+    def __hash__(self):
+        return hash((self.strands, self.letters))
 
     @staticmethod
     def identity(strands: int) -> "BraidWord":
@@ -205,8 +209,8 @@ class BraidWord:
 def _braid(strands: int, letters: tuple[int, ...]) -> BraidWord:
     """A BraidWord from letters known to be reduced and in range."""
     word = object.__new__(BraidWord)
-    object.__setattr__(word, "strands", strands)
-    object.__setattr__(word, "letters", letters)
+    word.strands = strands
+    word.letters = letters
     return word
 
 
@@ -256,20 +260,28 @@ def artin_relations(n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BracketMorphism:
     """A morphism [target-source, word]: source -> target, word on `target`
     strands."""
 
-    source: int
-    target: int
-    word: BraidWord
+    __slots__ = ("source", "target", "word")
 
-    def __post_init__(self):
-        if self.source < 0 or self.target < self.source:
+    def __init__(self, source: int, target: int, word: BraidWord):
+        if source < 0 or target < source:
             raise BraidError("need 0 <= source <= target")
-        if self.word.strands != self.target:
+        if word.strands != target:
             raise BraidError("representative word must live on `target` strands")
+        self.source = source
+        self.target = target
+        self.word = word
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.word) == (other.source, other.target, other.word)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.word))
 
     @staticmethod
     def identity(n: int) -> "BracketMorphism":
@@ -724,7 +736,6 @@ _GENERATOR_IMAGES: dict = {}
 _EVALUATED: dict = {}
 
 
-@dataclass(frozen=True)
 class LocalSystem:
     """A family of homomorphisms F_n -> B_{n+1}, given per free generator.
 
@@ -735,8 +746,19 @@ class LocalSystem:
     over different rules share no entry.
     """
 
-    name: str
-    rule: callable = field(compare=False)
+    __slots__ = ("name", "rule")
+
+    def __init__(self, name: str, rule):
+        self.name = name
+        self.rule = rule
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def generator_image(self, n: int, i: int) -> BraidWord:
         key = (self.rule, n, i)

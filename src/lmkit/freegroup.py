@@ -32,7 +32,6 @@ they are certified.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from .laurent import ONE, ZERO, LaurentPoly
 
@@ -56,18 +55,25 @@ def _reduce(syllables):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class FreeWord:
     """A freely reduced word in the free group of the given rank."""
 
-    rank: int
-    syllables: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("rank", "syllables")
 
-    def __post_init__(self):
-        object.__setattr__(self, "syllables", _reduce(self.syllables))
+    def __init__(self, rank: int, syllables: tuple[tuple[int, int], ...] = ()):
+        self.rank = rank
+        self.syllables = _reduce(syllables)
         for gen, _ in self.syllables:
-            if not 1 <= gen <= self.rank:
-                raise FreeGroupError(f"generator g{gen} outside rank {self.rank}")
+            if not 1 <= gen <= rank:
+                raise FreeGroupError(f"generator g{gen} outside rank {rank}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.syllables) == (other.rank, other.syllables)
+
+    def __hash__(self):
+        return hash((self.rank, self.syllables))
 
     @staticmethod
     def identity(rank: int) -> "FreeWord":
@@ -123,8 +129,8 @@ class FreeWord:
 def _word(rank: int, syllables: tuple) -> FreeWord:
     """A FreeWord from syllables that keep the module invariant as they are."""
     word = object.__new__(FreeWord)
-    object.__setattr__(word, "rank", rank)
-    object.__setattr__(word, "syllables", syllables)
+    word.rank = rank
+    word.syllables = syllables
     return word
 
 
@@ -383,16 +389,24 @@ def _pair_map(n: int, i: int, w_img: FreeWord, v_img: FreeWord) -> FreeGroupMap:
     return FreeGroupMap(n, n, images)
 
 
-@dataclass(frozen=True)
 class WadaPair:
     """A pair of rank-2 words (W, V) defining a local braid action."""
 
-    w: FreeWord
-    v: FreeWord
+    __slots__ = ("w", "v")
 
-    def __post_init__(self):
-        if self.w.rank != 2 or self.v.rank != 2:
+    def __init__(self, w: FreeWord, v: FreeWord):
+        if w.rank != 2 or v.rank != 2:
             raise FreeGroupError("Wada pair words must have rank 2")
+        self.w = w
+        self.v = v
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.w, self.v) == (other.w, other.v)
+
+    def __hash__(self):
+        return hash((self.w, self.v))
 
 
 def _w2(text: str) -> FreeWord:
@@ -402,9 +416,10 @@ def _w2(text: str) -> FreeWord:
 # Kinds 2-7 of the classified local pairs: the pair (W, V), then the images
 # of (g1, g2) under its inverse automorphism.  The inverses are the output
 # of invert_map's bounded search, stored so that no process repeats it.
-# ActionFamily.verify_relations certifies every inverse it uses (pair ∘
-# inverse = identity on generators) and the tests compose both ways.  One
-# side suffices: a free group of finite rank is Hopfian, so a surjective
+# ActionFamily.verify_relations certifies every inverse it uses at n = 2
+# (pair ∘ inverse = identity on generators), which decides every level as
+# the maps are local, and the tests compose both ways.  One side
+# suffices: a free group of finite rank is Hopfian, so a surjective
 # endomorphism is an automorphism and a one-sided inverse is two-sided.
 # Kind 1 carries a parameter and is built in _wada_pairs.
 _WADA_TABLE = {
@@ -414,7 +429,7 @@ _WADA_TABLE = {
         3: ("g2", "g1^-1", "g2^-1", "g1"),
         # Kind 4 is the half-twist type g1 -> g2, g2 -> g2 g1^-1 g2; the
         # conjugated variant (g2, g2^-1 g1^-1 g2) sometimes seen in print
-        # fails the braid relation and is rejected by the instantiation check.
+        # fails the braid relation at n = 3 and is rejected when built.
         4: ("g2", "g2*g1^-1*g2", "g1*g2^-1*g1", "g1"),
         5: ("g2^-1", "g1^-1", "g2^-1", "g1^-1"),
         6: ("g2^-1", "g2*g1*g2", "g1*g2*g1", "g1^-1"),

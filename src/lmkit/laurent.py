@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 
@@ -245,24 +244,30 @@ Q = LaurentPoly.monomial(1, 0, 1)
 T_INV = LaurentPoly.monomial(1, -1, 0)
 
 
-@dataclass(frozen=True)
 class EvaluationPoint:
     """A rational substitution point for t and q; both must be nonzero.
 
     Integers are stored as Fraction, so that t**-1 and q**-1 stay exact; a
     float or any other non-rational value is rejected."""
 
-    t_value: Fraction
-    q_value: Fraction
+    __slots__ = ("t_value", "q_value")
 
-    def __post_init__(self):
-        for name in ("t_value", "q_value"):
-            value = getattr(self, name)
+    def __init__(self, t_value: Fraction, q_value: Fraction):
+        for value in (t_value, q_value):
             if not isinstance(value, (int, Fraction)):
                 raise LaurentError(f"evaluation point needs rational values, got {value!r}")
-            object.__setattr__(self, name, Fraction(value))
+        self.t_value = Fraction(t_value)
+        self.q_value = Fraction(q_value)
         if self.t_value == 0 or self.q_value == 0:
             raise LaurentError("evaluation requires t and q nonzero")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.t_value, self.q_value) == (other.t_value, other.q_value)
+
+    def __hash__(self):
+        return hash((self.t_value, self.q_value))
 
 
 @lru_cache(maxsize=64)

@@ -30,7 +30,6 @@ carries the inverse-braiding router.  Longer stabilizations compose these.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .laurent import LaurentPoly, PolyMatrix, ONE, _matrix
@@ -68,19 +67,37 @@ class CoherenceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ActionFamily:
     """A family of braid-group actions on free groups, one level at a time.
 
     rule(n, letter) must return the automorphism of F_n for the signed
     Artin letter; the extension to words is multiplicative.  artin_family
     and wada_family store one family per action, over one rule object, and
-    spot-verify it when built: the relations of B_n, inverse pairs
-    included, must hold as exact word identities on a small range.
+    certify it when built: the relations of B_n, inverse pairs included,
+    must hold as exact word identities, and verify_relations(3) decides
+    them on every B_n.  Every built-in rule is local: each letter map is
+    freegroup._pair_map, which sends g_i and g_(i+1) into <g_i, g_(i+1)>
+    by one pair of rank-2 words and fixes every other generator.  So the
+    braid relation at (n, i) is the one at (3, 1) with the generators
+    renamed (F_3 embeds in F_n), an inverse pair at (n, i) is the one at
+    (2, 1), and a far commutation holds because its two letters move
+    disjoint sets of generators.  A broken local family thus fails first at
+    some n <= 3, with the message it gets from the default max_n.
     """
 
-    name: str
-    rule: object
+    __slots__ = ("name", "rule")
+
+    def __init__(self, name: str, rule):
+        self.name = name
+        self.rule = rule
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.rule) == (other.name, other.rule)
+
+    def __hash__(self):
+        return hash((self.name, self.rule))
 
     def generator_map(self, n: int, letter: int) -> FreeGroupMap:
         return self.rule(n, letter)
@@ -109,7 +126,7 @@ _RELATION_FAILS = {
 @lru_cache(maxsize=1)
 def artin_family() -> ActionFamily:
     family = ActionFamily("artin", artin_generator_map)
-    family.verify_relations()
+    family.verify_relations(3)
     return family
 
 
@@ -124,7 +141,7 @@ def _wada_family(kind: int, m: int) -> ActionFamily:
     # One rule per (kind, m), called positionally: a keyword partial cost 90 ns more a call.
     name = f"wada{kind}" + (f"(m={m})" if kind == 1 and m != 1 else "")
     family = ActionFamily(name, lambda n, letter: wada_generator_map(n, letter, kind, m))
-    family.verify_relations()
+    family.verify_relations(3)
     return family
 
 
@@ -147,7 +164,6 @@ def action_family(name: str) -> ActionFamily:
 _FOX: dict = {}
 
 
-@dataclass(frozen=True)
 class LongMoodyConfig:
     """Parameters of one Long-Moody application.
 
@@ -158,15 +174,32 @@ class LongMoodyConfig:
     never share entries.
     """
 
-    action: ActionFamily
-    system: LocalSystem
-    pre_twist: LaurentPoly | None = None
-    post_scale: LaurentPoly | None = None
+    __slots__ = ("action", "system", "pre_twist", "post_scale")
 
-    def __post_init__(self):
-        for twist in (self.pre_twist, self.post_scale):
+    def __init__(
+        self,
+        action: ActionFamily,
+        system: LocalSystem,
+        pre_twist: LaurentPoly | None = None,
+        post_scale: LaurentPoly | None = None,
+    ):
+        for twist in (pre_twist, post_scale):
             if twist is not None and not twist.is_unit():
                 raise CoherenceError("twists must be units of the coefficient ring")
+        self.action = action
+        self.system = system
+        self.pre_twist = pre_twist
+        self.post_scale = post_scale
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.action, self.system, self.pre_twist, self.post_scale) == (
+            other.action, other.system, other.pre_twist, other.post_scale
+        )
+
+    def __hash__(self):
+        return hash((self.action, self.system, self.pre_twist, self.post_scale))
 
     def fox_jacobian(self, n: int, letter: int) -> tuple:
         """The nonzero (r, c, fox_r(action(letter)(g_c)), unit) at level n,
@@ -265,12 +298,21 @@ def long_moody_power(cfg: LongMoodyConfig, f: BraidFunctor, iterations: int) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ConditionResult:
-    condition: str
-    params: dict
-    witness: dict | None
-    seed: int
+    __slots__ = ("condition", "params", "witness", "seed")
+
+    def __init__(self, condition: str, params: dict, witness: dict | None, seed: int):
+        self.condition = condition
+        self.params = params
+        self.witness = witness
+        self.seed = seed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.condition, self.params, self.witness, self.seed) == (
+            other.condition, other.params, other.witness, other.seed
+        )
 
     @property
     def verdict(self) -> bool:
@@ -286,9 +328,16 @@ class ConditionResult:
         }
 
 
-@dataclass
 class CoherenceReport:
-    results: list
+    __slots__ = ("results",)
+
+    def __init__(self, results: list):
+        self.results = results
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.results == other.results
 
     @property
     def passed(self) -> bool:

@@ -19,7 +19,6 @@ complement per level and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from .laurent import LaurentError, PolyMatrix, seeded_points
 from .memo import remember
@@ -169,14 +168,33 @@ def difference(f: BraidFunctor, big_n: int, seed: int = 0) -> BraidFunctor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DegreeReport:
-    functor: str
-    range_n: int
-    strong_degree: int | None
-    very_strong: bool
-    evidence: list
-    note: str = ""
+    __slots__ = ("functor", "range_n", "strong_degree", "very_strong", "evidence", "note")
+
+    def __init__(
+        self,
+        functor: str,
+        range_n: int,
+        strong_degree: int | None,
+        very_strong: bool,
+        evidence: list,
+        note: str = "",
+    ):
+        self.functor = functor
+        self.range_n = range_n
+        self.strong_degree = strong_degree
+        self.very_strong = very_strong
+        self.evidence = evidence
+        self.note = note
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.functor, self.range_n, self.strong_degree, self.very_strong, self.evidence, self.note
+        ) == (
+            other.functor, other.range_n, other.strong_degree, other.very_strong, other.evidence, other.note
+        )
 
     def to_json(self) -> dict:
         return {
@@ -296,12 +314,21 @@ def unit_line_equivalence(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TheoremReport:
-    name: str
-    params: dict
-    sections: list = field(default_factory=list)
-    note: str | None = None
+    __slots__ = ("name", "params", "sections", "note")
+
+    def __init__(self, name: str, params: dict, sections: list | None = None, note: str | None = None):
+        self.name = name
+        self.params = params
+        self.sections = [] if sections is None else sections
+        self.note = note
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.params, self.sections, self.note) == (
+            other.name, other.params, other.sections, other.note
+        )
 
     @property
     def passed(self) -> bool:

@@ -27,7 +27,6 @@ choice per family.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from .laurent import LaurentError, LaurentPoly, PolyMatrix, ONE, ZERO, _matrix, complete_inverse
 from .laurent import T as VAR_T, Q as VAR_Q
@@ -49,7 +48,6 @@ class FunctorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class SplitData:
     """Splitting data for one stabilization map `incl`.
 
@@ -60,9 +58,22 @@ class SplitData:
     coprojection, so the complement spans an explicit cokernel.
     """
 
-    retraction: PolyMatrix
-    complement: PolyMatrix
-    coprojection: PolyMatrix
+    __slots__ = ("retraction", "complement", "coprojection")
+
+    def __init__(self, retraction: PolyMatrix, complement: PolyMatrix, coprojection: PolyMatrix):
+        self.retraction = retraction
+        self.complement = complement
+        self.coprojection = coprojection
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.retraction, self.complement, self.coprojection) == (
+            other.retraction, other.complement, other.coprojection
+        )
+
+    def __hash__(self):
+        return hash((self.retraction, self.complement, self.coprojection))
 
     def certify(self, incl: PolyMatrix) -> bool:
         """Check the splitting identities; the fifth follows from the
@@ -530,14 +541,23 @@ def group_ring_matrix(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CheckReport:
     """Outcome of an exact identity check over an explicit range."""
 
-    name: str
-    params: dict
-    failures: list = field(default_factory=list)
-    checked: int = 0
+    __slots__ = ("name", "params", "failures", "checked")
+
+    def __init__(self, name: str, params: dict, failures: list | None = None, checked: int = 0):
+        self.name = name
+        self.params = params
+        self.failures = [] if failures is None else failures
+        self.checked = checked
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.params, self.failures, self.checked) == (
+            other.name, other.params, other.failures, other.checked
+        )
 
     @property
     def passed(self) -> bool:
@@ -627,14 +647,23 @@ def check_functor(f: BraidFunctor, big_n: int, word_len: int = 3) -> CheckReport
     return report
 
 
-@dataclass
 class NaturalMap:
     """A prospective natural transformation: one matrix per level."""
 
-    source: BraidFunctor
-    target: BraidFunctor
-    components: object
-    name: str = "natural-map"
+    __slots__ = ("source", "target", "components", "name")
+
+    def __init__(self, source: BraidFunctor, target: BraidFunctor, components, name: str = "natural-map"):
+        self.source = source
+        self.target = target
+        self.components = components
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.components, self.name) == (
+            other.source, other.target, other.components, other.name
+        )
 
     def component(self, n: int) -> PolyMatrix:
         m = self.components(n)

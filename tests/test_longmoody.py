@@ -9,11 +9,13 @@ from lmkit.freegroup import (
     FreeGroupMap,
     FreeWord,
     GroupRingElement,
+    WadaPair,
     artin_generator_map,
     fox_derivatives,
+    parse_word,
     wada_generator_map,
 )
-from lmkit import braidcat, laurent, longmoody, memo, polyfun, repfun
+from lmkit import braidcat, freegroup, laurent, longmoody, memo, polyfun, repfun
 from lmkit.braidcat import (
     BraidWord,
     LocalSystem,
@@ -728,6 +730,62 @@ class TestActionFamilies:
         with pytest.raises(CoherenceError, match=r"inverse fails at n=4, i=1$"):
             ActionFamily("inverse", inverse_only).verify_relations(4)
 
+    BUILT_IN = ["artin"] + [f"wada{k}" for k in range(1, 8)] + [f"wada1:{m}" for m in range(-3, 4)]
+
+    @pytest.mark.parametrize("action", BUILT_IN)
+    def test_three_strands_agree_with_six(self, action):
+        family = action_family(action)
+        family.verify_relations(3)
+        family.verify_relations(6)
+
+    @pytest.mark.parametrize(
+        "kind, words, message",
+        [
+            # The conjugated kind-4 variant of the _WADA_TABLE comment, with
+            # its inverse automorphism: an automorphism that is no braid action.
+            (4, ("g2", "g2^-1*g1^-1*g2", "g1*g2^-1*g1^-1", "g1"), "wada4: braid relation fails at n=3, i=1"),
+            # Kind 3 with one inverse word bumped, g1 -> g2^-2 for g2^-1.
+            (3, ("g2", "g1^-1", "g2^-2", "g1"), "wada3: inverse fails at n=2, i=1"),
+        ],
+    )
+    def test_planted_local_faults_are_refused_at_build(self, monkeypatch, kind, words, message):
+        w, v, w_inv, v_inv = (parse_word(text, 2) for text in words)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setitem(freegroup._WADA_TABLE, kind, (WadaPair(w, v), WadaPair(w_inv, v_inv)))
+                freegroup._wada_pairs.cache_clear()
+                freegroup.wada_generator_map.cache_clear()
+                with pytest.raises(CoherenceError) as built:
+                    longmoody._wada_family.__wrapped__(kind, 1)
+                assert str(built.value) == message
+                rule = partial(wada_generator_map, kind=kind, m=1)
+                for max_n in (5, 6):
+                    with pytest.raises(CoherenceError) as wider:
+                        ActionFamily(f"wada{kind}", rule).verify_relations(max_n)
+                    assert str(wider.value) == message
+        finally:
+            freegroup._wada_pairs.cache_clear()
+            freegroup.wada_generator_map.cache_clear()
+
+    def test_built_in_families_verify_on_three_strands(self, monkeypatch):
+        # The relations of B_2 and B_3: the inverse pair at n = 2, then the
+        # braid relation and two inverse pairs at n = 3, each side once.
+        levels, product = [], ActionFamily._product
+
+        def counting(family, n, letters):
+            levels.append(n)
+            return product(family, n, letters)
+
+        monkeypatch.setattr(ActionFamily, "_product", counting)
+        builds = [longmoody.artin_family.__wrapped__] + [
+            partial(longmoody._wada_family.__wrapped__, kind, m)
+            for kind, m in [(k, 1) for k in range(1, 8)] + [(1, m) for m in range(-3, 4)]
+        ]
+        for build in builds:
+            levels.clear()
+            build()
+            assert levels == [2, 2, 3, 3, 3, 3, 3, 3]
+
     def test_word_map_composition_order(self):
         family = artin_family()
         word = BraidWord(3, (1, 2))
@@ -1052,7 +1110,7 @@ class TestFoxTable:
                 fill(f, key)
                 assert len(getattr(f, name)) <= 3, name
             assert list(getattr(f, name)) == table_keys[-3:], name
-        # A family is stored and spot-verified once per (kind, m).
+        # A family is stored and verified once per (kind, m).
         verified, verify = [], ActionFamily.verify_relations
 
         def counting(family, *args):

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -276,3 +278,50 @@ def test_benchmark_bindings_check_passes(monkeypatch, capsys):
         for name in names:
             sys.modules.pop(name, None)
     assert capsys.readouterr().out == "PASS bindings\n"
+
+
+def _dataclass_imports(source, filename="<planted>"):
+    """Each import of the dataclasses module: its decorator generates and
+    execs the methods of every class at import, which each fresh process
+    (a CLI run, a benchmark worker) pays again."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module]
+        else:
+            continue
+        if any(m and m.split(".")[0] == "dataclasses" for m in modules):
+            found.append(f"{filename}:{node.lineno}: imports dataclasses")
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _dataclass_imports(path.read_text(), path.name)
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from dataclasses import dataclass\n",
+        "import dataclasses\n",
+        "import os, dataclasses as dc\n",
+        "def f():\n    from dataclasses import field\n    return field\n",
+    ],
+)
+def test_the_dataclass_guard_rejects_an_import(source):
+    assert _dataclass_imports(source)
+
+
+def test_a_fresh_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hooks, so whatever loads them is lmkit.
+    probe = "import sys, lmkit.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
